@@ -3,11 +3,14 @@
 //   - the graph shape: node count, Step-3 DP nodes that started while
 //     Steps 1-2 work was still pending (pipeline overlap), steal count,
 //   - the memory layout win: heap allocation count per analyze with the
-//     scratch arena on vs bypassed (same code path, Arena::setBypass).
+//     scratch arena on vs bypassed (same code path, Arena::setBypass),
+//   - the DRC via check's cost in heap allocations per DrcEngine::checkVia
+//     call, over every chosen via of the failed-pin evaluation.
 //
 // Self-check (exit 1 on failure): the overlap must be nonzero — the DFS
 // schedule starts a ready cluster before unrelated classes finish, even
-// serially — and the arena must cut heap allocations by >= 30%.
+// serially — the arena must cut heap allocations by >= 30%, and checkVia
+// must stay within kMaxAllocsPerCheckVia heap allocations per call.
 //
 // The binary overrides global operator new/delete to count allocations;
 // keep it leaf (no other benches link this TU).
@@ -19,6 +22,7 @@
 
 #include "bench_common.hpp"
 #include "benchgen/testcase.hpp"
+#include "pao/evaluate.hpp"
 #include "pao/session.hpp"
 #include "util/arena.hpp"
 
@@ -73,19 +77,62 @@ struct RunMeasure {
 #endif
 };
 
+// Ceiling of the checkVia self-check: 4.00 allocations per call measured
+// on the mixed preset at scale 0.02 (the boundary rings of both
+// enclosures), plus 25%. With a boundary extraction per rule and a
+// RegionQuery per call for the EOL context it was 36.2.
+constexpr double kMaxAllocsPerCheckVia = 5.0;
+
 RunMeasure analyzeOnce(const db::Design& design, int threads) {
   core::OracleConfig cfg;
   cfg.numThreads = threads;
   const std::uint64_t allocs0 = gHeapAllocs.load(std::memory_order_relaxed);
-  util::Arena::resetBytesRequested();
+  // Serial runs execute on this thread, so its arena sees every bump.
+  const std::uint64_t bytes0 = util::scratchArena().bytesRequested();
   core::OracleSession session(design, cfg);
   RunMeasure m;
   m.stats = session.stats();
   m.heapAllocs = gHeapAllocs.load(std::memory_order_relaxed) - allocs0;
-  m.arenaBytes = util::Arena::bytesRequested();
+  m.arenaBytes = util::scratchArena().bytesRequested() - bytes0;
 #if PAO_OBS_ENABLED
   m.profile = session.lastGraphProfile();
 #endif
+  return m;
+}
+
+struct ViaCheckMeasure {
+  std::uint64_t calls = 0;
+  std::uint64_t heapAllocs = 0;
+  double perCall() const {
+    return calls > 0 ? static_cast<double>(heapAllocs) /
+                           static_cast<double>(calls)
+                     : 0.0;
+  }
+};
+
+/// Heap allocations of checkVia over the failed-pin evaluation: every
+/// chosen via, checked beside its neighbours' vias as countFailedPins does,
+/// with only the checkVia call inside the counting window.
+ViaCheckMeasure measureCheckVia(const db::Design& design) {
+  core::OracleConfig cfg;
+  cfg.numThreads = 1;
+  const core::OracleResult result =
+      core::OracleSession(design, cfg).snapshot();
+  const core::FailedPinContext ctx(design, result);
+  std::vector<drc::Shape> extra;
+  ViaCheckMeasure m;
+  for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
+    const core::FailedPinContext::PlacedVia& pv = ctx.placed()[v];
+    extra.clear();
+    ctx.neighbourShapes(v, extra);
+    const std::uint64_t allocs0 = gHeapAllocs.load(std::memory_order_relaxed);
+    // The returned vector is part of the call's cost; it dies after the
+    // window closes.
+    const std::vector<drc::Violation> violations =
+        ctx.engine().checkVia(*pv.via, pv.loc, pv.net, extra);
+    m.heapAllocs += gHeapAllocs.load(std::memory_order_relaxed) - allocs0;
+    ++m.calls;
+  }
   return m;
 }
 
@@ -108,6 +155,8 @@ int main() {
   util::Arena::setBypass(true);
   const RunMeasure bypassRun = analyzeOnce(*tc.design, /*threads=*/1);
   util::Arena::setBypass(false);
+
+  const ViaCheckMeasure viaCheck = measureCheckVia(*tc.design);
 
   const std::size_t clusterJobs = arenaRun.stats.lastClusterCount;
   const double overlapFraction =
@@ -136,6 +185,10 @@ int main() {
   std::printf("%-34s | %10llu\n", "heap allocs (bypass)",
               static_cast<unsigned long long>(bypassRun.heapAllocs));
   std::printf("%-34s | %9.1f%%\n", "heap-alloc reduction", allocCut * 100.0);
+  std::printf("%-34s | %10llu\n", "checkVia calls (evaluation)",
+              static_cast<unsigned long long>(viaCheck.calls));
+  std::printf("%-34s | %10.2f\n", "heap allocs per checkVia",
+              viaCheck.perCall());
   std::fflush(stdout);
 
   report.bench()
@@ -150,7 +203,9 @@ int main() {
       .set("heapAllocsArena", obs::Json(static_cast<double>(arenaRun.heapAllocs)))
       .set("heapAllocsBypass",
            obs::Json(static_cast<double>(bypassRun.heapAllocs)))
-      .set("heapAllocReduction", obs::Json(allocCut));
+      .set("heapAllocReduction", obs::Json(allocCut))
+      .set("checkViaCalls", obs::Json(static_cast<double>(viaCheck.calls)))
+      .set("heapAllocsPerCheckVia", obs::Json(viaCheck.perCall()));
 #if PAO_OBS_ENABLED
   // Profile of the full-pool run, so BENCH_bench_pipeline.json carries the
   // measured critical path and parallelism headroom next to the shape rows.
@@ -170,6 +225,15 @@ int main() {
                  "selfcheck FAILED: arena cut heap allocations by %.1f%% "
                  "(need >= 30%%)\n",
                  allocCut * 100.0);
+    ok = false;
+  }
+  if (viaCheck.calls == 0 || viaCheck.perCall() > kMaxAllocsPerCheckVia) {
+    std::fprintf(stderr,
+                 "selfcheck FAILED: %.2f heap allocations per checkVia over "
+                 "%llu calls (need <= %.2f)\n",
+                 viaCheck.perCall(),
+                 static_cast<unsigned long long>(viaCheck.calls),
+                 kMaxAllocsPerCheckVia);
     ok = false;
   }
   if (ok) std::fprintf(stderr, "selfcheck OK\n");

@@ -26,9 +26,7 @@ const Pin* Master::findPin(std::string_view pinName) const {
 std::vector<int> Master::signalPinIndices() const {
   std::vector<int> out;
   for (int i = 0; i < static_cast<int>(pins.size()); ++i) {
-    if (pins[i].use == PinUse::kSignal || pins[i].use == PinUse::kClock) {
-      out.push_back(i);
-    }
+    if (pins[i].isSignal()) out.push_back(i);
   }
   return out;
 }

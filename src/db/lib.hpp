@@ -26,6 +26,10 @@ struct Pin {
   PinUse use = PinUse::kSignal;
   std::vector<PinShape> shapes;
 
+  /// Signal and clock pins are the ones pin access serves.
+  bool isSignal() const {
+    return use == PinUse::kSignal || use == PinUse::kClock;
+  }
   /// Bounding box over all shapes (any layer).
   geom::Rect bbox() const;
   /// Shapes restricted to one layer.

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "db/tech.hpp"
@@ -19,19 +20,22 @@ namespace pao::drc {
 std::optional<Violation> checkSpacingPair(const db::Layer& layer,
                                           const Shape& a, const Shape& b);
 
-/// MINSTEP over one merged same-net component: walks every boundary ring and
-/// flags runs of more than `maxEdges` consecutive edges shorter than
-/// `minStepLength` (paper Fig. 3: a via enclosure protruding from a pin shape
-/// creates such steps).
+/// MINSTEP over one merged same-net component, given its boundary rings
+/// (geom::unionBoundary of the component): flags runs of more than
+/// `maxEdges` consecutive edges shorter than `minStepLength` (paper Fig. 3: a
+/// via enclosure protruding from a pin shape creates such steps).
 std::vector<Violation> checkMinStep(const db::Layer& layer,
-                                    const std::vector<geom::Rect>& component);
+                                    std::span<const geom::BoundaryRing> rings);
 
-/// End-of-line spacing for one merged same-net component: boundary edges
-/// shorter than `eolWidth` that are convex at both ends require `space`
-/// clearance (extended sideways by `within`) from conflicting shapes.
+/// End-of-line spacing for one merged same-net component, given its boundary
+/// rings: edges shorter than `eolWidth` that are convex at both ends require
+/// `space` clearance (extended sideways by `within`) from every rect in
+/// `obstacles` — the nearby shapes on `layer` that conflict with `selfNet`.
+/// Every clearance region lies within maxSpacingHalo(layer) of the rings.
 std::vector<Violation> checkEol(const db::Layer& layer,
-                                const std::vector<geom::Rect>& component,
-                                int selfNet, const RegionQuery& context);
+                                std::span<const geom::BoundaryRing> rings,
+                                int selfNet,
+                                std::span<const geom::Rect> obstacles);
 
 /// MINAREA over one merged same-net component.
 std::optional<Violation> checkMinArea(const db::Layer& layer,

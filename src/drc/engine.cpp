@@ -21,36 +21,58 @@ using geom::Rect;
 DrcEngine::DrcEngine(const db::Tech& tech)
     : tech_(&tech), region_(static_cast<int>(tech.layers().size())) {}
 
-std::vector<Shape> DrcEngine::viaShapes(const db::ViaDef& via, Point p,
-                                        int net, bool fixed) const {
-  std::vector<Shape> out;
-  out.push_back({via.botEncAt(p), via.botLayer, net, ShapeKind::kVia, fixed});
-  out.push_back({via.cutAt(p), via.cutLayer, net, ShapeKind::kVia, fixed});
-  out.push_back({via.topEncAt(p), via.topLayer, net, ShapeKind::kVia, fixed});
-  return out;
+std::array<Shape, 3> DrcEngine::viaShapes(const db::ViaDef& via, Point p,
+                                          int net, bool fixed) const {
+  return {{{via.botEncAt(p), via.botLayer, net, ShapeKind::kVia, fixed},
+           {via.cutAt(p), via.cutLayer, net, ShapeKind::kVia, fixed},
+           {via.topEncAt(p), via.topLayer, net, ShapeKind::kVia, fixed}}};
 }
 
-std::vector<geom::Rect> DrcEngine::mergedComponent(
-    const Rect& seed, int layer, int net, std::span<const Shape> extra) const {
-  std::vector<Rect> comp{seed};
-  std::deque<Rect> frontier{seed};
+void DrcEngine::mergedComponent(const Rect& seed, int layer, int net,
+                                std::span<const Shape> extra,
+                                util::ArenaVector<Rect>& comp) const {
+  comp.assign(1, seed);
   const auto absorbed = [&](const Rect& r) {
     return std::find(comp.begin(), comp.end(), r) != comp.end();
   };
-  // Bounded flood fill over touching same-net shapes. The bound keeps the
-  // incremental check local; standard-cell pins have few rects.
+  // Bounded flood fill over touching same-net shapes, breadth first: every
+  // absorbed rect is expanded in turn, so comp[next..] is the frontier. The
+  // bound keeps the incremental check local; standard-cell pins have few
+  // rects.
   constexpr std::size_t kMaxComponent = 64;
-  while (!frontier.empty() && comp.size() < kMaxComponent) {
-    const Rect cur = frontier.front();
-    frontier.pop_front();
+  for (std::size_t next = 0;
+       next < comp.size() && comp.size() < kMaxComponent; ++next) {
+    const Rect cur = comp[next];
     queryWithExtra(layer, cur, extra, [&](const Shape& s) {
       if (s.net != net || comp.size() >= kMaxComponent) return;
       if (!s.rect.intersects(cur) || absorbed(s.rect)) return;
       comp.push_back(s.rect);
-      frontier.push_back(s.rect);
     });
   }
-  return comp;
+}
+
+void DrcEngine::checkEdgeRules(const db::Layer& layer,
+                               std::span<const Rect> comp, int net,
+                               std::span<const Shape> extra,
+                               std::vector<Violation>& out) const {
+  if (!layer.minStep && !layer.eol) return;
+  const std::vector<geom::BoundaryRing> rings = geom::unionBoundary(comp);
+  for (const Violation& v : checkMinStep(layer, rings)) out.push_back(v);
+  if (!layer.eol) return;
+
+  Rect compBox;
+  for (const Rect& r : comp) compBox = compBox.merge(r);
+  util::ArenaScope scratch(util::scratchArena());
+  util::ArenaVector<Rect> obstacles;
+  queryWithExtra(layer.index, compBox.bloat(maxSpacingHalo(layer)), extra,
+                 [&](const Shape& s) {
+                   if (s.net != net || s.net == Shape::kObsNet) {
+                     obstacles.push_back(s.rect);
+                   }
+                 });
+  for (const Violation& v : checkEol(layer, rings, net, obstacles)) {
+    out.push_back(v);
+  }
 }
 
 std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
@@ -74,25 +96,17 @@ std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
     const Coord window =
         halo + (layer.minStep ? layer.minStep->minStepLength : 0);
     const Rect vicinity = enc.bloat(window);
-    const std::vector<Rect> comp = mergedComponent(enc, layerIdx, net, extra);
-    for (Violation v : checkMinStep(layer, comp)) {
-      if (v.bbox.intersects(vicinity)) out.push_back(v);
-    }
-    if (layer.eol) {
-      // Build a local context holding nearby conflicting shapes plus extras.
-      Rect compBox;
-      for (const Rect& r : comp) compBox = compBox.merge(r);
-      RegionQuery local(static_cast<int>(tech_->layers().size()));
-      queryWithExtra(layerIdx, compBox.bloat(halo), extra,
-                     [&](const Shape& s) {
-                       if (s.net != net || s.net == Shape::kObsNet) {
-                         local.add(s);
-                       }
-                     });
-      for (Violation v : checkEol(layer, comp, net, local)) {
-        if (v.bbox.intersects(vicinity)) out.push_back(v);
-      }
-    }
+    util::ArenaScope scratch(util::scratchArena());
+    util::ArenaVector<Rect> comp;
+    mergedComponent(enc, layerIdx, net, extra, comp);
+    const std::size_t first = out.size();
+    checkEdgeRules(layer, comp, net, extra, out);
+    out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(first),
+                             out.end(),
+                             [&](const Violation& v) {
+                               return !v.bbox.intersects(vicinity);
+                             }),
+              out.end());
   };
 
   checkMetalRect(via.botEncAt(p), via.botLayer);
@@ -129,8 +143,7 @@ std::vector<Violation> DrcEngine::checkViaPair(const db::ViaDef& viaA,
                                                Point pa, int netA,
                                                const db::ViaDef& viaB,
                                                Point pb, int netB) const {
-  const std::vector<Shape> aShapes = viaShapes(viaA, pa, netA);
-  return checkVia(viaB, pb, netB, aShapes);
+  return checkVia(viaB, pb, netB, viaShapes(viaA, pa, netA));
 }
 
 std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
@@ -264,15 +277,12 @@ std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
             anyFixed = anyFixed || s->fixed;
           }
           if (!anyRouted) continue;
-          for (Violation v : checkMinStep(layer, comp)) {
-            v.netA = net;
-            out.push_back(v);
-          }
+          // MINSTEP markers carry no net; EOL markers already name `net`.
+          const std::size_t first = out.size();
+          checkEdgeRules(layer, comp, net, {}, out);
+          for (std::size_t k = first; k < out.size(); ++k) out[k].netA = net;
           if (layer.minArea > 0 && !anyFixed) {
             if (auto v = checkMinArea(layer, comp, net)) out.push_back(*v);
-          }
-          for (Violation v : checkEol(layer, comp, net, region_)) {
-            out.push_back(v);
           }
         }
       }

@@ -7,12 +7,14 @@
 //      (the #DRC metric of Experiment 3).
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
 #include "db/tech.hpp"
 #include "drc/checks.hpp"
 #include "drc/region_query.hpp"
+#include "util/arena.hpp"
 
 namespace pao::drc {
 
@@ -26,8 +28,8 @@ class DrcEngine {
 
   /// Shapes a via instance contributes (bottom enclosure, cut, top
   /// enclosure), for use as `extra` context in pairwise checks.
-  std::vector<Shape> viaShapes(const db::ViaDef& via, geom::Point p, int net,
-                               bool fixed = false) const;
+  std::array<Shape, 3> viaShapes(const db::ViaDef& via, geom::Point p,
+                                 int net, bool fixed = false) const;
 
   /// All violations caused by dropping `via` at `p` connecting `net`.
   /// `extra` shapes are treated as additional context (e.g. a neighboring
@@ -61,9 +63,19 @@ class DrcEngine {
  private:
   /// Same-net shapes on `layer` connected (transitively touching) to `seed`,
   /// including `seed` itself — the merged component for min-step/EOL/area.
-  std::vector<geom::Rect> mergedComponent(const geom::Rect& seed, int layer,
-                                          int net,
-                                          std::span<const Shape> extra) const;
+  /// Written to `comp` (cleared first) in discovery order.
+  void mergedComponent(const geom::Rect& seed, int layer, int net,
+                       std::span<const Shape> extra,
+                       util::ArenaVector<geom::Rect>& comp) const;
+
+  /// Appends the MINSTEP then the EOL violations of one merged `net`
+  /// component on `layer` to `out`. Both rules walk the same boundary, so
+  /// it is extracted once. EOL sees the shapes on the layer, from the
+  /// region and `extra`, that conflict with `net` within maxSpacingHalo of
+  /// the component's bounding box, which contains every EOL region.
+  void checkEdgeRules(const db::Layer& layer, std::span<const geom::Rect> comp,
+                      int net, std::span<const Shape> extra,
+                      std::vector<Violation>& out) const;
 
   template <typename Fn>
   void queryWithExtra(int layer, const geom::Rect& box,

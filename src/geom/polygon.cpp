@@ -10,11 +10,11 @@
 
 namespace pao::geom {
 
-// These primitives run inside the DRC hot loop (every checkVia calls
-// unionBoundary twice through min-step/EOL), so all internal scratch —
-// interval lists, sweep events, edge stitching tables — lives in the
-// calling thread's arena and dies at function exit. Only the returned
-// containers touch the heap.
+// These primitives run inside the DRC hot loop (checkVia extracts one
+// unionBoundary per via enclosure, shared by min-step and EOL), so all
+// internal scratch — interval lists, sweep events, edge stitching tables —
+// lives in the calling thread's arena and dies at function exit. Only the
+// returned containers touch the heap.
 
 namespace {
 
@@ -56,7 +56,7 @@ std::vector<Rect> transpose(const std::vector<Rect>& rects) {
 /// The caller must hold an ArenaScope — an arena-backed `out` is allocated
 /// from that scope, so opening one here would rewind it on return.
 template <typename OutVec>
-void unionSlabsInto(const std::vector<Rect>& rects, OutVec& out) {
+void unionSlabsInto(std::span<const Rect> rects, OutVec& out) {
   ArenaVector<Rect> live;
   live.reserve(rects.size());
   for (const Rect& r : rects) {
@@ -211,7 +211,7 @@ Point dirOf(const RawEdge& e) {
 
 }  // namespace
 
-std::vector<BoundaryRing> unionBoundary(const std::vector<Rect>& rects) {
+std::vector<BoundaryRing> unionBoundary(std::span<const Rect> rects) {
   util::ArenaScope scratch(util::scratchArena());
   ArenaVector<Rect> slabs;
   unionSlabsInto(rects, slabs);

@@ -9,6 +9,7 @@
 //    pin shape plus a candidate via enclosure (Fig. 3).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "geom/geom.hpp"
@@ -48,7 +49,7 @@ using BoundaryRing = std::vector<BoundaryEdge>;
 
 /// Extracts all boundary rings (outer boundaries and holes) of the union of
 /// `rects`. Collinear consecutive edges are merged.
-std::vector<BoundaryRing> unionBoundary(const std::vector<Rect>& rects);
+std::vector<BoundaryRing> unionBoundary(std::span<const Rect> rects);
 
 /// Maximal rectangles of the union of `rects`: every decomposition slab is
 /// extended as far as possible in the perpendicular direction while staying

@@ -1,8 +1,8 @@
 #include "pao/evaluate.hpp"
 
-#include <map>
+#include <span>
+#include <utility>
 
-#include "geom/grid_index.hpp"
 #include "pao/inst_context.hpp"
 
 namespace pao::core {
@@ -58,25 +58,44 @@ DirtyApStats countDirtyAps(const db::Design& design,
   return stats;
 }
 
-FailedPinStats countFailedPins(const db::Design& design,
-                               const OracleResult& result,
-                               std::size_t maxDetails,
-                               FailedPinCriterion criterion) {
-  FailedPinStats stats;
+namespace {
 
-  // Global electrical identity per (instance, master-pin): the design net
-  // index when attached, or a unique synthetic id otherwise.
-  std::map<std::pair<int, int>, int> netOf;
-  for (int n = 0; n < static_cast<int>(design.nets.size()); ++n) {
+/// The three shapes of placed via `v` in FailedPinContext::viaShapes_.
+std::span<const drc::Shape> shapesOf(const std::vector<drc::Shape>& all,
+                                     int v) {
+  return std::span<const drc::Shape>(all).subspan(
+      static_cast<std::size_t>(v) * 3, 3);
+}
+
+}  // namespace
+
+FailedPinContext::FailedPinContext(const db::Design& design,
+                                   const OracleResult& result)
+    : engine_(*design.tech) {
+  const int numInsts = static_cast<int>(design.instances.size());
+  const int numNets = static_cast<int>(design.nets.size());
+
+  // Global electrical identity per (instance, master-pin), flat by
+  // instance: pin p of instance i sits at netOf[pinBase[i] + p]. It holds
+  // the design net index when attached, a unique synthetic id otherwise,
+  // and kNoNet for supply pins (never looked up) and malformed terms.
+  constexpr int kNoNet = -2;
+  std::vector<std::size_t> pinBase(design.instances.size() + 1, 0);
+  for (int i = 0; i < numInsts; ++i) {
+    pinBase[i + 1] = pinBase[i] + design.instances[i].master->pins.size();
+  }
+  std::vector<int> netOf(pinBase.back(), kNoNet);
+  for (int n = 0; n < numNets; ++n) {
     for (const db::NetTerm& t : design.nets[n].terms) {
-      if (!t.isIo()) netOf[{t.instIdx, t.pinIdx}] = n;
+      if (t.isIo() || t.instIdx >= numInsts || t.pinIdx < 0) continue;
+      const std::size_t slot = pinBase[t.instIdx] + t.pinIdx;
+      if (slot < pinBase[t.instIdx + 1]) netOf[slot] = n;
     }
   }
-  int synthetic = static_cast<int>(design.nets.size());
+  int synthetic = numNets;
 
   // Fixed design context: every instance's pin shapes and obstructions.
-  drc::DrcEngine engine(*design.tech);
-  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
+  for (int i = 0; i < numInsts; ++i) {
     const db::Instance& inst = design.instances[i];
     const geom::Transform xf = inst.transform();
     const db::Master& master = *inst.master;
@@ -87,86 +106,102 @@ FailedPinStats countFailedPins(const db::Design& design,
       int net;
       if (isSupply) {
         net = drc::Shape::kObsNet;
-      } else if (const auto it = netOf.find({i, p}); it != netOf.end()) {
-        net = it->second;
+      } else if (int& slot = netOf[pinBase[i] + p]; slot != kNoNet) {
+        net = slot;
       } else {
         net = synthetic++;
-        netOf[{i, p}] = net;
+        slot = net;
       }
       for (const db::PinShape& s : pin.shapes) {
-        engine.region().add({xf.apply(s.rect), s.layer, net,
-                             drc::ShapeKind::kPin, true});
+        engine_.region().add({xf.apply(s.rect), s.layer, net,
+                              drc::ShapeKind::kPin, true});
       }
     }
     for (const db::Obstruction& o : master.obstructions) {
-      engine.region().add({xf.apply(o.rect), o.layer, drc::Shape::kObsNet,
-                           drc::ShapeKind::kObstruction, true});
+      engine_.region().add({xf.apply(o.rect), o.layer, drc::Shape::kObsNet,
+                            drc::ShapeKind::kObstruction, true});
     }
   }
   for (const db::IoPin& p : design.ioPins) {
-    engine.region().add({p.rect, p.layer, synthetic++,
-                         drc::ShapeKind::kIoPin, true});
+    engine_.region().add({p.rect, p.layer, synthetic++,
+                          drc::ShapeKind::kIoPin, true});
   }
 
   // Chosen vias of every net-attached pin, in a side index so each pin can
   // be checked against every *other* pin's via without seeing its own.
-  struct PlacedVia {
-    int inst;
-    int pinPos;  ///< signal-pin position within the master
-    const db::ViaDef* via;
-    geom::Point loc;
-    int net;
-  };
-  std::vector<PlacedVia> placed;
-  struct PinRef {
-    int inst;
-    int pinPos;
-    int net;
-    int placedIdx;  ///< -1 when the pin has no chosen via access
-    bool planar;    ///< chosen access is planar-only (macro pins)
-  };
-  std::vector<PinRef> pins;
-
-  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
+  for (int i = 0; i < numInsts; ++i) {
     const db::Master& master = *design.instances[i].master;
-    const std::vector<int> sig = master.signalPinIndices();
-    for (int pos = 0; pos < static_cast<int>(sig.size()); ++pos) {
-      const auto netIt = netOf.find({i, sig[pos]});
-      if (netIt == netOf.end()) continue;  // pin not attached to any net
+    int pos = -1;  // signal-pin position within the master
+    for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
+      if (!master.pins[p].isSignal()) continue;
+      ++pos;
+      const int net = netOf[pinBase[i] + p];
       // Only count pins attached to real design nets.
-      if (netIt->second >= static_cast<int>(design.nets.size())) continue;
-      PinRef ref{i, pos, netIt->second, -1, false};
+      if (net < 0 || net >= numNets) continue;
+      PinRef ref{i, pos, net, -1, false};
       const auto chosen = result.chosenAp(design, i, pos);
-      if (chosen && chosen->ap->primaryVia(*design.tech) != nullptr) {
-        ref.placedIdx = static_cast<int>(placed.size());
-        placed.push_back(
-            {i, pos, chosen->ap->primaryVia(*design.tech), chosen->loc, netIt->second});
+      const db::ViaDef* via =
+          chosen ? chosen->ap->primaryVia(*design.tech) : nullptr;
+      if (via != nullptr) {
+        ref.placedIdx = static_cast<int>(placed_.size());
+        placed_.push_back({i, pos, via, chosen->loc, net});
       } else if (chosen && chosen->ap->dirs != 0) {
         // Planar-only access (macro pins): counts as accessible; the stub
         // legality was validated at generation and re-checked by
         // countDirtyAps.
         ref.planar = true;
       }
-      pins.push_back(ref);
+      pins_.push_back(ref);
     }
   }
 
-  geom::GridIndex<int> viaIndex;
-  std::vector<std::vector<drc::Shape>> viaShapes(placed.size());
-  for (int v = 0; v < static_cast<int>(placed.size()); ++v) {
-    const PlacedVia& pv = placed[v];
-    viaShapes[v] = engine.viaShapes(*pv.via, pv.loc, pv.net);
+  viaShapes_.reserve(placed_.size() * 3);
+  for (int v = 0; v < static_cast<int>(placed_.size()); ++v) {
+    const PlacedVia& pv = placed_[v];
     geom::Rect bbox;
-    for (const drc::Shape& s : viaShapes[v]) bbox = bbox.merge(s.rect);
-    viaIndex.insert(bbox, v);
+    for (const drc::Shape& s : engine_.viaShapes(*pv.via, pv.loc, pv.net)) {
+      viaShapes_.push_back(s);
+      bbox = bbox.merge(s.rect);
+    }
+    viaIndex_.insert(bbox, v);
   }
+}
 
-  stats.totalPins = pins.size();
+void FailedPinContext::neighbourShapes(int v,
+                                       std::vector<drc::Shape>& extra) const {
+  geom::Rect query;
+  for (const drc::Shape& s : shapesOf(viaShapes_, v)) {
+    query = query.merge(s.rect);
+  }
+  viaIndex_.query(query.bloat(2048), [&](const geom::Rect&, int other) {
+    if (other == v) return;
+    // Same-net vias (multi-pin nets) are not conflicts; include them
+    // anyway — checkVia treats same-net context as merge candidates.
+    const std::span<const drc::Shape> shapes = shapesOf(viaShapes_, other);
+    extra.insert(extra.end(), shapes.begin(), shapes.end());
+  });
+}
+
+FailedPinStats countFailedPins(const db::Design& design,
+                               const OracleResult& result,
+                               std::size_t maxDetails,
+                               FailedPinCriterion criterion) {
+  const FailedPinContext ctx(design, result);
+  const drc::DrcEngine& engine = ctx.engine();
+  FailedPinStats stats;
+  stats.totalPins = ctx.pins().size();
+  const auto fail = [&](const FailedPinContext::PinRef& ref,
+                        std::vector<drc::Violation> violations) {
+    ++stats.failedPins;
+    if (stats.details.size() < maxDetails) {
+      stats.details.push_back({ref.inst, ref.pinPos, std::move(violations)});
+    }
+  };
 
   if (criterion == FailedPinCriterion::kAnyAp) {
     // Lenient criterion: a pin passes when ANY of its generated access
     // points drops a clean via against the fixed context.
-    for (const PinRef& ref : pins) {
+    for (const FailedPinContext::PinRef& ref : ctx.pins()) {
       const int cls = result.unique.classOf[ref.inst];
       bool anyClean = false;
       if (cls >= 0 && !result.classes[cls].pinAps.empty()) {
@@ -176,54 +211,32 @@ FailedPinStats countFailedPins(const db::Design& design,
             design.instances[ui.representative].origin;
         for (const AccessPoint& ap :
              result.classes[cls].pinAps[ref.pinPos]) {
-          if (ap.primaryVia(*design.tech) == nullptr) continue;
-          if (engine.isViaClean(*ap.primaryVia(*design.tech), ap.loc + delta, ref.net)) {
+          const db::ViaDef* via = ap.primaryVia(*design.tech);
+          if (via != nullptr &&
+              engine.isViaClean(*via, ap.loc + delta, ref.net)) {
             anyClean = true;
             break;
           }
         }
       }
-      if (!anyClean) {
-        ++stats.failedPins;
-        if (stats.details.size() < maxDetails) {
-          stats.details.push_back({ref.inst, ref.pinPos, {}});
-        }
-      }
+      if (!anyClean) fail(ref, {});
     }
     return stats;
   }
 
-  for (const PinRef& ref : pins) {
+  std::vector<drc::Shape> extra;
+  for (const FailedPinContext::PinRef& ref : ctx.pins()) {
     if (ref.placedIdx < 0) {
-      if (!ref.planar) {
-        ++stats.failedPins;
-        if (stats.details.size() < maxDetails) {
-          stats.details.push_back({ref.inst, ref.pinPos, {}});
-        }
-      }
+      if (!ref.planar) fail(ref, {});
       continue;
     }
-    const PlacedVia& pv = placed[ref.placedIdx];
+    const FailedPinContext::PlacedVia& pv = ctx.placed()[ref.placedIdx];
     // Context: all other pins' chosen vias near this one.
-    std::vector<drc::Shape> extra;
-    geom::Rect query;
-    for (const drc::Shape& s : viaShapes[ref.placedIdx]) {
-      query = query.merge(s.rect);
-    }
-    viaIndex.query(query.bloat(2048), [&](const geom::Rect&, int v) {
-      if (v == ref.placedIdx) return;
-      // Same-net vias (multi-pin nets) are not conflicts; include them
-      // anyway — checkVia treats same-net context as merge candidates.
-      for (const drc::Shape& s : viaShapes[v]) extra.push_back(s);
-    });
-    const std::vector<drc::Violation> violations =
+    extra.clear();
+    ctx.neighbourShapes(ref.placedIdx, extra);
+    std::vector<drc::Violation> violations =
         engine.checkVia(*pv.via, pv.loc, pv.net, extra);
-    if (!violations.empty()) {
-      ++stats.failedPins;
-      if (stats.details.size() < maxDetails) {
-        stats.details.push_back({ref.inst, ref.pinPos, violations});
-      }
-    }
+    if (!violations.empty()) fail(ref, std::move(violations));
   }
   return stats;
 }

@@ -9,6 +9,8 @@
 
 #include <vector>
 
+#include "drc/engine.hpp"
+#include "geom/grid_index.hpp"
 #include "pao/oracle.hpp"
 
 namespace pao::core {
@@ -46,6 +48,46 @@ enum class FailedPinCriterion {
   /// clean via against the fixed design context (used for the TrRte
   /// baseline, which has no pattern-choice mechanism to hold it to).
   kAnyAp,
+};
+
+/// What the failed-pin evaluation checks pins against, built once per
+/// design and result: the fixed design context (every instance's pin shapes
+/// and obstructions, and the IO pins) in a DRC engine, every net-attached
+/// instance pin in evaluation order, and every chosen access via.
+class FailedPinContext {
+ public:
+  struct PlacedVia {
+    int inst;
+    int pinPos;  ///< signal-pin position within the master
+    const db::ViaDef* via;
+    geom::Point loc;
+    int net;
+  };
+  struct PinRef {
+    int inst;
+    int pinPos;
+    int net;
+    int placedIdx;  ///< -1 when the pin has no chosen via access
+    bool planar;    ///< chosen access is planar-only (macro pins)
+  };
+
+  FailedPinContext(const db::Design& design, const OracleResult& result);
+
+  const drc::DrcEngine& engine() const { return engine_; }
+  const std::vector<PinRef>& pins() const { return pins_; }
+  const std::vector<PlacedVia>& placed() const { return placed_; }
+
+  /// Appends to `extra` the shapes of every other chosen via near
+  /// placed()[v]: the context placed()[v] is checked in beside the fixed
+  /// design.
+  void neighbourShapes(int v, std::vector<drc::Shape>& extra) const;
+
+ private:
+  drc::DrcEngine engine_;
+  std::vector<PinRef> pins_;
+  std::vector<PlacedVia> placed_;
+  std::vector<drc::Shape> viaShapes_;  ///< three per placed via
+  geom::GridIndex<int> viaIndex_;
 };
 
 /// Evaluates every net-attached instance pin against the fully populated

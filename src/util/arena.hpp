@@ -16,10 +16,13 @@
 //     existing std::vector code converts by swapping the allocator
 //     (ArenaVector<T>). Deallocation is a no-op — memory dies at scope exit.
 //
-// Determinism note: bytesRequested() is a schedule-invariant measure of how
-// much scratch the workload asked for (same work => same total), but block
-// counts are per-thread and NOT schedule-invariant; neither is registered
-// with the obs metrics registry. They surface only through bench reports.
+// Determinism note: bytesRequested() counts one arena's bumps. It is
+// schedule-invariant only for work that ran on one thread (a serial run on
+// the caller's scratchArena()); across a worker pool the split between
+// arenas follows the schedule. Block counts are per-thread too. Neither is
+// registered with the obs metrics registry; they surface only through bench
+// reports. Keeping the count on its arena means a bump writes only memory
+// its own thread owns.
 //
 // The global bypass switch routes ArenaAllocator through plain operator
 // new/delete so benches can measure the no-arena baseline through the SAME
@@ -51,7 +54,7 @@ class Arena {
   /// dedicated block. Never returns nullptr (throws std::bad_alloc).
   void* allocate(std::size_t bytes, std::size_t align) {
     if (bytes == 0) bytes = 1;
-    gBytesRequested.fetch_add(bytes, std::memory_order_relaxed);
+    bytesRequested_ += bytes;
     while (cur_ < blocks_.size()) {
       Block& b = blocks_[cur_];
       const std::size_t aligned = alignUp(off_, align);
@@ -100,18 +103,15 @@ class Arena {
   /// Process-wide toggle: when on, ArenaAllocator instances constructed from
   /// then on use the heap instead of the arena. Benches only.
   static void setBypass(bool on) {
+    // Flipped by benches between runs, never while a job runs.
+    // pao-lint: allow(executor-hygiene): bench-only, not a hot-path write
     gBypass.store(on, std::memory_order_relaxed);
   }
   static bool bypass() { return gBypass.load(std::memory_order_relaxed); }
 
-  /// Cumulative bytes requested from all arenas (schedule-invariant for a
-  /// fixed workload; see header comment). Bench-only counter.
-  static std::uint64_t bytesRequested() {
-    return gBytesRequested.load(std::memory_order_relaxed);
-  }
-  static void resetBytesRequested() {
-    gBytesRequested.store(0, std::memory_order_relaxed);
-  }
+  /// Cumulative bytes requested from this arena since construction (see
+  /// header comment). Bench-only counter; never decreases on rewind.
+  std::uint64_t bytesRequested() const { return bytesRequested_; }
 
  private:
   struct Block {
@@ -135,9 +135,9 @@ class Arena {
   std::vector<Block> blocks_;
   std::size_t cur_ = 0;
   std::size_t off_ = 0;
+  std::uint64_t bytesRequested_ = 0;
 
   inline static std::atomic<bool> gBypass{false};
-  inline static std::atomic<std::uint64_t> gBytesRequested{0};
 };
 
 /// RAII lifetime rule for arena scratch: everything allocated between

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "drc/engine.hpp"
+#include "geom/polygon.hpp"
 #include "test_util.hpp"
 
 namespace pao::drc {
@@ -70,44 +71,45 @@ TEST_F(DrcFixture, MinStepDetectsSmallNotch) {
   const db::Layer& m1 = tech_->layer(m1_);
   // An 80-tall tab sticking out of a big rect: edges of 80 < 120 min step.
   const std::vector<Rect> comp = {{0, 0, 1000, 500}, {400, 500, 480, 580}};
-  const auto violations = checkMinStep(m1, comp);
+  const auto violations = checkMinStep(m1, geom::unionBoundary(comp));
   EXPECT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].kind, RuleKind::kMinStep);
   // A 200-wide, 200-tall tab: all new edges >= 120 -> clean.
   const std::vector<Rect> ok = {{0, 0, 1000, 500}, {400, 500, 600, 700}};
-  EXPECT_TRUE(checkMinStep(m1, ok).empty());
+  EXPECT_TRUE(checkMinStep(m1, geom::unionBoundary(ok)).empty());
 }
 
 TEST_F(DrcFixture, MinStepCleanRect) {
   const db::Layer& m1 = tech_->layer(m1_);
-  EXPECT_TRUE(checkMinStep(m1, {{0, 0, 1000, 500}}).empty());
+  const std::vector<Rect> big = {{0, 0, 1000, 500}};
+  EXPECT_TRUE(checkMinStep(m1, geom::unionBoundary(big)).empty());
   // A rect smaller than min step on both sides is all-short-edges.
-  EXPECT_FALSE(checkMinStep(m1, {{0, 0, 100, 100}}).empty());
+  const std::vector<Rect> tiny = {{0, 0, 100, 100}};
+  EXPECT_FALSE(checkMinStep(m1, geom::unionBoundary(tiny)).empty());
 }
 
 TEST_F(DrcFixture, EolNeighborTriggersViolation) {
   const db::Layer& m1 = tech_->layer(m1_);
   // A 100-wide wire end (eolWidth 110 -> EOL edge), neighbor within the
   // 120 clearance region in front of the end.
-  RegionQuery context(static_cast<int>(tech_->layers().size()));
-  context.add({{1050, 0, 1200, 100}, m1_, 2, ShapeKind::kWire, false});
   const std::vector<Rect> comp = {{0, 0, 1000, 100}};
-  const auto violations = checkEol(m1, comp, 1, context);
+  const auto rings = geom::unionBoundary(comp);
+  const std::vector<Rect> near = {{1050, 0, 1200, 100}};
+  const auto violations = checkEol(m1, rings, 1, near);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].kind, RuleKind::kEndOfLine);
 
   // Neighbor beyond the EOL clearance: clean.
-  RegionQuery far(static_cast<int>(tech_->layers().size()));
-  far.add({{1130, 0, 1300, 100}, m1_, 2, ShapeKind::kWire, false});
-  EXPECT_TRUE(checkEol(m1, comp, 1, far).empty());
+  const std::vector<Rect> far = {{1130, 0, 1300, 100}};
+  EXPECT_TRUE(checkEol(m1, rings, 1, far).empty());
 }
 
 TEST_F(DrcFixture, EolWideEdgeExempt) {
   const db::Layer& m1 = tech_->layer(m1_);
   // A 200-wide wire end is not an EOL edge (>= eolWidth 110).
-  RegionQuery context(static_cast<int>(tech_->layers().size()));
-  context.add({{1050, 0, 1200, 200}, m1_, 2, ShapeKind::kWire, false});
-  EXPECT_TRUE(checkEol(m1, {{0, 0, 1000, 200}}, 1, context).empty());
+  const std::vector<Rect> comp = {{0, 0, 1000, 200}};
+  const std::vector<Rect> near = {{1050, 0, 1200, 200}};
+  EXPECT_TRUE(checkEol(m1, geom::unionBoundary(comp), 1, near).empty());
 }
 
 TEST_F(DrcFixture, MinArea) {

@@ -314,6 +314,42 @@ TEST(LintExecutorHygiene, JobGraphImplementationIsExempt) {
   EXPECT_TRUE(unsuppressed(fs).empty());
 }
 
+TEST(LintExecutorHygiene, FlagsSharedAtomicWrites) {
+  const auto fs = lintFixtureAs("executor_hygiene_atomic_positive.cpp",
+                                "src/pao/fixture.cpp");
+  const auto live = unsuppressed(fs);
+  const std::vector<int> lines = {15, 16, 24, 25, 26, 27, 28, 29};
+  ASSERT_EQ(live.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(live[i]->line, lines[i]);
+    EXPECT_NE(live[i]->message.find("write to shared atomic"),
+              std::string::npos);
+  }
+  EXPECT_NE(live[0]->message.find("'gResets'"), std::string::npos);
+  EXPECT_NE(live[2]->message.find("'once'"), std::string::npos);
+}
+
+TEST(LintExecutorHygiene, AcceptsSharedAtomicNegatives) {
+  const auto fs = lintFixtureAs("executor_hygiene_atomic_negative.cpp",
+                                "src/pao/fixture.cpp");
+  EXPECT_TRUE(unsuppressed(fs).empty());
+  // The justified store is a suppressed finding, not a missed one.
+  EXPECT_EQ(fs.size(), 1u);
+}
+
+TEST(LintExecutorHygiene, SharedAtomicCheckIsScopedToLibraryCode) {
+  // The obs registry and the job graph own process-wide atomics, and code
+  // outside src/ (benches, tests, tools) may count however it likes.
+  for (const std::string path :
+       {"src/obs/metrics.cpp", "src/util/jobs.hpp", "bench/bench_x.cpp",
+        "tests/test_x.cpp"}) {
+    EXPECT_TRUE(unsuppressed(lintFixtureAs(
+                                 "executor_hygiene_atomic_positive.cpp", path))
+                    .empty())
+        << path;
+  }
+}
+
 // --- obs-naming ----------------------------------------------------------
 
 TEST(LintObsNaming, FlagsAllKnownPositives) {

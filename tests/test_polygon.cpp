@@ -71,7 +71,7 @@ TEST(ConnectedComponents, CornerTouchConnects) {
 }
 
 TEST(UnionBoundary, SquareHasFourEdges) {
-  const auto rings = unionBoundary({{0, 0, 100, 100}});
+  const auto rings = unionBoundary(std::vector<Rect>{{0, 0, 100, 100}});
   ASSERT_EQ(rings.size(), 1u);
   EXPECT_EQ(rings[0].size(), 4u);
   EXPECT_TRUE(ringClosed(rings[0]));
@@ -80,14 +80,16 @@ TEST(UnionBoundary, SquareHasFourEdges) {
 
 TEST(UnionBoundary, MergedRectsHaveMergedBoundary) {
   // Two abutting squares form a 200x100 rect: still 4 edges.
-  const auto rings = unionBoundary({{0, 0, 100, 100}, {100, 0, 200, 100}});
+  const auto rings =
+      unionBoundary(std::vector<Rect>{{0, 0, 100, 100}, {100, 0, 200, 100}});
   ASSERT_EQ(rings.size(), 1u);
   EXPECT_EQ(rings[0].size(), 4u);
   EXPECT_EQ(ringPerimeter(rings[0]), 600);
 }
 
 TEST(UnionBoundary, LShapeHasSixEdges) {
-  const auto rings = unionBoundary({{0, 0, 10, 30}, {0, 0, 30, 10}});
+  const auto rings =
+      unionBoundary(std::vector<Rect>{{0, 0, 10, 30}, {0, 0, 30, 10}});
   ASSERT_EQ(rings.size(), 1u);
   EXPECT_EQ(rings[0].size(), 6u);
   EXPECT_TRUE(ringClosed(rings[0]));
@@ -95,8 +97,8 @@ TEST(UnionBoundary, LShapeHasSixEdges) {
 }
 
 TEST(UnionBoundary, PlusShapeHasTwelveEdges) {
-  const auto rings = unionBoundary(
-      {{10, 0, 20, 30}, {0, 10, 30, 20}});
+  const auto rings =
+      unionBoundary(std::vector<Rect>{{10, 0, 20, 30}, {0, 10, 30, 20}});
   ASSERT_EQ(rings.size(), 1u);
   EXPECT_EQ(rings[0].size(), 12u);
   EXPECT_TRUE(ringClosed(rings[0]));
@@ -117,14 +119,14 @@ TEST(UnionBoundary, HoleProducesSecondRing) {
 
 TEST(UnionBoundary, TwoComponentsTwoRings) {
   const auto rings =
-      unionBoundary({{0, 0, 10, 10}, {100, 100, 120, 120}});
+      unionBoundary(std::vector<Rect>{{0, 0, 10, 10}, {100, 100, 120, 120}});
   EXPECT_EQ(rings.size(), 2u);
 }
 
 TEST(UnionBoundary, InteriorOnLeftOrientation) {
   // For a single square the ring must be counter-clockwise: a bottom edge
   // (y = 0) runs +x, the right edge runs +y, etc.
-  const auto rings = unionBoundary({{0, 0, 100, 100}});
+  const auto rings = unionBoundary(std::vector<Rect>{{0, 0, 100, 100}});
   ASSERT_EQ(rings.size(), 1u);
   for (const BoundaryEdge& e : rings[0]) {
     if (e.horizontal() && e.from.y == 0) {

@@ -78,7 +78,8 @@ const std::vector<RuleInfo>& ruleCatalog() {
        true},
       {kRuleExecutorHygiene,
        "raw std::thread/std::jthread/std::async outside the executor; "
-       "mutable-capture lambda or blocking socket I/O inside parallelFor",
+       "mutable-capture lambda or blocking socket I/O inside parallelFor; "
+       "write to a namespace-scope or static std::atomic in src/",
        true},
       {kRuleObsNaming,
        "observability macro name literal not matching pao.<phase>.<metric>",

@@ -389,6 +389,132 @@ void ruleExecutorHygiene(std::string_view path, const std::vector<Token>& toks,
   }
 }
 
+/// Names of the `std::atomic` objects this file declares at namespace scope
+/// or `static` (static members and function-local statics): one object
+/// every thread shares. Pointers and references to atomics, atomics nested
+/// in template arguments and `thread_local` ones are not shared objects.
+std::set<std::string_view> collectSharedAtomics(
+    const std::vector<Token>& toks) {
+  std::set<std::string_view> names;
+  // Per open brace: does it open a namespace (or extern "C") body?
+  std::vector<bool> braces;
+  int parens = 0;
+  for (std::size_t k = 0; k < toks.size(); ++k) {
+    if (isPunct(toks[k], "(")) ++parens;
+    if (isPunct(toks[k], ")") && parens > 0) --parens;
+    if (isPunct(toks[k], "{")) {
+      std::size_t j = k;
+      while (j > 0 && (toks[j - 1].kind == TokKind::kIdent ||
+                       isPunct(toks[j - 1], "::"))) {
+        --j;
+        if (isIdent(toks[j], "namespace")) break;
+      }
+      const bool ns = (j < k && isIdent(toks[j], "namespace")) ||
+                      (k >= 2 && toks[k - 1].kind == TokKind::kString &&
+                       isIdent(toks[k - 2], "extern"));
+      braces.push_back(ns);
+    }
+    if (isPunct(toks[k], "}") && !braces.empty()) braces.pop_back();
+
+    if (k + 3 >= toks.size() || !isIdent(toks[k], "std") ||
+        !isPunct(toks[k + 1], "::") || toks[k + 2].kind != TokKind::kIdent ||
+        !toks[k + 2].text.starts_with("atomic")) {
+      continue;
+    }
+    // Skip the template arguments of std::atomic<...>.
+    std::size_t j = k + 3;
+    if (isPunct(toks[j], "<")) {
+      int angle = 0;
+      for (; j < toks.size(); ++j) {
+        if (isPunct(toks[j], "<")) ++angle;
+        if (isPunct(toks[j], ">") && --angle == 0) break;
+      }
+      ++j;
+    }
+    if (j >= toks.size() || toks[j].kind != TokKind::kIdent) continue;
+    bool isStatic = false;
+    bool threadLocal = false;
+    for (std::size_t b = k; b-- > 0;) {
+      if (isPunct(toks[b], ";") || isPunct(toks[b], "{") ||
+          isPunct(toks[b], "}") || isPunct(toks[b], ":")) {
+        break;
+      }
+      isStatic = isStatic || isIdent(toks[b], "static");
+      threadLocal = threadLocal || isIdent(toks[b], "thread_local");
+    }
+    const bool namespaceScope =
+        parens == 0 && std::all_of(braces.begin(), braces.end(),
+                                   [](bool ns) { return ns; });
+    if ((isStatic || namespaceScope) && !threadLocal) {
+      names.insert(toks[j].text);
+    }
+  }
+  return names;
+}
+
+/// True when tokens[k] (a tracked atomic's name) is written: a mutating
+/// member call, an increment/decrement, or a compound assignment. The
+/// lexer fuses only `+= -= *= /= <<=`; `|= &= ^= %= >>=` arrive split.
+bool isAtomicWrite(const std::vector<Token>& toks, std::size_t k) {
+  const auto punctAt = [&](std::size_t i, std::string_view p) {
+    return i < toks.size() && isPunct(toks[i], p);
+  };
+  if (k > 0 && (punctAt(k - 1, "++") || punctAt(k - 1, "--"))) return true;
+  if (punctAt(k + 1, "++") || punctAt(k + 1, "--")) return true;
+  for (const std::string_view op : {"+=", "-=", "*=", "/=", "<<="}) {
+    if (punctAt(k + 1, op)) return true;
+  }
+  for (const std::string_view op : {"|", "&", "^", "%"}) {
+    if (punctAt(k + 1, op) && punctAt(k + 2, "=")) return true;
+  }
+  if (punctAt(k + 1, ">") && punctAt(k + 2, ">") && punctAt(k + 3, "=")) {
+    return true;
+  }
+  if (punctAt(k + 1, ".") && k + 3 < toks.size() && punctAt(k + 3, "(")) {
+    const std::string_view m = toks[k + 2].text;
+    return m == "fetch_add" || m == "fetch_sub" || m == "store" ||
+           m == "exchange";
+  }
+  return false;
+}
+
+/// The shared-atomic half of executor-hygiene: a write to a namespace-scope
+/// or static std::atomic from library code bounces one cache line between
+/// every worker that reaches it. Tallies belong to their owner or to
+/// thread-local storage, merged when the scope ends.
+void ruleSharedAtomicWrites(std::string_view path,
+                            const std::vector<Token>& toks,
+                            std::vector<Finding>& out) {
+  // Library code only. The obs registry and the job graph own the
+  // process-wide atomics by design.
+  const auto in = [&](std::string_view sub) {
+    return path.find(sub) != std::string_view::npos;
+  };
+  if (!in("src/") || in("src/obs/") || in("src/util/jobs.")) return;
+  const std::set<std::string_view> names = collectSharedAtomics(toks);
+  if (names.empty()) return;
+  for (std::size_t k = 0; k < toks.size(); ++k) {
+    if (toks[k].kind != TokKind::kIdent || names.count(toks[k].text) == 0) {
+      continue;
+    }
+    // obj.name / obj->name is some other object's member.
+    if (k > 0 && (isPunct(toks[k - 1], ".") || isPunct(toks[k - 1], "->"))) {
+      continue;
+    }
+    if (!isAtomicWrite(toks, k)) continue;
+    Finding f;
+    f.file = std::string(path);
+    f.line = toks[k].line;
+    f.rule = std::string(kRuleExecutorHygiene);
+    f.message = "write to shared atomic '" + std::string(toks[k].text) +
+                "' (namespace-scope or static) in library code";
+    f.hint =
+        "keep the tally on its owner or in thread-local storage and merge "
+        "it when the scope ends; process-wide counters belong in src/obs/";
+    out.push_back(std::move(f));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Rule: obs-naming
 // ---------------------------------------------------------------------------
@@ -522,6 +648,7 @@ void runFileRules(std::string_view path, const LexResult& lexed,
   rulePointerStability(path, lexed.tokens, depths, options, findings);
   ruleUnorderedIteration(path, lexed.tokens, depths, findings);
   ruleExecutorHygiene(path, lexed.tokens, options, findings);
+  ruleSharedAtomicWrites(path, lexed.tokens, findings);
   ruleObsNaming(path, lexed.tokens, findings);
   ruleDiagHygiene(path, lexed.tokens, options, findings);
 }

@@ -27,6 +27,10 @@
 //                       `parallelFor` argument list: the epoll event loop
 //                       owns every socket, and a worker blocking on
 //                       read/send would stall the whole dispatch batch.
+//                       Under src/ (outside src/obs/ and src/util/jobs.*)
+//                       it flags writes to namespace-scope or static
+//                       std::atomics: fetch_add/fetch_sub/store/exchange,
+//                       ++/-- and compound assignment.
 //   obs-naming          A string literal passed as the registry name to one
 //                       of the observability macros (PAO_COUNTER_ADD,
 //                       PAO_COUNTER_INC, PAO_GAUGE_SET,
