@@ -6,8 +6,9 @@
 // a validated "ingest" section (report_check ingest gates it in CI).
 //
 // Self-check (exit 1 on failure):
-//   * streamed and legacy parses of a small huge-preset DEF agree on
-//     db::designFingerprint,
+//   * the streamed parse and the frozen reference parser
+//     (tests/reference_lefdef.cpp) agree on db::designFingerprint for a
+//     small huge-preset DEF,
 //   * sharded extraction at 1, 4 and hardware threads is identical to the
 //     serial extraction (class indices and members included),
 //   * DEF throughput and peak RSS are nonzero.
@@ -26,11 +27,11 @@
 #include "benchgen/huge.hpp"
 #include "db/fingerprint.hpp"
 #include "db/unique_inst.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/lef_writer.hpp"
 #include "lefdef/stream.hpp"
 #include "pao/report_json.hpp"
 #include "pao/session.hpp"
+#include "reference.hpp"
 #include "util/cpu_time.hpp"
 
 using namespace pao;
@@ -174,28 +175,29 @@ int main() {
 
   bool ok = true;
 
-  // Self-check 1: streamed == legacy on a small huge-preset DEF, compared
-  // by content fingerprint (equal fingerprints => identical writeDef text).
+  // Self-check 1: streamed == reference on a small huge-preset DEF,
+  // compared by content fingerprint (equal fingerprints => identical
+  // writeDef text).
   {
     const double smallScale =
         std::min(scale, 5000.0 / static_cast<double>(spec.numCells));
     std::ostringstream small;
     benchgen::writeHugeDef(spec, smallScale, *tl.tech, *tl.lib, small);
     const std::string text = small.str();
-    db::Design legacy;
-    legacy.tech = &tech;
-    legacy.lib = &lib;
-    lefdef::parseDef(text, legacy, lefdef::ParseOptions{});
+    db::Design ref;
+    ref.tech = &tech;
+    ref.lib = &lib;
+    reference::parseDef(text, ref);
     db::Design streamed;
     streamed.tech = &tech;
     streamed.lib = &lib;
     lefdef::StreamOptions so;
     so.chunkBytes = 1 << 14;
     lefdef::parseDefStream(text, streamed, so);
-    if (db::designFingerprint(legacy) != db::designFingerprint(streamed)) {
+    if (db::designFingerprint(ref) != db::designFingerprint(streamed)) {
       std::fprintf(stderr,
                    "selfcheck FAILED: streamed parse fingerprint differs "
-                   "from legacy parse\n");
+                   "from reference parse\n");
       ok = false;
     }
   }

@@ -6,10 +6,10 @@
 #include <sstream>
 
 #include "benchgen/testcase.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/lef_writer.hpp"
+#include "lefdef/stream.hpp"
 #include "pao/evaluate.hpp"
 #include "pao/oracle.hpp"
 

@@ -2,8 +2,8 @@
 // the DEF round-trip preserves (name, die area, rows, tracks, instances,
 // IO pins, nets — masters by name). Two designs with equal fingerprints
 // are byte-identical under writeDef. The scale-equivalence tests use this
-// to compare streamed vs legacy parses of multi-hundred-MB inputs without
-// materializing both DEF strings.
+// to compare streamed vs reference parses of multi-hundred-MB inputs
+// without materializing both DEF strings.
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,11 @@ class LefParser {
  public:
   LefParser(std::string_view text, Tech& tech, Library& lib,
             const ParseOptions& opts)
-      : lex_(text, opts.file), opts_(opts), tech_(tech), lib_(lib) {}
+      : lines_(text),
+        lex_(text, lines_, opts.file),
+        opts_(opts),
+        tech_(tech),
+        lib_(lib) {}
 
   ParseResult run() {
     ParseResult res;
@@ -319,6 +323,7 @@ class LefParser {
     }
   }
 
+  LineIndex lines_;  ///< declared before lex_, which points into it
   Lexer lex_;
   ParseOptions opts_;
   Tech& tech_;

@@ -1,7 +1,7 @@
 #include "lefdef/lexer.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 
 namespace pao::lefdef {
@@ -22,84 +22,122 @@ std::size_t ParseResult::errorCount() const {
   return n;
 }
 
-Lexer::Lexer(std::string_view text, std::string_view file)
-    : file_(file), source_(text) {
-  std::size_t line = 1;
-  std::size_t lineStart = 0;
+// 2^50 DBU is ~5e8 microns at a 2000 DBU grid, far beyond any real die, so
+// legitimate files are unaffected; llround on an unclamped out-of-range
+// double returns an unspecified value (often LLONG_MIN), which poisons
+// later sums with UB.
+long long roundClamped(double v) {
+  constexpr long long kMaxMagnitude = 1LL << 50;
+  if (std::isnan(v)) return 0;
+  const double lim = static_cast<double>(kMaxMagnitude);
+  if (v >= lim) return kMaxMagnitude;
+  if (v <= -lim) return -kMaxMagnitude;
+  return std::llround(v);
+}
+
+LineIndex::LineIndex(std::string_view text) : text_(text) {
   lineStart_.push_back(0);
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  const auto push = [&](std::string_view tok, std::size_t at) {
-    tokens_.emplace_back(tok);
-    lines_.push_back(line);
-    cols_.push_back(at - lineStart + 1);
-  };
-  while (i < n) {
-    const char c = text[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      lineStart = i;
-      lineStart_.push_back(i);
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '#') {  // comment to end of line
-      while (i < n && text[i] != '\n') ++i;
-      continue;
-    }
-    if (c == ';' || c == '(' || c == ')') {
-      push(std::string_view(&text[i], 1), i);
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      std::size_t j = i + 1;
-      while (j < n && text[j] != '"') ++j;
-      push(text.substr(i + 1, j - i - 1), i);
-      i = j < n ? j + 1 : j;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < n && !std::isspace(static_cast<unsigned char>(text[j])) &&
-           text[j] != ';' && text[j] != '(' && text[j] != ')' &&
-           text[j] != '#') {
-      ++j;
-    }
-    push(text.substr(i, j - i), i);
-    i = j;
+  for (std::size_t i = text.find('\n'); i != std::string_view::npos;
+       i = text.find('\n', i + 1)) {
+    lineStart_.push_back(i + 1);
   }
 }
 
-std::string_view Lexer::peek(std::size_t ahead) const {
-  return pos_ + ahead < tokens_.size() ? std::string_view(tokens_[pos_ + ahead])
-                                       : std::string_view();
+std::size_t LineIndex::lineOf(std::size_t offset) const {
+  const auto it =
+      std::upper_bound(lineStart_.begin(), lineStart_.end(), offset);
+  return static_cast<std::size_t>(it - lineStart_.begin());
+}
+
+std::size_t LineIndex::colOf(std::size_t offset) const {
+  return offset - lineStart_[lineOf(offset) - 1] + 1;
+}
+
+std::string LineIndex::lineText(std::size_t line) const {
+  if (line == 0 || line > lineStart_.size()) return std::string();
+  const std::size_t begin = lineStart_[line - 1];
+  std::size_t end = text_.find('\n', begin);
+  if (end == std::string_view::npos) end = text_.size();
+  return std::string(text_.substr(begin, end - begin));
+}
+
+Lexer::Lexer(std::string_view text, std::size_t begin, std::size_t end,
+             const LineIndex& lines, std::string_view file)
+    : text_(text),
+      cur_(begin),
+      end_(std::min(end, text.size())),
+      lines_(&lines),
+      file_(file) {
+  scan();
+}
+
+void Lexer::scan() {
+  while (cur_ < end_) {
+    const char c = text_[cur_];
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      ++cur_;
+    } else if (c == '#') {  // comment to end of line
+      while (cur_ < end_ && text_[cur_] != '\n') ++cur_;
+    } else {
+      break;
+    }
+  }
+  haveTok_ = cur_ < end_;
+  if (!haveTok_) return;
+  tokOff_ = cur_;
+  const char c = text_[cur_];
+  if (c == ';' || c == '(' || c == ')') {
+    tok_ = text_.substr(cur_, 1);
+    ++cur_;
+    return;
+  }
+  if (c == '"') {
+    std::size_t j = cur_ + 1;
+    while (j < end_ && text_[j] != '"') ++j;
+    tok_ = text_.substr(cur_ + 1, j - cur_ - 1);
+    cur_ = j < end_ ? j + 1 : j;
+    return;
+  }
+  std::size_t j = cur_;
+  while (j < end_ && !std::isspace(static_cast<unsigned char>(text_[j])) &&
+         text_[j] != ';' && text_[j] != '(' && text_[j] != ')' &&
+         text_[j] != '#') {
+    ++j;
+  }
+  tok_ = text_.substr(cur_, j - cur_);
+  cur_ = j;
+}
+
+void Lexer::advance() {
+  lastOff_ = tokOff_;
+  haveLast_ = true;
+  ++consumed_;
+  scan();
 }
 
 std::string_view Lexer::next() {
-  if (done()) throw ParseError(diagHere("LEX001", "unexpected end of input"));
-  return tokens_[pos_++];
+  if (!haveTok_) {
+    throw ParseError(diagHere("LEX001", "unexpected end of input"));
+  }
+  const std::string_view tok = tok_;
+  advance();
+  return tok;
 }
 
 bool Lexer::accept(std::string_view tok) {
-  if (!done() && tokens_[pos_] == tok) {
-    ++pos_;
-    return true;
-  }
-  return false;
+  if (!haveTok_ || tok_ != tok) return false;
+  advance();
+  return true;
 }
 
 void Lexer::expect(std::string_view tok) {
-  if (done() || tokens_[pos_] != tok) {
+  if (!haveTok_ || tok_ != tok) {
     const std::string got =
-        done() ? "end of input" : "'" + tokens_[pos_] + "'";
+        haveTok_ ? "'" + std::string(tok_) + "'" : "end of input";
     throw ParseError(diagHere(
         "LEX002", "expected '" + std::string(tok) + "', got " + got));
   }
-  ++pos_;
+  advance();
 }
 
 void Lexer::skipStatement() {
@@ -111,10 +149,9 @@ void Lexer::skipStatement() {
 }
 
 void Lexer::syncTo(std::initializer_list<std::string_view> stops) {
-  while (!done()) {
-    const std::string_view tok = peek();
+  while (haveTok_) {
     for (const std::string_view stop : stops) {
-      if (tok == stop) return;
+      if (tok_ == stop) return;
     }
     if (next() == ";") return;
   }
@@ -129,19 +166,6 @@ double Lexer::nextDouble() {
   }
 }
 
-// 2^50 DBU is ~5e8 microns at a 2000 DBU grid, far beyond any real die, so
-// legitimate files are unaffected; llround on an unclamped out-of-range
-// double returns an unspecified value (often LLONG_MIN), which poisons
-// later sums with UB.
-long long roundClamped(double v) {
-  constexpr long long kMaxMagnitude = 1LL << 50;
-  if (std::isnan(v)) return 0;
-  const double lim = static_cast<double>(kMaxMagnitude);
-  if (v >= lim) return kMaxMagnitude;
-  if (v <= -lim) return -kMaxMagnitude;
-  return std::llround(v);
-}
-
 long long Lexer::nextInt() {
   return roundClamped(nextDouble());
 }
@@ -151,48 +175,44 @@ geom::Coord Lexer::nextDbu(int dbuPerMicron) {
 }
 
 std::size_t Lexer::line() const {
-  if (lines_.empty()) return 0;
-  return pos_ < lines_.size() ? lines_[pos_] : lines_.back();
+  if (haveTok_) return lines_->lineOf(tokOff_);
+  return haveLast_ ? lines_->lineOf(lastOff_) : 0;
 }
 
 std::size_t Lexer::col() const {
-  if (cols_.empty()) return 0;
-  return pos_ < cols_.size() ? cols_[pos_] : cols_.back();
+  if (haveTok_) return lines_->colOf(tokOff_);
+  return haveLast_ ? lines_->colOf(lastOff_) : 0;
+}
+
+void Lexer::seekTo(std::size_t offset) {
+  cur_ = offset;
+  scan();
 }
 
 util::Diag Lexer::diagHere(std::string_view code, std::string message) const {
-  // At end of input point at the last token — the caller is reporting
-  // "input ended while I expected more", and the last token is where.
-  const std::size_t idx =
-      tokens_.empty() ? 0 : (pos_ < tokens_.size() ? pos_ : tokens_.size() - 1);
-  return diagAt(idx, code, std::move(message));
+  // At end of input point at the last consumed token — the caller is
+  // reporting "input ended while I expected more", and that is where.
+  if (haveTok_) return diagAt(tokOff_, true, code, std::move(message));
+  return diagAt(lastOff_, haveLast_, code, std::move(message));
 }
 
 util::Diag Lexer::diagPrev(std::string_view code, std::string message) const {
-  const std::size_t idx = pos_ > 0 ? pos_ - 1 : 0;
-  return diagAt(idx, code, std::move(message));
+  if (haveLast_) return diagAt(lastOff_, true, code, std::move(message));
+  return diagAt(tokOff_, haveTok_, code, std::move(message));
 }
 
-util::Diag Lexer::diagAt(std::size_t tokIdx, std::string_view code,
+util::Diag Lexer::diagAt(std::size_t off, bool located, std::string_view code,
                          std::string message) const {
   util::Diag d;
   d.code = std::string(code);
   d.message = std::move(message);
   d.loc.file = file_;
-  if (tokIdx < tokens_.size()) {
-    d.loc.line = lines_[tokIdx];
-    d.loc.col = cols_[tokIdx];
-    d.excerpt = lineText(d.loc.line);
+  if (located) {
+    d.loc.line = lines_->lineOf(off);
+    d.loc.col = lines_->colOf(off);
+    d.excerpt = lines_->lineText(d.loc.line);
   }
   return d;
-}
-
-std::string Lexer::lineText(std::size_t line) const {
-  if (line == 0 || line > lineStart_.size()) return std::string();
-  const std::size_t begin = lineStart_[line - 1];
-  std::size_t end = source_.find('\n', begin);
-  if (end == std::string::npos) end = source_.size();
-  return source_.substr(begin, end - begin);
 }
 
 }  // namespace pao::lefdef

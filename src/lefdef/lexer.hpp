@@ -2,15 +2,19 @@
 // token streams where ';', '(' and ')' are standalone tokens, '#' starts a
 // comment, and double-quoted strings are single tokens.
 //
-// The lexer tracks a 1-based line/column per token and keeps the source
-// text, so parse errors carry a full util::Diag (file:line:col, stable
-// error code, source excerpt). Parsers have two modes:
+// The lexer is lazy: it scans one token ahead over a view of the source
+// (mmap-backed for file input), so no token vector and no per-token string
+// is ever built. Every token carries its byte offset; a LineIndex over the
+// whole text turns offsets into 1-based line/column and source excerpts,
+// so parse errors carry a full util::Diag (file:line:col, stable error
+// code, excerpt). Parsers have two modes:
 //   - strict (default): the first error throws ParseError, whose .diag
 //     holds the located diagnostic (what() is the formatted form);
 //   - recovery (ParseOptions::recover): errors are accumulated into a
 //     ParseResult and the parser resyncs via syncTo() and keeps going.
 #pragma once
 
+#include <cstddef>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
@@ -61,13 +65,42 @@ util::Diag tooManyErrors(const std::string& file);
 /// legitimate LEF/DEF values are orders of magnitude below the clamp.
 long long roundClamped(double v);
 
+/// Newline index over a source text: maps byte offsets to 1-based
+/// line/column and extracts excerpt lines. Built once per file, shared
+/// read-only by every lexer over that text.
+class LineIndex {
+ public:
+  explicit LineIndex(std::string_view text);
+
+  std::size_t lineOf(std::size_t offset) const;
+  std::size_t colOf(std::size_t offset) const;
+  /// The full source line `line` lives on (1-based; "" when unknown).
+  std::string lineText(std::size_t line) const;
+
+ private:
+  std::string_view text_;
+  std::vector<std::size_t> lineStart_;
+};
+
 class Lexer {
  public:
-  explicit Lexer(std::string_view text, std::string_view file = "<input>");
+  /// Tokenizes text[begin, end): the whole file for a serial parse, one
+  /// entity-aligned chunk for a parallel DEF section worker. `lines` must
+  /// index the same text and outlive the lexer; locations always resolve
+  /// against the whole text, so a chunk reports what a whole-file pass
+  /// would.
+  Lexer(std::string_view text, std::size_t begin, std::size_t end,
+        const LineIndex& lines, std::string_view file);
+  /// Whole-text form.
+  Lexer(std::string_view text, const LineIndex& lines,
+        std::string_view file = "<input>")
+      : Lexer(text, 0, text.size(), lines, file) {}
 
-  bool done() const { return pos_ >= tokens_.size(); }
+  bool done() const { return !haveTok_; }
   /// Current token without consuming ("" at end of input).
-  std::string_view peek(std::size_t ahead = 0) const;
+  std::string_view peek() const {
+    return haveTok_ ? tok_ : std::string_view();
+  }
   /// Consumes and returns the current token.
   std::string_view next();
   /// Consumes the current token iff it equals `tok`.
@@ -85,11 +118,19 @@ class Lexer {
   /// nextDouble() scaled by dbuPerMicron and rounded — LEF distances.
   geom::Coord nextDbu(int dbuPerMicron);
 
-  /// Line/column of the current token (the last token at end of input).
+  /// Line/column of the current token (the last consumed one at end of
+  /// input; 0 when there is neither).
   std::size_t line() const;
   std::size_t col() const;
-  /// Position in the token stream — recovery progress guard.
-  std::size_t pos() const { return pos_; }
+  /// Count of tokens consumed — the recovery progress guard.
+  std::size_t pos() const { return consumed_; }
+  /// Byte offset where the current token starts, or the range end at end
+  /// of input. Drives the DEF section chunker.
+  std::size_t byteOffset() const { return haveTok_ ? tokOff_ : end_; }
+  /// Repositions the scan at byte `offset`. pos() is kept (it only guards
+  /// recovery progress). The DEF driver uses it to run the serial section
+  /// loop from the point where a chunk's result stops being usable.
+  void seekTo(std::size_t offset);
 
   /// Error-recovery resync: consumes tokens until a ';' has been consumed
   /// or the next token is one of `stops` (or input ends). Unlike
@@ -97,25 +138,32 @@ class Lexer {
   /// keyword is a known resync point.
   void syncTo(std::initializer_list<std::string_view> stops);
 
-  /// Located diagnostic at the current token (diagHere) or at the most
-  /// recently consumed token (diagPrev — for semantic errors discovered
-  /// after consuming, e.g. "unknown master 'X'").
+  /// Located diagnostic at the current token (diagHere; the last consumed
+  /// token at end of input) or at the most recently consumed token
+  /// (diagPrev — for semantic errors discovered after consuming, e.g.
+  /// "unknown master 'X'"; the current token before anything is consumed).
   util::Diag diagHere(std::string_view code, std::string message) const;
   util::Diag diagPrev(std::string_view code, std::string message) const;
 
  private:
-  util::Diag diagAt(std::size_t tokIdx, std::string_view code,
+  /// Scans the token at or after cur_ into tok_ (haveTok_ false at end).
+  void scan();
+  /// Consumes the current token and scans the next one.
+  void advance();
+  util::Diag diagAt(std::size_t off, bool located, std::string_view code,
                     std::string message) const;
-  /// The full source line `line` lives on (1-based; "" when unknown).
-  std::string lineText(std::size_t line) const;
 
+  std::string_view text_;  ///< full source; tokens are views into it
+  std::size_t cur_;        ///< scan position, just past tok_
+  std::size_t end_;        ///< range end (treated as end of input)
+  const LineIndex* lines_;
   std::string file_;
-  std::string source_;                  ///< owned copy for excerpts
-  std::vector<std::size_t> lineStart_;  ///< offset of each line in source_
-  std::vector<std::string> tokens_;
-  std::vector<std::size_t> lines_;
-  std::vector<std::size_t> cols_;
-  std::size_t pos_ = 0;
+  std::string_view tok_;  ///< current token
+  std::size_t tokOff_ = 0;
+  bool haveTok_ = false;
+  std::size_t consumed_ = 0;
+  std::size_t lastOff_ = 0;  ///< offset of most recently consumed token
+  bool haveLast_ = false;
 };
 
 }  // namespace pao::lefdef

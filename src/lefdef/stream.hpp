@@ -1,34 +1,28 @@
-// Streaming LEF/DEF ingest (ROADMAP item 3): the multi-million-instance
-// front end. parseDefStream() tokenizes lazily over one immutable view of
-// the input (mmap-backed via FileSource for the *File forms), splits the
-// COMPONENTS and NETS sections into entity-aligned chunks, and parses the
-// chunks in parallel on a util::JobGraph with per-chunk util::Arena
-// scratch — while preserving the legacy parser's diagnostics/recovery
-// contract exactly:
+// LEF/DEF ingest: the one DEF driver. parseDefStream() tokenizes lazily
+// over one immutable view of the input (mmap-backed via FileSource for the
+// *File forms), splits the COMPONENTS and NETS sections into entity-aligned
+// chunks, and parses the chunks in parallel on a util::JobGraph with
+// per-chunk util::Arena scratch. The result never depends on the thread
+// count or the chunk size:
 //
-//   * Same grammar code: both parsers instantiate def_entities.hpp, so
-//     codes, messages, locations and excerpts are byte-identical.
 //   * Chunk boundaries are only ever cut at after-';' entity starts — the
-//     positions where the legacy forEachEntity loop begins an iteration —
-//     so recovery resyncs can never cross a boundary and per-entity
-//     behaviour matches the serial parse on any input, well-formed or not.
-//     Junk tokens between an entity's ';' and the next entity stay in the
-//     preceding entity's chunk; where the serial section loop would stop
-//     at such junk, the chunk worker flags an early stop, the merge
-//     discards every later chunk, and the driver re-enters the serial
-//     grammar at that exact byte.
+//     positions where a serial section loop begins an iteration — so
+//     recovery resyncs can never cross a boundary. A chunk's result is
+//     used only up to the first point where it cannot know what the serial
+//     parse does: junk after a successful entity (where the serial section
+//     loop stops) or a malformed entity that runs into the chunk's end
+//     (which the serial parse continues into the next chunk's bytes).
+//     There the merge discards every later chunk and the driver runs the
+//     serial section loop from that exact byte.
 //   * Strict mode: each chunk stops at its first entity error and the
-//     in-order merge rethrows the earliest chunk's error (or reproduces
-//     an earlier chunk's early stop), i.e. the file's first error,
-//     exactly like the serial parse. (On a strict-mode throw the target
-//     design is left untouched, where the legacy parser leaves a partial
-//     parse behind — the one documented divergence; see DESIGN.md
-//     "Streaming ingest & scale".)
+//     in-order merge rethrows the earliest chunk's error (unless an
+//     earlier chunk handed over to the serial loop), i.e. the file's first
+//     error. On a throw the target design is left untouched.
 //   * Recovery mode: chunk diagnostics merge in chunk order (= file
-//     order). If the file's total error count reaches
-//     ParseOptions::maxErrors the streamed attempt is abandoned and the
-//     input is re-parsed with the legacy parser, reproducing its GEN001
-//     bail-out semantics bit for bit.
+//     order), each after the entities its chunk parsed before it. When the
+//     error count reaches ParseOptions::maxErrors the merge appends GEN001
+//     and stops, so the design holds exactly what a serial parse had
+//     committed when it gave up.
 //
 // The NETS section resolves component references through a
 // util::StringInterner built over the just-merged instances (one hash
@@ -65,16 +59,28 @@ struct IngestStats {
   std::size_t components = 0;  ///< instances appended
   std::size_t nets = 0;        ///< nets appended
   bool mapped = false;         ///< file came from mmap (vs read fallback)
-  bool legacyFallback = false;  ///< maxErrors bail-out re-parse ran
+  /// Recovery hit ParseOptions::maxErrors and gave up with GEN001. The
+  /// name is kept because pao-report/2 `ingest` readers key on it.
+  bool legacyFallback = false;
   double parseSeconds = 0;     ///< wall seconds (file forms only)
 };
 
-/// Streamed equivalent of parseDef(text, design, opts): same results, same
-/// diagnostics, same recovery behaviour (see header comment for the one
-/// strict-mode residue divergence).
+/// Parses DEF text into `design` (design.tech and design.lib must already
+/// point at the technology and library the DEF references). With
+/// opts.parse.recover a bad component/pin/net is dropped and reported
+/// while the rest of its section still parses (the call never throws);
+/// without it the first error throws ParseError carrying the same Diag and
+/// `design` is left untouched.
 ParseResult parseDefStream(std::string_view text, db::Design& design,
                            const StreamOptions& opts,
                            IngestStats* stats = nullptr);
+
+/// parseDefStream on one thread: the in-memory form for callers that do
+/// not ask for a parallel ingest. Throws ParseError on malformed input or
+/// unknown master/pin references.
+void parseDef(std::string_view text, db::Design& design);
+ParseResult parseDef(std::string_view text, db::Design& design,
+                     const ParseOptions& opts);
 
 /// Opens `path` via FileSource (mmap with read() fallback) and runs
 /// parseDefStream. Injects the "def.io" fault point before opening, so the
@@ -84,8 +90,8 @@ ParseResult parseDefFile(const std::string& path, db::Design& design,
                          IngestStats* stats = nullptr);
 
 /// LEF ingest over a FileSource view ("lef.io" fault point). LEF files are
-/// library-sized, not design-sized, so the parse itself is the legacy
-/// serial one — the win here is mmap + zero-copy, not chunking.
+/// library-sized, not design-sized, so the parse itself is the serial
+/// parseLef — the win here is mmap + zero-copy, not chunking.
 ParseResult parseLefFile(const std::string& path, db::Tech& tech,
                          db::Library& lib, const ParseOptions& opts,
                          IngestStats* stats = nullptr);

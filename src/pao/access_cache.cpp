@@ -51,13 +51,12 @@ ClassAccess AccessCache::translate(const ClassAccess& ca,
 namespace {
 
 /// One line per record; fields are space-separated. Format:
-///   FINGERPRINT <hex>                               (v2 only)
+///   FINGERPRINT <hex>
 ///   ENTRY <master> <orient> <numOffsets> <offsets...>
 ///   PIN <numAps>
 ///   AP <x> <y> <layer> <prefType> <nonPrefType> <dirs> <numVias> <names...>
 ///   ORDER <numPins> <positions...>
 ///   PATTERN <cost> <validated> <numIdx> <apIdx...>
-constexpr const char* kHeaderV1 = "PAO_ACCESS_CACHE v1";
 constexpr const char* kHeaderV2 = "PAO_ACCESS_CACHE v2";
 
 /// FNV-1a, 64-bit: tiny, well-distributed, and identical everywhere (no
@@ -210,7 +209,6 @@ std::size_t AccessCache::load(const std::string& text, const db::Tech& tech,
   std::istringstream is(text);
   std::string line;
   std::getline(is, line);
-  if (line == kHeaderV1) return loadV1(is, text.size(), tech, lib);
   if (line != kHeaderV2) {
     return fail("access cache: unrecognized header '" + line + "'");
   }
@@ -357,94 +355,6 @@ std::size_t AccessCache::load(const std::string& text, const db::Tech& tech,
     entries_.insert_or_assign(std::move(key), std::move(ca));
   }
   return pending.size();
-}
-
-std::size_t AccessCache::loadV1(std::istream& is, std::size_t textSize,
-                                const db::Tech& tech,
-                                const db::Library& lib) {
-  // v1 predates the fingerprint and the END trailer; it stays best-effort:
-  // commit each entry as it parses, skip entries referencing unknown masters
-  // or vias, and stop silently at the first malformed record. Counts are
-  // still sanity-bounded by the bytes present (each element takes at least
-  // two, " x") so a corrupt count can never drive a huge resize.
-  const auto plausibleCount = [&](std::size_t n) {
-    const auto pos = is.tellg();
-    const std::size_t left =
-        pos < 0 || static_cast<std::size_t>(pos) >= textSize
-            ? 0
-            : textSize - static_cast<std::size_t>(pos);
-    return n <= left / 2;
-  };
-  std::size_t loaded = 0;
-  std::string tok;
-  while (is >> tok) {
-    if (tok != "ENTRY") return loaded;  // malformed; keep what we have
-    std::string masterName, orientStr;
-    std::size_t numOffsets = 0;
-    is >> masterName >> orientStr >> numOffsets;
-    if (!is || !plausibleCount(numOffsets)) return loaded;
-    std::vector<geom::Coord> offsets(numOffsets);
-    for (geom::Coord& o : offsets) is >> o;
-    const db::Master* master = lib.findMaster(masterName);
-
-    ClassAccess ca;
-    std::size_t numPins = 0;
-    is >> tok >> numPins;  // PINS
-    if (!is || !plausibleCount(numPins)) return loaded;
-    ca.pinAps.resize(numPins);
-    bool ok = master != nullptr;
-    for (std::vector<AccessPoint>& pinAps : ca.pinAps) {
-      std::size_t numAps = 0;
-      is >> tok >> numAps;  // PIN
-      if (!is || !plausibleCount(numAps)) return loaded;
-      pinAps.resize(numAps);
-      for (AccessPoint& ap : pinAps) {
-        int pref = 0, nonPref = 0, dirs = 0;
-        std::size_t numVias = 0;
-        is >> tok >> ap.loc.x >> ap.loc.y >> ap.layer >> pref >> nonPref >>
-            dirs >> numVias;  // AP
-        if (!is || !plausibleCount(numVias)) return loaded;
-        ap.prefType = static_cast<CoordType>(pref);
-        ap.nonPrefType = static_cast<CoordType>(nonPref);
-        ap.dirs = static_cast<std::uint8_t>(dirs);
-        for (std::size_t v = 0; v < numVias; ++v) {
-          std::string viaName;
-          is >> viaName;
-          const db::ViaDef* via = tech.findViaDef(viaName);
-          if (via != nullptr) {
-            ap.viaIdx.push_back(via->index);
-          } else {
-            ok = false;
-          }
-        }
-      }
-    }
-    std::size_t numOrder = 0;
-    is >> tok >> numOrder;  // ORDER
-    if (!is || !plausibleCount(numOrder)) return loaded;
-    ca.pinOrder.resize(numOrder);
-    for (int& p : ca.pinOrder) is >> p;
-    std::size_t numPatterns = 0;
-    is >> tok >> numPatterns;  // PATTERNS
-    if (!is || !plausibleCount(numPatterns)) return loaded;
-    ca.patterns.resize(numPatterns);
-    for (AccessPattern& pat : ca.patterns) {
-      int validated = 0;
-      std::size_t numIdx = 0;
-      is >> tok >> pat.cost >> validated >> numIdx;  // PATTERN
-      pat.validated = validated != 0;
-      if (!is || !plausibleCount(numIdx)) return loaded;
-      pat.apIdx.resize(numIdx);
-      for (int& i : pat.apIdx) is >> i;
-    }
-    if (ok) {
-      entries_.insert_or_assign(
-          Key{master, geom::orientFromString(orientStr), std::move(offsets)},
-          std::move(ca));
-      ++loaded;
-    }
-  }
-  return loaded;
 }
 
 }  // namespace pao::core

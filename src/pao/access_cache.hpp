@@ -9,7 +9,6 @@
 // a hit is valid for any placement of the signature.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
@@ -76,18 +75,13 @@ class AccessCache {
   /// all-or-nothing: a fingerprint mismatch, any corruption, a record count
   /// exceeding the bytes present, or a missing/short `END <count>` trailer
   /// rejects the whole file (nothing is merged) with a reason in *errorOut.
-  /// v1 caches (no fingerprint, no trailer) load best-effort, with entries
-  /// referencing unknown masters or vias skipped and no error reported.
+  /// Any other header, including the retired fingerprint-less v1, is
+  /// rejected the same way.
   /// Returns the number of entries loaded; on rejection, 0.
   std::size_t load(const std::string& text, const db::Tech& tech,
                    const db::Library& lib, std::string* errorOut = nullptr);
 
  private:
-  /// Best-effort v1 body parse; `is` is positioned just past the header of
-  /// a `textSize`-byte file (the bound for sanity-checking record counts).
-  std::size_t loadV1(std::istream& is, std::size_t textSize,
-                     const db::Tech& tech, const db::Library& lib);
-
   /// Guards entries_/hits_/misses_. Entry *values* are immutable once
   /// published (store is insert-if-absent), so readers may dereference a
   /// find() result without holding the lock. load/save take the lock for

@@ -59,7 +59,7 @@ struct IngestReport {
   std::size_t components = 0;
   std::size_t nets = 0;
   bool mapped = false;
-  bool legacyFallback = false;
+  bool legacyFallback = false;   ///< recovery gave up (GEN001); see IngestStats
   double parseSeconds = 0;       ///< DEF parse wall time
   std::uint64_t peakRssBytes = 0;  ///< util::peakRssBytes() after ingest
 };

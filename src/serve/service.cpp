@@ -10,9 +10,9 @@
 #include <utility>
 
 #include "geom/orient.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
+#include "lefdef/stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"

@@ -196,22 +196,26 @@ TEST(AccessCache, FingerprintMismatchRejectedWithReason) {
   EXPECT_EQ(other.size(), 0u);
 }
 
-TEST(AccessCache, V1CacheLoadsBestEffort) {
+TEST(AccessCache, V1CacheRejectedWithReason) {
+  // Nothing writes the fingerprint-less v1 format any more, so its header
+  // is rejected like any unknown one: nothing merged, a reason reported.
   const benchgen::Testcase tc = smallCase();
   AccessCache cache;
   OracleConfig cfg = withBcaConfig();
   cfg.cache = &cache;
   PinAccessOracle(*tc.design, cfg).run();
   const std::string v2 = cache.save(*tc.tech, *tc.lib);
-
-  // Rewrite as a fingerprint-less v1 file (header line, no FINGERPRINT).
   const std::size_t entries = v2.find("ENTRY ");
   ASSERT_NE(entries, std::string::npos);
   const std::string v1 = "PAO_ACCESS_CACHE v1\n" + v2.substr(entries);
+
   AccessCache other;
   std::string error;
-  EXPECT_EQ(other.load(v1, *tc.tech, *tc.lib, &error), cache.size());
-  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(other.load(v1, *tc.tech, *tc.lib, &error), 0u);
+  EXPECT_NE(error.find("unrecognized header 'PAO_ACCESS_CACHE v1'"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(other.size(), 0u);
 }
 
 // ---------------------------------------------- hostile-input regressions
@@ -315,14 +319,15 @@ TEST(AccessCacheHardening, HostileCountRejectedWithoutHugeAllocation) {
 }
 
 TEST(AccessCacheHardening, V1HostileCountRejectedWithoutHugeAllocation) {
-  // Same bound on the legacy best-effort path: a v1 "file" asking for 10^9
-  // offsets in a 60-byte body must load nothing, not allocate.
+  // A v1 header is rejected before its body is read: a v1 "file" asking for
+  // 10^9 offsets in a 60-byte body must load nothing, not allocate.
   const benchgen::Testcase tc = smallCase();
   AccessCache other;
   std::string error;
   EXPECT_EQ(other.load("PAO_ACCESS_CACHE v1\nENTRY X R0 999999999 1 2 3\n",
                        *tc.tech, *tc.lib, &error),
             0u);
+  EXPECT_NE(error.find("unrecognized header"), std::string::npos) << error;
   EXPECT_EQ(other.size(), 0u);
 }
 

@@ -5,9 +5,9 @@
 // breaking one.
 #include <gtest/gtest.h>
 
-#include "lefdef/def_parser.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/lexer.hpp"
+#include "lefdef/stream.hpp"
 #include "util/diag.hpp"
 
 namespace pao::lefdef {

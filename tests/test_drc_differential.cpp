@@ -15,7 +15,7 @@
 
 #include "benchgen/huge.hpp"
 #include "benchgen/testcase.hpp"
-#include "lefdef/def_parser.hpp"
+#include "lefdef/stream.hpp"
 #include "pao/oracle.hpp"
 #include "reference.hpp"
 #include "router/access_source.hpp"

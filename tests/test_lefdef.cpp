@@ -1,18 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "benchgen/testcase.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/def_route_writer.hpp"
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/lef_writer.hpp"
 #include "lefdef/lexer.hpp"
+#include "lefdef/stream.hpp"
+#include "reference.hpp"
 
 namespace pao::lefdef {
 namespace {
 
 TEST(Lexer, TokensAndComments) {
-  Lexer lex("FOO bar ; # comment to eol\n ( 1.5 ) \"quoted str\" END");
+  const std::string_view text =
+      "FOO bar ; # comment to eol\n ( 1.5 ) \"quoted str\" END";
+  const LineIndex lines(text);
+  Lexer lex(text, lines);
   EXPECT_EQ(lex.next(), "FOO");
   EXPECT_EQ(lex.next(), "bar");
   EXPECT_TRUE(lex.accept(";"));
@@ -27,15 +38,121 @@ TEST(Lexer, TokensAndComments) {
 }
 
 TEST(Lexer, ExpectThrowsWithLocation) {
-  Lexer lex("A\nB");
+  const std::string_view text = "A\nB";
+  const LineIndex lines(text);
+  Lexer lex(text, lines);
   lex.expect("A");
-  EXPECT_THROW(lex.expect("C"), ParseError);
+  try {
+    lex.expect("C");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.diag.code, "LEX002");
+    EXPECT_EQ(e.diag.loc.line, 2u);
+    EXPECT_EQ(e.diag.loc.col, 1u);
+    EXPECT_EQ(e.diag.excerpt, "B");
+  }
 }
 
 TEST(Lexer, DbuScaling) {
-  Lexer lex("0.19 -0.5");
+  const std::string_view text = "0.19 -0.5";
+  const LineIndex lines(text);
+  Lexer lex(text, lines);
   EXPECT_EQ(lex.nextDbu(2000), 380);
   EXPECT_EQ(lex.nextDbu(2000), -1000);
+}
+
+/// The lazy lexer must see exactly the tokens the eager reference
+/// tokenizer saw — text, line and column — and raise the same LEX001 on a
+/// read past the end. LEF parsing has no other differential check on the
+/// lexer, so this is what holds parseLef to its earlier behaviour.
+void expectMatchesReferenceTokens(std::string_view text) {
+  const reference::TokenStream want = reference::tokenize(text);
+  const LineIndex lines(text);
+  Lexer lex(text, lines);
+  const auto show = [](std::string_view tok, std::size_t line,
+                       std::size_t col) {
+    return "'" + std::string(tok) + "' at " + std::to_string(line) + ":" +
+           std::to_string(col);
+  };
+  for (std::size_t i = 0; i < want.tokens.size(); ++i) {
+    const reference::Token& w = want.tokens[i];
+    ASSERT_FALSE(lex.done()) << "ended before token " << i;
+    const std::size_t line = lex.line();
+    const std::size_t col = lex.col();
+    ASSERT_EQ(show(lex.next(), line, col), show(w.text, w.line, w.col))
+        << "token " << i;
+  }
+  ASSERT_TRUE(lex.done()) << "extra token '" << lex.peek() << "'";
+  try {
+    lex.next();
+    FAIL() << "expected LEX001 past the end";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.diag.format(), want.endOfInput.format());
+  }
+}
+
+std::string slurpFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(Lexer, MatchesReferenceOnCorpusFiles) {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& e :
+       std::filesystem::directory_iterator(PAO_FUZZ_CORPUS_DIR)) {
+    const std::string ext = e.path().extension().string();
+    if (ext == ".lef" || ext == ".def") paths.push_back(e.path());
+  }
+  ASSERT_GE(paths.size(), 4u);
+  for (const std::filesystem::path& p : paths) {
+    SCOPED_TRACE(p.filename().string());
+    expectMatchesReferenceTokens(slurpFile(p));
+  }
+}
+
+TEST(Lexer, MatchesReferenceOnEveryPresetLefAndDef) {
+  std::vector<benchgen::TestcaseSpec> specs = benchgen::ispd18Suite();
+  specs.push_back(benchgen::aes14Spec());
+  specs.push_back(benchgen::mixedSpec());
+  for (const benchgen::TestcaseSpec& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    const benchgen::Testcase tc = benchgen::generate(spec, /*scale=*/0.005);
+    expectMatchesReferenceTokens(writeLef(*tc.tech, *tc.lib));
+    expectMatchesReferenceTokens(writeDef(*tc.design));
+  }
+}
+
+TEST(Lexer, QuotedStringSpanningLinesKeepsLineNumbers) {
+  const std::string_view text = "A \"x\ny\nz\" B\n  C";
+  const LineIndex lines(text);
+  Lexer lex(text, lines);
+  lex.next();
+  EXPECT_EQ(lex.next(), "x\ny\nz");
+  EXPECT_EQ(lex.line(), 3u);  // B
+  EXPECT_EQ(lex.col(), 4u);
+  lex.next();
+  EXPECT_EQ(lex.line(), 4u);  // C
+  EXPECT_EQ(lex.col(), 3u);
+  expectMatchesReferenceTokens(text);
+}
+
+TEST(Lexer, MatchesReferenceOnTruncatedInputs) {
+  // Every prefix at a fixed stride: cuts land inside tokens, comments and
+  // quoted strings, and the LEX001 location at the cut must still match.
+  constexpr std::size_t kStride = 13;
+  for (const char* name : {"base.lef", "base.def"}) {
+    SCOPED_TRACE(name);
+    const std::string text =
+        slurpFile(std::filesystem::path(PAO_FUZZ_CORPUS_DIR) / name);
+    ASSERT_FALSE(text.empty());
+    for (std::size_t cut = 0; cut <= text.size(); cut += kStride) {
+      SCOPED_TRACE("cut " + std::to_string(cut));
+      expectMatchesReferenceTokens(std::string_view(text).substr(0, cut));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(Lef, ParseMinimal) {

@@ -8,13 +8,14 @@
 
 #include "benchgen/huge.hpp"
 #include "benchgen/testcase.hpp"
+#include "db/fingerprint.hpp"
 #include "geom/polygon.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/lef_writer.hpp"
 #include "lefdef/stream.hpp"
 #include "pao/evaluate.hpp"
+#include "reference.hpp"
 
 namespace pao {
 namespace {
@@ -261,6 +262,13 @@ TEST_P(RoundTripFixpoint, DefWriteParseWriteIsByteStable) {
       lefdef::parseDef(first, design2, lefdef::ParseOptions{});
   EXPECT_TRUE(res.ok());
   EXPECT_EQ(lefdef::writeDef(design2), first);
+
+  // The frozen single-pass parser reads the same text to the same design.
+  db::Design ref;
+  ref.tech = &tech2;
+  ref.lib = &lib2;
+  reference::parseDef(first, ref);
+  EXPECT_EQ(db::designFingerprint(design2), db::designFingerprint(ref));
 }
 
 INSTANTIATE_TEST_SUITE_P(Presets, RoundTripFixpoint,

@@ -22,10 +22,10 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/testcase.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/lef_writer.hpp"
+#include "lefdef/stream.hpp"
 #include "obs/enabled.hpp"
 #include "obs/report.hpp"
 #if PAO_OBS_ENABLED

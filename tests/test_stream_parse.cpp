@@ -1,28 +1,31 @@
-// Streaming-ingest equivalence (ROADMAP item 3): parseDefStream must be
-// indistinguishable from the legacy serial parseDef — same design bytes
-// (compared via db::designFingerprint), same diagnostics in the same
-// order, same recovery and bail-out behaviour — at every preset, thread
-// count, and chunk size; and the sharded unique-instance extraction must
-// reproduce the serial class numbering exactly.
+// DEF ingest equivalence: parseDefStream (and parseDef, its one-thread
+// wrapper) must be indistinguishable from the frozen single-pass reference
+// parser in tests/reference_lefdef.cpp — same design bytes (compared via
+// db::designFingerprint), same diagnostics in the same order, same
+// recovery and bail-out behaviour — at every preset, thread count, and
+// chunk size; and the sharded unique-instance extraction must reproduce
+// the serial class numbering exactly.
 #include "lefdef/stream.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "benchgen/testcase.hpp"
 #include "db/fingerprint.hpp"
 #include "db/unique_inst.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/lef_writer.hpp"
 #include "pao/oracle.hpp"
 #include "pao/session.hpp"
+#include "reference.hpp"
 #include "util/fault.hpp"
 
 namespace pao {
@@ -67,11 +70,12 @@ void expectSameDiags(const std::vector<util::Diag>& got,
   }
 }
 
-/// Breaks identifiers in the generated DEF so both parsers must recover:
-/// every 5th component's master ('~' prefix -> DEF002), every 7th net term
-/// ('~' on the component or PIN name -> DEF004/DEF003), and optionally the
-/// first TRACKS layer (DEF001, in the serial preamble). '~' never starts a
-/// real identifier, so each edit is a guaranteed unknown-name error.
+/// Breaks the generated DEF so both parsers must recover: every 5th
+/// component's master ('~' prefix -> DEF002), every 3rd IO pin's PLACED x
+/// ('~0' -> LEX003), every 7th net term ('~' on the component or PIN name
+/// -> DEF004/DEF003), and optionally the first TRACKS layer (DEF001, in the
+/// serial preamble). '~' never starts a real identifier or number, so each
+/// edit is a guaranteed error.
 std::string corruptDef(std::string text, bool corruptTracks) {
   std::vector<std::size_t> inserts;
   if (corruptTracks) {
@@ -87,6 +91,14 @@ std::string corruptDef(std::string text, bool corruptTracks) {
     const std::size_t master = text.find(' ', p + 4) + 1;
     if (++nComp % 5 == 0) inserts.push_back(master);
   }
+  const std::size_t pinsBegin = text.find("\nPINS ");
+  const std::size_t pinsEnd = text.find("END PINS");
+  int nPin = 0;
+  for (std::size_t p = text.find("+ PLACED ( ", pinsBegin);
+       p != std::string::npos && p < pinsEnd;
+       p = text.find("+ PLACED ( ", p + 1)) {
+    if (++nPin % 3 == 0) inserts.push_back(p + 11);
+  }
   const std::size_t netsBegin = text.find("\nNETS ");
   const std::size_t netsEnd = text.find("END NETS");
   int nTerm = 0;
@@ -94,6 +106,7 @@ std::string corruptDef(std::string text, bool corruptTracks) {
        p != std::string::npos && p < netsEnd; p = text.find("( ", p + 2)) {
     if (++nTerm % 7 == 0) inserts.push_back(p + 2);
   }
+  std::sort(inserts.begin(), inserts.end());
   for (auto it = inserts.rbegin(); it != inserts.rend(); ++it) {
     text.insert(*it, "~");
   }
@@ -107,6 +120,56 @@ db::Design freshTarget(const benchgen::Testcase& tc) {
   return d;
 }
 
+/// The reference's strict-mode first error on `text`, or a diag with an
+/// empty code when the reference parse succeeds.
+util::Diag referenceStrictError(const benchgen::Testcase& tc,
+                                const std::string& text) {
+  db::Design ref = freshTarget(tc);
+  try {
+    reference::parseDef(text, ref);
+  } catch (const ParseError& e) {
+    return e.diag;
+  }
+  return {};
+}
+
+/// parseDefStream(text, opts) against the reference: recovery diagnostics
+/// and fingerprint, then the strict-mode outcome. A strict throw must
+/// carry the reference's first error and leave the target untouched.
+void expectMatchesReference(const benchgen::Testcase& tc,
+                            const std::string& text, StreamOptions opts) {
+  ParseOptions recover = opts.parse;
+  recover.recover = true;
+  recover.maxErrors = 1000;  // the larger presets bail out of recovery
+  db::Design ref = freshTarget(tc);
+  const ParseResult want = reference::parseDef(text, ref, recover);
+
+  opts.parse = recover;
+  db::Design streamed = freshTarget(tc);
+  IngestStats stats;
+  const ParseResult got =
+      lefdef::parseDefStream(text, streamed, opts, &stats);
+  expectSameDiags(got.diags, want.diags);
+  EXPECT_EQ(db::designFingerprint(streamed), db::designFingerprint(ref));
+  EXPECT_EQ(stats.components, ref.instances.size());
+  EXPECT_EQ(stats.nets, ref.nets.size());
+  EXPECT_EQ(stats.legacyFallback, want.diags.back().code == "GEN001");
+
+  const util::Diag wantErr = referenceStrictError(tc, text);
+  opts.parse.recover = false;
+  db::Design strict = freshTarget(tc);
+  try {
+    lefdef::parseDefStream(text, strict, opts);
+    EXPECT_TRUE(wantErr.code.empty()) << "expected " << wantErr.format();
+    EXPECT_EQ(db::designFingerprint(strict), db::designFingerprint(ref));
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.diag.format(), wantErr.format());
+    EXPECT_TRUE(strict.instances.empty());
+    EXPECT_TRUE(strict.nets.empty());
+    EXPECT_TRUE(strict.name.empty());
+  }
+}
+
 // ------------------------------------------------------ clean-input parity
 
 TEST(StreamEquivalence, EveryPresetMatchesLegacyAtEveryThreadCount) {
@@ -118,22 +181,35 @@ TEST(StreamEquivalence, EveryPresetMatchesLegacyAtEveryThreadCount) {
     const benchgen::Testcase tc = benchgen::generate(spec, /*scale=*/0.01);
     const std::string text = lefdef::writeDef(*tc.design);
 
-    db::Design legacy = freshTarget(tc);
-    lefdef::parseDef(text, legacy);
-    const std::uint64_t want = db::designFingerprint(legacy);
+    db::Design ref = freshTarget(tc);
+    reference::parseDef(text, ref);
+    const std::uint64_t want = db::designFingerprint(ref);
+
+    db::Design wrapped = freshTarget(tc);
+    lefdef::parseDef(text, wrapped);
+    EXPECT_EQ(db::designFingerprint(wrapped), want);
 
     for (const int threads : {1, 4, 0}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      db::Design streamed = freshTarget(tc);
-      IngestStats stats;
-      const ParseResult res =
-          lefdef::parseDefStream(text, streamed, tinyChunks(threads), &stats);
-      EXPECT_TRUE(res.ok());
-      EXPECT_EQ(db::designFingerprint(streamed), want);
-      EXPECT_EQ(stats.components, legacy.instances.size());
-      EXPECT_EQ(stats.nets, legacy.nets.size());
-      EXPECT_EQ(stats.bytes, text.size());
-      EXPECT_FALSE(stats.legacyFallback);
+      for (const std::size_t chunkBytes :
+           {std::size_t{2048}, std::size_t{1} << 20}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " chunkBytes=" + std::to_string(chunkBytes));
+        StreamOptions opts = tinyChunks(threads);
+        opts.chunkBytes = chunkBytes;
+        db::Design streamed = freshTarget(tc);
+        IngestStats stats;
+        const ParseResult res =
+            lefdef::parseDefStream(text, streamed, opts, &stats);
+        EXPECT_TRUE(res.ok());
+        EXPECT_EQ(db::designFingerprint(streamed), want);
+        EXPECT_EQ(stats.components, ref.instances.size());
+        EXPECT_EQ(stats.nets, ref.nets.size());
+        EXPECT_EQ(stats.bytes, text.size());
+        EXPECT_FALSE(stats.legacyFallback);
+        // The same preset with every kind of entity error planted.
+        expectMatchesReference(tc, corruptDef(text, /*corruptTracks=*/true),
+                               opts);
+      }
     }
   }
 }
@@ -141,9 +217,9 @@ TEST(StreamEquivalence, EveryPresetMatchesLegacyAtEveryThreadCount) {
 TEST(StreamEquivalence, ChunkSizeNeverChangesTheResult) {
   const benchgen::Testcase tc = smallCase();
   const std::string text = lefdef::writeDef(*tc.design);
-  db::Design legacy = freshTarget(tc);
-  lefdef::parseDef(text, legacy);
-  const std::uint64_t want = db::designFingerprint(legacy);
+  db::Design ref = freshTarget(tc);
+  reference::parseDef(text, ref);
+  const std::uint64_t want = db::designFingerprint(ref);
 
   for (const std::size_t chunkBytes :
        {std::size_t{1}, std::size_t{512}, std::size_t{1} << 14,
@@ -165,11 +241,11 @@ TEST(StreamEquivalence, RecoveryDiagsMatchLegacyExactly) {
   const std::string text =
       corruptDef(lefdef::writeDef(*tc.design), /*corruptTracks=*/true);
 
-  ParseOptions legacyOpts;
-  legacyOpts.recover = true;
-  legacyOpts.maxErrors = 1000;  // plenty: the whole error list, no bail
-  db::Design legacy = freshTarget(tc);
-  const ParseResult wantRes = lefdef::parseDef(text, legacy, legacyOpts);
+  ParseOptions refOpts;
+  refOpts.recover = true;
+  refOpts.maxErrors = 1000;  // plenty: the whole error list, no bail
+  db::Design ref = freshTarget(tc);
+  const ParseResult wantRes = reference::parseDef(text, ref, refOpts);
   ASSERT_FALSE(wantRes.ok());
   ASSERT_LT(wantRes.errorCount(), 1000u);
 
@@ -180,33 +256,118 @@ TEST(StreamEquivalence, RecoveryDiagsMatchLegacyExactly) {
     const ParseResult res = lefdef::parseDefStream(
         text, streamed, tinyChunks(threads, /*recover=*/true, 1000), &stats);
     expectSameDiags(res.diags, wantRes.diags);
-    EXPECT_EQ(db::designFingerprint(streamed), db::designFingerprint(legacy));
+    EXPECT_EQ(db::designFingerprint(streamed), db::designFingerprint(ref));
     EXPECT_FALSE(stats.legacyFallback);
+  }
+  db::Design wrapped = freshTarget(tc);
+  expectSameDiags(lefdef::parseDef(text, wrapped, refOpts).diags,
+                  wantRes.diags);
+  EXPECT_EQ(db::designFingerprint(wrapped), db::designFingerprint(ref));
+}
+
+/// Sweeps maxErrors from 1 to one past the error count of `text`; every
+/// bail-out must leave the reference's diagnostics and design, and set
+/// legacyFallback exactly when GEN001 was appended. Collects the code of
+/// the diagnostic each bail-out stopped at.
+void sweepMaxErrors(const benchgen::Testcase& tc, const std::string& text,
+                    std::set<std::string>& bailCodes) {
+  ParseOptions refOpts;
+  refOpts.recover = true;
+  refOpts.maxErrors = 1000;
+  db::Design all = freshTarget(tc);
+  const std::size_t total =
+      reference::parseDef(text, all, refOpts).errorCount();
+  ASSERT_GT(total, 10u);
+
+  for (std::size_t maxErrors = 1; maxErrors <= total + 1; ++maxErrors) {
+    SCOPED_TRACE("maxErrors=" + std::to_string(maxErrors));
+    refOpts.maxErrors = maxErrors;
+    db::Design ref = freshTarget(tc);
+    const ParseResult wantRes = reference::parseDef(text, ref, refOpts);
+    const bool bailed = wantRes.diags.back().code == "GEN001";
+    ASSERT_EQ(bailed, maxErrors <= total);
+    if (bailed) bailCodes.insert(wantRes.diags[wantRes.diags.size() - 2].code);
+
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      db::Design streamed = freshTarget(tc);
+      IngestStats stats;
+      const ParseResult res = lefdef::parseDefStream(
+          text, streamed, tinyChunks(threads, /*recover=*/true, maxErrors),
+          &stats);
+      expectSameDiags(res.diags, wantRes.diags);
+      EXPECT_EQ(db::designFingerprint(streamed), db::designFingerprint(ref));
+      EXPECT_EQ(stats.legacyFallback, bailed);
+      EXPECT_EQ(stats.components, ref.instances.size());
+      EXPECT_EQ(stats.nets, ref.nets.size());
+    }
   }
 }
 
 TEST(StreamEquivalence, MaxErrorsBailReproducesLegacyStateExactly) {
-  const benchgen::Testcase tc = smallCase();
-  const std::string text =
-      corruptDef(lefdef::writeDef(*tc.design), /*corruptTracks=*/false);
+  // The GEN001 bail-out must land in the serial TRACKS preamble, inside
+  // COMPONENTS chunks (several bad components per 2 KiB chunk), in the
+  // serial PINS section and inside NETS chunks. smallCase has no IO pins,
+  // so a variant with pins covers PINS and PIN terms.
+  std::set<std::string> bailCodes;
+  {
+    SCOPED_TRACE("smallCase");
+    const benchgen::Testcase tc = smallCase();
+    sweepMaxErrors(
+        tc, corruptDef(lefdef::writeDef(*tc.design), /*corruptTracks=*/false),
+        bailCodes);
+  }
+  {
+    SCOPED_TRACE("with IO pins");
+    benchgen::TestcaseSpec spec = benchgen::ispd18Suite()[0];
+    spec.numCells = 150;
+    spec.numNets = 80;
+    spec.numIoPins = 24;
+    const benchgen::Testcase tc = benchgen::generate(spec, 1.0);
+    ASSERT_EQ(tc.design->ioPins.size(), 24u);
+    sweepMaxErrors(
+        tc, corruptDef(lefdef::writeDef(*tc.design), /*corruptTracks=*/true),
+        bailCodes);
+  }
+  // TRACKS (DEF001), COMPONENTS (DEF002), PINS (LEX003) and NETS
+  // (DEF003/DEF004) errors each ended a parse.
+  EXPECT_EQ(bailCodes, (std::set<std::string>{"DEF001", "DEF002", "DEF003",
+                                              "DEF004", "LEX003"}));
+}
 
-  ParseOptions legacyOpts;
-  legacyOpts.recover = true;
-  legacyOpts.maxErrors = 10;
-  db::Design legacy = freshTarget(tc);
-  const ParseResult wantRes = lefdef::parseDef(text, legacy, legacyOpts);
-  ASSERT_EQ(wantRes.errorCount(), 11u);  // 10 real + GEN001
-  ASSERT_EQ(wantRes.diags.back().code, "GEN001");
+TEST(StreamEquivalence, EntityRunningPastItsChunkMatchesSerialParse) {
+  // A ';' the grammar takes as a keyword or a name makes an entity read on
+  // into the next entity's bytes, past the chunk the scan cut for it; the
+  // serial section loop must take over there. Planted: a component whose
+  // '+' swallows its ';', a nameless component and net, and a last
+  // component that runs into END COMPONENTS.
+  const benchgen::Testcase tc = smallCase();
+  std::string text = lefdef::writeDef(*tc.design);
+  const auto plant = [&](std::size_t at, const std::string& edit) {
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at, edit);
+  };
+  const auto lineAfter = [&](const std::string& key, int n) {
+    std::size_t p = text.find(key);
+    for (int i = 0; i < n && p != std::string::npos; ++i) {
+      p = text.find('\n', p + 1);
+    }
+    return p == std::string::npos ? p : p + 1;
+  };
+  plant(text.find(" ;\nEND COMPONENTS"), " + ;\n - tail BUFX2");
+  plant(lineAfter("\nNETS ", 4), " - ;\n");
+  plant(lineAfter("\nCOMPONENTS ", 20), " - ;\n");
+  const std::size_t comp = lineAfter("\nCOMPONENTS ", 10);
+  plant(text.find(" + PLACED", comp), " + ;\n");
 
   for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    db::Design streamed = freshTarget(tc);
-    IngestStats stats;
-    const ParseResult res = lefdef::parseDefStream(
-        text, streamed, tinyChunks(threads, /*recover=*/true, 10), &stats);
-    expectSameDiags(res.diags, wantRes.diags);
-    EXPECT_EQ(db::designFingerprint(streamed), db::designFingerprint(legacy));
-    EXPECT_TRUE(stats.legacyFallback);
+    for (const std::size_t chunkBytes : {std::size_t{64}, std::size_t{2048}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " chunkBytes=" + std::to_string(chunkBytes));
+      StreamOptions opts = tinyChunks(threads);
+      opts.chunkBytes = chunkBytes;
+      expectMatchesReference(tc, text, opts);
+    }
   }
 }
 
@@ -217,14 +378,8 @@ TEST(StreamEquivalence, StrictModeThrowsTheFileFirstError) {
   const std::string text =
       corruptDef(lefdef::writeDef(*tc.design), /*corruptTracks=*/false);
 
-  util::Diag want;
-  db::Design legacy = freshTarget(tc);
-  try {
-    lefdef::parseDef(text, legacy);
-    FAIL() << "legacy parse should have thrown";
-  } catch (const ParseError& e) {
-    want = e.diag;
-  }
+  const util::Diag want = referenceStrictError(tc, text);
+  ASSERT_FALSE(want.code.empty()) << "reference parse should have thrown";
 
   for (const int threads : {1, 4, 0}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -233,18 +388,21 @@ TEST(StreamEquivalence, StrictModeThrowsTheFileFirstError) {
       lefdef::parseDefStream(text, streamed, tinyChunks(threads));
       FAIL() << "streamed parse should have thrown";
     } catch (const ParseError& e) {
-      EXPECT_EQ(e.diag.code, want.code);
-      EXPECT_EQ(e.diag.loc.line, want.loc.line);
-      EXPECT_EQ(e.diag.loc.col, want.loc.col);
-      EXPECT_EQ(e.diag.message, want.message);
+      EXPECT_EQ(e.diag.format(), want.format());
     }
-    // The documented strict-mode difference: the streamed parse commits
-    // nothing on failure (the legacy parse leaves a partial design).
+    // A strict-mode throw commits nothing to the target design.
     EXPECT_TRUE(streamed.instances.empty());
     EXPECT_TRUE(streamed.nets.empty());
     EXPECT_TRUE(streamed.name.empty());
   }
-  EXPECT_FALSE(legacy.instances.empty());
+  db::Design wrapped = freshTarget(tc);
+  try {
+    lefdef::parseDef(text, wrapped);
+    FAIL() << "parseDef should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.diag.format(), want.format());
+  }
+  EXPECT_TRUE(wrapped.instances.empty());
 }
 
 // ------------------------------------------------------- file-backed forms
@@ -290,7 +448,7 @@ TEST_F(StreamFileTest, FileParseMatchesInMemoryParse) {
   EXPECT_EQ(stats.bytes, std::filesystem::file_size(defPath));
 
   db::Design inMemory = freshTarget(tc);
-  lefdef::parseDef(lefdef::writeDef(*tc.design), inMemory);
+  reference::parseDef(lefdef::writeDef(*tc.design), inMemory);
   EXPECT_EQ(db::designFingerprint(fromFile), db::designFingerprint(inMemory));
 }
 

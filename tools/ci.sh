@@ -1,36 +1,39 @@
 #!/bin/sh
-# CI entry point: eleven legs over the same tree —
+# CI entry point: twelve legs over the same tree —
 #   1. Release        (the tier-1 gate: fast, optimizer-exposed UB surfaces;
 #                      ctest includes the pao_lint_tree static-analysis gate)
-#   2. Lint           (explicit pao_lint run over src/tools/tests/examples/
+#   2. Perfbench build (compile only: the benchmark driver, a standalone
+#                      CMake project over src/, must build against the
+#                      current library API)
+#   3. Lint           (explicit pao_lint run over src/tools/tests/examples/
 #                      bench with --design-doc DESIGN.md, so the whole-
 #                      program rules — layering, lock-discipline,
 #                      catalog-drift — gate alongside the per-file ones;
 #                      fails on any unsuppressed finding. A second pass
 #                      renders --format sarif and report_check validates
 #                      the artifact's SARIF 2.1.0 shape)
-#   3. Obs smoke      (analyze with --report-json/--trace-out on a smoke
+#   4. Obs smoke      (analyze with --report-json/--trace-out on a smoke
 #                      preset, validated by report_check: schema, trace span
 #                      nesting, and threads-1-vs-4 report equivalence; plus
 #                      the profile smoke: analyze --profile-out on the mixed
 #                      preset at --threads 4 must emit a valid pao-report/2
 #                      whose headroom exceeds 1)
-#   4. Scale smoke    (huge-preset gen -> analyze --stream -> report_check
+#   5. Scale smoke    (huge-preset gen -> analyze --stream -> report_check
 #                      ingest -> bench_scale self-checks; PAO_CI_SCALE=1
 #                      for the full ~1.5M-instance acceptance run)
-#   5. Fault matrix   (tests/fault_matrix.sh: every cataloged fault point
+#   6. Fault matrix   (tests/fault_matrix.sh: every cataloged fault point
 #                      under --keep-going recovers or degrades with the
 #                      documented exit code and a valid pao-report/1)
-#   6. Service smoke  (tests/serve_smoke.sh: boot the pao_serve daemon on a
+#   7. Service smoke  (tests/serve_smoke.sh: boot the pao_serve daemon on a
 #                      Unix socket, drive load/move/save/report through
 #                      pao_client, assert normalized byte-equivalence with a
 #                      fresh `pao_cli analyze`, and report_check the metrics
-#                      snapshot; the serve fault points ride in leg 5 and
+#                      snapshot; the serve fault points ride in leg 6 and
 #                      the concurrency soak rides the TSan ctest leg)
-#   7. OBS/FAULTS=OFF (zero-overhead gate: a build with instrumentation and
+#   8. OBS/FAULTS=OFF (zero-overhead gate: a build with instrumentation and
 #                      fault injection compiled out must not reference the
 #                      obs registry, tracer, or fault registry at all)
-#   8. TSan           (RelWithDebInfo + -fsanitize=thread, exercising the
+#   9. TSan           (RelWithDebInfo + -fsanitize=thread, exercising the
 #                      job-graph executor paths in DrcEngine::checkAll, the
 #                      oracle Steps 1-3 pipeline graph, router planning, and
 #                      the pao_serve soak: >=4 concurrent clients over 2
@@ -38,9 +41,9 @@
 #                      dedicated soak — the JobGraph suite repeated under
 #                      oversubscription and the oracle graph-vs-batch
 #                      equivalence at threads 1/4/0)
-#   9. UBSan          (-fsanitize=undefined with all diagnostics fatal)
-#  10. UBSan fuzz     (pao_fuzz: >=10k seeded mutation iterations over the
-#                      LEF/DEF parsers, the streamed/legacy differential,
+#  10. UBSan          (-fsanitize=undefined with all diagnostics fatal)
+#  11. UBSan fuzz     (pao_fuzz: >=10k seeded mutation iterations over the
+#                      LEF/DEF parsers, the streamed/reference differential,
 #                      and the cache reader, zero findings)
 # The whole tree builds with -Wall -Wextra -Werror in every leg.
 # Usage: tools/ci.sh [source-dir]   (defaults to the script's parent repo)
@@ -53,6 +56,13 @@ echo "== Release build =="
 cmake -B "$SRC/build-ci-release" -S "$SRC" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$SRC/build-ci-release" -j "$JOBS"
 ctest --test-dir "$SRC/build-ci-release" --output-on-failure -j "$JOBS"
+
+echo "== Benchmark driver build (perfbench, compile only) =="
+# perfbench/ is its own CMake project compiling ../src; the benchmark
+# pipeline builds it from a clean checkout. Building it here makes a
+# library API change that breaks the driver fail CI, not the benchmark run.
+cmake -S "$SRC/perfbench" -B "$SRC/build-ci-perfbench"
+cmake --build "$SRC/build-ci-perfbench" -j "$JOBS"
 
 echo "== Static analysis (pao_lint) =="
 # Whole-program run: per-file rules plus layering / lock-discipline /

@@ -14,9 +14,10 @@
 //     with a reason;
 //   * the `stream` target is differential: parseDefStream with a small
 //     randomized chunk size (so mutations land mid-chunk and truncations
-//     cut entities at chunk edges) must match the legacy parse on every
-//     mutated input — same design fingerprint, same diagnostics in
-//     recovery mode, and the same first ParseError in strict mode.
+//     cut entities at chunk edges) must match the frozen single-pass
+//     reference parser (tests/reference_lefdef.cpp) on every mutated
+//     input — same design fingerprint, same diagnostics in recovery mode,
+//     and the same first ParseError in strict mode.
 // Any crash, unexpected exception type, or sanitizer trap is a finding.
 // Everything is a pure function of (corpus, iterations, seed), so a failing
 // run is reproduced by re-running with the same arguments; the iteration
@@ -38,10 +39,10 @@
 
 #include "db/design.hpp"
 #include "db/fingerprint.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/stream.hpp"
 #include "pao/access_cache.hpp"
+#include "reference.hpp"
 
 namespace fs = std::filesystem;
 
@@ -225,10 +226,10 @@ Violation fuzzDefOnce(const std::string& input, const db::Tech& tech,
 }
 
 /// Differential check: the chunked streaming parser must be observably
-/// identical to the legacy parser on arbitrary mutated input (DESIGN.md
-/// "Streaming ingest & scale" — the only allowed divergence is the
-/// strict-mode partial residue on the target design, which fingerprinting
-/// two separate targets never observes).
+/// identical to the reference parser on arbitrary mutated input (DESIGN.md
+/// "Streaming ingest & scale"). On a strict-mode throw the reference
+/// leaves a partial parse in its target and parseDefStream leaves its
+/// target untouched; only the thrown errors are compared then.
 Violation fuzzStreamOnce(const std::string& input, const db::Tech& tech,
                          const db::Library& lib, Rng& rng) {
   lefdef::StreamOptions so;
@@ -241,12 +242,12 @@ Violation fuzzStreamOnce(const std::string& input, const db::Tech& tech,
   {
     lefdef::ParseOptions opts = so.parse;
     opts.recover = true;
-    db::Design legacy;
-    legacy.tech = &tech;
-    legacy.lib = &lib;
+    db::Design ref;
+    ref.tech = &tech;
+    ref.lib = &lib;
     lefdef::ParseResult lr;
-    Violation v = expectNoThrow("recovery parseDef (legacy)", [&] {
-      lr = lefdef::parseDef(input, legacy, opts);
+    Violation v = expectNoThrow("recovery reference::parseDef", [&] {
+      lr = reference::parseDef(input, ref, opts);
     });
     if (v.failed) return v;
     db::Design streamed;
@@ -259,12 +260,12 @@ Violation fuzzStreamOnce(const std::string& input, const db::Tech& tech,
       sr = lefdef::parseDefStream(input, streamed, ropts);
     });
     if (v.failed) return v;
-    if (db::designFingerprint(legacy) != db::designFingerprint(streamed)) {
-      return {true, "recovery streamed design diverged from legacy"};
+    if (db::designFingerprint(ref) != db::designFingerprint(streamed)) {
+      return {true, "recovery streamed design diverged from reference"};
     }
     if (lr.diags.size() != sr.diags.size()) {
       return {true, "recovery streamed diag count " +
-                        std::to_string(sr.diags.size()) + " != legacy " +
+                        std::to_string(sr.diags.size()) + " != reference " +
                         std::to_string(lr.diags.size())};
     }
     for (std::size_t i = 0; i < lr.diags.size(); ++i) {
@@ -278,21 +279,22 @@ Violation fuzzStreamOnce(const std::string& input, const db::Tech& tech,
 
   // Strict mode: same outcome — both succeed with identical designs, or
   // both throw ParseError carrying the file's first error.
-  std::string legacyErr;
+  std::string refErr;
   std::string streamErr;
-  bool legacyThrew = false;
+  bool refThrew = false;
   bool streamThrew = false;
-  db::Design legacy;
-  legacy.tech = &tech;
-  legacy.lib = &lib;
+  db::Design ref;
+  ref.tech = &tech;
+  ref.lib = &lib;
   try {
-    lefdef::parseDef(input, legacy, so.parse);
+    reference::parseDef(input, ref, so.parse);
   } catch (const lefdef::ParseError& e) {
-    legacyThrew = true;
-    legacyErr = e.diag.format();
+    refThrew = true;
+    refErr = e.diag.format();
   } catch (const std::exception& e) {
-    return {true, std::string("strict parseDef threw a non-ParseError: ") +
-                      e.what()};
+    return {true,
+            std::string("strict reference::parseDef threw a non-ParseError: ") +
+                e.what()};
   }
   db::Design streamed;
   streamed.tech = &tech;
@@ -307,18 +309,18 @@ Violation fuzzStreamOnce(const std::string& input, const db::Tech& tech,
             std::string("strict parseDefStream threw a non-ParseError: ") +
                 e.what()};
   }
-  if (legacyThrew != streamThrew) {
-    return {true, std::string("strict outcome diverged: legacy ") +
-                      (legacyThrew ? "threw" : "succeeded") +
+  if (refThrew != streamThrew) {
+    return {true, std::string("strict outcome diverged: reference ") +
+                      (refThrew ? "threw" : "succeeded") +
                       ", streamed " + (streamThrew ? "threw" : "succeeded")};
   }
-  if (legacyThrew && legacyErr != streamErr) {
+  if (refThrew && refErr != streamErr) {
     return {true,
-            "strict first error diverged: " + streamErr + " vs " + legacyErr};
+            "strict first error diverged: " + streamErr + " vs " + refErr};
   }
-  if (!legacyThrew &&
-      db::designFingerprint(legacy) != db::designFingerprint(streamed)) {
-    return {true, "strict streamed design diverged from legacy"};
+  if (!refThrew &&
+      db::designFingerprint(ref) != db::designFingerprint(streamed)) {
+    return {true, "strict streamed design diverged from reference"};
   }
   return {};
 }

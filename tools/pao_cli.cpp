@@ -78,7 +78,6 @@
 #include "benchgen/huge.hpp"
 #include "benchgen/testcase.hpp"
 #include "db/legality.hpp"
-#include "lefdef/def_parser.hpp"
 #include "lefdef/def_route_writer.hpp"
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
@@ -434,7 +433,7 @@ void loadStreamed(LoadedDesign& ld, const char* lefPath, const char* defPath,
                static_cast<double>(ir.components) / secs,
                static_cast<double>(ir.peakRssBytes) / (1024.0 * 1024.0),
                ir.mapped ? "" : " (read fallback)",
-               ir.legacyFallback ? " (legacy fallback)" : "");
+               ir.legacyFallback ? " (gave up: too many errors)" : "");
 }
 
 int cmdList() {
