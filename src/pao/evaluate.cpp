@@ -1,64 +1,24 @@
 #include "pao/evaluate.hpp"
 
+#include <algorithm>
 #include <span>
 #include <utility>
 
+#include "drc/checks.hpp"
+#include "obs/trace.hpp"
 #include "pao/inst_context.hpp"
+#include "util/executor.hpp"
 
 namespace pao::core {
 
-DirtyApStats countDirtyAps(const db::Design& design,
-                           const OracleResult& result) {
-  DirtyApStats stats;
-  for (std::size_t c = 0; c < result.unique.classes.size(); ++c) {
-    const ClassAccess& ca = result.classes[c];
-    if (ca.pinAps.empty()) continue;
-    const InstContext ctx(design, result.unique.classes[c]);
-    const std::vector<int>& sig = ctx.signalPins();
-    for (std::size_t p = 0; p < ca.pinAps.size(); ++p) {
-      for (const AccessPoint& ap : ca.pinAps[p]) {
-        ++stats.totalAps;
-        const int net = ctx.pinNet(sig[p]);
-        const db::ViaDef* via = ap.primaryVia(*design.tech);
-        bool clean;
-        if (via != nullptr) {
-          clean = ctx.engine().isViaClean(*via, ap.loc, net);
-        } else {
-          // Planar-only access (macro pins): re-validate the escape stubs of
-          // every claimed direction.
-          clean = ap.dirs != 0;
-          const db::Layer& layer = design.tech->layer(ap.layer);
-          const geom::Coord half = layer.width / 2;
-          const geom::Coord stub =
-              layer.pitch > 0 ? layer.pitch * 2 : layer.width * 4;
-          const struct {
-            std::uint8_t dir;
-            geom::Rect r;
-          } probes[] = {
-              {kEast, geom::Rect(ap.loc.x, ap.loc.y - half, ap.loc.x + stub,
-                                 ap.loc.y + half)},
-              {kWest, geom::Rect(ap.loc.x - stub, ap.loc.y - half, ap.loc.x,
-                                 ap.loc.y + half)},
-              {kNorth, geom::Rect(ap.loc.x - half, ap.loc.y, ap.loc.x + half,
-                                  ap.loc.y + stub)},
-              {kSouth, geom::Rect(ap.loc.x - half, ap.loc.y - stub,
-                                  ap.loc.x + half, ap.loc.y)},
-          };
-          for (const auto& probe : probes) {
-            if ((ap.dirs & probe.dir) != 0 &&
-                !ctx.engine().checkWire(probe.r, ap.layer, net).empty()) {
-              clean = false;
-            }
-          }
-        }
-        if (!clean) ++stats.dirtyAps;
-      }
-    }
-  }
-  return stats;
-}
-
 namespace {
+
+/// Pins per failed-pin evaluation job. Fixed, so the chunking (and with it
+/// every chunk's detail list) is the same at any thread count.
+constexpr std::size_t kPinsPerChunk = 64;
+
+/// Floor of the neighbour-via radius of FailedPinContext.
+constexpr geom::Coord kMinNeighbourRadius = 2048;
 
 /// The three shapes of placed via `v` in FailedPinContext::viaShapes_.
 std::span<const drc::Shape> shapesOf(const std::vector<drc::Shape>& all,
@@ -67,11 +27,84 @@ std::span<const drc::Shape> shapesOf(const std::vector<drc::Shape>& all,
       static_cast<std::size_t>(v) * 3, 3);
 }
 
+/// The dirty-AP tally of unique class `c`.
+DirtyApStats classDirtyAps(const db::Design& design, const OracleResult& result,
+                           std::size_t c) {
+  DirtyApStats stats;
+  const ClassAccess& ca = result.classes[c];
+  if (ca.pinAps.empty()) return stats;
+  const InstContext ctx(design, result.unique.classes[c]);
+  const std::vector<int>& sig = ctx.signalPins();
+  for (std::size_t p = 0; p < ca.pinAps.size(); ++p) {
+    for (const AccessPoint& ap : ca.pinAps[p]) {
+      ++stats.totalAps;
+      const int net = ctx.pinNet(sig[p]);
+      const db::ViaDef* via = ap.primaryVia(*design.tech);
+      bool clean;
+      if (via != nullptr) {
+        clean = ctx.engine().isViaClean(*via, ap.loc, net);
+      } else {
+        // Planar-only access (macro pins): re-validate the escape stubs of
+        // every claimed direction.
+        clean = ap.dirs != 0;
+        const db::Layer& layer = design.tech->layer(ap.layer);
+        const geom::Coord half = layer.width / 2;
+        const geom::Coord stub =
+            layer.pitch > 0 ? layer.pitch * 2 : layer.width * 4;
+        const struct {
+          std::uint8_t dir;
+          geom::Rect r;
+        } probes[] = {
+            {kEast, geom::Rect(ap.loc.x, ap.loc.y - half, ap.loc.x + stub,
+                               ap.loc.y + half)},
+            {kWest, geom::Rect(ap.loc.x - stub, ap.loc.y - half, ap.loc.x,
+                               ap.loc.y + half)},
+            {kNorth, geom::Rect(ap.loc.x - half, ap.loc.y, ap.loc.x + half,
+                                ap.loc.y + stub)},
+            {kSouth, geom::Rect(ap.loc.x - half, ap.loc.y - stub,
+                                ap.loc.x + half, ap.loc.y)},
+        };
+        for (const auto& probe : probes) {
+          if ((ap.dirs & probe.dir) != 0 &&
+              !ctx.engine().checkWire(probe.r, ap.layer, net).empty()) {
+            clean = false;
+          }
+        }
+      }
+      if (!clean) ++stats.dirtyAps;
+    }
+  }
+  return stats;
+}
+
 }  // namespace
+
+DirtyApStats countDirtyAps(const db::Design& design,
+                           const OracleResult& result) {
+  PAO_TRACE_SCOPE("eval.dirty_aps");
+  // One slot per class, summed in class order.
+  std::vector<DirtyApStats> perClass(result.unique.classes.size());
+  util::parallelFor(
+      perClass.size(),
+      [&](std::size_t c) { perClass[c] = classDirtyAps(design, result, c); },
+      result.numThreads);
+  DirtyApStats stats;
+  for (const DirtyApStats& s : perClass) {
+    stats.totalAps += s.totalAps;
+    stats.dirtyAps += s.dirtyAps;
+  }
+  return stats;
+}
 
 FailedPinContext::FailedPinContext(const db::Design& design,
                                    const OracleResult& result)
-    : engine_(*design.tech) {
+    : engine_(*design.tech), neighbourRadius_(kMinNeighbourRadius) {
+  for (const db::Layer& l : design.tech->layers()) {
+    const geom::Coord step = l.minStep ? l.minStep->minStepLength : 0;
+    neighbourRadius_ =
+        std::max(neighbourRadius_, drc::maxSpacingHalo(l) + step);
+  }
+
   const int numInsts = static_cast<int>(design.instances.size());
   const int numNets = static_cast<int>(design.nets.size());
 
@@ -173,7 +206,8 @@ void FailedPinContext::neighbourShapes(int v,
   for (const drc::Shape& s : shapesOf(viaShapes_, v)) {
     query = query.merge(s.rect);
   }
-  viaIndex_.query(query.bloat(2048), [&](const geom::Rect&, int other) {
+  query = query.bloat(neighbourRadius_);
+  viaIndex_.query(query, [&](const geom::Rect&, int other) {
     if (other == v) return;
     // Same-net vias (multi-pin nets) are not conflicts; include them
     // anyway — checkVia treats same-net context as merge candidates.
@@ -186,57 +220,79 @@ FailedPinStats countFailedPins(const db::Design& design,
                                const OracleResult& result,
                                std::size_t maxDetails,
                                FailedPinCriterion criterion) {
+  PAO_TRACE_SCOPE("eval.failed_pins");
   const FailedPinContext ctx(design, result);
   const drc::DrcEngine& engine = ctx.engine();
-  FailedPinStats stats;
-  stats.totalPins = ctx.pins().size();
-  const auto fail = [&](const FailedPinContext::PinRef& ref,
-                        std::vector<drc::Violation> violations) {
-    ++stats.failedPins;
-    if (stats.details.size() < maxDetails) {
-      stats.details.push_back({ref.inst, ref.pinPos, std::move(violations)});
+  const std::vector<FailedPinContext::PinRef>& pins = ctx.pins();
+
+  // Lenient criterion: a pin passes when ANY of its generated access points
+  // drops a clean via against the fixed context.
+  const auto anyApClean = [&](const FailedPinContext::PinRef& ref) {
+    const int cls = result.unique.classOf[ref.inst];
+    if (cls < 0 || result.classes[cls].pinAps.empty()) return false;
+    const db::UniqueInstance& ui = result.unique.classes[cls];
+    const geom::Point delta = design.instances[ref.inst].origin -
+                              design.instances[ui.representative].origin;
+    for (const AccessPoint& ap : result.classes[cls].pinAps[ref.pinPos]) {
+      const db::ViaDef* via = ap.primaryVia(*design.tech);
+      if (via != nullptr && engine.isViaClean(*via, ap.loc + delta, ref.net)) {
+        return true;
+      }
     }
+    return false;
   };
 
-  if (criterion == FailedPinCriterion::kAnyAp) {
-    // Lenient criterion: a pin passes when ANY of its generated access
-    // points drops a clean via against the fixed context.
-    for (const FailedPinContext::PinRef& ref : ctx.pins()) {
-      const int cls = result.unique.classOf[ref.inst];
-      bool anyClean = false;
-      if (cls >= 0 && !result.classes[cls].pinAps.empty()) {
-        const db::UniqueInstance& ui = result.unique.classes[cls];
-        const geom::Point delta =
-            design.instances[ref.inst].origin -
-            design.instances[ui.representative].origin;
-        for (const AccessPoint& ap :
-             result.classes[cls].pinAps[ref.pinPos]) {
-          const db::ViaDef* via = ap.primaryVia(*design.tech);
-          if (via != nullptr &&
-              engine.isViaClean(*via, ap.loc + delta, ref.net)) {
-            anyClean = true;
-            break;
+  // Each chunk keeps its own count and its first maxDetails details; the
+  // merge below walks chunks in pin order, which reproduces the serial
+  // stats exactly.
+  struct Chunk {
+    std::size_t failed = 0;
+    std::vector<FailedPinDetail> details;
+  };
+  std::vector<Chunk> chunks((pins.size() + kPinsPerChunk - 1) / kPinsPerChunk);
+  util::parallelFor(
+      chunks.size(),
+      [&](std::size_t c) {
+        Chunk& out = chunks[c];
+        const auto fail = [&](const FailedPinContext::PinRef& ref,
+                              std::vector<drc::Violation> violations) {
+          ++out.failed;
+          if (out.details.size() < maxDetails) {
+            out.details.push_back(
+                {ref.inst, ref.pinPos, std::move(violations)});
           }
+        };
+        std::vector<drc::Shape> extra;
+        const std::size_t end = std::min(pins.size(), (c + 1) * kPinsPerChunk);
+        for (std::size_t i = c * kPinsPerChunk; i < end; ++i) {
+          const FailedPinContext::PinRef& ref = pins[i];
+          if (criterion == FailedPinCriterion::kAnyAp) {
+            if (!anyApClean(ref)) fail(ref, {});
+            continue;
+          }
+          if (ref.placedIdx < 0) {
+            if (!ref.planar) fail(ref, {});
+            continue;
+          }
+          const FailedPinContext::PlacedVia& pv = ctx.placed()[ref.placedIdx];
+          // Context: all other pins' chosen vias near this one.
+          extra.clear();
+          ctx.neighbourShapes(ref.placedIdx, extra);
+          std::vector<drc::Violation> violations =
+              engine.checkVia(*pv.via, pv.loc, pv.net, extra);
+          if (!violations.empty()) fail(ref, std::move(violations));
         }
-      }
-      if (!anyClean) fail(ref, {});
-    }
-    return stats;
-  }
+      },
+      result.numThreads);
 
-  std::vector<drc::Shape> extra;
-  for (const FailedPinContext::PinRef& ref : ctx.pins()) {
-    if (ref.placedIdx < 0) {
-      if (!ref.planar) fail(ref, {});
-      continue;
+  FailedPinStats stats;
+  stats.totalPins = pins.size();
+  for (Chunk& chunk : chunks) {
+    stats.failedPins += chunk.failed;
+    for (FailedPinDetail& d : chunk.details) {
+      if (stats.details.size() == maxDetails) break;
+      stats.details.push_back(std::move(d));
     }
-    const FailedPinContext::PlacedVia& pv = ctx.placed()[ref.placedIdx];
-    // Context: all other pins' chosen vias near this one.
-    extra.clear();
-    ctx.neighbourShapes(ref.placedIdx, extra);
-    std::vector<drc::Violation> violations =
-        engine.checkVia(*pv.via, pv.loc, pv.net, extra);
-    if (!violations.empty()) fail(ref, std::move(violations));
   }
   return stats;
 }

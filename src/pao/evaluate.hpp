@@ -21,7 +21,8 @@ struct DirtyApStats {
 };
 
 /// Re-validates every generated access point's primary via with the full DRC
-/// rule set against its unique instance's intra-cell context.
+/// rule set against its unique instance's intra-cell context. Classes run on
+/// result.numThreads workers; the totals do not depend on the thread count.
 DirtyApStats countDirtyAps(const db::Design& design,
                            const OracleResult& result);
 
@@ -84,6 +85,10 @@ class FailedPinContext {
 
  private:
   drc::DrcEngine engine_;
+  /// How far from a via's bounding box neighbourShapes() gathers vias: the
+  /// widest spacing halo plus min-step length of any layer in the tech, and
+  /// never less than 2048 dbu.
+  geom::Coord neighbourRadius_ = 0;
   std::vector<PinRef> pins_;
   std::vector<PlacedVia> placed_;
   std::vector<drc::Shape> viaShapes_;  ///< three per placed via
@@ -92,7 +97,9 @@ class FailedPinContext {
 
 /// Evaluates every net-attached instance pin against the fully populated
 /// design context (all instances' pins and obstructions) and counts the pins
-/// without a DRC-clean access point per the criterion.
+/// without a DRC-clean access point per the criterion. The pins are checked
+/// in fixed-size chunks on result.numThreads workers and merged in pin
+/// order, so the stats, details included, do not depend on the thread count.
 FailedPinStats countFailedPins(
     const db::Design& design, const OracleResult& result,
     std::size_t maxDetails = 0,

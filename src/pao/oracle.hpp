@@ -88,6 +88,11 @@ struct OracleResult {
   /// (by cls, then kind, then detail). Empty means the result is exactly
   /// what a fault-free strict run would have produced.
   std::vector<DegradedEvent> degraded;
+  /// Worker budget of the run that produced this result (a copy of
+  /// OracleConfig::numThreads). The evaluators that take the result
+  /// (countDirtyAps, countFailedPins) run on it; their output does not
+  /// depend on it.
+  int numThreads = 1;
 
   /// Step timings. Two clocks are reported per step because they answer
   /// different questions and diverge under numThreads > 1:

@@ -539,6 +539,7 @@ OracleResult OracleSession::snapshot() const {
   }
   r.chosenPattern = chosen_;
   r.degraded = degraded_;
+  r.numThreads = cfg_.numThreads;
   // Canonical order: computeClassAccess appends in worker-completion order,
   // which is schedule-dependent under numThreads > 1.
   std::sort(r.degraded.begin(), r.degraded.end(),

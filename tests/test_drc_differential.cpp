@@ -1,8 +1,9 @@
 // Differential tests of the DRC via check and the failed-pin evaluation
 // against their reference implementations (reference.hpp): identical
 // violation vectors, in the same order, on the mixed, aes14 and huge
-// presets at small scale, an identical batch check on a routed design, and
-// both on random dense layouts that make every rule fire.
+// presets at small scale and at every evaluation thread count, an identical
+// batch check on a routed design, and both on random dense layouts that make
+// every rule fire.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -17,6 +18,7 @@
 #include "benchgen/testcase.hpp"
 #include "lefdef/stream.hpp"
 #include "pao/oracle.hpp"
+#include "pao/session.hpp"
 #include "reference.hpp"
 #include "router/access_source.hpp"
 #include "router/router.hpp"
@@ -135,6 +137,49 @@ TEST_P(EvalDifferential, FailedPinStatsMatchReference) {
                     reference::countFailedPins(design(), result, 3,
                                                criterion));
     EXPECT_GT(got.totalPins, 0u);
+  }
+}
+
+// The evaluators run on the result's worker budget; their output must not
+// depend on it. Every preset yields several 64-pin chunks, so this covers the
+// chunk merge and the detail cap landing inside and across chunks.
+TEST_P(EvalDifferential, StatsDoNotDependOnThreadCount) {
+  core::OracleResult result = runOracle();
+  const core::DirtyApStats dirtySerial = core::countDirtyAps(design(), result);
+  constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  for (const core::FailedPinCriterion criterion :
+       {core::FailedPinCriterion::kChosenAp,
+        core::FailedPinCriterion::kAnyAp}) {
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{3}, kAll}) {
+      const core::FailedPinStats want =
+          reference::countFailedPins(design(), result, cap, criterion);
+      for (const int threads : {1, 2, 4, 0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (criterion == core::FailedPinCriterion::kChosenAp
+                             ? "kChosenAp"
+                             : "kAnyAp")
+                     << " cap " << cap << " threads " << threads);
+        result.numThreads = threads;
+        expectSameStats(
+            core::countFailedPins(design(), result, cap, criterion), want);
+      }
+    }
+  }
+  for (const int threads : {2, 4, 0}) {
+    result.numThreads = threads;
+    const core::DirtyApStats dirty = core::countDirtyAps(design(), result);
+    EXPECT_EQ(dirty.totalAps, dirtySerial.totalAps) << threads;
+    EXPECT_EQ(dirty.dirtyAps, dirtySerial.dirtyAps) << threads;
+  }
+}
+
+// The worker budget reaches the evaluators through the snapshot.
+TEST(EvalThreads, SnapshotCarriesTheSessionWorkerBudget) {
+  for (const int threads : {1, 2, 4, 0}) {
+    core::OracleConfig cfg = core::withBcaConfig();
+    cfg.numThreads = threads;
+    const core::OracleSession session(presetDesign("mixed"), cfg);
+    EXPECT_EQ(session.snapshot().numThreads, threads);
   }
 }
 

@@ -39,8 +39,9 @@
 #                      the pao_serve soak: >=4 concurrent clients over 2
 #                      tenants against the live epoll server; plus a
 #                      dedicated soak — the JobGraph suite repeated under
-#                      oversubscription and the oracle graph-vs-batch
-#                      equivalence at threads 1/4/0)
+#                      oversubscription, the oracle graph-vs-batch
+#                      equivalence at threads 1/4/0, and the evaluators'
+#                      thread invariance at threads 1/2/4/0)
 #  10. UBSan          (-fsanitize=undefined with all diagnostics fatal)
 #  11. UBSan fuzz     (pao_fuzz: >=10k seeded mutation iterations over the
 #                      LEF/DEF parsers, the streamed/reference differential,
@@ -203,11 +204,13 @@ echo "== ThreadSanitizer job-graph soak =="
 # lifecycles to surface, not one pass: repeat the whole JobGraph suite —
 # ManySmallGraphsUnderOversubscription runs 8 workers on whatever cores
 # the CI box has — and then pin the end-to-end contract: the oracle's
-# single pipeline graph must match the fresh batch run at threads 1/4/0.
+# single pipeline graph must match the fresh batch run at threads 1/4/0,
+# and at threads 1/2/4/0 the chunked failed-pin evaluation must match the
+# serial reference and the per-class dirty-AP count its 1-thread result.
 "$SRC/build-ci-tsan/tests/pao_tests" \
   --gtest_filter='JobGraph.*' --gtest_repeat=20 --gtest_brief=1
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 \
-  --gtest_filter='OracleFixture.ThreadCountDoesNotChangeResult:Threads/SessionEquivalence.*'
+  --gtest_filter='OracleFixture.ThreadCountDoesNotChangeResult:Threads/SessionEquivalence.*:Presets/EvalDifferential.StatsDoNotDependOnThreadCount/*:EvalThreads.*'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \

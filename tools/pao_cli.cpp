@@ -13,7 +13,8 @@
 //
 // analyze options:
 //   --mode bca|nobca|legacy    flow preset (default bca)
-//   --threads N                Steps 1-2 worker threads (default 1, 0=auto)
+//   --threads N                worker threads for the oracle and the
+//                              evaluation (default 1, 0=auto)
 //   --report-failed N          print up to N failed-pin diagnostics
 //   --cache-in <file>          preload the access cache (exit 1 on a
 //                              fingerprint mismatch)
