@@ -14,7 +14,7 @@
 #include "pao/cluster_select.hpp"
 #include "pao/evaluate.hpp"
 #include "pao/pattern_gen.hpp"
-#include "util/executor.hpp"
+#include "util/jobs.hpp"
 
 using namespace pao;
 

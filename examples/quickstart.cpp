@@ -45,7 +45,9 @@ int main() {
                                "enc-boundary"};
     for (std::size_t p = 0; p < ca.pinAps.size(); ++p) {
       const int masterPin = ui.master->signalPinIndices()[p];
-      std::printf("  pin %-4s: %zu access points\n",
+      // Class access is shared by every member, so its locations are
+      // relative to the instance origin: add a member's origin to place one.
+      std::printf("  pin %-4s: %zu access points (origin-relative)\n",
                   ui.master->pins[masterPin].name.c_str(),
                   ca.pinAps[p].size());
       for (const core::AccessPoint& ap : ca.pinAps[p]) {

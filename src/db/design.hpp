@@ -61,6 +61,26 @@ class Instance {
   }
 };
 
+/// Places `inst`'s master geometry in design coordinates: calls
+/// f(placedRect, layer, masterPinIdx) for every pin shape in pin and shape
+/// order, then f(placedRect, layer, -1) for every obstruction. The one
+/// implementation of the per-instance shape transform; callers keep only
+/// their own net-id rule. The order is part of the contract (region-query
+/// insertion order feeds the order of reported details).
+template <typename F>
+void forEachPlacedShape(const Instance& inst, F&& f) {
+  const geom::Transform xf = inst.transform();
+  const Master& master = *inst.master;
+  for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
+    for (const PinShape& s : master.pins[p].shapes) {
+      f(xf.apply(s.rect), s.layer, p);
+    }
+  }
+  for (const Obstruction& o : master.obstructions) {
+    f(xf.apply(o.rect), o.layer, -1);
+  }
+}
+
 /// One connection of a net: instance pin (instIdx >= 0) or an IO pin
 /// (instIdx == -1, ioPinIdx into Design::ioPins()).
 struct NetTerm {

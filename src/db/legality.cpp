@@ -1,6 +1,7 @@
 #include "db/legality.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "geom/grid_index.hpp"
 
@@ -23,9 +24,18 @@ std::vector<PlacementViolation> checkPlacement(const Design& design) {
   std::vector<PlacementViolation> out;
   using Kind = PlacementViolation::Kind;
 
-  // Row lookup by y (multi-height cells sit on a row like everyone else).
-  std::vector<const Row*> rows;
-  for (const Row& r : design.rows) rows.push_back(&r);
+  // Row lookup by y (multi-height cells sit on a row like everyone else):
+  // (y, index of the first row in design order at that y), sorted by y.
+  std::vector<std::pair<Coord, int>> rowAtY;
+  for (int r = 0; r < static_cast<int>(design.rows.size()); ++r) {
+    rowAtY.emplace_back(design.rows[r].origin.y, r);
+  }
+  std::sort(rowAtY.begin(), rowAtY.end());
+  rowAtY.erase(std::unique(rowAtY.begin(), rowAtY.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               rowAtY.end());
 
   geom::GridIndex<int> index(1 << 14);
   for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
@@ -36,14 +46,13 @@ std::vector<PlacementViolation> checkPlacement(const Design& design) {
       out.push_back({Kind::kOffDie, i, -1});
     }
 
-    if (!rows.empty() && inst.master->cls != MasterClass::kBlock) {
-      const Row* row = nullptr;
-      for (const Row* r : rows) {
-        if (r->origin.y == inst.origin.y) {
-          row = r;
-          break;
-        }
-      }
+    if (!rowAtY.empty() && inst.master->cls != MasterClass::kBlock) {
+      const auto it = std::lower_bound(
+          rowAtY.begin(), rowAtY.end(), inst.origin.y,
+          [](const std::pair<Coord, int>& e, Coord y) { return e.first < y; });
+      const Row* row = it != rowAtY.end() && it->first == inst.origin.y
+                           ? &design.rows[it->second]
+                           : nullptr;
       if (row == nullptr) {
         out.push_back({Kind::kNoRow, i, -1});
       } else if (row->siteWidth > 0 &&

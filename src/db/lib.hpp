@@ -30,6 +30,10 @@ struct Pin {
   bool isSignal() const {
     return use == PinUse::kSignal || use == PinUse::kClock;
   }
+  /// Power and ground pins: foreign metal to every signal pin.
+  bool isSupply() const {
+    return use == PinUse::kPower || use == PinUse::kGround;
+  }
   /// Bounding box over all shapes (any layer).
   geom::Rect bbox() const;
   /// Shapes restricted to one layer.

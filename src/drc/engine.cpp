@@ -9,7 +9,6 @@
 #include "geom/polygon.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/executor.hpp"
 #include "util/jobs.hpp"
 
 namespace pao::drc {

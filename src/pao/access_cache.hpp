@@ -55,8 +55,9 @@ class AccessCache {
   }
   void clear();
 
-  /// Translates an origin-relative entry to a representative placed at
-  /// `origin` (or the reverse with a negated origin).
+  /// Shifts every access point of `ca` by `origin`. The flow's one use is
+  /// the normalization after Step 2: the representative's negated origin
+  /// turns its design coordinates into the origin-relative frame.
   static ClassAccess translate(const ClassAccess& ca, geom::Point origin);
 
   /// Hash of the tech/library identity a cache is only valid against: layer,

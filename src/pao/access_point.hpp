@@ -39,7 +39,10 @@ enum AccessDir : std::uint8_t {
 };
 
 struct AccessPoint {
-  geom::Point loc;   ///< design coordinates of the representative instance
+  /// Location relative to the instance origin: add a member instance's
+  /// origin to place it. (Steps 1-2 generate at the representative's
+  /// placement; the session normalizes to this frame when Step 2 ends.)
+  geom::Point loc;
   int layer = -1;    ///< routing layer of the pin shape
   CoordType prefType = CoordType::kOnTrack;     ///< preferred-direction coord
   CoordType nonPrefType = CoordType::kOnTrack;  ///< non-preferred-direction

@@ -10,19 +10,23 @@
 #include "util/arena.hpp"
 #include "util/cpu_time.hpp"
 #include "util/fault.hpp"
-#include "util/jobs.hpp"
 
 namespace pao::core {
 
 namespace {
 constexpr long long kInf = std::numeric_limits<long long>::max() / 4;
+
+/// Net id of master pin `pin` of the instance on `side` of the boundary in
+/// one pair check. Ids only need to be distinct within that check, and a
+/// via shares its id with its own pin bar.
+constexpr int pairNet(int side, int pin) { return 2 * pin + side; }
 }
 
 std::vector<std::vector<int>> buildClusters(const db::Design& design) {
   // Group instances by row, sort by x, split at gaps. A multi-height
   // instance spans several rows and joins the cluster of each row its bbox
   // covers (its pattern choice is then pinned after the first cluster that
-  // decides it — see ClusterSelector::run()).
+  // decides it — see clusterDeps()).
   std::vector<std::vector<int>> clusters;
   std::map<geom::Coord, std::vector<int>> byRow;
   std::vector<geom::Coord> rowYs;
@@ -33,8 +37,9 @@ std::vector<std::vector<int>> buildClusters(const db::Design& design) {
   rowYs.erase(std::unique(rowYs.begin(), rowYs.end()), rowYs.end());
   for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
     const geom::Rect bbox = design.instances[i].bbox();
-    for (const geom::Coord y : rowYs) {
-      if (y >= bbox.ylo && y < bbox.yhi) byRow[y].push_back(i);
+    for (auto y = std::lower_bound(rowYs.begin(), rowYs.end(), bbox.ylo);
+         y != rowYs.end() && *y < bbox.yhi; ++y) {
+      byRow[*y].push_back(i);
     }
   }
   for (auto& [y, insts] : byRow) {
@@ -87,69 +92,51 @@ ClusterSelector::ClusterSelector(const db::Design& design,
       clusters_(buildClusters(design)) {}
 
 std::vector<ClusterSelector::PlacedAp> ClusterSelector::boundaryAps(
-    int inst, int pat, bool rightSide) const {
+    int inst, int pat, int side) const {
   std::vector<PlacedAp> out;
   const int cls = unique_->classOf[inst];
   if (cls < 0) return out;
   const ClassAccess& ca = (*classes_)[cls];
   if (pat < 0 || pat >= static_cast<int>(ca.patterns.size())) return out;
-  const db::UniqueInstance& ui = unique_->classes[cls];
-  const geom::Point memOrigin = design_->instances[inst].origin;
-  geom::Point delta = memOrigin;
-  if (!cfg_.originRelativeClasses) {
-    const geom::Point repOrigin =
-        design_->instances[ui.representative].origin;
-    delta = geom::Point{memOrigin.x - repOrigin.x, memOrigin.y - repOrigin.y};
-  }
+  const std::vector<int>& sig = unique_->classes[cls].master->signalPinIndices();
+  const geom::Point origin = design_->instances[inst].origin;
 
   const auto add = [&](int pinPos) {
     const int apIdx = ca.patterns[pat].apIdx[pinPos];
     if (apIdx < 0) return;
     const AccessPoint& ap = ca.pinAps[pinPos][apIdx];
-    // Net identity folds instance and MASTER pin index together — the same
-    // scheme edgeShapes() uses, so a via and its own pin bar share a net in
-    // the pairwise check.
-    const int masterPin = ui.master->signalPinIndices()[pinPos];
-    out.push_back({&ap, ap.loc + delta, inst * 64 + masterPin});
+    out.push_back({&ap, ap.loc + origin, pairNet(side, sig[pinPos])});
   };
 
   if (ca.pinOrder.empty()) return out;
   if (cfg_.boundaryPinsOnly) {
-    add(rightSide ? ca.pinOrder.back() : ca.pinOrder.front());
+    add(side == 0 ? ca.pinOrder.back() : ca.pinOrder.front());
   } else {
     for (const int pinPos : ca.pinOrder) add(pinPos);
   }
   return out;
 }
 
-std::vector<drc::Shape> ClusterSelector::edgeShapes(int inst,
+std::vector<drc::Shape> ClusterSelector::edgeShapes(int inst, int side,
                                                     geom::Coord boundaryX,
                                                     geom::Coord halo) const {
   std::vector<drc::Shape> out;
   const db::Instance& instance = design_->instances[inst];
-  const geom::Transform xf = instance.transform();
   const geom::Rect band{boundaryX - halo, instance.bbox().ylo - halo,
                         boundaryX + halo, instance.bbox().yhi + halo};
-  const db::Master& master = *instance.master;
-  for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
-    const db::Pin& pin = master.pins[p];
-    const bool isSupply =
-        pin.use == db::PinUse::kPower || pin.use == db::PinUse::kGround;
-    const int net = isSupply ? drc::Shape::kObsNet : inst * 64 + p;
-    for (const db::PinShape& s : pin.shapes) {
-      const geom::Rect r = xf.apply(s.rect);
-      if (r.intersects(band)) {
-        out.push_back({r, s.layer, net, drc::ShapeKind::kPin, true});
-      }
-    }
-  }
-  for (const db::Obstruction& o : master.obstructions) {
-    const geom::Rect r = xf.apply(o.rect);
-    if (r.intersects(band)) {
-      out.push_back({r, o.layer, drc::Shape::kObsNet,
-                     drc::ShapeKind::kObstruction, true});
-    }
-  }
+  db::forEachPlacedShape(
+      instance, [&](const geom::Rect& r, int layer, int pin) {
+        if (!r.intersects(band)) return;
+        if (pin < 0) {
+          out.push_back({r, layer, drc::Shape::kObsNet,
+                         drc::ShapeKind::kObstruction, true});
+          return;
+        }
+        const int net = instance.master->pins[pin].isSupply()
+                            ? drc::Shape::kObsNet
+                            : pairNet(side, pin);
+        out.push_back({r, layer, net, drc::ShapeKind::kPin, true});
+      });
   return out;
 }
 
@@ -175,13 +162,12 @@ bool ClusterSelector::patternsCompatible(int instA, int patA, int instB,
   for (const db::Layer& l : design_->tech->layers()) {
     halo = std::max(halo, drc::maxSpacingHalo(l) * 2);
   }
-  const std::vector<drc::Shape> edgeA = edgeShapes(instA, boundaryX, halo);
-  const std::vector<drc::Shape> edgeB = edgeShapes(instB, boundaryX, halo);
+  const std::vector<drc::Shape> edgeA = edgeShapes(instA, 0, boundaryX, halo);
+  const std::vector<drc::Shape> edgeB = edgeShapes(instB, 1, boundaryX, halo);
 
   bool clean = true;
-  const std::vector<PlacedAp> left = boundaryAps(instA, patA, /*right=*/true);
-  const std::vector<PlacedAp> right =
-      boundaryAps(instB, patB, /*right=*/false);
+  const std::vector<PlacedAp> left = boundaryAps(instA, patA, 0);
+  const std::vector<PlacedAp> right = boundaryAps(instB, patB, 1);
   const db::Tech& tech = *design_->tech;
   // Probes are tallied locally and committed only if this thread's result
   // wins the memo-cache insert below, which makes the published count equal
@@ -279,30 +265,6 @@ void ClusterSelector::fallbackSelect(const std::vector<int>& cluster,
     }
     chosen[inst] = best;
   }
-}
-
-std::vector<int> ClusterSelector::run() {
-  std::vector<int> chosen(design_->instances.size(), -1);
-  armBudget();
-
-  // Clusters are almost always instance-disjoint and can run concurrently;
-  // only multi-height instances appear in several clusters, and those
-  // clusters must keep their serial order (the first cluster to decide an
-  // instance pins its pattern for the later ones). clusterDeps() encodes
-  // exactly that chain as job-graph edges, so independent clusters overlap
-  // freely instead of waiting at wave barriers.
-  const std::vector<std::vector<std::size_t>> deps = clusterDeps(clusters_);
-  util::JobGraph graph;
-  std::vector<util::JobId> ids(clusters_.size());
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    std::vector<util::JobId> depIds;
-    depIds.reserve(deps[c].size());
-    for (const std::size_t d : deps[c]) depIds.push_back(ids[d]);
-    ids[c] = graph.addJob(
-        [this, c, &chosen] { selectCluster(clusters_[c], chosen); }, depIds);
-  }
-  graph.run(cfg_.numThreads);
-  return chosen;
 }
 
 void ClusterSelector::selectCluster(const std::vector<int>& cluster,

@@ -30,17 +30,6 @@ struct ClusterSelectConfig {
   /// Check every pin pair across the boundary instead of only the two facing
   /// boundary pins (ablation; the paper checks boundary pins only).
   bool boundaryPinsOnly = true;
-  /// Worker threads for the per-cluster DP. Clusters run as a job graph
-  /// whose edges chain clusters sharing a (multi-height) instance, so those
-  /// keep their serial pinning order while disjoint clusters overlap; the
-  /// chosen patterns are identical for any thread count.
-  /// 1 = serial; 0 = hardware concurrency.
-  int numThreads = 1;
-  /// The ClassAccess vector stores access points relative to each class's
-  /// instance origin (OracleSession convention) instead of in the
-  /// representative's design coordinates (batch convention): a member
-  /// instance's placed access location is then ap.loc + member origin.
-  bool originRelativeClasses = false;
   /// Wall-clock budget in seconds for a selection pass (0 = unlimited).
   /// armBudget() starts the clock; once it expires — latched, so one slow
   /// cluster degrades every later one in the pass — each remaining cluster
@@ -50,8 +39,10 @@ struct ClusterSelectConfig {
   double budgetSeconds = 0;
 };
 
-/// Per-unique-instance access data produced by Steps 1-2, in representative
-/// design coordinates.
+/// Per-unique-instance access data produced by Steps 1-2, relative to the
+/// instance origin: a member instance places an access point at
+/// ap.loc + its origin (the paper's translation-invariance argument, Sec.
+/// II-A, is what makes one class's access valid for every member).
 struct ClassAccess {
   std::vector<std::vector<AccessPoint>> pinAps;  ///< per signal pin
   std::vector<AccessPattern> patterns;
@@ -80,15 +71,11 @@ class ClusterSelector {
                   const std::vector<ClassAccess>& classes,
                   ClusterSelectConfig cfg = {});
 
-  /// Runs clustering + DP; returns the chosen pattern index per instance
-  /// (-1 for instances whose class has no patterns, e.g. pinless fillers).
-  std::vector<int> run();
-
   /// Runs the DP of one cluster, writing only its own instances' entries of
   /// `chosen` (safe to run concurrently for instance-disjoint clusters).
   /// Entries already >= 0 are pinned: the DP may only keep them. This is the
-  /// reusable unit OracleSession re-runs for dirty clusters; `cluster` need
-  /// not come from this selector's own clustering.
+  /// unit OracleSession schedules for every cluster; `cluster` need not
+  /// come from this selector's own clustering.
   void selectCluster(const std::vector<int>& cluster,
                      std::vector<int>& chosen);
 
@@ -102,8 +89,7 @@ class ClusterSelector {
   /// "pao.step3.pair_checks" registry counter and the session snapshot).
   std::size_t numPairChecks() const { return numPairChecks_.load(); }
   /// selectCluster invocations that actually ran a DP (clusters with at
-  /// least one pattern-bearing instance). Cumulative across run() and
-  /// direct selectCluster calls.
+  /// least one pattern-bearing instance). Cumulative.
   std::size_t numDpRuns() const { return numDpRuns_.load(); }
   /// Summed per-thread CPU seconds spent inside cluster DPs (the Step-3
   /// cpu-clock analog of OracleResult::step3CpuSeconds). Cumulative.
@@ -112,8 +98,8 @@ class ClusterSelector {
   }
 
   /// (Re)starts the cfg.budgetSeconds clock and clears the expired latch.
-  /// run() arms automatically; OracleSession re-arms before each dirty-
-  /// cluster recomputation. With budgetSeconds == 0 only the
+  /// OracleSession arms before the initial build and re-arms before each
+  /// dirty-cluster recomputation. With budgetSeconds == 0 only the
   /// "step3.deadline" fault point can expire the pass.
   void armBudget();
   /// True once the current pass's budget expired (stays true until the next
@@ -142,18 +128,20 @@ class ClusterSelector {
   /// neighbor pin bar is still rejected.
   bool patternsCompatible(int instA, int patA, int instB, int patB);
   /// Fixed shapes (pins/obstructions) of `inst` within `halo` of the
-  /// vertical line x = `boundaryX`, with per-pin synthetic net ids.
-  std::vector<drc::Shape> edgeShapes(int inst, geom::Coord boundaryX,
+  /// vertical line x = `boundaryX`, with per-pin net ids (see pairNet).
+  /// `side` is 0 for the instance left of the boundary, 1 for the right one.
+  std::vector<drc::Shape> edgeShapes(int inst, int side, geom::Coord boundaryX,
                                      geom::Coord halo) const;
-  /// Boundary access point of `pattern` on the given side (false = left/
-  /// first ordered pin, true = right/last), translated to the member
-  /// instance's coordinates; nullptr when the pattern lacks one.
+  /// Boundary access points of `pattern` facing the boundary from `side`
+  /// (0 = left instance, its last ordered pin; 1 = right instance, its
+  /// first), placed at the member instance; empty when the pattern lacks
+  /// one.
   struct PlacedAp {
     const AccessPoint* ap = nullptr;
     geom::Point loc;
     int net = 0;
   };
-  std::vector<PlacedAp> boundaryAps(int inst, int pat, bool rightSide) const;
+  std::vector<PlacedAp> boundaryAps(int inst, int pat, int side) const;
 
   const db::Design* design_;
   const db::UniqueInstances* unique_;
@@ -171,7 +159,7 @@ class ClusterSelector {
   std::atomic<std::size_t> numDpRuns_{0};
   std::atomic<long long> dpCpuNanos_{0};
   /// Budget state. deadline_/budgetArmed_ are written by armBudget() before
-  /// the parallel region (parallelFor establishes the happens-before);
+  /// the job graph runs (its start establishes the happens-before);
   /// expired_ latches concurrently.
   std::chrono::steady_clock::time_point deadline_{};
   bool budgetArmed_ = false;

@@ -7,7 +7,7 @@
 #include "drc/checks.hpp"
 #include "obs/trace.hpp"
 #include "pao/inst_context.hpp"
-#include "util/executor.hpp"
+#include "util/jobs.hpp"
 
 namespace pao::core {
 
@@ -33,16 +33,20 @@ DirtyApStats classDirtyAps(const db::Design& design, const OracleResult& result,
   DirtyApStats stats;
   const ClassAccess& ca = result.classes[c];
   if (ca.pinAps.empty()) return stats;
-  const InstContext ctx(design, result.unique.classes[c]);
+  const db::UniqueInstance& ui = result.unique.classes[c];
+  const InstContext ctx(design, ui);
+  // Class access is origin-relative; the context sits at the representative.
+  const geom::Point repOrigin = design.instances[ui.representative].origin;
   const std::vector<int>& sig = ctx.signalPins();
   for (std::size_t p = 0; p < ca.pinAps.size(); ++p) {
     for (const AccessPoint& ap : ca.pinAps[p]) {
       ++stats.totalAps;
       const int net = ctx.pinNet(sig[p]);
+      const geom::Point loc = ap.loc + repOrigin;
       const db::ViaDef* via = ap.primaryVia(*design.tech);
       bool clean;
       if (via != nullptr) {
-        clean = ctx.engine().isViaClean(*via, ap.loc, net);
+        clean = ctx.engine().isViaClean(*via, loc, net);
       } else {
         // Planar-only access (macro pins): re-validate the escape stubs of
         // every claimed direction.
@@ -55,14 +59,14 @@ DirtyApStats classDirtyAps(const db::Design& design, const OracleResult& result,
           std::uint8_t dir;
           geom::Rect r;
         } probes[] = {
-            {kEast, geom::Rect(ap.loc.x, ap.loc.y - half, ap.loc.x + stub,
-                               ap.loc.y + half)},
-            {kWest, geom::Rect(ap.loc.x - stub, ap.loc.y - half, ap.loc.x,
-                               ap.loc.y + half)},
-            {kNorth, geom::Rect(ap.loc.x - half, ap.loc.y, ap.loc.x + half,
-                                ap.loc.y + stub)},
-            {kSouth, geom::Rect(ap.loc.x - half, ap.loc.y - stub,
-                                ap.loc.x + half, ap.loc.y)},
+            {kEast,
+             geom::Rect(loc.x, loc.y - half, loc.x + stub, loc.y + half)},
+            {kWest,
+             geom::Rect(loc.x - stub, loc.y - half, loc.x, loc.y + half)},
+            {kNorth,
+             geom::Rect(loc.x - half, loc.y, loc.x + half, loc.y + stub)},
+            {kSouth,
+             geom::Rect(loc.x - half, loc.y - stub, loc.x + half, loc.y)},
         };
         for (const auto& probe : probes) {
           if ((ap.dirs & probe.dir) != 0 &&
@@ -128,32 +132,27 @@ FailedPinContext::FailedPinContext(const db::Design& design,
   int synthetic = numNets;
 
   // Fixed design context: every instance's pin shapes and obstructions.
+  // Supply pins are foreign metal; a signal pin without a design net gets
+  // a synthetic id, numbered in (instance, pin) order.
   for (int i = 0; i < numInsts; ++i) {
-    const db::Instance& inst = design.instances[i];
-    const geom::Transform xf = inst.transform();
-    const db::Master& master = *inst.master;
-    for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
-      const db::Pin& pin = master.pins[p];
-      const bool isSupply =
-          pin.use == db::PinUse::kPower || pin.use == db::PinUse::kGround;
-      int net;
-      if (isSupply) {
-        net = drc::Shape::kObsNet;
-      } else if (int& slot = netOf[pinBase[i] + p]; slot != kNoNet) {
-        net = slot;
-      } else {
-        net = synthetic++;
-        slot = net;
-      }
-      for (const db::PinShape& s : pin.shapes) {
-        engine_.region().add({xf.apply(s.rect), s.layer, net,
-                              drc::ShapeKind::kPin, true});
+    const db::Master& master = *design.instances[i].master;
+    const std::size_t base = pinBase[i];
+    for (std::size_t p = 0; p < master.pins.size(); ++p) {
+      if (!master.pins[p].isSupply() && netOf[base + p] == kNoNet) {
+        netOf[base + p] = synthetic++;
       }
     }
-    for (const db::Obstruction& o : master.obstructions) {
-      engine_.region().add({xf.apply(o.rect), o.layer, drc::Shape::kObsNet,
-                            drc::ShapeKind::kObstruction, true});
-    }
+    db::forEachPlacedShape(
+        design.instances[i], [&](const geom::Rect& r, int layer, int p) {
+          if (p < 0) {
+            engine_.region().add({r, layer, drc::Shape::kObsNet,
+                                  drc::ShapeKind::kObstruction, true});
+            return;
+          }
+          const int net = master.pins[p].isSupply() ? drc::Shape::kObsNet
+                                                    : netOf[base + p];
+          engine_.region().add({r, layer, net, drc::ShapeKind::kPin, true});
+        });
   }
   for (const db::IoPin& p : design.ioPins) {
     engine_.region().add({p.rect, p.layer, synthetic++,
@@ -230,12 +229,10 @@ FailedPinStats countFailedPins(const db::Design& design,
   const auto anyApClean = [&](const FailedPinContext::PinRef& ref) {
     const int cls = result.unique.classOf[ref.inst];
     if (cls < 0 || result.classes[cls].pinAps.empty()) return false;
-    const db::UniqueInstance& ui = result.unique.classes[cls];
-    const geom::Point delta = design.instances[ref.inst].origin -
-                              design.instances[ui.representative].origin;
+    const geom::Point origin = design.instances[ref.inst].origin;
     for (const AccessPoint& ap : result.classes[cls].pinAps[ref.pinPos]) {
       const db::ViaDef* via = ap.primaryVia(*design.tech);
-      if (via != nullptr && engine.isViaClean(*via, ap.loc + delta, ref.net)) {
+      if (via != nullptr && engine.isViaClean(*via, ap.loc + origin, ref.net)) {
         return true;
       }
     }

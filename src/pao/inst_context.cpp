@@ -5,34 +5,31 @@
 namespace pao::core {
 
 InstContext::InstContext(const db::Design& design, const db::UniqueInstance& ui)
-    : design_(&design),
-      ui_(&ui),
-      xform_(design.instances.at(ui.representative).transform()),
-      engine_(*design.tech) {
+    : design_(&design), ui_(&ui), engine_(*design.tech) {
   const db::Master& master = *ui.master;
   signalPins_ = master.signalPinIndices();
-
-  for (int pi = 0; pi < static_cast<int>(master.pins.size()); ++pi) {
-    const db::Pin& pin = master.pins[pi];
-    const bool isSupply =
-        pin.use == db::PinUse::kPower || pin.use == db::PinUse::kGround;
-    for (const db::PinShape& s : pin.shapes) {
-      // Supply rails behave like foreign metal for every signal pin.
-      const int net = isSupply ? drc::Shape::kObsNet : pinNet(pi);
-      engine_.region().add({xform_.apply(s.rect), s.layer, net,
-                            drc::ShapeKind::kPin, /*fixed=*/true});
-    }
-  }
-  for (const db::Obstruction& o : master.obstructions) {
-    engine_.region().add({xform_.apply(o.rect), o.layer, drc::Shape::kObsNet,
-                          drc::ShapeKind::kObstruction, /*fixed=*/true});
-  }
+  placedPins_.resize(master.pins.size());
+  db::forEachPlacedShape(
+      design.instances.at(ui.representative),
+      [&](const geom::Rect& r, int layer, int pin) {
+        if (pin < 0) {
+          engine_.region().add({r, layer, drc::Shape::kObsNet,
+                                drc::ShapeKind::kObstruction, /*fixed=*/true});
+          return;
+        }
+        placedPins_[pin].push_back({layer, r});
+        // Supply rails behave like foreign metal for every signal pin.
+        const int net =
+            master.pins[pin].isSupply() ? drc::Shape::kObsNet : pinNet(pin);
+        engine_.region().add(
+            {r, layer, net, drc::ShapeKind::kPin, /*fixed=*/true});
+      });
 }
 
 std::vector<geom::Rect> InstContext::pinShapes(int pinIdx, int layer) const {
   std::vector<geom::Rect> out;
-  for (const db::PinShape& s : ui_->master->pins.at(pinIdx).shapes) {
-    if (s.layer == layer) out.push_back(xform_.apply(s.rect));
+  for (const db::PinShape& s : placedPins_.at(pinIdx)) {
+    if (s.layer == layer) out.push_back(s.rect);
   }
   return out;
 }

@@ -21,7 +21,6 @@ class InstContext {
   const db::UniqueInstance& uniqueInst() const { return *ui_; }
   const db::Design& design() const { return *design_; }
   const drc::DrcEngine& engine() const { return engine_; }
-  const geom::Transform& transform() const { return xform_; }
 
   /// Signal/clock pin indices into the master's pin list, in master order.
   const std::vector<int>& signalPins() const { return signalPins_; }
@@ -40,9 +39,10 @@ class InstContext {
  private:
   const db::Design* design_;
   const db::UniqueInstance* ui_;
-  geom::Transform xform_;
   drc::DrcEngine engine_;
   std::vector<int> signalPins_;
+  /// Pin shapes placed at the representative, per master pin.
+  std::vector<std::vector<db::PinShape>> placedPins_;
 };
 
 }  // namespace pao::core

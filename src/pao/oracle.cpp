@@ -33,25 +33,26 @@ std::size_t OracleResult::totalAps() const {
   return n;
 }
 
+std::optional<OracleResult::ChosenAp> placeChosenAp(const ClassAccess& ca,
+                                                    int pattern, int sigPinPos,
+                                                    geom::Point origin) {
+  if (pattern < 0 || pattern >= static_cast<int>(ca.patterns.size())) {
+    return std::nullopt;
+  }
+  const std::vector<int>& apIdx = ca.patterns[pattern].apIdx;
+  if (sigPinPos >= static_cast<int>(apIdx.size()) || apIdx[sigPinPos] < 0) {
+    return std::nullopt;
+  }
+  const AccessPoint& ap = ca.pinAps[sigPinPos][apIdx[sigPinPos]];
+  return OracleResult::ChosenAp{&ap, ap.loc + origin};
+}
+
 std::optional<OracleResult::ChosenAp> OracleResult::chosenAp(
     const db::Design& design, int instIdx, int sigPinPos) const {
   const int cls = unique.classOf[instIdx];
   if (cls < 0) return std::nullopt;
-  const ClassAccess& ca = classes[cls];
-  const int pat = chosenPattern[instIdx];
-  if (pat < 0 || pat >= static_cast<int>(ca.patterns.size())) {
-    return std::nullopt;
-  }
-  if (sigPinPos >= static_cast<int>(ca.patterns[pat].apIdx.size())) {
-    return std::nullopt;
-  }
-  const int apIdx = ca.patterns[pat].apIdx[sigPinPos];
-  if (apIdx < 0) return std::nullopt;
-  const AccessPoint& ap = ca.pinAps[sigPinPos][apIdx];
-  const db::UniqueInstance& ui = unique.classes[cls];
-  const geom::Point repOrigin = design.instances[ui.representative].origin;
-  const geom::Point origin = design.instances[instIdx].origin;
-  return ChosenAp{&ap, ap.loc + (origin - repOrigin)};
+  return placeChosenAp(classes[cls], chosenPattern[instIdx], sigPinPos,
+                       design.instances[instIdx].origin);
 }
 
 PinAccessOracle::PinAccessOracle(const db::Design& design, OracleConfig cfg)

@@ -27,6 +27,10 @@ namespace pao::core {
 struct OracleConfig {
   ApGenConfig apGen;
   PatternGenConfig patternGen;
+  /// Step-3 settings, used as written. clusterSelect.budgetSeconds is the
+  /// Step-3 wall-clock budget (0 = unlimited; pao_cli --step3-budget): on
+  /// expiry the remaining clusters commit each instance's cheapest
+  /// standalone pattern and a "step3_budget" DegradedEvent is recorded.
   ClusterSelectConfig clusterSelect;
   /// TrRte baseline: legacy AP generation, first-AP patterns, no Step 3 DP.
   bool legacyMode = false;
@@ -35,8 +39,7 @@ struct OracleConfig {
   bool runClusterSelection = true;
   /// Worker threads for the whole flow (the paper's "support of
   /// multi-threading" future-work item): Steps 1-2 over unique instances and
-  /// the Step-3 cluster DP all run on the shared executor, and the value is
-  /// forwarded into ClusterSelectConfig::numThreads. Results are identical
+  /// the Step-3 cluster DP all run on one job graph. Results are identical
   /// for any thread count. 1 = serial; 0 = hardware concurrency.
   int numThreads = 1;
   /// Optional cross-run cache of intra-cell results keyed by signature —
@@ -48,11 +51,6 @@ struct OracleConfig {
   /// DegradedEvent instead of aborting the whole run. Off (strict) by
   /// default: the first per-class exception propagates.
   bool keepGoing = false;
-  /// Wall-clock budget for the Step-3 cluster DP in seconds (0 =
-  /// unlimited). On expiry the remaining clusters commit each instance's
-  /// cheapest standalone pattern (see ClusterSelectConfig::budgetSeconds)
-  /// and a "step3_budget" DegradedEvent is recorded.
-  double step3BudgetSeconds = 0;
 };
 
 /// One graceful-degradation event of a keep-going run. Kinds:
@@ -79,8 +77,11 @@ OracleConfig legacyConfig();
 
 struct OracleResult {
   db::UniqueInstances unique;
-  /// Per unique-instance class, parallel to unique.classes. Classes of
-  /// masters without signal pins have empty pinAps/patterns.
+  /// Per unique-instance class, parallel to unique.classes, relative to the
+  /// instance origin (the frame the session and the AccessCache hold):
+  /// member instance i places an access point at ap.loc + its origin.
+  /// Classes of masters without signal pins, and classes left without
+  /// members, have empty pinAps/patterns.
   std::vector<ClassAccess> classes;
   /// Chosen pattern per instance (-1 when the class has none).
   std::vector<int> chosenPattern;
@@ -126,8 +127,9 @@ struct OracleResult {
   /// Total access points generated across all unique-instance pins
   /// (Table II "Total #APs").
   std::size_t totalAps() const;
-  /// The access point chosen for (instance, signal-pin position), translated
-  /// to the instance's placement; nullopt when the pin has no chosen access.
+  /// The access point chosen for (instance, signal-pin position), placed at
+  /// the instance (see placeChosenAp); nullopt when the pin has no chosen
+  /// access.
   struct ChosenAp {
     const AccessPoint* ap;
     geom::Point loc;
@@ -135,6 +137,14 @@ struct OracleResult {
   std::optional<ChosenAp> chosenAp(const db::Design& design, int instIdx,
                                    int sigPinPos) const;
 };
+
+/// The one placement of a chosen access point: the AP that `pattern` of
+/// class access `ca` picks for signal-pin position `sigPinPos`, at
+/// ap.loc + `origin` (the member instance's origin); nullopt when the
+/// pattern or the pin has none.
+std::optional<OracleResult::ChosenAp> placeChosenAp(const ClassAccess& ca,
+                                                    int pattern, int sigPinPos,
+                                                    geom::Point origin);
 
 /// The one-shot batch facade. Internally a thin wrapper over a read-only
 /// pao::core::OracleSession — use a session directly when the design will

@@ -13,7 +13,6 @@
 #include "pao/legacy_ap.hpp"
 #include "pao/pattern_gen.hpp"
 #include "util/cpu_time.hpp"
-#include "util/executor.hpp"
 #include "util/fault.hpp"
 #include "util/jobs.hpp"
 
@@ -252,12 +251,8 @@ void OracleSession::buildAll() {
   // there is no barrier between the phases. Node ids interleave
   // S1(0),S2(0),S1(1),... so a strict-mode failure still rethrows the
   // lowest class's exception, like the old per-phase parallelFor did.
-  ClusterSelectConfig csCfg = cfg_.clusterSelect;
-  csCfg.numThreads = cfg_.numThreads;
-  csCfg.originRelativeClasses = true;
-  csCfg.budgetSeconds = cfg_.step3BudgetSeconds;
   selector_ = std::make_unique<ClusterSelector>(*design_, index_.classes(),
-                                                classes_, csCfg);
+                                                classes_, cfg_.clusterSelect);
   selector_->armBudget();
   chosen_.assign(design_->instances.size(), -1);
 
@@ -281,34 +276,8 @@ void OracleSession::buildAll() {
         },
         s1Dep);
   }
-
   const std::vector<std::vector<int>>& clusters = selector_->clusters();
-  const std::vector<std::vector<std::size_t>> cDeps = clusterDeps(clusters);
-  const std::vector<int>& classOf = index_.classes().classOf;
-  std::vector<util::JobId> clusterIds(clusters.size());
-  std::vector<util::JobId> deps;
-  for (std::size_t k = 0; k < clusters.size(); ++k) {
-    deps.clear();
-    for (const int inst : clusters[k]) {
-      const int cls = classOf[inst];
-      if (cls >= 0) deps.push_back(s2Id[static_cast<std::size_t>(cls)]);
-    }
-    for (const std::size_t d : cDeps[k]) deps.push_back(clusterIds[d]);
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    clusterIds[k] = graph.addJob(
-        [this, k, &clusters] {
-          if (pendingSteps12_.load(std::memory_order_acquire) > 0) {
-            overlapJobs_.fetch_add(1, std::memory_order_relaxed);
-          }
-          bool expected = false;
-          if (step3Started_.compare_exchange_strong(expected, true)) {
-            step3T0_ = std::chrono::steady_clock::now();
-          }
-          selector_->selectCluster(clusters[k], chosen_);
-        },
-        deps);
-  }
+  addClusterJobs(graph, clusters, s2Id);
 
   {
     PAO_TRACE_SCOPE("oracle.pipeline");
@@ -335,6 +304,39 @@ void OracleSession::buildAll() {
                       : 0.0;
   wallSeconds_ = secondsSince(t0);
   designRevision_ = design_->revision();
+}
+
+void OracleSession::addClusterJobs(
+    util::JobGraph& graph, const std::vector<std::vector<int>>& clusters,
+    std::span<const util::JobId> classStep2) {
+  const std::vector<std::vector<std::size_t>> cDeps = clusterDeps(clusters);
+  const std::vector<int>& classOf = index_.classes().classOf;
+  std::vector<util::JobId> ids(clusters.size());
+  std::vector<util::JobId> deps;
+  for (std::size_t k = 0; k < clusters.size(); ++k) {
+    deps.clear();
+    if (!classStep2.empty()) {
+      for (const int inst : clusters[k]) {
+        const int cls = classOf[inst];
+        if (cls >= 0) deps.push_back(classStep2[static_cast<std::size_t>(cls)]);
+      }
+    }
+    for (const std::size_t d : cDeps[k]) deps.push_back(ids[d]);
+    std::sort(deps.begin(), deps.end());
+    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+    ids[k] = graph.addJob(
+        [this, k, &clusters] {
+          if (pendingSteps12_.load(std::memory_order_acquire) > 0) {
+            overlapJobs_.fetch_add(1, std::memory_order_relaxed);
+          }
+          bool expected = false;
+          if (step3Started_.compare_exchange_strong(expected, true)) {
+            step3T0_ = std::chrono::steady_clock::now();
+          }
+          selector_->selectCluster(clusters[k], chosen_);
+        },
+        deps);
+  }
 }
 
 void OracleSession::trivialSelection() {
@@ -461,26 +463,13 @@ void OracleSession::recomputeAfterMutation(const std::vector<int>& touched) {
     }
   }
 
-  // Re-run the DP for dirty clusters only, as a job graph whose edges chain
-  // dirty clusters sharing a multi-height instance (clusterDeps) so those
-  // replay their serial pinning order while disjoint ones overlap. Each
-  // mutation gets a fresh Step-3 budget.
+  // Re-run the DP for dirty clusters only, on the same job-graph shape as
+  // the initial build: disjoint clusters overlap, chained ones replay their
+  // serial pinning order. Each mutation gets a fresh Step-3 budget.
   selector_->armBudget();
   {
     util::JobGraph graph;
-    const std::vector<std::vector<std::size_t>> deps =
-        clusterDeps(dirtyClusters);
-    std::vector<util::JobId> ids(dirtyClusters.size());
-    std::vector<util::JobId> depIds;
-    for (std::size_t k = 0; k < dirtyClusters.size(); ++k) {
-      depIds.clear();
-      for (const std::size_t d : deps[k]) depIds.push_back(ids[d]);
-      ids[k] = graph.addJob(
-          [this, k, &dirtyClusters] {
-            selector_->selectCluster(dirtyClusters[k], chosen_);
-          },
-          depIds);
-    }
+    addClusterJobs(graph, dirtyClusters, {});
     graph.run(cfg_.numThreads);
     stats_.graphJobs += graph.stats().jobs;
     stats_.graphSteals += graph.stats().steals;
@@ -511,31 +500,19 @@ void OracleSession::recordBudgetExpiry() {
 std::optional<OracleResult::ChosenAp> OracleSession::chosenAp(
     int instIdx, int sigPinPos) const {
   const int cls = index_.classes().classOf[instIdx];
-  if (cls < 0 || classReady_[cls] == 0) return std::nullopt;
-  const ClassAccess& ca = classes_[cls];
-  const int pat = chosen_[instIdx];
-  if (pat < 0 || pat >= static_cast<int>(ca.patterns.size())) {
-    return std::nullopt;
-  }
-  if (sigPinPos >= static_cast<int>(ca.patterns[pat].apIdx.size())) {
-    return std::nullopt;
-  }
-  const int apIdx = ca.patterns[pat].apIdx[sigPinPos];
-  if (apIdx < 0) return std::nullopt;
-  const AccessPoint& ap = ca.pinAps[sigPinPos][apIdx];
-  return OracleResult::ChosenAp{
-      &ap, ap.loc + design_->instances[instIdx].origin};
+  if (cls < 0) return std::nullopt;
+  return placeChosenAp(classes_[cls], chosen_[instIdx], sigPinPos,
+                       design_->instances[instIdx].origin);
 }
 
 OracleResult OracleSession::snapshot() const {
   OracleResult r;
   r.unique = index_.classes();
-  r.classes.resize(classes_.size());
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    const db::UniqueInstance& ui = r.unique.classes[c];
-    if (ui.members.empty() || classReady_[c] == 0) continue;
-    r.classes[c] = AccessCache::translate(
-        classes_[c], design_->instances[ui.representative].origin);
+  // Same origin-relative frame as classes_; a class left without members
+  // reads as empty, as in a fresh run.
+  r.classes = classes_;
+  for (std::size_t c = 0; c < r.classes.size(); ++c) {
+    if (r.unique.classes[c].members.empty()) r.classes[c] = ClassAccess{};
   }
   r.chosenPattern = chosen_;
   r.degraded = degraded_;

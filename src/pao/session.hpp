@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "db/unique_inst.hpp"
@@ -35,6 +36,7 @@
 #include "pao/access_cache.hpp"
 #include "pao/cluster_select.hpp"
 #include "pao/oracle.hpp"
+#include "util/jobs.hpp"
 
 #if PAO_OBS_ENABLED
 #include "obs/profile.hpp"
@@ -72,15 +74,20 @@ class OracleSession {
   /// instance's origin to place an access point). The reference is
   /// invalidated by mutations that create a new class.
   const ClassAccess& classAccess(int cls) const { return classes_[cls]; }
+  /// Every class's access, parallel to unique().classes (same frame). The
+  /// vector object lives as long as the session; its elements follow the
+  /// classAccess() invalidation rule.
+  const std::vector<ClassAccess>& classAccesses() const { return classes_; }
   /// Chosen pattern per instance (-1 when the class has none).
   const std::vector<int>& chosenPattern() const { return chosen_; }
   /// The access point chosen for (instance, signal-pin position), placed at
   /// the instance's current location.
   std::optional<OracleResult::ChosenAp> chosenAp(int instIdx,
                                                  int sigPinPos) const;
-  /// Batch-equivalent result: classes translated to representative design
-  /// coordinates, exactly what PinAccessOracle::run() returns. Timings
-  /// describe the initial full analysis, not later mutations.
+  /// Batch-equivalent result, exactly what PinAccessOracle::run() returns:
+  /// the classes are copied as held (origin-relative), with classes left
+  /// without members empty. Timings describe the initial full analysis, not
+  /// later mutations.
   OracleResult snapshot() const;
 
   /// Graceful-degradation events accumulated so far (cfg.keepGoing class
@@ -151,6 +158,13 @@ class OracleSession {
   /// the DP for dirty clusters only (`touched` = instances whose geometry
   /// or class changed in this mutation).
   void recomputeAfterMutation(const std::vector<int>& touched);
+  /// Adds one Step-3 DP node per cluster to `graph`, chained by
+  /// clusterDeps; with `classStep2` (the initial build) each node also
+  /// depends on its member classes' Step-2 nodes. The one way both the
+  /// build and a mutation schedule Step 3. `clusters` must outlive the run.
+  void addClusterJobs(util::JobGraph& graph,
+                      const std::vector<std::vector<int>>& clusters,
+                      std::span<const util::JobId> classStep2);
   /// The no-Step-3 selection (legacy / runClusterSelection == false).
   void trivialSelection();
   /// Appends a "step3_budget" DegradedEvent when the last selection pass

@@ -7,13 +7,23 @@ using geom::Point;
 
 AccessSource::AccessSource(const db::Design& design,
                            const core::OracleResult& result, AccessMode mode)
-    : design_(&design), result_(&result), mode_(mode) {
-  buildCentroids();
-}
+    : AccessSource(design, result.unique, result.classes, result.chosenPattern,
+                   mode) {}
 
 AccessSource::AccessSource(const db::Design& design,
                            const core::OracleSession& session, AccessMode mode)
-    : design_(&design), session_(&session), mode_(mode) {
+    : AccessSource(design, session.unique(), session.classAccesses(),
+                   session.chosenPattern(), mode) {}
+
+AccessSource::AccessSource(const db::Design& design,
+                           const db::UniqueInstances& unique,
+                           const std::vector<core::ClassAccess>& classes,
+                           const std::vector<int>& chosen, AccessMode mode)
+    : design_(&design),
+      unique_(&unique),
+      classes_(&classes),
+      chosen_(&chosen),
+      mode_(mode) {
   buildCentroids();
 }
 
@@ -54,37 +64,18 @@ void AccessSource::buildCentroids() {
   }
 }
 
-int AccessSource::classOf(int instIdx) const {
-  return session_ != nullptr ? session_->unique().classOf[instIdx]
-                             : result_->unique.classOf[instIdx];
-}
-
-const core::ClassAccess& AccessSource::classAccess(int cls) const {
-  return session_ != nullptr ? session_->classAccess(cls)
-                             : result_->classes[cls];
-}
-
-Point AccessSource::placeDelta(int instIdx, int cls) const {
-  // Session classes are origin-relative; batch-result classes are stored in
-  // the representative's design coordinates.
-  if (session_ != nullptr) return design_->instances[instIdx].origin;
-  const db::UniqueInstance& ui = result_->unique.classes[cls];
-  return design_->instances[instIdx].origin -
-         design_->instances[ui.representative].origin;
-}
-
 std::optional<PinContact> AccessSource::fromAp(int instIdx,
                                                const AccessPoint& ap) const {
   if (ap.primaryVia(*design_->tech) == nullptr) return std::nullopt;
-  const Point delta = placeDelta(instIdx, classOf(instIdx));
-  return PinContact{ap.primaryVia(*design_->tech), ap.loc + delta};
+  return PinContact{ap.primaryVia(*design_->tech),
+                    ap.loc + design_->instances[instIdx].origin};
 }
 
 std::optional<PinContact> AccessSource::contact(int instIdx,
                                                 int sigPinPos) const {
-  const int cls = classOf(instIdx);
+  const int cls = unique_->classOf[instIdx];
   if (cls < 0) return std::nullopt;
-  const core::ClassAccess& ca = classAccess(cls);
+  const core::ClassAccess& ca = (*classes_)[cls];
   if (sigPinPos >= static_cast<int>(ca.pinAps.size()) ||
       ca.pinAps[sigPinPos].empty()) {
     return std::nullopt;
@@ -99,12 +90,12 @@ std::optional<PinContact> AccessSource::contact(int instIdx,
           it != centroid_.end()
               ? it->second
               : design_->instances[instIdx].bbox().center();
-      const Point delta = placeDelta(instIdx, cls);
+      const Point origin = design_->instances[instIdx].origin;
       const AccessPoint* best = nullptr;
       geom::Coord bestDist = geom::kCoordMax;
       for (const AccessPoint& ap : ca.pinAps[sigPinPos]) {
         if (ap.primaryVia(*design_->tech) == nullptr) continue;
-        const geom::Coord d = geom::manhattanDist(ap.loc + delta, target);
+        const geom::Coord d = geom::manhattanDist(ap.loc + origin, target);
         if (d < bestDist) {
           bestDist = d;
           best = &ap;
@@ -115,9 +106,8 @@ std::optional<PinContact> AccessSource::contact(int instIdx,
     }
     case AccessMode::kPattern: {
       const auto chosen =
-          session_ != nullptr
-              ? session_->chosenAp(instIdx, sigPinPos)
-              : result_->chosenAp(*design_, instIdx, sigPinPos);
+          core::placeChosenAp(ca, (*chosen_)[instIdx], sigPinPos,
+                              design_->instances[instIdx].origin);
       if (!chosen || chosen->ap->primaryVia(*design_->tech) == nullptr) {
         return std::nullopt;
       }

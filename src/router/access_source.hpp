@@ -44,19 +44,19 @@ class AccessSource {
   AccessMode mode() const { return mode_; }
 
  private:
+  /// Both public constructors fill the same view: the classes, their
+  /// origin-relative access and the chosen patterns, read live.
+  AccessSource(const db::Design& design, const db::UniqueInstances& unique,
+               const std::vector<core::ClassAccess>& classes,
+               const std::vector<int>& chosen, AccessMode mode);
   void buildCentroids();
-  int classOf(int instIdx) const;
-  /// The class's Steps 1-2 access plus the translation that places its
-  /// access points at `instIdx`'s location (origin-relative for sessions,
-  /// representative-relative for batch results).
-  const core::ClassAccess& classAccess(int cls) const;
-  geom::Point placeDelta(int instIdx, int cls) const;
   std::optional<PinContact> fromAp(int instIdx, const core::AccessPoint& ap)
       const;
 
   const db::Design* design_;
-  const core::OracleResult* result_ = nullptr;
-  const core::OracleSession* session_ = nullptr;
+  const db::UniqueInstances* unique_;
+  const std::vector<core::ClassAccess>* classes_;
+  const std::vector<int>* chosen_;
   AccessMode mode_;
   /// Net centroid per (inst, sigPinPos) for the greedy mode.
   std::map<std::pair<int, int>, geom::Point> centroid_;

@@ -10,7 +10,7 @@
 #include "geom/grid_index.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/executor.hpp"
+#include "util/jobs.hpp"
 
 namespace pao::router {
 
@@ -86,6 +86,37 @@ std::map<std::pair<int, int>, int> buildNetOf(const db::Design& design) {
     }
   }
   return netOf;
+}
+
+/// Calls f(shape) for every instance pin shape and obstruction of `design`,
+/// fixed. A signal pin takes its design net from `netOf`, else the next id
+/// from `synthetic` (one per pin, in instance then pin order); supply pins
+/// and obstructions are foreign metal (kObsNet).
+template <typename F>
+void forEachFixedShape(const db::Design& design,
+                       const std::map<std::pair<int, int>, int>& netOf,
+                       int& synthetic, F&& f) {
+  std::vector<int> pinNet;
+  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
+    const db::Instance& inst = design.instances[i];
+    pinNet.clear();
+    for (int p = 0; p < static_cast<int>(inst.master->pins.size()); ++p) {
+      int net = drc::Shape::kObsNet;
+      if (!inst.master->pins[p].isSupply()) {
+        const auto it = netOf.find({i, p});
+        net = it != netOf.end() ? it->second : synthetic++;
+      }
+      pinNet.push_back(net);
+    }
+    db::forEachPlacedShape(inst, [&](const Rect& r, int layer, int p) {
+      if (p < 0) {
+        f(drc::Shape{r, layer, drc::Shape::kObsNet,
+                     drc::ShapeKind::kObstruction, true});
+      } else {
+        f(drc::Shape{r, layer, pinNet[p], drc::ShapeKind::kPin, true});
+      }
+    });
+  }
 }
 
 }  // namespace
@@ -236,31 +267,10 @@ void DetailedRouter::seedFixed(
                           viaHaloY_[layer] + extra);
   };
   int synthetic = static_cast<int>(design.nets.size());
-  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
-    const db::Instance& inst = design.instances[i];
-    const geom::Transform xf = inst.transform();
-    const db::Master& master = *inst.master;
-    for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
-      const db::Pin& pin = master.pins[p];
-      const bool isSupply =
-          pin.use == db::PinUse::kPower || pin.use == db::PinUse::kGround;
-      int net = drc::Shape::kObsNet;
-      if (!isSupply) {
-        const auto it = netOf.find({i, p});
-        net = it != netOf.end() ? it->second : synthetic++;
-      }
-      for (const db::PinShape& sh : pin.shapes) {
-        block(xf.apply(sh.rect), sh.layer, net);
-        fixed_.add({xf.apply(sh.rect), sh.layer, net, drc::ShapeKind::kPin,
-                    true});
-      }
-    }
-    for (const db::Obstruction& o : master.obstructions) {
-      block(xf.apply(o.rect), o.layer, drc::Shape::kObsNet);
-      fixed_.add({xf.apply(o.rect), o.layer, drc::Shape::kObsNet,
-                  drc::ShapeKind::kObstruction, true});
-    }
-  }
+  forEachFixedShape(design, netOf, synthetic, [&](const drc::Shape& s) {
+    block(s.rect, s.layer, s.net);
+    fixed_.add(s);
+  });
   for (int i = 0; i < static_cast<int>(design.ioPins.size()); ++i) {
     // IO pins keep their own net id (found via net terms).
     int net = synthetic++;
@@ -281,29 +291,8 @@ std::vector<drc::Violation> DetailedRouter::runDrc(
   const db::Design& design = *design_;
   drc::DrcEngine engine(*design.tech);
   int synthetic = static_cast<int>(design.nets.size()) + 1000000;
-  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
-    const db::Instance& inst = design.instances[i];
-    const geom::Transform xf = inst.transform();
-    const db::Master& master = *inst.master;
-    for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
-      const db::Pin& pin = master.pins[p];
-      const bool isSupply =
-          pin.use == db::PinUse::kPower || pin.use == db::PinUse::kGround;
-      int net = drc::Shape::kObsNet;
-      if (!isSupply) {
-        const auto it = netOf.find({i, p});
-        net = it != netOf.end() ? it->second : synthetic++;
-      }
-      for (const db::PinShape& sh : pin.shapes) {
-        engine.region().add(
-            {xf.apply(sh.rect), sh.layer, net, drc::ShapeKind::kPin, true});
-      }
-    }
-    for (const db::Obstruction& o : master.obstructions) {
-      engine.region().add({xf.apply(o.rect), o.layer, drc::Shape::kObsNet,
-                           drc::ShapeKind::kObstruction, true});
-    }
-  }
+  forEachFixedShape(design, netOf, synthetic,
+                    [&](const drc::Shape& s) { engine.region().add(s); });
   for (const RouteShape& sh : shapes) {
     engine.region().add({sh.rect, sh.layer, sh.net,
                          sh.isVia ? drc::ShapeKind::kVia

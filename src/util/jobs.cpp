@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "util/executor.hpp"
-
 #include "obs/enabled.hpp"
 #if PAO_OBS_ENABLED
 #include <chrono>
@@ -32,6 +30,24 @@ std::int64_t nowNs() {
 #endif
 
 }  // namespace
+
+int resolveThreads(int numThreads) {
+  if (numThreads >= 1) return numThreads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
+                 int numThreads) {
+  if (n == 0) return;
+  // A single-layer graph: n dependency-free jobs sharing one body. The
+  // graph's contract subsumes the fork-join one — every index is attempted,
+  // the lowest failing index's exception is rethrown, and a nested call
+  // degrades to serial on the calling worker.
+  JobGraph graph;
+  graph.addJobRange(n, fn);
+  graph.run(numThreads);
+}
 
 bool JobGraph::insideJob() { return gInsideJobRun; }
 

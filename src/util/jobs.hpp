@@ -45,8 +45,18 @@
 // analysis. With PAO_OBS=OFF the capture, the member and the accessor
 // compile out entirely (the ci.sh nm gate checks no obs symbol survives).
 //
-// parallelFor (util/executor.hpp) is a thin wrapper: one addJobRange over
-// a dependency-free graph.
+// parallelFor (below) is a thin wrapper: one addJobRange over a
+// dependency-free graph. It keeps the fork-join contract callers rely on:
+//
+//   * Result ordering is the caller's: task i writes into slot i of a
+//     pre-sized output, so the result sequence is independent of the
+//     schedule.
+//   * Every index is attempted even after a failure, and the exception of
+//     the LOWEST failing index is rethrown — what a caller observes serially
+//     when each task's failure is recorded and the first one reported.
+//   * Nested calls degrade to serial on the calling worker instead of
+//     spawning threads-squared workers, so library layers may parallelize
+//     independently.
 #pragma once
 
 #include <atomic>
@@ -70,6 +80,17 @@
 namespace pao::util {
 
 using JobId = std::uint32_t;
+
+/// Worker count a request resolves to: n >= 1 is taken as-is; n <= 0 means
+/// std::thread::hardware_concurrency (at least 1).
+int resolveThreads(int numThreads);
+
+/// Invokes fn(i) for every i in [0, n) across up to resolveThreads(numThreads)
+/// workers (the calling thread is one of them). Tasks must be independent;
+/// scheduling is dynamic (work stealing) so uneven task costs balance. See
+/// the header comment for the determinism contract.
+void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
+                 int numThreads);
 
 class JobGraph {
  public:

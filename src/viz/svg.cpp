@@ -79,20 +79,16 @@ std::string renderRegion(const db::Design& design, geom::Rect window,
          << "\" font-size=\"8\" fill=\"#666666\">" << inst.name
          << "</text>\n";
     }
-    const geom::Transform xf = inst.transform();
-    for (const db::Pin& pin : inst.master->pins) {
-      const bool supply =
-          pin.use == db::PinUse::kPower || pin.use == db::PinUse::kGround;
-      for (const db::PinShape& shape : pin.shapes) {
-        if (!layerOk(shape.layer)) continue;
-        emitRect(xf.apply(shape.rect),
-                 layerColor(*design.tech, shape.layer), supply ? 0.15 : 0.45);
-      }
-    }
-    for (const db::Obstruction& o : inst.master->obstructions) {
-      if (!layerOk(o.layer)) continue;
-      emitRect(xf.apply(o.rect), "#555555", 0.25);
-    }
+    db::forEachPlacedShape(
+        inst, [&](const geom::Rect& r, int layer, int pin) {
+          if (!layerOk(layer)) return;
+          if (pin < 0) {
+            emitRect(r, "#555555", 0.25);
+          } else {
+            emitRect(r, layerColor(*design.tech, layer),
+                     inst.master->pins[pin].isSupply() ? 0.15 : 0.45);
+          }
+        });
   }
 
   // Extra (routed) shapes.

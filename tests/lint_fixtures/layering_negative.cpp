@@ -7,7 +7,7 @@
 #include <mutex>
 #include <vector>
 
-#include "util/executor.hpp"
+#include "util/jobs.hpp"
 #include "db/design.hpp"
 #include "pao/oracle.hpp"
 #include "obs/metrics.hpp"

@@ -122,10 +122,7 @@ core::FailedPinStats countFailedPins(const db::Design& design,
       const int cls = result.unique.classOf[ref.inst];
       bool anyClean = false;
       if (cls >= 0 && !result.classes[cls].pinAps.empty()) {
-        const db::UniqueInstance& ui = result.unique.classes[cls];
-        const geom::Point delta =
-            design.instances[ref.inst].origin -
-            design.instances[ui.representative].origin;
+        const geom::Point delta = design.instances[ref.inst].origin;
         for (const AccessPoint& ap :
              result.classes[cls].pinAps[ref.pinPos]) {
           if (ap.primaryVia(*design.tech) == nullptr) continue;

@@ -66,11 +66,8 @@ TEST_F(AccessSourceFixture, FirstApModeTakesTheFirstPoint) {
   const auto contact = src.contact(inst, pin);
   ASSERT_TRUE(contact.has_value());
   const core::AccessPoint& first = oracle_->classes[cls].pinAps[pin].front();
-  const geom::Point delta =
-      tc_->design->instances[inst].origin -
-      tc_->design->instances[oracle_->unique.classes[cls].representative]
-          .origin;
-  EXPECT_EQ(contact->loc, first.loc + delta);
+  // Class access is origin-relative: the instance origin places it.
+  EXPECT_EQ(contact->loc, first.loc + tc_->design->instances[inst].origin);
 }
 
 TEST_F(AccessSourceFixture, GreedyPicksNearestToCentroid) {
@@ -80,13 +77,10 @@ TEST_F(AccessSourceFixture, GreedyPicksNearestToCentroid) {
   ASSERT_TRUE(contact.has_value());
   // The greedy choice must be one of the pin's generated points.
   const int cls = oracle_->unique.classOf[inst];
-  const geom::Point delta =
-      tc_->design->instances[inst].origin -
-      tc_->design->instances[oracle_->unique.classes[cls].representative]
-          .origin;
+  const geom::Point origin = tc_->design->instances[inst].origin;
   bool found = false;
   for (const core::AccessPoint& ap : oracle_->classes[cls].pinAps[pin]) {
-    if (ap.loc + delta == contact->loc) found = true;
+    if (ap.loc + origin == contact->loc) found = true;
   }
   EXPECT_TRUE(found);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pao/access_cache.hpp"
 #include "pao/ap_gen.hpp"
 #include "pao/pattern_gen.hpp"
 #include "test_util.hpp"
@@ -11,6 +12,30 @@ namespace {
 
 using geom::Point;
 using geom::Rect;
+
+/// Step 3 the way OracleSession schedules it, serially: selectCluster over
+/// every cluster in order.
+std::vector<int> selectAll(ClusterSelector& sel, std::size_t numInsts) {
+  std::vector<int> chosen(numInsts, -1);
+  for (const std::vector<int>& cluster : sel.clusters()) {
+    sel.selectCluster(cluster, chosen);
+  }
+  return chosen;
+}
+
+/// Steps 1-2 of class `c`, normalized to the origin-relative frame every
+/// ClassAccess consumer expects (as OracleSession does after Step 2).
+ClassAccess analyzeClass(const db::Design& d, const db::UniqueInstance& ui,
+                         PatternGenConfig cfg = {}) {
+  const InstContext ctx(d, ui);
+  ClassAccess ca;
+  ca.pinAps = AccessPointGenerator(ctx).generateAll();
+  PatternGenerator gen(ctx, ca.pinAps, cfg);
+  ca.patterns = gen.run();
+  ca.pinOrder = gen.pinOrder();
+  return AccessCache::translate(
+      ca, Point{0, 0} - d.instances[ui.representative].origin);
+}
 
 /// A cell whose boundary pins sit close enough to the edges that two
 /// abutting instances' same-y boundary vias conflict, while staggered-y
@@ -44,14 +69,9 @@ class ClusterFixture : public ::testing::Test {
     classes_.clear();
     classes_.resize(unique_.classes.size());
     for (std::size_t c = 0; c < unique_.classes.size(); ++c) {
-      const InstContext ctx(d, unique_.classes[c]);
-      ClassAccess& ca = classes_[c];
-      ca.pinAps = AccessPointGenerator(ctx).generateAll();
       PatternGenConfig cfg;
       cfg.numPatterns = numPatterns;
-      PatternGenerator gen(ctx, ca.pinAps, cfg);
-      ca.patterns = gen.run();
-      ca.pinOrder = gen.pinOrder();
+      classes_[c] = analyzeClass(d, unique_.classes[c], cfg);
     }
   }
 
@@ -69,10 +89,38 @@ TEST_F(ClusterFixture, ClustersSplitAtGaps) {
   EXPECT_EQ(sel.clusters()[2], (std::vector<int>{3}));
 }
 
+TEST(BuildClusters, MultiHeightCellJoinsEveryRowItCovers) {
+  // Instance order is scrambled on purpose: clusters come out rows
+  // bottom-up, runs left to right, regardless of insertion order.
+  test::TinyDesign td = test::makeTinyDesign({{0, Rect{150, 300, 250, 1100}}});
+  const db::Master* cell = td.lib->findMaster("CELL");
+  db::Master& tall = td.lib->addMaster("TALL");
+  tall.width = 1200;
+  tall.height = 2400;
+  db::Design& d = *td.design;
+  d.instances.clear();
+  const auto place = [&](const char* name, const db::Master* m, Point at) {
+    d.instances.push_back({name, m, at, geom::Orient::R0});
+  };
+  place("u5", cell, {4800, 1200});  // 0
+  place("t", &tall, {1200, 0});     // 1: rows 0 and 1200
+  place("u3", cell, {0, 1200});     // 2
+  place("u0", cell, {0, 0});        // 3
+  place("u4", cell, {2400, 1200});  // 4
+  place("u2", cell, {2400, 0});     // 5
+  d.buildInstanceIndex();
+
+  const std::vector<std::vector<int>> clusters = buildClusters(d);
+  ASSERT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(clusters[0], (std::vector<int>{3, 1, 5}));
+  EXPECT_EQ(clusters[1], (std::vector<int>{2, 1, 4}));
+  EXPECT_EQ(clusters[2], (std::vector<int>{0}));
+}
+
 TEST_F(ClusterFixture, EveryInstanceGetsAPattern) {
   buildDesign({{0, 0}, {1200, 0}, {2400, 0}});
   ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = sel.run();
+  const std::vector<int> chosen = selectAll(sel, 3);
   ASSERT_EQ(chosen.size(), 3u);
   for (const int c : chosen) EXPECT_GE(c, 0);
 }
@@ -80,7 +128,7 @@ TEST_F(ClusterFixture, EveryInstanceGetsAPattern) {
 TEST_F(ClusterFixture, AbuttingInstancesChooseCompatiblePatterns) {
   buildDesign({{0, 0}, {1200, 0}});
   ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = sel.run();
+  const std::vector<int> chosen = selectAll(sel, 2);
 
   // Verify the selection with an independent DRC check of the facing vias.
   const ClassAccess& ca = classes_[unique_.classOf[0]];
@@ -93,20 +141,22 @@ TEST_F(ClusterFixture, AbuttingInstancesChooseCompatiblePatterns) {
   const AccessPoint& right = ca.pinAps[rightPin][apR];
   const AccessPoint& left = ca.pinAps[leftPin][apL];
 
+  // Class access is origin-relative: u0 sits at (0, 0), u1 at (1200, 0).
   drc::DrcEngine engine(*td_.tech);
-  const Point leftLoc = left.loc + Point{1200, 0};  // u1 is shifted by 1200
+  const Point rightLoc = right.loc + td_.design->instances[0].origin;
+  const Point leftLoc = left.loc + td_.design->instances[1].origin;
   EXPECT_TRUE(engine
-                  .checkViaPair(*right.primaryVia(*td_.tech), right.loc, 1,
+                  .checkViaPair(*right.primaryVia(*td_.tech), rightLoc, 1,
                                 *left.primaryVia(*td_.tech), leftLoc, 2)
                   .empty())
-      << "selected boundary vias conflict: " << right.loc << " vs "
+      << "selected boundary vias conflict: " << rightLoc << " vs "
       << leftLoc;
 }
 
 TEST_F(ClusterFixture, SinglePatternModeStillSelects) {
   buildDesign({{0, 0}, {1200, 0}}, /*numPatterns=*/1);
   ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = sel.run();
+  const std::vector<int> chosen = selectAll(sel, 2);
   EXPECT_EQ(chosen[0], 0);
   EXPECT_EQ(chosen[1], 0);
 }
@@ -118,7 +168,7 @@ TEST_F(ClusterFixture, PairChecksAreMemoizedAcrossRepeats) {
   for (int i = 0; i < 20; ++i) origins.push_back({i * 1200, 0});
   buildDesign(origins);
   ClusterSelector sel(*td_.design, unique_, classes_);
-  sel.run();
+  selectAll(sel, origins.size());
   // 19 abutments, 3x3 pattern combos each; without memoization that is
   // > 170 pair evaluations (x2 directions) — with it, at most one per
   // distinct (pattern, pattern) combo.
@@ -145,18 +195,69 @@ TEST_F(ClusterFixture, FillersAreTransparent) {
   std::vector<ClassAccess> classes(unique_.classes.size());
   for (std::size_t c = 0; c < unique_.classes.size(); ++c) {
     if (unique_.classes[c].master->signalPinIndices().empty()) continue;
-    const InstContext ctx(*td_.design, unique_.classes[c]);
-    ClassAccess& ca = classes[c];
-    ca.pinAps = AccessPointGenerator(ctx).generateAll();
-    PatternGenerator gen(ctx, ca.pinAps);
-    ca.patterns = gen.run();
-    ca.pinOrder = gen.pinOrder();
+    classes[c] = analyzeClass(*td_.design, unique_.classes[c]);
   }
   ClusterSelector sel(*td_.design, unique_, classes);
-  const std::vector<int> chosen = sel.run();
+  const std::vector<int> chosen = selectAll(sel, 3);
   EXPECT_GE(chosen[0], 0);
   EXPECT_GE(chosen[1], 0);
   EXPECT_EQ(chosen[2], -1);  // filler has no pattern
+}
+
+TEST(ClusterSelectNets, PinsPastSixtyFourDoNotAliasTheNeighbour) {
+  // A 65-pin master: pin 0 is a bar near the left edge, pin 64 a bar near
+  // the right edge, pins 1-63 pad the index. Two abutting instances share
+  // one class; u0's right boundary AP sits on pin 64, u1's left one on pin
+  // 0. Pattern 0 (cheaper) puts u1's pin-0 via at u0's pin-64 via height,
+  // which violates M1 spacing across the boundary; pattern 1 staggers it.
+  // Net ids that fold instance and pin as inst * 64 + pin would give u0's
+  // pin 64 and u1's pin 0 the same id, and the conflict would pass as a
+  // same-net merge.
+  test::TinyDesign td = test::makeTinyDesign({{0, Rect{150, 300, 250, 1100}}});
+  db::Master* m = const_cast<db::Master*>(td.lib->findMaster("CELL"));
+  for (int p = 1; p <= 64; ++p) {
+    db::Pin& pin = m->pins.emplace_back();
+    pin.name = "P" + std::to_string(p);
+    pin.use = db::PinUse::kSignal;
+  }
+  m->pins[64].shapes.push_back({0, Rect{1010, 300, 1110, 1100}});
+  db::Design& d = *td.design;
+  db::Instance second = d.instances[0];
+  second.name = "u2";
+  second.origin = {1200, 0};
+  d.instances.push_back(second);
+  d.buildInstanceIndex();
+
+  const db::UniqueInstances unique = db::extractUniqueInstances(d);
+  ASSERT_EQ(unique.classes.size(), 1u);
+  const auto ap = [](Point loc) {
+    AccessPoint a;
+    a.loc = loc;
+    a.layer = 0;
+    a.dirs = kUp;
+    a.viaIdx.push_back(0);
+    return a;
+  };
+  std::vector<ClassAccess> classes(1);
+  ClassAccess& ca = classes[0];
+  ca.pinAps.resize(65);
+  ca.pinAps[0] = {ap({200, 500}), ap({200, 900})};
+  ca.pinAps[64] = {ap({1060, 500})};
+  ca.pinOrder = {0, 64};
+  for (const int pin0Ap : {0, 1}) {
+    AccessPattern pat;
+    pat.apIdx.assign(65, -1);
+    pat.apIdx[0] = pin0Ap;
+    pat.apIdx[64] = 0;
+    pat.cost = pin0Ap * 10;
+    ca.patterns.push_back(pat);
+  }
+
+  ClusterSelector sel(d, unique, classes);
+  ASSERT_EQ(sel.clusters().size(), 1u);
+  const std::vector<int> chosen = selectAll(sel, 2);
+  EXPECT_EQ(chosen[0], 0);
+  EXPECT_EQ(chosen[1], 1) << "the conflicting boundary via was accepted";
 }
 
 }  // namespace

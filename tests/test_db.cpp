@@ -185,5 +185,36 @@ TEST(Legality, DetectsOverlapOffSiteOffDieAndNoRow) {
   EXPECT_EQ(offDie, 1);
 }
 
+TEST(Legality, RowLookupTakesTheFirstRowAtEachY) {
+  // Rows out of y order, two of them at y = 1200 with different x origins,
+  // and a double-height cell. An instance is checked against the FIRST row
+  // in design order at its origin y (ROW_A), so "shift" is off-site even
+  // though ROW_B's grid would accept it.
+  auto td = test::makeTinyDesign({{0, geom::Rect{140, 300, 260, 900}}});
+  Design& d = *td.design;
+  d.rows.push_back({"ROW_A", "core", {0, 1200}, geom::Orient::R0, 4, 1200,
+                    1200});
+  d.rows.push_back({"ROW_0", "core", {0, 0}, geom::Orient::R0, 4, 1200,
+                    1200});
+  d.rows.push_back({"ROW_B", "core", {100, 1200}, geom::Orient::R0, 3, 1200,
+                    1200});
+  const Master* m = td.lib->findMaster("CELL");
+  Master& tall = td.lib->addMaster("TALL");
+  tall.width = 1200;
+  tall.height = 2400;
+  d.instances.push_back({"shift", m, {100, 1200}, geom::Orient::R0});
+  d.instances.push_back({"tall", &tall, {2400, 0}, geom::Orient::R0});
+  d.instances.push_back({"upper", m, {3600, 1200}, geom::Orient::R0});
+  d.instances.push_back({"norow", m, {0, 3000}, geom::Orient::R0});
+  d.buildInstanceIndex();
+
+  const auto violations = checkPlacement(d);
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_EQ(violations[0].kind, PlacementViolation::Kind::kOffSite);
+  EXPECT_EQ(violations[0].instA, 1);
+  EXPECT_EQ(violations[1].kind, PlacementViolation::Kind::kNoRow);
+  EXPECT_EQ(violations[1].instA, 4);
+}
+
 }  // namespace
 }  // namespace pao::db

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/executor.hpp"
+#include "util/jobs.hpp"
 
 namespace pao::util {
 namespace {

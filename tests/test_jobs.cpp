@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "util/executor.hpp"
 #include "util/jobs.hpp"
 
 namespace pao::util {

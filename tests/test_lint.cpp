@@ -227,7 +227,7 @@ TEST(LintExecutorHygiene, AcceptsAllKnownNegatives) {
 }
 
 TEST(LintExecutorHygiene, ExecutorImplementationIsExempt) {
-  const auto fs = lintSource("src/util/executor.cpp",
+  const auto fs = lintSource("src/util/jobs.cpp",
                              "void f() { std::thread t; }", Options());
   EXPECT_TRUE(unsuppressed(fs).empty());
   const auto other =

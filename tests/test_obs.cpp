@@ -13,7 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "util/executor.hpp"
+#include "util/jobs.hpp"
 
 namespace {
 

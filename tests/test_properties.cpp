@@ -195,17 +195,21 @@ TEST_P(SuiteProperty, PaafInvariantsHoldOnEveryPreset) {
   const core::DirtyApStats dirty = core::countDirtyAps(*tc.design, res);
   EXPECT_EQ(dirty.dirtyAps, 0u) << spec.name;
 
-  // Invariant 2: every access point lies on its pin's shapes.
+  // Invariant 2: every access point lies on its pin's shapes (class access
+  // is origin-relative; the context sits at the representative).
   for (std::size_t c = 0; c < res.unique.classes.size(); ++c) {
     const core::ClassAccess& ca = res.classes[c];
     if (ca.pinAps.empty()) continue;
-    const core::InstContext ctx(*tc.design, res.unique.classes[c]);
+    const db::UniqueInstance& ui = res.unique.classes[c];
+    const core::InstContext ctx(*tc.design, ui);
+    const geom::Point repOrigin =
+        tc.design->instances[ui.representative].origin;
     for (std::size_t p = 0; p < ca.pinAps.size(); ++p) {
       for (const core::AccessPoint& ap : ca.pinAps[p]) {
         bool onPin = false;
         for (const geom::Rect& r :
              ctx.pinShapes(ctx.signalPins()[p], ap.layer)) {
-          onPin = onPin || r.contains(ap.loc);
+          onPin = onPin || r.contains(ap.loc + repOrigin);
         }
         EXPECT_TRUE(onPin) << spec.name;
       }

@@ -36,7 +36,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "util/executor.hpp"
+#include "util/jobs.hpp"
 
 namespace {
 

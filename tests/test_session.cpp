@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "benchgen/testcase.hpp"
 #include "pao/oracle.hpp"
@@ -199,6 +200,94 @@ TEST(OracleSession, SnapshotEqualsBatchByteForByte) {
       }
     }
   }
+}
+
+/// Field-by-field equality of two classes' access, with no translation.
+void expectSameClassAccess(const ClassAccess& a, const ClassAccess& b,
+                           std::size_t cls) {
+  SCOPED_TRACE("class " + std::to_string(cls));
+  ASSERT_EQ(a.pinAps.size(), b.pinAps.size());
+  for (std::size_t p = 0; p < a.pinAps.size(); ++p) {
+    ASSERT_EQ(a.pinAps[p].size(), b.pinAps[p].size());
+    for (std::size_t i = 0; i < a.pinAps[p].size(); ++i) {
+      const AccessPoint& x = a.pinAps[p][i];
+      const AccessPoint& y = b.pinAps[p][i];
+      EXPECT_EQ(x.loc, y.loc);
+      EXPECT_EQ(x.layer, y.layer);
+      EXPECT_EQ(x.prefType, y.prefType);
+      EXPECT_EQ(x.nonPrefType, y.nonPrefType);
+      EXPECT_EQ(x.dirs, y.dirs);
+      ASSERT_EQ(x.viaIdx.size(), y.viaIdx.size());
+      for (std::size_t v = 0; v < x.viaIdx.size(); ++v) {
+        EXPECT_EQ(x.viaIdx[v], y.viaIdx[v]);
+      }
+    }
+  }
+  ASSERT_EQ(a.patterns.size(), b.patterns.size());
+  for (std::size_t k = 0; k < a.patterns.size(); ++k) {
+    EXPECT_EQ(a.patterns[k].apIdx, b.patterns[k].apIdx);
+    EXPECT_EQ(a.patterns[k].cost, b.patterns[k].cost);
+    EXPECT_EQ(a.patterns[k].validated, b.patterns[k].validated);
+  }
+  EXPECT_EQ(a.pinOrder, b.pinOrder);
+}
+
+/// The first class with at least two members (its representative can leave
+/// without emptying it).
+int sharedClass(const db::UniqueInstances& unique) {
+  for (std::size_t c = 0; c < unique.classes.size(); ++c) {
+    if (unique.classes[c].members.size() >= 2 &&
+        !unique.classes[c].master->signalPinIndices().empty()) {
+      return static_cast<int>(c);
+    }
+  }
+  return -1;
+}
+
+/// snapshot().classes after a mutation equals `before` for every class that
+/// existed before and still has members.
+void expectPopulatedClassesUnchanged(const OracleSession& session,
+                                     const OracleResult& before) {
+  const OracleResult after = session.snapshot();
+  for (std::size_t c = 0; c < before.classes.size(); ++c) {
+    if (after.unique.classes[c].members.empty()) continue;
+    expectSameClassAccess(after.classes[c], before.classes[c], c);
+  }
+}
+
+TEST(OracleSession, SnapshotCopiesTheOriginRelativeClasses) {
+  const benchgen::Testcase tc = smallCase();
+  const OracleSession session(*tc.design, withBcaConfig());
+  const OracleResult snap = session.snapshot();
+  ASSERT_EQ(snap.classes.size(), session.unique().classes.size());
+  for (std::size_t c = 0; c < snap.classes.size(); ++c) {
+    expectSameClassAccess(snap.classes[c],
+                          session.classAccess(static_cast<int>(c)), c);
+  }
+}
+
+TEST(OracleSession, RepresentativeMoveLeavesSnapshotClassesUnchanged) {
+  benchgen::Testcase tc = smallCase();
+  OracleSession session(*tc.design, withBcaConfig());
+  const OracleResult before = session.snapshot();
+  const int cls = sharedClass(session.unique());
+  ASSERT_GE(cls, 0);
+  const int rep = session.unique().classes[cls].representative;
+  const db::Row& row = tc.design->rows.front();
+  session.moveInstance(
+      rep, geom::Point{row.origin.x + 7 * row.siteWidth, row.origin.y});
+  expectPopulatedClassesUnchanged(session, before);
+}
+
+TEST(OracleSession, RepresentativeRemovalLeavesSnapshotClassesUnchanged) {
+  benchgen::Testcase tc = smallCase();
+  OracleSession session(*tc.design, withBcaConfig());
+  const OracleResult before = session.snapshot();
+  const int cls = sharedClass(session.unique());
+  ASSERT_GE(cls, 0);
+  const int rep = session.unique().classes[cls].representative;
+  session.removeInstance(rep);
+  expectPopulatedClassesUnchanged(session, before);
 }
 
 }  // namespace

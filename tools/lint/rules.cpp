@@ -312,7 +312,7 @@ void ruleExecutorHygiene(std::string_view path, const std::vector<Token>& toks,
       f.line = toks[k].line;
       f.rule = std::string(kRuleExecutorHygiene);
       f.message = "raw std::" + std::string(toks[k + 2].text) +
-                  " outside src/util/executor.*";
+                  " outside src/util/jobs.*";
       f.hint =
           "route parallelism through util::parallelFor so the determinism "
           "and nested-call contracts hold";

@@ -18,7 +18,7 @@
 //                       determinism contract (cf. DrcEngine::checkAll's
 //                       violationLess sort).
 //   executor-hygiene    Raw `std::thread`/`std::jthread`/`std::async` use
-//                       outside src/util/executor.*, or a mutable-capture
+//                       outside src/util/jobs.*, or a mutable-capture
 //                       lambda passed to `parallelFor` (slot-writes, not
 //                       captured mutation, keep parallel results
 //                       deterministic). In service code (Options::
@@ -114,10 +114,9 @@ struct Options {
   /// generic `std::vector` growth-call detection is always on regardless.
   std::vector<AccessorAnnotation> accessors;
   /// Path suffixes exempt from the raw-thread half of executor-hygiene
-  /// (the executor and job-graph implementations themselves must use
-  /// std::thread to build the worker pool).
+  /// (the job-graph executor itself must use std::thread to build the
+  /// worker pool).
   std::vector<std::string> rawThreadExemptSuffixes = {
-      "src/util/executor.cpp", "src/util/executor.hpp",
       "src/util/jobs.cpp", "src/util/jobs.hpp"};
   /// Path substrings exempt from diag-hygiene: the generic error machinery
   /// itself (src/util/), the CLI front ends (tools/, whose main() catches

@@ -167,7 +167,7 @@ struct RobustOpts {
 
   void apply(core::OracleConfig& cfg) const {
     cfg.keepGoing = keepGoing;
-    cfg.step3BudgetSeconds = step3Budget;
+    cfg.clusterSelect.budgetSeconds = step3Budget;
   }
 };
 
