@@ -1,17 +1,21 @@
-// Thread-scaling bench for the failed-pin evaluation (ROADMAP items 1 and
-// 3): builds the huge preset in memory at PAO_SCALE (default 0.05, ~75k
-// instances), runs the BCA oracle once, then times countFailedPins on the
-// result at 1 and at 4 worker threads, best of 3 each. BENCH_scaling.json
-// records the pin count, both best wall times and the speedup.
+// Thread-scaling bench for the oracle and the failed-pin evaluation
+// (ROADMAP items 1 and 3): builds the huge preset in memory at PAO_SCALE
+// (default 0.05, ~75k instances), then times the BCA oracle run (the
+// session build PinAccessOracle::run wraps) and countFailedPins on its
+// result, each at 1 and at 4 worker threads, best of 3 each.
+// BENCH_scaling.json records the pin count, the best wall times and the
+// speedups.
 //
 // Self-check (exit 1 on failure):
-//   * the 4-thread stats equal the 1-thread stats: counts and every detail,
-//     violations included;
-//   * the 4-thread wall time is at least kMinSpeedup times faster than the
-//     1-thread one.
-// The speedup gate is skipped, with the reason logged, on hosts with fewer
+//   * the 4-thread oracle chooses the same patterns and runs the same
+//     number of Step-3 pair checks as the 1-thread one;
+//   * the 4-thread failed-pin stats equal the 1-thread stats: counts and
+//     every detail, violations included;
+//   * at 4 threads the oracle is at least kMinOracleSpeedup and the
+//     evaluation at least kMinSpeedup times faster than at 1 thread.
+// The speedup gates are skipped, with the reason logged, on hosts with fewer
 // than 4 hardware threads and in sanitizer builds, whose instrumentation
-// does not scale like the plain code. The equality check always runs.
+// does not scale like the plain code. The equality checks always run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -25,12 +29,14 @@
 #include "lefdef/stream.hpp"
 #include "pao/evaluate.hpp"
 #include "pao/oracle.hpp"
+#include "pao/session.hpp"
 
 using namespace pao;
 
 namespace {
 
 constexpr double kMinSpeedup = 1.6;
+constexpr double kMinOracleSpeedup = 2.0;
 constexpr int kGateThreads = 4;
 constexpr int kReps = 3;
 
@@ -50,6 +56,31 @@ bool sameStats(const core::FailedPinStats& a, const core::FailedPinStats& b) {
     }
   }
   return true;
+}
+
+struct OracleRun {
+  double seconds = std::numeric_limits<double>::infinity();
+  core::OracleResult result;
+  std::size_t pairChecks = 0;
+};
+
+/// Best wall time of kReps BCA oracle runs at `threads` workers, with the
+/// last run's result and Step-3 pair-check count.
+OracleRun bestOracle(const db::Design& design, int threads) {
+  core::OracleConfig cfg = core::withBcaConfig();
+  cfg.numThreads = threads;
+  OracleRun out;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::OracleSession session(design, cfg);
+    out.result = session.snapshot();
+    out.seconds = std::min(out.seconds, std::chrono::duration<double>(
+                                            std::chrono::steady_clock::now() -
+                                            t0)
+                                            .count());
+    out.pairChecks = session.stats().pairChecks;
+  }
+  return out;
 }
 
 /// Best wall time of kReps countFailedPins runs at `threads` workers; the
@@ -85,9 +116,13 @@ int main() {
     lefdef::parseDef(def.str(), design);
   }
 
-  core::OracleConfig cfg = core::withBcaConfig();
-  cfg.numThreads = 0;
-  core::OracleResult result = core::PinAccessOracle(design, cfg).run();
+  OracleRun oracleSerial = bestOracle(design, 1);
+  const OracleRun oracleParallel = bestOracle(design, kGateThreads);
+  const double oracleSpeedup = oracleParallel.seconds > 0
+                                   ? oracleSerial.seconds /
+                                         oracleParallel.seconds
+                                   : 0;
+  core::OracleResult& result = oracleSerial.result;
 
   core::FailedPinStats serial;
   core::FailedPinStats parallel;
@@ -98,30 +133,51 @@ int main() {
       parallelSeconds > 0 ? serialSeconds / parallelSeconds : 0;
   const unsigned hw = std::thread::hardware_concurrency();
 
-  std::printf("countFailedPins scaling on %s (scale %.3g)\n",
+  std::printf("oracle and countFailedPins scaling on %s (scale %.3g)\n",
               spec.name.c_str(), scale);
   std::printf("%-34s | %12s\n", "quantity", "value");
   bench::printRule(50);
   std::printf("%-34s | %12zu\n", "instances", design.instances.size());
   std::printf("%-34s | %12zu\n", "net-attached pins", serial.totalPins);
   std::printf("%-34s | %12zu\n", "failed pins", serial.failedPins);
+  std::printf("%-34s | %12zu\n", "step-3 pair checks",
+              oracleSerial.pairChecks);
   std::printf("%-34s | %12u\n", "hardware threads", hw);
-  std::printf("%-34s | %12.3f\n", "best seconds, 1 thread", serialSeconds);
-  std::printf("%-34s | %12.3f\n", "best seconds, 4 threads", parallelSeconds);
-  std::printf("%-34s | %12.2f\n", "speedup", speedup);
+  std::printf("%-34s | %12.3f\n", "oracle best seconds, 1 thread",
+              oracleSerial.seconds);
+  std::printf("%-34s | %12.3f\n", "oracle best seconds, 4 threads",
+              oracleParallel.seconds);
+  std::printf("%-34s | %12.2f\n", "oracle speedup", oracleSpeedup);
+  std::printf("%-34s | %12.3f\n", "eval best seconds, 1 thread",
+              serialSeconds);
+  std::printf("%-34s | %12.3f\n", "eval best seconds, 4 threads",
+              parallelSeconds);
+  std::printf("%-34s | %12.2f\n", "eval speedup", speedup);
   std::fflush(stdout);
 
   report.bench()
       .set("instances", obs::Json(design.instances.size()))
       .set("pins", obs::Json(serial.totalPins))
       .set("failedPins", obs::Json(serial.failedPins))
+      .set("pairChecks", obs::Json(oracleSerial.pairChecks))
       .set("hardwareThreads", obs::Json(static_cast<long long>(hw)))
+      .set("oracleSerialSeconds", obs::Json(oracleSerial.seconds))
+      .set("oracleParallelSeconds", obs::Json(oracleParallel.seconds))
+      .set("oracleSpeedup", obs::Json(oracleSpeedup))
       .set("serialSeconds", obs::Json(serialSeconds))
       .set("parallelSeconds", obs::Json(parallelSeconds))
       .set("speedup", obs::Json(speedup));
   report.write();
 
   bool ok = true;
+  if (oracleParallel.result.chosenPattern != result.chosenPattern ||
+      oracleParallel.pairChecks != oracleSerial.pairChecks) {
+    std::fprintf(stderr,
+                 "selfcheck FAILED: the oracle at %d threads differs from 1 "
+                 "thread\n",
+                 kGateThreads);
+    ok = false;
+  }
   if (!sameStats(serial, parallel)) {
     std::fprintf(stderr,
                  "selfcheck FAILED: countFailedPins at %d threads differs "
@@ -131,18 +187,23 @@ int main() {
   }
   if (hw < static_cast<unsigned>(kGateThreads)) {
     std::fprintf(stderr,
-                 "selfcheck: speedup gate skipped: %u hardware thread(s), "
+                 "selfcheck: speedup gates skipped: %u hardware thread(s), "
                  "need %d\n",
                  hw, kGateThreads);
   } else if (kSanitized) {
     std::fprintf(stderr,
-                 "selfcheck: speedup gate skipped: sanitizer build\n");
-  } else if (speedup < kMinSpeedup) {
-    std::fprintf(stderr,
-                 "selfcheck FAILED: speedup %.2fx at %d threads, need "
-                 "%.2fx\n",
-                 speedup, kGateThreads, kMinSpeedup);
-    ok = false;
+                 "selfcheck: speedup gates skipped: sanitizer build\n");
+  } else {
+    const auto gate = [&](const char* what, double got, double need) {
+      if (got >= need) return;
+      std::fprintf(stderr,
+                   "selfcheck FAILED: %s speedup %.2fx at %d threads, need "
+                   "%.2fx\n",
+                   what, got, kGateThreads, need);
+      ok = false;
+    };
+    gate("oracle", oracleSpeedup, kMinOracleSpeedup);
+    gate("countFailedPins", speedup, kMinSpeedup);
   }
   if (ok) std::fprintf(stderr, "selfcheck OK\n");
   return ok ? 0 : 1;

@@ -8,9 +8,9 @@
 //   * snapshot() is deterministic under any --threads value: names are
 //     emitted canonically sorted, and every metric the library registers
 //     counts schedule-independent quantities (work items, not races), so
-//     two runs that do the same work produce byte-identical snapshots. Racy
-//     quantities (e.g. ClusterSelector::numPairChecks, which can recompute
-//     a memo entry under contention) are deliberately NOT registry-backed.
+//     two runs that do the same work produce byte-identical snapshots.
+//     Schedule-dependent quantities (e.g. job-graph steals) are deliberately
+//     NOT registry-backed.
 //   * Naming convention (enforced by the pao_lint `obs-naming` rule):
 //     pao.<phase>.<metric>, dotted lowercase, e.g.
 //     pao.step3.cluster_dp_runs. See DESIGN.md "Observability".

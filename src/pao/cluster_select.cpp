@@ -88,8 +88,36 @@ ClusterSelector::ClusterSelector(const db::Design& design,
       unique_(&unique),
       classes_(&classes),
       cfg_(cfg),
-      pairEngine_(*design.tech),
-      clusters_(buildClusters(design)) {}
+      pairEngine_(*design.tech) {
+  for (const db::Layer& l : design.tech->layers()) {
+    halo_ = std::max(halo_, drc::maxSpacingHalo(l) * 2);
+  }
+}
+
+ClusterSelector::PairKey ClusterSelector::pairKey(int instA, int instB) const {
+  const geom::Point oa = design_->instances[instA].origin;
+  const geom::Point ob = design_->instances[instB].origin;
+  return {unique_->classOf[instA], unique_->classOf[instB], ob.x - oa.x,
+          ob.y - oa.y};
+}
+
+void ClusterSelector::addPairKeys(
+    const std::vector<std::vector<int>>& clusters) {
+  for (const std::vector<int>& cluster : clusters) {
+    for (std::size_t i = 1; i < cluster.size(); ++i) {
+      const PairKey key = pairKey(cluster[i - 1], cluster[i]);
+      if (pairIndex_.emplace(key, pairSlots_.size()).second) {
+        pairSlots_.emplace_back();
+      }
+    }
+  }
+}
+
+std::size_t ClusterSelector::numPairChecks() const {
+  std::size_t n = 0;
+  for (const PairSlot& slot : pairSlots_) n += slot.checks;
+  return n;
+}
 
 std::vector<ClusterSelector::PlacedAp> ClusterSelector::boundaryAps(
     int inst, int pat, int side) const {
@@ -117,13 +145,12 @@ std::vector<ClusterSelector::PlacedAp> ClusterSelector::boundaryAps(
   return out;
 }
 
-std::vector<drc::Shape> ClusterSelector::edgeShapes(int inst, int side,
-                                                    geom::Coord boundaryX,
-                                                    geom::Coord halo) const {
+std::vector<drc::Shape> ClusterSelector::edgeShapes(
+    int inst, int side, geom::Coord boundaryX) const {
   std::vector<drc::Shape> out;
   const db::Instance& instance = design_->instances[inst];
-  const geom::Rect band{boundaryX - halo, instance.bbox().ylo - halo,
-                        boundaryX + halo, instance.bbox().yhi + halo};
+  const geom::Rect band{boundaryX - halo_, instance.bbox().ylo - halo_,
+                        boundaryX + halo_, instance.bbox().yhi + halo_};
   db::forEachPlacedShape(
       instance, [&](const geom::Rect& r, int layer, int pin) {
         if (!r.intersects(band)) return;
@@ -140,39 +167,14 @@ std::vector<drc::Shape> ClusterSelector::edgeShapes(int inst, int side,
   return out;
 }
 
-bool ClusterSelector::patternsCompatible(int instA, int patA, int instB,
-                                         int patB) {
-  const int clsA = unique_->classOf[instA];
-  const int clsB = unique_->classOf[instB];
-  const geom::Point oa = design_->instances[instA].origin;
-  const geom::Point ob = design_->instances[instB].origin;
-  const auto key = std::make_tuple(clsA, patA, clsB, patB, ob.x - oa.x,
-                                   ob.y - oa.y);
-  {
-    std::lock_guard<std::mutex> lock(cacheMu_);
-    const auto it = pairCache_.find(key);
-    if (it != pairCache_.end()) return it->second;
-  }
-
+void ClusterSelector::fillSlot(PairSlot& slot, int instA, int instB) const {
   // Only the up-vias of boundary access points participate (Sec. III-C);
   // each one is checked against the facing via and the facing instance's
   // fixed shapes near the shared cell edge.
   const geom::Coord boundaryX = design_->instances[instB].origin.x;
-  geom::Coord halo = 0;
-  for (const db::Layer& l : design_->tech->layers()) {
-    halo = std::max(halo, drc::maxSpacingHalo(l) * 2);
-  }
-  const std::vector<drc::Shape> edgeA = edgeShapes(instA, 0, boundaryX, halo);
-  const std::vector<drc::Shape> edgeB = edgeShapes(instB, 1, boundaryX, halo);
-
-  bool clean = true;
-  const std::vector<PlacedAp> left = boundaryAps(instA, patA, 0);
-  const std::vector<PlacedAp> right = boundaryAps(instB, patB, 1);
+  const std::vector<drc::Shape> edgeA = edgeShapes(instA, 0, boundaryX);
+  const std::vector<drc::Shape> edgeB = edgeShapes(instB, 1, boundaryX);
   const db::Tech& tech = *design_->tech;
-  // Probes are tallied locally and committed only if this thread's result
-  // wins the memo-cache insert below, which makes the published count equal
-  // to the serial one at any thread count (see numPairChecks()).
-  std::size_t localChecks = 0;
   const auto viaClean = [&](const PlacedAp& ap,
                             const std::vector<drc::Shape>& ownEdge,
                             const std::vector<drc::Shape>& otherEdge,
@@ -189,40 +191,43 @@ bool ClusterSelector::patternsCompatible(int instA, int patA, int instB,
         extra.push_back(s);
       }
     }
-    ++localChecks;
+    ++slot.checks;
     return pairEngine_.isViaClean(*ap.ap->primaryVia(tech), ap.loc, ap.net,
                                   extra);
   };
-  for (const PlacedAp& a : left) {
-    for (const PlacedAp& b : right) {
-      if (!viaClean(a, edgeA, edgeB, &b) || !viaClean(b, edgeB, edgeA, &a)) {
-        clean = false;
-        break;
+  const auto pairClean = [&](const std::vector<PlacedAp>& left,
+                             const std::vector<PlacedAp>& right) {
+    for (const PlacedAp& a : left) {
+      for (const PlacedAp& b : right) {
+        if (!viaClean(a, edgeA, edgeB, &b) || !viaClean(b, edgeB, edgeA, &a)) {
+          return false;
+        }
+      }
+      // A boundary via may clip the neighbor's fixed shapes even when the
+      // neighbor has no via nearby.
+      if (right.empty() && !viaClean(a, edgeA, edgeB, nullptr)) return false;
+    }
+    if (left.empty()) {
+      for (const PlacedAp& b : right) {
+        if (!viaClean(b, edgeB, edgeA, nullptr)) return false;
       }
     }
-    if (!clean) break;
-    // A boundary via may clip the neighbor's fixed shapes even when the
-    // neighbor has no via nearby.
-    if (right.empty() && !viaClean(a, edgeA, edgeB, nullptr)) clean = false;
+    return true;
+  };
+  const auto numPatterns = [&](int inst) {
+    return (*classes_)[unique_->classOf[inst]].patterns.size();
+  };
+  std::vector<std::vector<PlacedAp>> right;
+  for (std::size_t q = 0; q < numPatterns(instB); ++q) {
+    right.push_back(boundaryAps(instB, static_cast<int>(q), 1));
   }
-  if (left.empty()) {
-    for (const PlacedAp& b : right) {
-      if (!viaClean(b, edgeB, edgeA, nullptr)) {
-        clean = false;
-        break;
-      }
+  for (std::size_t p = 0; p < numPatterns(instA); ++p) {
+    const std::vector<PlacedAp> left =
+        boundaryAps(instA, static_cast<int>(p), 0);
+    for (const std::vector<PlacedAp>& r : right) {
+      slot.clean.push_back(pairClean(left, r) ? 1 : 0);
     }
   }
-  bool committed = false;
-  {
-    std::lock_guard<std::mutex> lock(cacheMu_);
-    committed = pairCache_.emplace(key, clean).second;
-  }
-  if (committed) {
-    numPairChecks_.fetch_add(localChecks, std::memory_order_relaxed);
-    PAO_COUNTER_ADD("pao.step3.pair_checks", localChecks);
-  }
-  return clean;
 }
 
 void ClusterSelector::armBudget() {
@@ -335,14 +340,20 @@ void ClusterSelector::selectCluster(const std::vector<int>& cluster,
     const int instB = cluster[active[i]];
     const int instA = cluster[active[i - 1]];
     // Patterns only interact across a shared cell edge; when an inactive
-    // (pattern-less) instance separates them, the pair is compatible.
-    const bool adjacent = active[i] == active[i - 1] + 1;
-    for (int q = 0; q < numPatterns(active[i]); ++q) {
+    // (pattern-less) instance separates them, the pair is compatible. Any
+    // pair with the abutment's key fills its slot the same way.
+    PairSlot* slot = nullptr;
+    if (active[i] == active[i - 1] + 1) {
+      slot = &pairSlots_[pairIndex_.at(pairKey(instA, instB))];
+      std::call_once(slot->filled, [&] { fillSlot(*slot, instA, instB); });
+    }
+    const int numQ = numPatterns(active[i]);
+    for (int q = 0; q < numQ; ++q) {
       if (!allowed(active[i], q)) continue;
       for (int p = 0; p < numPatterns(active[i - 1]); ++p) {
         if (cost[off[i - 1] + p] >= kInf) continue;
         long long ec = patternCost(active[i], q);
-        if (adjacent && !patternsCompatible(instA, p, instB, q)) {
+        if (slot != nullptr && slot->clean[p * numQ + q] == 0) {
           ec += cfg_.drcCost;
         }
         if (cost[off[i - 1] + p] + ec < cost[off[i] + q]) {

@@ -6,17 +6,19 @@
 // each unique instance's access patterns as the group's vertices. Edge costs
 // DRC-check only the up-vias of the *boundary* access points of the two
 // facing patterns (the rightmost pin of the left instance against the
-// leftmost pin of the right instance), and results are memoized by
-// (class, pattern, class, pattern, relative offset) so repeated abutments of
-// the same unique-instance pair cost one check.
+// leftmost pin of the right instance). The verdicts live in a table with
+// one slot per abutment key (class, class, relative offset): every cluster
+// with that abutment shares the slot's full pattern x pattern matrix, filled
+// once by the first DP that needs it and read-only from then on.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <compare>
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <mutex>
-#include <tuple>
+#include <mutex>  // std::once_flag, std::call_once
 #include <vector>
 
 #include "db/unique_inst.hpp"
@@ -71,23 +73,22 @@ class ClusterSelector {
                   const std::vector<ClassAccess>& classes,
                   ClusterSelectConfig cfg = {});
 
+  /// Registers a verdict slot for every abutment key (classes and relative
+  /// offset of consecutive instances) of `clusters` not seen before. Call it
+  /// between graph runs, before selectCluster runs on any of `clusters`.
+  void addPairKeys(const std::vector<std::vector<int>>& clusters);
   /// Runs the DP of one cluster, writing only its own instances' entries of
   /// `chosen` (safe to run concurrently for instance-disjoint clusters).
   /// Entries already >= 0 are pinned: the DP may only keep them. This is the
-  /// unit OracleSession schedules for every cluster; `cluster` need not
-  /// come from this selector's own clustering.
+  /// unit OracleSession schedules for every cluster. The cluster's keys
+  /// must have been added (std::out_of_range otherwise).
   void selectCluster(const std::vector<int>& cluster,
                      std::vector<int>& chosen);
 
-  /// Clusters found (instance indices, left to right) — exposed for tests.
-  const std::vector<std::vector<int>>& clusters() const { return clusters_; }
-  /// Pair checks performed, counted deterministically: each unique memo key
-  /// contributes its via-clean probe count exactly once — when two workers
-  /// race to compute the same uncached pair, only the one whose result is
-  /// committed to the cache adds its probes. The total therefore equals the
-  /// serial count at any thread count (schedule-invariant; mirrored to the
-  /// "pao.step3.pair_checks" registry counter and the session snapshot).
-  std::size_t numPairChecks() const { return numPairChecks_.load(); }
+  /// Via-clean probes run by the filled verdict slots: each key's full
+  /// pattern x pattern matrix, counted once, so the total is the same at any
+  /// thread count. Read it between graph runs.
+  std::size_t numPairChecks() const;
   /// selectCluster invocations that actually ran a DP (clusters with at
   /// least one pattern-bearing instance). Cumulative.
   std::size_t numDpRuns() const { return numDpRuns_.load(); }
@@ -121,17 +122,32 @@ class ClusterSelector {
   /// instance's cheapest standalone pattern; pinned decisions are kept.
   void fallbackSelect(const std::vector<int>& cluster,
                       std::vector<int>& chosen);
-  /// DRC compatibility of two neighboring instances' patterns (memoized).
-  /// Checks the facing boundary access points' up-vias against each other
-  /// AND against the neighbor instance's fixed shapes near the shared edge,
-  /// so a pattern whose boundary via clears the neighbor's vias but clips a
-  /// neighbor pin bar is still rejected.
-  bool patternsCompatible(int instA, int patA, int instB, int patB);
-  /// Fixed shapes (pins/obstructions) of `inst` within `halo` of the
+  /// An abutment: the classes of the left and right instance and the right
+  /// origin minus the left one. The verdicts depend on nothing else.
+  struct PairKey {
+    int clsA, clsB;
+    geom::Coord dx, dy;
+    auto operator<=>(const PairKey&) const = default;
+  };
+  /// DRC compatibility of every pattern pair of one abutment key, row-major
+  /// by the left pattern. Filled exactly once, under `filled`.
+  struct PairSlot {
+    std::once_flag filled;
+    std::vector<char> clean;
+    std::size_t checks = 0;  ///< via-clean probes the fill ran
+  };
+  PairKey pairKey(int instA, int instB) const;
+  /// Fills `slot` from the abutting instances instA | instB: checks the
+  /// facing boundary access points' up-vias of every pattern pair against
+  /// each other AND against the neighbor instance's fixed shapes near the
+  /// shared edge, so a pattern whose boundary via clears the neighbor's vias
+  /// but clips a neighbor pin bar is still rejected.
+  void fillSlot(PairSlot& slot, int instA, int instB) const;
+  /// Fixed shapes (pins/obstructions) of `inst` within halo_ of the
   /// vertical line x = `boundaryX`, with per-pin net ids (see pairNet).
   /// `side` is 0 for the instance left of the boundary, 1 for the right one.
-  std::vector<drc::Shape> edgeShapes(int inst, int side, geom::Coord boundaryX,
-                                     geom::Coord halo) const;
+  std::vector<drc::Shape> edgeShapes(int inst, int side,
+                                     geom::Coord boundaryX) const;
   /// Boundary access points of `pattern` facing the boundary from `side`
   /// (0 = left instance, its last ordered pin; 1 = right instance, its
   /// first), placed at the member instance; empty when the pattern lacks
@@ -148,14 +164,12 @@ class ClusterSelector {
   const std::vector<ClassAccess>* classes_;
   ClusterSelectConfig cfg_;
   drc::DrcEngine pairEngine_;  ///< context-free engine for via-pair checks
-  std::vector<std::vector<int>> clusters_;
-  /// Memoized pair compatibility, shared across concurrently-running
-  /// clusters; guarded by cacheMu_ (the cached function is pure, so the
-  /// access order cannot change any result).
-  std::mutex cacheMu_;
-  std::map<std::tuple<int, int, int, int, geom::Coord, geom::Coord>, bool>
-      pairCache_;
-  std::atomic<std::size_t> numPairChecks_{0};
+  geom::Coord halo_ = 0;  ///< reach of edgeShapes around the shared edge
+  /// Verdict table: keys are added only between graph runs, so the index is
+  /// read-only while DPs run; a deque never moves its elements, so slots
+  /// stay put, and numPairChecks() walks them without chasing map nodes.
+  std::map<PairKey, std::size_t> pairIndex_;
+  std::deque<PairSlot> pairSlots_;
   std::atomic<std::size_t> numDpRuns_{0};
   std::atomic<long long> dpCpuNanos_{0};
   /// Budget state. deadline_/budgetArmed_ are written by armBudget() before

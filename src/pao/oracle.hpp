@@ -34,9 +34,6 @@ struct OracleConfig {
   ClusterSelectConfig clusterSelect;
   /// TrRte baseline: legacy AP generation, first-AP patterns, no Step 3 DP.
   bool legacyMode = false;
-  /// Run the Step-3 cluster DP (always true in the paper's full flow; with a
-  /// single pattern per class the DP is trivially the identity).
-  bool runClusterSelection = true;
   /// Worker threads for the whole flow (the paper's "support of
   /// multi-threading" future-work item): Steps 1-2 over unique instances and
   /// the Step-3 cluster DP all run on one job graph. Results are identical
@@ -158,8 +155,7 @@ class PinAccessOracle {
 
 #if PAO_OBS_ENABLED
   /// Profile of the pipeline job graph of the last run() (empty before the
-  /// first run, or when the legacy parallelFor path ran). The benches feed
-  /// this to BenchReport::attachProfile.
+  /// first run). The benches feed this to BenchReport::attachProfile.
   const obs::GraphProfile& lastGraphProfile() const { return graphProfile_; }
 #endif
 

@@ -66,7 +66,7 @@ obs::Json sessionSectionJson(const OracleSession::Stats& stats) {
   j.set("lastClusterCount", obs::Json(stats.lastClusterCount));
   j.set("classBuilds", obs::Json(stats.classBuilds));
   j.set("cacheHits", obs::Json(stats.cacheHits));
-  // Deterministic (winner-commit) Step-3 pair-check count; the graph/steal
+  // Step-3 pair-check count (the same at any thread count); the graph/steal
   // stats stay out of the report because they are schedule-dependent.
   j.set("pairChecks", obs::Json(stats.pairChecks));
   return j;

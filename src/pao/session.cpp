@@ -220,88 +220,79 @@ void OracleSession::buildAll() {
   classes_.assign(numClasses, ClassAccess{});
   classReady_.assign(numClasses, 0);
 
-  if (!cfg_.runClusterSelection) {
-    // No Step-3 DP (legacy / ablation): Steps 1-2 per class, then the
-    // trivial first-pattern selection. Each class writes only its own slot
-    // (step1Seconds_/step2Seconds_ report summed per-class worker time for
-    // every thread count — see OracleResult).
-    {
-      PAO_TRACE_SCOPE("oracle.steps12");
-      util::parallelFor(
-          numClasses, [&](std::size_t c) { computeClassAccess(c); },
-          cfg_.numThreads);
-    }
-    steps12WallSeconds_ = secondsSince(t0);
-    const auto t3 = std::chrono::steady_clock::now();
-    {
-      PAO_TRACE_SCOPE("oracle.step3");
-      trivialSelection();
-    }
-    step3Seconds_ = secondsSince(t3);
-    wallSeconds_ = secondsSince(t0);
-    designRevision_ = design_->revision();
-    return;
-  }
-
-  // The full flow runs as ONE job graph (ROADMAP item 2): each class
+  // The whole flow runs as ONE job graph (ROADMAP item 2): each class
   // contributes a Step-1 node chained to a Step-2 node, and each cluster a
   // Step-3 DP node depending only on its member classes' Step-2 nodes plus
   // the same-instance predecessor clusters (clusterDeps). A cluster whose
   // classes finished early therefore overlaps other classes' Steps 1-2 —
   // there is no barrier between the phases. Node ids interleave
   // S1(0),S2(0),S1(1),... so a strict-mode failure still rethrows the
-  // lowest class's exception, like the old per-phase parallelFor did.
-  selector_ = std::make_unique<ClusterSelector>(*design_, index_.classes(),
-                                                classes_, cfg_.clusterSelect);
-  selector_->armBudget();
-  chosen_.assign(design_->instances.size(), -1);
-
+  // lowest class's exception. The legacy baseline has no Step-2 DP to split
+  // off: one fused node per class, no cluster nodes, and the trivial
+  // selection after the graph.
   std::vector<ClassBuildState> states(numClasses);
   pendingSteps12_.store(numClasses, std::memory_order_relaxed);
   overlapJobs_.store(0, std::memory_order_relaxed);
   step3Started_.store(false, std::memory_order_relaxed);
+  const auto steps12Done = [this, t0] {
+    if (pendingSteps12_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      steps12WallSeconds_ = secondsSince(t0);
+    }
+  };
 
   util::JobGraph graph;
   std::vector<util::JobId> s2Id(numClasses);
   for (std::size_t c = 0; c < numClasses; ++c) {
+    if (cfg_.legacyMode) {
+      graph.addJob([this, c, steps12Done] {
+        computeClassAccess(c);
+        steps12Done();
+      });
+      continue;
+    }
     const util::JobId s1 =
         graph.addJob([this, c, &states] { classStep1(c, states[c]); });
     const util::JobId s1Dep[] = {s1};
     s2Id[c] = graph.addJob(
-        [this, c, &states, t0] {
+        [this, c, &states, steps12Done] {
           classStep2(c, states[c]);
-          if (pendingSteps12_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            steps12WallSeconds_ = secondsSince(t0);
-          }
+          steps12Done();
         },
         s1Dep);
   }
-  const std::vector<std::vector<int>>& clusters = selector_->clusters();
-  addClusterJobs(graph, clusters, s2Id);
+  if (!cfg_.legacyMode) {
+    selector_ = std::make_unique<ClusterSelector>(
+        *design_, index_.classes(), classes_, cfg_.clusterSelect);
+    selector_->armBudget();
+    chosen_.assign(design_->instances.size(), -1);
+    clusters_ = buildClusters(*design_);
+    addClusterJobs(graph, clusters_, s2Id);
+  }
 
   {
     PAO_TRACE_SCOPE("oracle.pipeline");
     graph.run(cfg_.numThreads);
   }
 
-  clusters_ = selector_->clusters();
-  stats_.lastClusterCount = clusters.size();
-  stats_.clusterDpRuns = selector_->numDpRuns();
-  stats_.pairChecks = selector_->numPairChecks();
   stats_.graphJobs = graph.stats().jobs;
   stats_.overlapJobs = overlapJobs_.load(std::memory_order_relaxed);
   stats_.graphSteals = graph.stats().steals;
 #if PAO_OBS_ENABLED
   graphProfile_ = graph.profile();
 #endif
-  step3CpuSeconds_ = selector_->dpCpuSeconds();
-  recordBudgetExpiry();
-  // step3Seconds_ spans from the first DP node's start to the end of the
-  // graph — with overlap, "Step-3 wall time" necessarily includes tail
-  // Steps 1-2 work running alongside.
-  step3Seconds_ = step3Started_.load(std::memory_order_relaxed)
-                      ? secondsSince(step3T0_)
-                      : 0.0;
+  if (cfg_.legacyMode) {
+    const auto t3 = std::chrono::steady_clock::now();
+    trivialSelection();
+    step3Seconds_ = secondsSince(t3);
+  } else {
+    finishSelectionPass();
+    // step3Seconds_ spans from the first DP node's start to the end of the
+    // graph — with overlap, "Step-3 wall time" necessarily includes tail
+    // Steps 1-2 work running alongside.
+    step3Seconds_ = step3Started_.load(std::memory_order_relaxed)
+                        ? secondsSince(step3T0_)
+                        : 0.0;
+  }
   wallSeconds_ = secondsSince(t0);
   designRevision_ = design_->revision();
 }
@@ -309,6 +300,7 @@ void OracleSession::buildAll() {
 void OracleSession::addClusterJobs(
     util::JobGraph& graph, const std::vector<std::vector<int>>& clusters,
     std::span<const util::JobId> classStep2) {
+  selector_->addPairKeys(clusters);
   const std::vector<std::vector<std::size_t>> cDeps = clusterDeps(clusters);
   const std::vector<int>& classOf = index_.classes().classOf;
   std::vector<util::JobId> ids(clusters.size());
@@ -413,7 +405,7 @@ void OracleSession::recomputeAfterMutation(const std::vector<int>& touched) {
   ++stats_.mutations;
   PAO_COUNTER_INC("pao.session.mutations");
   designRevision_ = design_->revision();
-  if (!cfg_.runClusterSelection) {
+  if (cfg_.legacyMode) {
     trivialSelection();
     return;
   }
@@ -477,19 +469,22 @@ void OracleSession::recomputeAfterMutation(const std::vector<int>& touched) {
     if (graph.size() > 0) graphProfile_ = graph.profile();
 #endif
   }
-  stats_.pairChecks = selector_->numPairChecks();
-
   stats_.lastDirtyClusters = dirtyClusters.size();
-  stats_.lastClusterCount = newClusters.size();
-  stats_.clusterDpRuns = selector_->numDpRuns();
-  step3CpuSeconds_ = selector_->dpCpuSeconds();
-  recordBudgetExpiry();
-  PAO_COUNTER_ADD("pao.session.dirty_clusters", dirtyClusters.size());
   clusters_ = std::move(newClusters);
+  finishSelectionPass();
+  PAO_COUNTER_ADD("pao.session.dirty_clusters", dirtyClusters.size());
 }
 
-void OracleSession::recordBudgetExpiry() {
-  if (selector_ == nullptr || !selector_->budgetExpired()) return;
+void OracleSession::finishSelectionPass() {
+  const std::size_t pairChecks = selector_->numPairChecks();
+  if (pairChecks > stats_.pairChecks) {
+    PAO_COUNTER_ADD("pao.step3.pair_checks", pairChecks - stats_.pairChecks);
+  }
+  stats_.pairChecks = pairChecks;
+  stats_.lastClusterCount = clusters_.size();
+  stats_.clusterDpRuns = selector_->numDpRuns();
+  step3CpuSeconds_ = selector_->dpCpuSeconds();
+  if (!selector_->budgetExpired()) return;
   degraded_.push_back(
       {"step3_budget",
        std::to_string(selector_->expiredClusters()) +

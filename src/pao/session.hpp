@@ -10,7 +10,8 @@
 //     one is configured, so the work survives the session too).
 //   * Unique-instance class membership is maintained incrementally
 //     (db::UniqueInstanceIndex) — class indices are stable, so per-class
-//     results and the Step-3 pair memo stay valid for the session lifetime.
+//     results and the Step-3 pair-verdict table stay valid for the session
+//     lifetime.
 //   * Step 3 re-runs the cluster DP only for dirty clusters: clusters whose
 //     member list changed, clusters containing a touched instance, and —
 //     transitively, in cluster order — clusters sharing a (multi-height)
@@ -108,8 +109,9 @@ class OracleSession {
     std::size_t classBuilds = 0;
     /// Per-class analyses answered from the configured AccessCache.
     std::size_t cacheHits = 0;
-    /// Step-3 boundary pair checks, counted deterministically (see
-    /// ClusterSelector::numPairChecks). Schedule-invariant; reported.
+    /// Step-3 boundary pair checks (ClusterSelector::numPairChecks), the
+    /// same at any thread count; reported, and published as the
+    /// "pao.step3.pair_checks" delta once per selection pass.
     std::size_t pairChecks = 0;
     /// Job-graph shape of the last full build plus mutation re-runs:
     /// total nodes, Step-3 DP nodes that started while Steps 1-2 work was
@@ -125,7 +127,7 @@ class OracleSession {
 
 #if PAO_OBS_ENABLED
   /// Profile of the most recent pipeline job graph (initial build or
-  /// mutation re-run). Empty when the legacy parallelFor path ran. Feed to
+  /// mutation re-run). Feed to
   /// obs::analyzeProfile / obs::profileSectionJson for the run report.
   const obs::GraphProfile& lastGraphProfile() const { return graphProfile_; }
 #endif
@@ -141,7 +143,8 @@ class OracleSession {
   /// of classStep1 + classStep2, used on the mutation path.
   void computeClassAccess(std::size_t c);
   /// Step 1 of class `c`: cache lookup, then access point generation (or the
-  /// legacy generator in legacyMode). One job-graph node per class.
+  /// legacy generator in legacyMode). One job-graph node per class (fused
+  /// with Step 2 through computeClassAccess in legacyMode).
   void classStep1(std::size_t c, ClassBuildState& st);
   /// Step 2 of class `c`: pattern DP, origin normalization, cache store and
   /// stats commit. Depends on classStep1(c) in the pipeline graph.
@@ -158,18 +161,20 @@ class OracleSession {
   /// the DP for dirty clusters only (`touched` = instances whose geometry
   /// or class changed in this mutation).
   void recomputeAfterMutation(const std::vector<int>& touched);
-  /// Adds one Step-3 DP node per cluster to `graph`, chained by
-  /// clusterDeps; with `classStep2` (the initial build) each node also
-  /// depends on its member classes' Step-2 nodes. The one way both the
-  /// build and a mutation schedule Step 3. `clusters` must outlive the run.
+  /// Registers the clusters' abutment keys with the selector, then adds one
+  /// Step-3 DP node per cluster to `graph`, chained by clusterDeps; with
+  /// `classStep2` (the initial build) each node also depends on its member
+  /// classes' Step-2 nodes. The one way both the build and a mutation
+  /// schedule Step 3. `clusters` must outlive the run.
   void addClusterJobs(util::JobGraph& graph,
                       const std::vector<std::vector<int>>& clusters,
                       std::span<const util::JobId> classStep2);
-  /// The no-Step-3 selection (legacy / runClusterSelection == false).
+  /// The no-Step-3 selection of legacyMode: every instance takes pattern 0.
   void trivialSelection();
-  /// Appends a "step3_budget" DegradedEvent when the last selection pass
-  /// expired its budget.
-  void recordBudgetExpiry();
+  /// After a selection pass over clusters_: updates the Step-3 stats,
+  /// publishes the pass's "pao.step3.pair_checks" delta, and appends a
+  /// "step3_budget" DegradedEvent when the pass expired its budget.
+  void finishSelectionPass();
   void requireMutable() const;
 
   const db::Design* design_;

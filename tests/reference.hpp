@@ -1,5 +1,5 @@
-// Test-only reference implementations: earlier versions of hot kernels and
-// of the DEF parser, kept as they were before a rewrite. Differential tests
+// Test-only reference implementations: earlier versions of hot kernels, of
+// the Step-3 cluster selection and of the DEF parser, kept as they were before a rewrite. Differential tests
 // hold each rewrite to its reference's output exactly, order included.
 #pragma once
 
@@ -12,6 +12,7 @@
 #include "db/design.hpp"
 #include "drc/engine.hpp"
 #include "lefdef/lexer.hpp"
+#include "pao/cluster_select.hpp"
 #include "pao/evaluate.hpp"
 #include "util/diag.hpp"
 
@@ -36,6 +37,21 @@ core::FailedPinStats countFailedPins(const db::Design& design,
                                      const core::OracleResult& result,
                                      std::size_t maxDetails,
                                      core::FailedPinCriterion criterion);
+
+/// Step 3 as it was before the pair-verdict table: ClusterSelector's
+/// std::map memo of (class, pattern, class, pattern, offset) verdicts,
+/// filled only for the pattern pairs the DP asks for, and the cluster DP run
+/// serially over buildClusters(design) in order. cfg.budgetSeconds is
+/// ignored (unlimited). `pairChecks` counts the via-clean probes behind the
+/// memoized verdicts.
+struct ClusterSelection {
+  std::vector<int> chosenPattern;
+  std::size_t pairChecks = 0;
+};
+ClusterSelection selectClusters(const db::Design& design,
+                                const db::UniqueInstances& unique,
+                                const std::vector<core::ClassAccess>& classes,
+                                const core::ClusterSelectConfig& cfg = {});
 
 /// The single-pass DEF parser over the eager tokenizer, which built a
 /// std::string per token before parsing. Strict form: throws ParseError at

@@ -13,11 +13,14 @@ namespace {
 using geom::Point;
 using geom::Rect;
 
-/// Step 3 the way OracleSession schedules it, serially: selectCluster over
-/// every cluster in order.
-std::vector<int> selectAll(ClusterSelector& sel, std::size_t numInsts) {
-  std::vector<int> chosen(numInsts, -1);
-  for (const std::vector<int>& cluster : sel.clusters()) {
+/// Step 3 the way OracleSession schedules it, serially: the design's
+/// clusters, their abutment keys, then selectCluster over every cluster in
+/// order.
+std::vector<int> selectAll(ClusterSelector& sel, const db::Design& design) {
+  const std::vector<std::vector<int>> clusters = buildClusters(design);
+  sel.addPairKeys(clusters);
+  std::vector<int> chosen(design.instances.size(), -1);
+  for (const std::vector<int>& cluster : clusters) {
     sel.selectCluster(cluster, chosen);
   }
   return chosen;
@@ -82,11 +85,11 @@ class ClusterFixture : public ::testing::Test {
 
 TEST_F(ClusterFixture, ClustersSplitAtGaps) {
   buildDesign({{0, 0}, {1200, 0}, {3600, 0}, {0, 1200}});
-  ClusterSelector sel(*td_.design, unique_, classes_);
-  ASSERT_EQ(sel.clusters().size(), 3u);
-  EXPECT_EQ(sel.clusters()[0], (std::vector<int>{0, 1}));
-  EXPECT_EQ(sel.clusters()[1], (std::vector<int>{2}));
-  EXPECT_EQ(sel.clusters()[2], (std::vector<int>{3}));
+  const std::vector<std::vector<int>> clusters = buildClusters(*td_.design);
+  ASSERT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(clusters[0], (std::vector<int>{0, 1}));
+  EXPECT_EQ(clusters[1], (std::vector<int>{2}));
+  EXPECT_EQ(clusters[2], (std::vector<int>{3}));
 }
 
 TEST(BuildClusters, MultiHeightCellJoinsEveryRowItCovers) {
@@ -120,7 +123,7 @@ TEST(BuildClusters, MultiHeightCellJoinsEveryRowItCovers) {
 TEST_F(ClusterFixture, EveryInstanceGetsAPattern) {
   buildDesign({{0, 0}, {1200, 0}, {2400, 0}});
   ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = selectAll(sel, 3);
+  const std::vector<int> chosen = selectAll(sel, *td_.design);
   ASSERT_EQ(chosen.size(), 3u);
   for (const int c : chosen) EXPECT_GE(c, 0);
 }
@@ -128,7 +131,7 @@ TEST_F(ClusterFixture, EveryInstanceGetsAPattern) {
 TEST_F(ClusterFixture, AbuttingInstancesChooseCompatiblePatterns) {
   buildDesign({{0, 0}, {1200, 0}});
   ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = selectAll(sel, 2);
+  const std::vector<int> chosen = selectAll(sel, *td_.design);
 
   // Verify the selection with an independent DRC check of the facing vias.
   const ClassAccess& ca = classes_[unique_.classOf[0]];
@@ -156,23 +159,28 @@ TEST_F(ClusterFixture, AbuttingInstancesChooseCompatiblePatterns) {
 TEST_F(ClusterFixture, SinglePatternModeStillSelects) {
   buildDesign({{0, 0}, {1200, 0}}, /*numPatterns=*/1);
   ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = selectAll(sel, 2);
+  const std::vector<int> chosen = selectAll(sel, *td_.design);
   EXPECT_EQ(chosen[0], 0);
   EXPECT_EQ(chosen[1], 0);
 }
 
 TEST_F(ClusterFixture, PairChecksAreMemoizedAcrossRepeats) {
-  // Ten identical abutting pairs: the (class, pattern, offset) cache should
-  // keep pair checks far below pairs * patterns^2.
+  // A 20-instance abutting row has 19 abutments but one abutment key (same
+  // class, same offset): its verdict slot is filled once, so the row costs
+  // exactly the pair checks of a lone abutting pair.
+  buildDesign({{0, 0}, {1200, 0}});
+  ClusterSelector pair(*td_.design, unique_, classes_);
+  selectAll(pair, *td_.design);
+  const std::size_t pairChecks = pair.numPairChecks();
+  EXPECT_GT(pairChecks, 0u);
+  EXPECT_LE(pairChecks, 2u * 9u);  // 3x3 pattern combos, both directions
+
   std::vector<Point> origins;
   for (int i = 0; i < 20; ++i) origins.push_back({i * 1200, 0});
   buildDesign(origins);
-  ClusterSelector sel(*td_.design, unique_, classes_);
-  selectAll(sel, origins.size());
-  // 19 abutments, 3x3 pattern combos each; without memoization that is
-  // > 170 pair evaluations (x2 directions) — with it, at most one per
-  // distinct (pattern, pattern) combo.
-  EXPECT_LE(sel.numPairChecks(), 2u * 9u);
+  ClusterSelector row(*td_.design, unique_, classes_);
+  selectAll(row, *td_.design);
+  EXPECT_EQ(row.numPairChecks(), pairChecks);
 }
 
 TEST_F(ClusterFixture, FillersAreTransparent) {
@@ -198,7 +206,7 @@ TEST_F(ClusterFixture, FillersAreTransparent) {
     classes[c] = analyzeClass(*td_.design, unique_.classes[c]);
   }
   ClusterSelector sel(*td_.design, unique_, classes);
-  const std::vector<int> chosen = selectAll(sel, 3);
+  const std::vector<int> chosen = selectAll(sel, *td_.design);
   EXPECT_GE(chosen[0], 0);
   EXPECT_GE(chosen[1], 0);
   EXPECT_EQ(chosen[2], -1);  // filler has no pattern
@@ -254,8 +262,8 @@ TEST(ClusterSelectNets, PinsPastSixtyFourDoNotAliasTheNeighbour) {
   }
 
   ClusterSelector sel(d, unique, classes);
-  ASSERT_EQ(sel.clusters().size(), 1u);
-  const std::vector<int> chosen = selectAll(sel, 2);
+  ASSERT_EQ(buildClusters(d).size(), 1u);
+  const std::vector<int> chosen = selectAll(sel, d);
   EXPECT_EQ(chosen[0], 0);
   EXPECT_EQ(chosen[1], 1) << "the conflicting boundary via was accepted";
 }

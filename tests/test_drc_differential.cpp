@@ -1,11 +1,13 @@
-// Differential tests of the DRC via check and the failed-pin evaluation
-// against their reference implementations (reference.hpp): identical
-// violation vectors, in the same order, on the mixed, aes14 and huge
-// presets at small scale and at every evaluation thread count, an identical
-// batch check on a routed design, and both on random dense layouts that make
-// every rule fire.
+// Differential tests of the DRC via check, the failed-pin evaluation and
+// the Step-3 cluster selection against their reference implementations
+// (reference.hpp): identical violation vectors, in the same order, and
+// identical chosen patterns on the mixed, aes14 and huge presets at small
+// scale and at every thread count, an identical batch check on a routed
+// design, and both DRC checks on random dense layouts that make every rule
+// fire.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -17,6 +19,7 @@
 #include "benchgen/huge.hpp"
 #include "benchgen/testcase.hpp"
 #include "lefdef/stream.hpp"
+#include "obs/metrics.hpp"
 #include "pao/oracle.hpp"
 #include "pao/session.hpp"
 #include "reference.hpp"
@@ -191,6 +194,66 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) +
              (std::get<1>(info.param) ? "_legacy" : "_bca");
     });
+
+/// Preset x worker count: the session's Step 3 against the reference
+/// selection run serially on the same Steps 1-2 result.
+class Step3Differential
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(Step3Differential, ChosenPatternsMatchReference) {
+  const std::string& preset = std::get<0>(GetParam());
+  core::OracleConfig cfg = core::withBcaConfig();
+  cfg.numThreads = std::get<1>(GetParam());
+  const core::OracleSession session(presetDesign(preset), cfg);
+  const reference::ClusterSelection want =
+      reference::selectClusters(session.design(), session.unique(),
+                                session.classAccesses(), cfg.clusterSelect);
+  EXPECT_EQ(session.chosenPattern(), want.chosenPattern);
+  ASSERT_GT(want.pairChecks, 0u);
+  // A verdict slot checks every pattern pair of its abutment; the reference
+  // only checked the pairs its DP asked for. The two differ only where a
+  // multi-height cell's pinned pattern ruled pairs out, and the huge preset
+  // has no multi-height cells.
+  if (preset == "huge") {
+    EXPECT_EQ(session.stats().pairChecks, want.pairChecks);
+  } else {
+    EXPECT_GE(session.stats().pairChecks, want.pairChecks);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, Step3Differential,
+    ::testing::Combine(::testing::Values("mixed", "aes14", "huge"),
+                       ::testing::Values(1, 4, 0)),
+    [](const ::testing::TestParamInfo<Step3Differential::ParamType>& info) {
+      return std::get<0>(info.param) + "_threads" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// The session's pair-check count and the registry counter it publishes
+// agree, and neither depends on the worker count, on a preset with
+// multi-height cells.
+TEST(Step3PairChecks, RegistryDeltaEqualsSessionCountAtAnyThreadCount) {
+  const obs::Counter& published =
+      obs::Registry::instance().counter("pao.step3.pair_checks");
+  std::size_t serial = 0;
+  for (const int threads : {1, 4, 0}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    core::OracleConfig cfg = core::withBcaConfig();
+    cfg.numThreads = threads;
+    const std::uint64_t before = published.value();
+    const core::OracleSession session(presetDesign("mixed"), cfg);
+    const std::size_t pairChecks = session.stats().pairChecks;
+    EXPECT_GT(pairChecks, 0u);
+#if PAO_OBS_ENABLED
+    EXPECT_EQ(published.value() - before, pairChecks);
+#else
+    EXPECT_EQ(published.value(), before);
+#endif
+    if (threads == 1) serial = pairChecks;
+    EXPECT_EQ(pairChecks, serial);
+  }
+}
 
 TEST(CheckAllDifferential, RoutedDesignMatchesReference) {
   const benchgen::Testcase tc =

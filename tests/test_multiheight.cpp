@@ -45,10 +45,6 @@ TEST(MultiHeight, PlacementsArePresentAndLegal) {
 
 TEST(MultiHeight, JoinsClustersOfBothRows) {
   const benchgen::Testcase tc = multiHeightCase();
-  core::PinAccessOracle oracle(*tc.design, core::withBcaConfig());
-  const core::OracleResult res = oracle.run();
-
-  core::ClusterSelector sel(*tc.design, res.unique, res.classes);
   int dffh = -1;
   for (int i = 0; i < static_cast<int>(tc.design->instances.size()); ++i) {
     if (tc.design->instances[i].master->name == "DFFHX1") {
@@ -58,7 +54,7 @@ TEST(MultiHeight, JoinsClustersOfBothRows) {
   }
   ASSERT_GE(dffh, 0);
   int memberships = 0;
-  for (const std::vector<int>& cluster : sel.clusters()) {
+  for (const std::vector<int>& cluster : core::buildClusters(*tc.design)) {
     for (const int idx : cluster) {
       if (idx == dffh) ++memberships;
     }

@@ -11,6 +11,7 @@
 
 #include "benchgen/testcase.hpp"
 #include "pao/oracle.hpp"
+#include "reference.hpp"
 
 namespace pao::core {
 namespace {
@@ -94,6 +95,25 @@ TEST_P(SessionEquivalence, RandomMutationsMatchFreshBatchRun) {
   for (int m = 0; m < 5; ++m) {
     randomMutation(session, *tc.design, rng);
     expectMatchesBatch(session, *tc.design, cfg);
+  }
+}
+
+// The verdict table a session keeps across mutations gives the same
+// selection as the reference Step 3 run afresh on the mutated design. The
+// mixed preset's multi-height cells put pinned patterns in the way.
+TEST_P(SessionEquivalence, MutatedStep3MatchesReference) {
+  benchgen::Testcase tc = benchgen::generate(benchgen::mixedSpec(), 0.02);
+  OracleConfig cfg = withBcaConfig();
+  cfg.numThreads = GetParam();
+  OracleSession session(*tc.design, cfg);
+
+  Lcg rng{11 + static_cast<std::uint64_t>(GetParam())};
+  for (int m = 0; m < 8; ++m) {
+    randomMutation(session, *tc.design, rng);
+    const reference::ClusterSelection want =
+        reference::selectClusters(*tc.design, session.unique(),
+                                  session.classAccesses(), cfg.clusterSelect);
+    EXPECT_EQ(session.chosenPattern(), want.chosenPattern) << "mutation " << m;
   }
 }
 

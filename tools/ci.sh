@@ -40,8 +40,10 @@
 #                      tenants against the live epoll server; plus a
 #                      dedicated soak — the JobGraph suite repeated under
 #                      oversubscription, the oracle graph-vs-batch
-#                      equivalence at threads 1/4/0, and the evaluators'
-#                      thread invariance at threads 1/2/4/0)
+#                      equivalence at threads 1/4/0, the evaluators'
+#                      thread invariance at threads 1/2/4/0, and the Step-3
+#                      reference differential and pair-check count at
+#                      threads 1/4/0, repeated)
 #  10. UBSan          (-fsanitize=undefined with all diagnostics fatal)
 #  11. UBSan fuzz     (pao_fuzz: >=10k seeded mutation iterations over the
 #                      LEF/DEF parsers, the streamed/reference differential,
@@ -211,6 +213,10 @@ echo "== ThreadSanitizer job-graph soak =="
   --gtest_filter='JobGraph.*' --gtest_repeat=20 --gtest_brief=1
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 \
   --gtest_filter='OracleFixture.ThreadCountDoesNotChangeResult:Threads/SessionEquivalence.*:Presets/EvalDifferential.StatsDoNotDependOnThreadCount/*:EvalThreads.*'
+# Step-3 verdict slots are filled by whichever DP reaches them first: repeat
+# the graph lifecycles so the first-touch race gets many chances to show.
+"$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \

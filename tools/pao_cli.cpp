@@ -289,8 +289,8 @@ bool writeProfileReport(const char* path, const obs::GraphProfile& gp,
                         obs::Json config) {
   if (gp.empty()) {
     std::fprintf(stderr,
-                 "profile: no pipeline job graph ran (legacy mode or empty "
-                 "design); nothing to write\n");
+                 "profile: no pipeline job graph ran (empty design); "
+                 "nothing to write\n");
     return false;
   }
   obs::RunReport report("pao_cli analyze");
