@@ -4,11 +4,14 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdint>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "benchgen/testcase.hpp"
 #include "db/unique_inst.hpp"
 #include "drc/engine.hpp"
+#include "geom/grid_index.hpp"
 #include "geom/polygon.hpp"
 #include "pao/ap_gen.hpp"
 #include "pao/cluster_select.hpp"
@@ -63,6 +66,47 @@ void BM_GridIndexQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexQuery);
+
+/// Building the index of BM_GridIndexQuery's 10k items: the exact-size bulk
+/// fill (incremental:0, which includes copying the entries in) or one
+/// insert() per item (incremental:1).
+void BM_GridIndexBuild(benchmark::State& state) {
+  std::vector<geom::GridIndex<int>::Entry> entries;
+  for (int i = 0; i < 10000; ++i) {
+    entries.push_back({{i * 37 % 50000, i * 91 % 50000, i * 37 % 50000 + 400,
+                        i * 91 % 50000 + 400},
+                       i});
+  }
+  const bool incremental = state.range(0) != 0;
+  for (auto _ : state) {
+    if (incremental) {
+      geom::GridIndex<int> idx;
+      for (const auto& e : entries) idx.insert(e.bbox, e.value);
+      benchmark::DoNotOptimize(idx.size());
+    } else {
+      const geom::GridIndex<int> idx(entries);
+      benchmark::DoNotOptimize(idx.size());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(entries.size()));
+}
+BENCHMARK(BM_GridIndexBuild)->ArgName("incremental")->Arg(0)->Arg(1);
+
+/// The boundary checkVia extracts per enclosure: a pin bar and a via
+/// enclosure over it (2 rects), plus an L leg (3) and a second bar (4).
+void BM_UnionBoundary(benchmark::State& state) {
+  const std::vector<geom::Rect> pin = {{0, 0, 70, 1150},
+                                       {-35, 500, 105, 570},
+                                       {0, 0, 320, 70},
+                                       {250, 0, 320, 690}};
+  const std::vector<geom::Rect> rects(pin.begin(),
+                                      pin.begin() + state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(geom::unionBoundary(rects));
+  }
+}
+BENCHMARK(BM_UnionBoundary)->DenseRange(2, 4);
 
 void BM_CheckVia(benchmark::State& state) {
   const benchgen::Testcase& tc = testcase();

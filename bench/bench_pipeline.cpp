@@ -5,12 +5,15 @@
 //   - the memory layout win: heap allocation count per analyze with the
 //     scratch arena on vs bypassed (same code path, Arena::setBypass),
 //   - the DRC via check's cost in heap allocations per DrcEngine::checkVia
-//     call, over every chosen via of the failed-pin evaluation.
+//     call, over every chosen via of the failed-pin evaluation,
+//   - the failed-pin evaluation context's build cost in heap allocations
+//     per context shape.
 //
 // Self-check (exit 1 on failure): the overlap must be nonzero — the DFS
 // schedule starts a ready cluster before unrelated classes finish, even
-// serially — the arena must cut heap allocations by >= 30%, and checkVia
-// must stay within kMaxAllocsPerCheckVia heap allocations per call.
+// serially — the arena must cut heap allocations by >= 30%, checkVia
+// must stay within kMaxAllocsPerCheckVia heap allocations per call, and the
+// context build within kMaxAllocsPerContextShape per shape.
 //
 // The binary overrides global operator new/delete to count allocations;
 // keep it leaf (no other benches link this TU).
@@ -83,6 +86,13 @@ struct RunMeasure {
 // RegionQuery per call for the EOL context it was 36.2.
 constexpr double kMaxAllocsPerCheckVia = 5.0;
 
+// Ceiling of the context-build self-check: 25% of the 1.96 heap
+// allocations per shape (1103 for 563 shapes) that one FailedPinContext
+// build took on the mixed preset at scale 0.02 when every GridIndex bin was
+// a hash-map entry holding its own vector and each shape was stored twice.
+// The exact-size bulk fill measured 0.071 (40 allocations).
+constexpr double kMaxAllocsPerContextShape = 0.49;
+
 RunMeasure analyzeOnce(const db::Design& design, int threads) {
   core::OracleConfig cfg;
   cfg.numThreads = threads;
@@ -136,6 +146,30 @@ ViaCheckMeasure measureCheckVia(const db::Design& design) {
   return m;
 }
 
+struct ContextMeasure {
+  std::uint64_t shapes = 0;
+  std::uint64_t heapAllocs = 0;
+  double perShape() const {
+    return shapes > 0 ? static_cast<double>(heapAllocs) /
+                            static_cast<double>(shapes)
+                      : 0.0;
+  }
+};
+
+/// Heap allocations of one FailedPinContext build, per fixed context shape.
+ContextMeasure measureContextBuild(const db::Design& design) {
+  core::OracleConfig cfg;
+  cfg.numThreads = 1;
+  const core::OracleResult result =
+      core::OracleSession(design, cfg).snapshot();
+  const std::uint64_t allocs0 = gHeapAllocs.load(std::memory_order_relaxed);
+  const core::FailedPinContext ctx(design, result);
+  ContextMeasure m;
+  m.heapAllocs = gHeapAllocs.load(std::memory_order_relaxed) - allocs0;
+  m.shapes = ctx.engine().region().size();
+  return m;
+}
+
 }  // namespace
 
 int main() {
@@ -157,6 +191,7 @@ int main() {
   util::Arena::setBypass(false);
 
   const ViaCheckMeasure viaCheck = measureCheckVia(*tc.design);
+  const ContextMeasure context = measureContextBuild(*tc.design);
 
   const std::size_t clusterJobs = arenaRun.stats.lastClusterCount;
   const double overlapFraction =
@@ -189,6 +224,10 @@ int main() {
               static_cast<unsigned long long>(viaCheck.calls));
   std::printf("%-34s | %10.2f\n", "heap allocs per checkVia",
               viaCheck.perCall());
+  std::printf("%-34s | %10llu\n", "failed-pin context shapes",
+              static_cast<unsigned long long>(context.shapes));
+  std::printf("%-34s | %10.3f\n", "heap allocs per context shape",
+              context.perShape());
   std::fflush(stdout);
 
   report.bench()
@@ -205,7 +244,9 @@ int main() {
            obs::Json(static_cast<double>(bypassRun.heapAllocs)))
       .set("heapAllocReduction", obs::Json(allocCut))
       .set("checkViaCalls", obs::Json(static_cast<double>(viaCheck.calls)))
-      .set("heapAllocsPerCheckVia", obs::Json(viaCheck.perCall()));
+      .set("heapAllocsPerCheckVia", obs::Json(viaCheck.perCall()))
+      .set("contextShapes", obs::Json(static_cast<double>(context.shapes)))
+      .set("heapAllocsPerContextShape", obs::Json(context.perShape()));
 #if PAO_OBS_ENABLED
   // Profile of the full-pool run, so BENCH_bench_pipeline.json carries the
   // measured critical path and parallelism headroom next to the shape rows.
@@ -234,6 +275,16 @@ int main() {
                  viaCheck.perCall(),
                  static_cast<unsigned long long>(viaCheck.calls),
                  kMaxAllocsPerCheckVia);
+    ok = false;
+  }
+  if (context.shapes == 0 ||
+      context.perShape() > kMaxAllocsPerContextShape) {
+    std::fprintf(stderr,
+                 "selfcheck FAILED: %.3f heap allocations per shape over a "
+                 "%llu-shape failed-pin context build (need <= %.3f)\n",
+                 context.perShape(),
+                 static_cast<unsigned long long>(context.shapes),
+                 kMaxAllocsPerContextShape);
     ok = false;
   }
   if (ok) std::fprintf(stderr, "selfcheck OK\n");

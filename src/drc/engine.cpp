@@ -150,12 +150,12 @@ std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
   const int numLayers = static_cast<int>(tech_->layers().size());
 
   // The batch check is sharded into independent tasks: contiguous shape
-  // ranges for the pairwise loops and net ranges for the merged-component
-  // rules, all built over per-layer indices that are only read concurrently.
-  // The merged output is canonically sorted, so the shard layout (and hence
-  // the thread count) never changes the returned vector.
+  // ranges for the pairwise loops, which query the region's own per-layer
+  // indices, and net ranges for the merged-component rules. Everything they
+  // share is only read concurrently. The merged output is canonically
+  // sorted, so the shard layout (and hence the thread count) never changes
+  // the returned vector.
   std::vector<std::function<void(std::vector<Violation>&)>> tasks;
-  std::deque<geom::GridIndex<std::size_t>> indices;
   std::deque<std::vector<std::pair<int, std::vector<const Shape*>>>> netLists;
 
   const auto rangeChunks = [&](std::size_t count,
@@ -182,23 +182,18 @@ std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
     const std::vector<Shape>& shapes = region_.shapesOnLayer(li);
 
     if (layer.type == db::LayerType::kCut) {
-      geom::GridIndex<std::size_t>& idx = indices.emplace_back();
-      for (std::size_t i = 0; i < shapes.size(); ++i) {
-        idx.insert(shapes[i].rect, i);
-      }
-      rangeChunks(shapes.size(), [&layer, &shapes, &idx](
+      rangeChunks(shapes.size(), [this, li, &layer, &shapes](
                                      std::size_t lo, std::size_t hi,
                                      std::vector<Violation>& out) {
         for (std::size_t i = lo; i < hi; ++i) {
-          idx.query(shapes[i].rect.bloat(layer.cutSpacing),
-                    [&](const Rect&, std::size_t j) {
-                      if (j <= i) return;
-                      if (shapes[i].fixed && shapes[j].fixed) return;
-                      if (auto v = checkCutSpacingPair(layer, shapes[i],
-                                                       shapes[j])) {
-                        out.push_back(*v);
-                      }
-                    });
+          region_.queryIndices(
+              li, shapes[i].rect.bloat(layer.cutSpacing), [&](std::size_t j) {
+                if (j <= i) return;
+                if (shapes[i].fixed && shapes[j].fixed) return;
+                if (auto v = checkCutSpacingPair(layer, shapes[i], shapes[j])) {
+                  out.push_back(*v);
+                }
+              });
         }
       });
       continue;
@@ -207,23 +202,18 @@ std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
 
     // Pairwise spacing (skip fixed-fixed: library geometry is self-clean).
     const Coord halo = maxSpacingHalo(layer);
-    geom::GridIndex<std::size_t>& idx = indices.emplace_back();
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      idx.insert(shapes[i].rect, i);
-    }
-    rangeChunks(shapes.size(), [&layer, &shapes, &idx, halo](
+    rangeChunks(shapes.size(), [this, li, &layer, &shapes, halo](
                                    std::size_t lo, std::size_t hi,
                                    std::vector<Violation>& out) {
       for (std::size_t i = lo; i < hi; ++i) {
-        idx.query(shapes[i].rect.bloat(halo),
-                  [&](const Rect&, std::size_t j) {
-                    if (j <= i) return;
-                    if (shapes[i].fixed && shapes[j].fixed) return;
-                    if (auto v = checkSpacingPair(layer, shapes[i],
-                                                  shapes[j])) {
-                      out.push_back(*v);
-                    }
-                  });
+        region_.queryIndices(
+            li, shapes[i].rect.bloat(halo), [&](std::size_t j) {
+              if (j <= i) return;
+              if (shapes[i].fixed && shapes[j].fixed) return;
+              if (auto v = checkSpacingPair(layer, shapes[i], shapes[j])) {
+                out.push_back(*v);
+              }
+            });
       }
     });
 

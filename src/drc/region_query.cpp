@@ -2,22 +2,16 @@
 
 namespace pao::drc {
 
-RegionQuery::RegionQuery(int numLayers, geom::Coord binSize) {
-  layers_.reserve(numLayers);
-  for (int i = 0; i < numLayers; ++i) layers_.emplace_back(binSize);
-  byLayer_.resize(numLayers);
-}
+RegionQuery::RegionQuery(int numLayers) : layers_(numLayers) {}
 
 void RegionQuery::add(const Shape& s) {
-  if (s.layer < 0 || s.layer >= numLayers() || s.rect.empty()) return;
-  layers_[s.layer].insert(s.rect, s);
-  byLayer_[s.layer].push_back(s);
+  if (!accepts(s, numLayers())) return;
+  layers_[s.layer].insert(s);
   ++count_;
 }
 
 void RegionQuery::clear() {
   for (auto& g : layers_) g.clear();
-  for (auto& v : byLayer_) v.clear();
   count_ = 0;
 }
 

@@ -1,10 +1,9 @@
 #include "geom/polygon.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
+#include <cstdint>
 #include <numeric>
-#include <unordered_map>
+#include <utility>
 
 #include "util/arena.hpp"
 
@@ -12,21 +11,14 @@ namespace pao::geom {
 
 // These primitives run inside the DRC hot loop (checkVia extracts one
 // unionBoundary per via enclosure, shared by min-step and EOL), so all
-// internal scratch — interval lists, sweep events, edge stitching tables —
-// lives in the calling thread's arena and dies at function exit. Only the
-// returned containers touch the heap.
+// internal scratch lives in the calling thread's arena and dies at function
+// exit, and every sweep is a sorted flat vector rather than a node-based
+// map: interval lists, sweep events and the edge stitching table alike.
+// Only the returned containers touch the heap.
 
 namespace {
 
 using util::ArenaVector;
-
-template <typename K, typename V, typename Comp = std::less<K>>
-using ArenaMap = std::map<K, V, Comp, util::ArenaAllocator<std::pair<const K, V>>>;
-
-template <typename K, typename V, typename Hash = std::hash<K>>
-using ArenaHashMap =
-    std::unordered_map<K, V, Hash, std::equal_to<K>,
-                       util::ArenaAllocator<std::pair<const K, V>>>;
 
 /// Merges a set of closed intervals into a minimal disjoint set (in place).
 void mergeIntervals(ArenaVector<Interval>& ivs, ArenaVector<Interval>& out) {
@@ -51,6 +43,14 @@ std::vector<Rect> transpose(const std::vector<Rect>& rects) {
   return out;
 }
 
+/// A slab of the previous band that the next band may extend downward:
+/// its x-interval and its index in the output.
+struct OpenSlab {
+  Coord lo;
+  Coord hi;
+  std::size_t slab;
+};
+
 /// Shared slab sweep: appends the disjoint canonical slabs of the union of
 /// `rects` to `out` (any container with emplace_back/back/size/operator[]).
 /// The caller must hold an ArenaScope — an arena-backed `out` is allocated
@@ -73,9 +73,11 @@ void unionSlabsInto(std::span<const Rect> rects, OutVec& out) {
   std::sort(ys.begin(), ys.end());
   ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
 
-  // Open slabs from the previous band keyed by x-interval, for vertical
-  // merge.
-  ArenaMap<std::pair<Coord, Coord>, std::size_t> open;
+  // A band's merged intervals are disjoint and sorted, so the previous
+  // band's open slabs are too, and one forward walk finds each interval's
+  // match for the vertical merge.
+  ArenaVector<OpenSlab> open;
+  ArenaVector<OpenSlab> nextOpen;
   ArenaVector<Interval> xs;
   ArenaVector<Interval> merged;
   for (std::size_t bi = 0; bi + 1 < ys.size(); ++bi) {
@@ -85,20 +87,21 @@ void unionSlabsInto(std::span<const Rect> rects, OutVec& out) {
     for (const Rect& r : live) {
       if (r.ylo <= y1 && r.yhi >= y2) xs.push_back(r.xSpan());
     }
-    ArenaMap<std::pair<Coord, Coord>, std::size_t> nextOpen;
     mergeIntervals(xs, merged);
+    nextOpen.clear();
+    std::size_t k = 0;
     for (const Interval& iv : merged) {
-      const auto key = std::make_pair(iv.lo, iv.hi);
-      const auto it = open.find(key);
-      if (it != open.end() && out[it->second].yhi == y1) {
-        out[it->second].yhi = y2;  // extend the slab from the previous band
-        nextOpen[key] = it->second;
+      while (k < open.size() && open[k].lo < iv.lo) ++k;
+      if (k < open.size() && open[k].lo == iv.lo && open[k].hi == iv.hi &&
+          out[open[k].slab].yhi == y1) {
+        out[open[k].slab].yhi = y2;  // extend the slab from the previous band
+        nextOpen.push_back({iv.lo, iv.hi, open[k].slab});
       } else {
         out.emplace_back(iv.lo, y1, iv.hi, y2);
-        nextOpen[key] = out.size() - 1;
+        nextOpen.push_back({iv.lo, iv.hi, out.size() - 1});
       }
     }
-    open = std::move(nextOpen);
+    std::swap(open, nextOpen);
   }
 }
 
@@ -138,13 +141,17 @@ std::vector<std::vector<Rect>> connectedComponents(
       if (rects[i].intersects(rects[j])) parent[find(i)] = find(j);
     }
   }
-  ArenaHashMap<std::size_t, std::size_t> rootToIdx;
+  // Output component of each root, numbered in first-member order.
+  constexpr std::size_t kNone = ~std::size_t{0};
+  ArenaVector<std::size_t> compOf(n, kNone);
   std::vector<std::vector<Rect>> out;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t root = find(i);
-    auto [it, inserted] = rootToIdx.try_emplace(root, out.size());
-    if (inserted) out.emplace_back();
-    out[it->second].push_back(rects[i]);
+    std::size_t& comp = compOf[find(i)];
+    if (comp == kNone) {
+      comp = out.size();
+      out.emplace_back();
+    }
+    out[comp].push_back(rects[i]);
   }
   return out;
 }
@@ -156,39 +163,54 @@ struct RawEdge {
   Point to;
 };
 
-/// Sweeps one scanline worth of horizontal (or, transposed, vertical) edge
-/// contributions and appends net boundary edges. `plus` intervals carry
-/// weight +1, `minus` weight -1; net +1 emits a forward edge, net -1 a
-/// reversed edge, at the given fixed coordinate.
-void sweepLine(Coord fixed, bool horizontal, const ArenaVector<Interval>& plus,
-               const ArenaVector<Interval>& minus,
-               ArenaVector<RawEdge>& out) {
-  // Event-based coverage count over the variable axis.
-  ArenaMap<Coord, int> delta;
-  for (const Interval& iv : plus) {
-    delta[iv.lo] += 1;
-    delta[iv.hi] -= 1;
-  }
-  for (const Interval& iv : minus) {
-    delta[iv.lo] -= 1;
-    delta[iv.hi] += 1;
-  }
-  int cover = 0;
-  Coord start = 0;
-  int prevSign = 0;
-  for (const auto& [pos, d] : delta) {
-    if (prevSign != 0 && pos > start) {
-      const Point a = horizontal ? Point{start, fixed} : Point{fixed, start};
-      const Point b = horizontal ? Point{pos, fixed} : Point{fixed, pos};
-      if (prevSign > 0) {
-        out.push_back({a, b});  // bottom (+x) or left-swept equivalent
-      } else {
-        out.push_back({b, a});  // top (-x)
+/// One end of a slab side on a scanline at `fixed`: the coverage along the
+/// line changes by `delta` at `pos`.
+struct SweepEvent {
+  Coord fixed;
+  Coord pos;
+  int delta;
+};
+
+/// Sweeps the scanlines of `events` (one per distinct `fixed`, ascending)
+/// and appends their net boundary edges in scanline then position order.
+/// Coverage +1 emits a forward edge and -1 a reversed one. Events at one
+/// position are summed, zero-sum positions included: an edge splits there,
+/// and the ring merge joins it again.
+void sweepLines(ArenaVector<SweepEvent>& events, bool horizontal,
+                ArenaVector<RawEdge>& out) {
+  // Events with equal (fixed, pos) are summed, so their relative order is
+  // immaterial and an unstable sort is enough.
+  std::sort(events.begin(), events.end(),
+            [](const SweepEvent& a, const SweepEvent& b) {
+              return a.fixed < b.fixed || (a.fixed == b.fixed && a.pos < b.pos);
+            });
+  std::size_t i = 0;
+  while (i < events.size()) {
+    const Coord fixed = events[i].fixed;
+    int cover = 0;
+    Coord start = 0;
+    int prevSign = 0;
+    while (i < events.size() && events[i].fixed == fixed) {
+      const Coord pos = events[i].pos;
+      int delta = 0;
+      for (; i < events.size() && events[i].fixed == fixed &&
+             events[i].pos == pos;
+           ++i) {
+        delta += events[i].delta;
       }
+      if (prevSign != 0 && pos > start) {
+        const Point a = horizontal ? Point{start, fixed} : Point{fixed, start};
+        const Point b = horizontal ? Point{pos, fixed} : Point{fixed, pos};
+        if (prevSign > 0) {
+          out.push_back({a, b});  // bottom (+x) or left-swept equivalent
+        } else {
+          out.push_back({b, a});  // top (-x)
+        }
+      }
+      cover += delta;
+      start = pos;
+      prevSign = cover > 0 ? 1 : (cover < 0 ? -1 : 0);
     }
-    cover += d;
-    start = pos;
-    prevSign = cover > 0 ? 1 : (cover < 0 ? -1 : 0);
   }
 }
 
@@ -218,37 +240,37 @@ std::vector<BoundaryRing> unionBoundary(std::span<const Rect> rects) {
   if (slabs.empty()) return {};
 
   ArenaVector<RawEdge> edges;
-
-  using IntervalPair = std::pair<ArenaVector<Interval>, ArenaVector<Interval>>;
-  // Horizontal boundary edges: group slab bottoms (+1) and tops (-1) by y.
-  {
-    ArenaMap<Coord, IntervalPair> byY;
-    for (const Rect& s : slabs) {
-      byY[s.ylo].first.push_back(s.xSpan());
-      byY[s.yhi].second.push_back(s.xSpan());
-    }
-    for (auto& [y, pm] : byY) {
-      sweepLine(y, /*horizontal=*/true, pm.first, pm.second, edges);
-    }
+  ArenaVector<SweepEvent> events;
+  events.reserve(slabs.size() * 4);
+  // Horizontal boundary edges: slab bottoms count +1 and tops -1 along x.
+  for (const Rect& s : slabs) {
+    events.push_back({s.ylo, s.xlo, 1});
+    events.push_back({s.ylo, s.xhi, -1});
+    events.push_back({s.yhi, s.xlo, -1});
+    events.push_back({s.yhi, s.xhi, 1});
   }
-  // Vertical boundary edges: rights carry +1 (direction +y, interior left),
-  // lefts carry -1 (direction -y).
-  {
-    ArenaMap<Coord, IntervalPair> byX;
-    for (const Rect& s : slabs) {
-      byX[s.xhi].first.push_back(s.ySpan());
-      byX[s.xlo].second.push_back(s.ySpan());
-    }
-    for (auto& [x, pm] : byX) {
-      sweepLine(x, /*horizontal=*/false, pm.first, pm.second, edges);
-    }
+  sweepLines(events, /*horizontal=*/true, edges);
+  // Vertical boundary edges: rights count +1 (direction +y, interior left),
+  // lefts -1 (direction -y).
+  events.clear();
+  for (const Rect& s : slabs) {
+    events.push_back({s.xhi, s.ylo, 1});
+    events.push_back({s.xhi, s.yhi, -1});
+    events.push_back({s.xlo, s.ylo, -1});
+    events.push_back({s.xlo, s.yhi, 1});
   }
+  sweepLines(events, /*horizontal=*/false, edges);
 
   // Stitch directed edges into rings; interior is on the left of every edge.
-  ArenaHashMap<Point, ArenaVector<std::size_t>> outgoing;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    outgoing[edges[i].from].push_back(i);
-  }
+  // The outgoing edges of a point are a run of `byFrom`, which orders edge
+  // indices by (from, index), so a run lists them in index order.
+  ArenaVector<std::uint32_t> byFrom(edges.size());
+  std::iota(byFrom.begin(), byFrom.end(), 0u);
+  std::sort(byFrom.begin(), byFrom.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return edges[a].from < edges[b].from ||
+                     (edges[a].from == edges[b].from && a < b);
+            });
   ArenaVector<char> used(edges.size(), 0);
   std::vector<BoundaryRing> rings;
   ArenaVector<BoundaryEdge> ring;
@@ -260,20 +282,21 @@ std::vector<BoundaryRing> unionBoundary(std::span<const Rect> rects) {
       used[cur] = 1;
       ring.push_back({edges[cur].from, edges[cur].to});
       const Point at = edges[cur].to;
-      const auto it = outgoing.find(at);
-      if (it == outgoing.end()) break;  // should not happen for valid input
+      const auto first = std::lower_bound(
+          byFrom.begin(), byFrom.end(), at,
+          [&](std::uint32_t e, const Point& p) { return edges[e].from < p; });
       const Point inDir = dirOf(edges[cur]);
       std::size_t best = edges.size();
       int bestScore = 4;
-      for (const std::size_t cand : it->second) {
-        if (used[cand]) continue;
-        const int score = turnScore(inDir, dirOf(edges[cand]));
+      for (auto it = first; it != byFrom.end() && edges[*it].from == at; ++it) {
+        if (used[*it]) continue;
+        const int score = turnScore(inDir, dirOf(edges[*it]));
         if (score < bestScore) {
           bestScore = score;
-          best = cand;
+          best = *it;
         }
       }
-      if (best == edges.size()) break;  // ring closed
+      if (best == edges.size()) break;  // ring closed (or a dead end)
       cur = best;
     }
     // Merge collinear consecutive edges, including across the wrap point.

@@ -103,6 +103,7 @@ DirtyApStats countDirtyAps(const db::Design& design,
 FailedPinContext::FailedPinContext(const db::Design& design,
                                    const OracleResult& result)
     : engine_(*design.tech), neighbourRadius_(kMinNeighbourRadius) {
+  PAO_TRACE_SCOPE("eval.failed_pins.context");
   for (const db::Layer& l : design.tech->layers()) {
     const geom::Coord step = l.minStep ? l.minStep->minStepLength : 0;
     neighbourRadius_ =
@@ -129,35 +130,45 @@ FailedPinContext::FailedPinContext(const db::Design& design,
       if (slot < pinBase[t.instIdx + 1]) netOf[slot] = n;
     }
   }
+  // A signal pin without a design net gets a synthetic id, numbered in
+  // (instance, pin) order; the IO pins are numbered after them.
   int synthetic = numNets;
-
-  // Fixed design context: every instance's pin shapes and obstructions.
-  // Supply pins are foreign metal; a signal pin without a design net gets
-  // a synthetic id, numbered in (instance, pin) order.
   for (int i = 0; i < numInsts; ++i) {
     const db::Master& master = *design.instances[i].master;
-    const std::size_t base = pinBase[i];
     for (std::size_t p = 0; p < master.pins.size(); ++p) {
-      if (!master.pins[p].isSupply() && netOf[base + p] == kNoNet) {
-        netOf[base + p] = synthetic++;
+      if (!master.pins[p].isSupply() && netOf[pinBase[i] + p] == kNoNet) {
+        netOf[pinBase[i] + p] = synthetic++;
       }
     }
-    db::forEachPlacedShape(
-        design.instances[i], [&](const geom::Rect& r, int layer, int p) {
-          if (p < 0) {
-            engine_.region().add({r, layer, drc::Shape::kObsNet,
-                                  drc::ShapeKind::kObstruction, true});
-            return;
-          }
-          const int net = master.pins[p].isSupply() ? drc::Shape::kObsNet
-                                                    : netOf[base + p];
-          engine_.region().add({r, layer, net, drc::ShapeKind::kPin, true});
-        });
   }
-  for (const db::IoPin& p : design.ioPins) {
-    engine_.region().add({p.rect, p.layer, synthetic++,
-                          drc::ShapeKind::kIoPin, true});
-  }
+  const int ioBase = synthetic;
+
+  // Fixed design context: every instance's pin shapes and obstructions, and
+  // the IO pins, straight into the region's exact-size bulk fill. Supply
+  // pins are foreign metal.
+  engine_.region() = drc::RegionQuery(
+      engine_.region().numLayers(), [&](const auto& add) {
+        for (int i = 0; i < numInsts; ++i) {
+          const db::Master& master = *design.instances[i].master;
+          const std::size_t base = pinBase[i];
+          db::forEachPlacedShape(
+              design.instances[i], [&](const geom::Rect& r, int layer, int p) {
+                if (p < 0) {
+                  add({r, layer, drc::Shape::kObsNet,
+                       drc::ShapeKind::kObstruction, true});
+                  return;
+                }
+                const int net = master.pins[p].isSupply() ? drc::Shape::kObsNet
+                                                          : netOf[base + p];
+                add({r, layer, net, drc::ShapeKind::kPin, true});
+              });
+        }
+        for (std::size_t k = 0; k < design.ioPins.size(); ++k) {
+          const db::IoPin& p = design.ioPins[k];
+          add({p.rect, p.layer, ioBase + static_cast<int>(k),
+               drc::ShapeKind::kIoPin, true});
+        }
+      });
 
   // Chosen vias of every net-attached pin, in a side index so each pin can
   // be checked against every *other* pin's via without seeing its own.
@@ -188,6 +199,8 @@ FailedPinContext::FailedPinContext(const db::Design& design,
   }
 
   viaShapes_.reserve(placed_.size() * 3);
+  std::vector<geom::GridIndex<int>::Entry> vias;
+  vias.reserve(placed_.size());
   for (int v = 0; v < static_cast<int>(placed_.size()); ++v) {
     const PlacedVia& pv = placed_[v];
     geom::Rect bbox;
@@ -195,8 +208,9 @@ FailedPinContext::FailedPinContext(const db::Design& design,
       viaShapes_.push_back(s);
       bbox = bbox.merge(s.rect);
     }
-    viaIndex_.insert(bbox, v);
+    vias.push_back({bbox, v});
   }
+  viaIndex_ = geom::GridIndex<int>(std::move(vias));
 }
 
 void FailedPinContext::neighbourShapes(int v,
@@ -220,6 +234,7 @@ FailedPinStats countFailedPins(const db::Design& design,
                                std::size_t maxDetails,
                                FailedPinCriterion criterion) {
   PAO_TRACE_SCOPE("eval.failed_pins");
+  // Declared inside the span, so its teardown is attributed to it too.
   const FailedPinContext ctx(design, result);
   const drc::DrcEngine& engine = ctx.engine();
   const std::vector<FailedPinContext::PinRef>& pins = ctx.pins();

@@ -9,21 +9,25 @@ InstContext::InstContext(const db::Design& design, const db::UniqueInstance& ui)
   const db::Master& master = *ui.master;
   signalPins_ = master.signalPinIndices();
   placedPins_.resize(master.pins.size());
-  db::forEachPlacedShape(
-      design.instances.at(ui.representative),
-      [&](const geom::Rect& r, int layer, int pin) {
-        if (pin < 0) {
-          engine_.region().add({r, layer, drc::Shape::kObsNet,
-                                drc::ShapeKind::kObstruction, /*fixed=*/true});
-          return;
-        }
-        placedPins_[pin].push_back({layer, r});
-        // Supply rails behave like foreign metal for every signal pin.
-        const int net =
-            master.pins[pin].isSupply() ? drc::Shape::kObsNet : pinNet(pin);
-        engine_.region().add(
-            {r, layer, net, drc::ShapeKind::kPin, /*fixed=*/true});
+  const db::Instance& rep = design.instances.at(ui.representative);
+  engine_.region() = drc::RegionQuery(
+      engine_.region().numLayers(), [&](const auto& add) {
+        db::forEachPlacedShape(
+            rep, [&](const geom::Rect& r, int layer, int pin) {
+              if (pin < 0) {
+                add({r, layer, drc::Shape::kObsNet,
+                     drc::ShapeKind::kObstruction, /*fixed=*/true});
+                return;
+              }
+              // Supply rails behave like foreign metal for every signal pin.
+              const int net = master.pins[pin].isSupply() ? drc::Shape::kObsNet
+                                                          : pinNet(pin);
+              add({r, layer, net, drc::ShapeKind::kPin, /*fixed=*/true});
+            });
       });
+  db::forEachPlacedShape(rep, [&](const geom::Rect& r, int layer, int pin) {
+    if (pin >= 0) placedPins_[pin].push_back({layer, r});
+  });
 }
 
 std::vector<geom::Rect> InstContext::pinShapes(int pinIdx, int layer) const {

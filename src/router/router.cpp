@@ -193,7 +193,6 @@ RouteResult DetailedRouter::run() {
       // Rebuild grid blockage and the routed region query from survivors.
       grid_ = RoutingGrid(design);
       routed_.clear();
-      fixed_.clear();
       seedFixed(netOf);
       for (const RouteShape& sh : result.shapes) registerShape(sh);
       for (int n = 0; n < static_cast<int>(design.nets.size()); ++n) {
@@ -231,10 +230,11 @@ RouteResult DetailedRouter::run() {
     result.violations = runDrc(result.shapes, netOf);
     // Classify: a violation is access-related when its marker touches an
     // access via / landing patch (bloated slightly for zero-area markers).
-    geom::GridIndex<int> accessIdx;
+    std::vector<geom::GridIndex<int>::Entry> accessShapes;
     for (const RouteShape& sh : result.shapes) {
-      if (sh.isAccess) accessIdx.insert(sh.rect, sh.layer);
+      if (sh.isAccess) accessShapes.push_back({sh.rect, sh.layer});
     }
+    const geom::GridIndex<int> accessIdx(std::move(accessShapes));
     for (const drc::Violation& v : result.violations) {
       bool access = false;
       accessIdx.query(v.bbox.bloat(1), [&](const geom::Rect&, int layer) {
@@ -266,23 +266,28 @@ void DetailedRouter::seedFixed(
                           viaHaloX_[layer] + extra,
                           viaHaloY_[layer] + extra);
   };
-  int synthetic = static_cast<int>(design.nets.size());
-  forEachFixedShape(design, netOf, synthetic, [&](const drc::Shape& s) {
-    block(s.rect, s.layer, s.net);
-    fixed_.add(s);
-  });
-  for (int i = 0; i < static_cast<int>(design.ioPins.size()); ++i) {
-    // IO pins keep their own net id (found via net terms).
-    int net = synthetic++;
-    for (int n = 0; n < static_cast<int>(design.nets.size()); ++n) {
-      for (const db::NetTerm& t : design.nets[n].terms) {
-        if (t.isIo() && t.ioPinIdx == i) net = n;
+  // IO pins keep their own net id (found via net terms, the last one
+  // wins); an unconnected one gets a synthetic id after the instance pins'.
+  std::vector<int> ioNet(design.ioPins.size(), -1);
+  for (int n = 0; n < static_cast<int>(design.nets.size()); ++n) {
+    for (const db::NetTerm& t : design.nets[n].terms) {
+      if (t.isIo() && t.ioPinIdx >= 0 &&
+          t.ioPinIdx < static_cast<int>(ioNet.size())) {
+        ioNet[t.ioPinIdx] = n;
       }
     }
-    block(design.ioPins[i].rect, design.ioPins[i].layer, net);
-    fixed_.add({design.ioPins[i].rect, design.ioPins[i].layer, net,
-                drc::ShapeKind::kIoPin, true});
   }
+  const auto emit = [&](const auto& f) {
+    int synthetic = static_cast<int>(design.nets.size());
+    forEachFixedShape(design, netOf, synthetic, f);
+    for (int i = 0; i < static_cast<int>(design.ioPins.size()); ++i) {
+      f(drc::Shape{design.ioPins[i].rect, design.ioPins[i].layer,
+                   ioNet[i] >= 0 ? ioNet[i] : synthetic + i,
+                   drc::ShapeKind::kIoPin, true});
+    }
+  };
+  emit([&](const drc::Shape& s) { block(s.rect, s.layer, s.net); });
+  fixed_ = drc::RegionQuery(fixed_.numLayers(), emit);
 }
 
 std::vector<drc::Violation> DetailedRouter::runDrc(
@@ -290,15 +295,16 @@ std::vector<drc::Violation> DetailedRouter::runDrc(
     const std::map<std::pair<int, int>, int>& netOf) const {
   const db::Design& design = *design_;
   drc::DrcEngine engine(*design.tech);
-  int synthetic = static_cast<int>(design.nets.size()) + 1000000;
-  forEachFixedShape(design, netOf, synthetic,
-                    [&](const drc::Shape& s) { engine.region().add(s); });
-  for (const RouteShape& sh : shapes) {
-    engine.region().add({sh.rect, sh.layer, sh.net,
-                         sh.isVia ? drc::ShapeKind::kVia
-                                  : drc::ShapeKind::kWire,
-                         false});
-  }
+  engine.region() = drc::RegionQuery(
+      engine.region().numLayers(), [&](const auto& add) {
+        int synthetic = static_cast<int>(design.nets.size()) + 1000000;
+        forEachFixedShape(design, netOf, synthetic, add);
+        for (const RouteShape& sh : shapes) {
+          add({sh.rect, sh.layer, sh.net,
+               sh.isVia ? drc::ShapeKind::kVia : drc::ShapeKind::kWire,
+               false});
+        }
+      });
   return engine.checkAll(cfg_.numThreads);
 }
 

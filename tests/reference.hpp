@@ -1,6 +1,8 @@
 // Test-only reference implementations: earlier versions of hot kernels, of
-// the Step-3 cluster selection and of the DEF parser, kept as they were before a rewrite. Differential tests
-// hold each rewrite to its reference's output exactly, order included.
+// the Step-3 cluster selection and of the DEF parser, kept as they were
+// before a rewrite. Differential tests hold each rewrite to its reference's
+// output exactly, order included. The hash-bin grid index is a header of its
+// own (reference_grid_index.hpp).
 #pragma once
 
 #include <cstddef>
@@ -11,6 +13,7 @@
 
 #include "db/design.hpp"
 #include "drc/engine.hpp"
+#include "geom/polygon.hpp"
 #include "lefdef/lexer.hpp"
 #include "pao/cluster_select.hpp"
 #include "pao/evaluate.hpp"
@@ -18,8 +21,16 @@
 
 namespace pao::reference {
 
+/// geom::unionBoundary with a std::map of intervals per band and per
+/// scanline and an unordered_map of outgoing edges per point for the ring
+/// stitching.
+std::vector<geom::BoundaryRing> unionBoundary(
+    std::span<const geom::Rect> rects);
+/// geom::unionSlabs with a std::map of the previous band's open slabs.
+std::vector<geom::Rect> unionSlabs(std::vector<geom::Rect> rects);
+
 /// DrcEngine::checkVia with a boundary extraction per rule (min step and EOL
-/// each run geom::unionBoundary on the merged component) and the EOL context
+/// each run reference::unionBoundary on the merged component) and the EOL context
 /// collected into a RegionQuery built on every call.
 std::vector<drc::Violation> checkVia(const drc::DrcEngine& engine,
                                      const db::ViaDef& via, geom::Point p,

@@ -2,14 +2,17 @@
 // rect-list min-step/EOL checks and the checkVia/checkAll drivers as they
 // were, rewritten only where a private engine member had to become a free
 // helper (mergedComponent, queryWithExtra) and where checkAll's sharded
-// job graph became a serial loop (its output is sorted either way).
+// job graph became a serial loop (its output is sorted either way). Boundary
+// rings come from the frozen reference::unionBoundary and checkAll indexes
+// with the frozen hash-bin GridIndex, so neither leans on the kernels under
+// test.
 #include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
 #include <utility>
 
-#include "geom/grid_index.hpp"
+#include "reference_grid_index.hpp"
 #include "geom/polygon.hpp"
 #include "reference.hpp"
 
@@ -34,7 +37,7 @@ std::vector<Violation> checkMinStep(const db::Layer& layer,
   const Coord minLen = layer.minStep->minStepLength;
   const int maxEdges = layer.minStep->maxEdges;
 
-  for (const BoundaryRing& ring : geom::unionBoundary(component)) {
+  for (const BoundaryRing& ring : reference::unionBoundary(component)) {
     const int n = static_cast<int>(ring.size());
     if (n == 0) continue;
     // Rotate the scan to start right after a long edge so runs never wrap.
@@ -109,7 +112,7 @@ std::vector<Violation> checkEol(const db::Layer& layer,
   if (!layer.eol) return out;
   const db::EolRule rule = *layer.eol;
 
-  for (const BoundaryRing& ring : geom::unionBoundary(component)) {
+  for (const BoundaryRing& ring : reference::unionBoundary(component)) {
     const int n = static_cast<int>(ring.size());
     for (int i = 0; i < n; ++i) {
       const BoundaryEdge& e = ring[i];
@@ -237,7 +240,7 @@ std::vector<Violation> checkAll(const drc::DrcEngine& engine) {
   const int numLayers = static_cast<int>(tech_->layers().size());
 
   std::vector<std::function<void(std::vector<Violation>&)>> tasks;
-  std::deque<geom::GridIndex<std::size_t>> indices;
+  std::deque<GridIndex<std::size_t>> indices;
   std::deque<std::vector<std::pair<int, std::vector<const Shape*>>>> netLists;
 
   const auto rangeChunks = [&](std::size_t count,
@@ -260,7 +263,7 @@ std::vector<Violation> checkAll(const drc::DrcEngine& engine) {
     const std::vector<Shape>& shapes = region_.shapesOnLayer(li);
 
     if (layer.type == db::LayerType::kCut) {
-      geom::GridIndex<std::size_t>& idx = indices.emplace_back();
+      GridIndex<std::size_t>& idx = indices.emplace_back();
       for (std::size_t i = 0; i < shapes.size(); ++i) {
         idx.insert(shapes[i].rect, i);
       }
@@ -285,7 +288,7 @@ std::vector<Violation> checkAll(const drc::DrcEngine& engine) {
 
     // Pairwise spacing (skip fixed-fixed: library geometry is self-clean).
     const Coord halo = drc::maxSpacingHalo(layer);
-    geom::GridIndex<std::size_t>& idx = indices.emplace_back();
+    GridIndex<std::size_t>& idx = indices.emplace_back();
     for (std::size_t i = 0; i < shapes.size(); ++i) {
       idx.insert(shapes[i].rect, i);
     }

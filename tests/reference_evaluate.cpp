@@ -1,9 +1,10 @@
 // Reference failed-pin evaluation (see reference.hpp): countFailedPins as
 // it was, with its via checks routed through reference::checkVia and the
-// via-shape copy adapted to DrcEngine::viaShapes returning an array.
+// via-shape copy adapted to DrcEngine::viaShapes returning an array; its via
+// index is the frozen hash-bin GridIndex (reference_grid_index.hpp).
 #include <map>
 
-#include "geom/grid_index.hpp"
+#include "reference_grid_index.hpp"
 #include "reference.hpp"
 
 namespace pao::reference {
@@ -102,7 +103,7 @@ core::FailedPinStats countFailedPins(const db::Design& design,
     }
   }
 
-  geom::GridIndex<int> viaIndex;
+  GridIndex<int> viaIndex;
   std::vector<std::vector<drc::Shape>> viaShapes(placed.size());
   for (int v = 0; v < static_cast<int>(placed.size()); ++v) {
     const PlacedVia& pv = placed[v];

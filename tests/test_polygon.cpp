@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <vector>
+
+#include "reference.hpp"
 
 namespace pao::geom {
 namespace {
@@ -184,6 +188,46 @@ TEST(MaxRects, OverlappingRectsExtend) {
   const auto rects = maxRects({{0, 0, 20, 20}, {10, 0, 30, 20}});
   ASSERT_EQ(rects.size(), 1u);  // same y-span -> they fuse into one rect
   EXPECT_EQ(rects[0], Rect(0, 0, 30, 20));
+}
+
+/// 1-8 random rects on a coarse lattice, so that abutting, nested,
+/// corner-touching and zero-area rects are common. About one set in four
+/// starts with a frame of four rects around a hole.
+std::vector<Rect> latticeRects(std::mt19937& rng) {
+  std::uniform_int_distribution<int> count(1, 8);
+  std::uniform_int_distribution<int> lattice(0, 8);
+  const auto at = [&] { return Coord{10} * lattice(rng); };
+  const std::size_t n = count(rng);
+  std::vector<Rect> rects;
+  if (n >= 4 && rng() % 2 == 0) {
+    Coord xs[4] = {at(), at(), at(), at()};
+    Coord ys[4] = {at(), at(), at(), at()};
+    std::sort(xs, xs + 4);
+    std::sort(ys, ys + 4);
+    rects.emplace_back(xs[0], ys[0], xs[3], ys[1]);
+    rects.emplace_back(xs[0], ys[2], xs[3], ys[3]);
+    rects.emplace_back(xs[0], ys[0], xs[1], ys[3]);
+    rects.emplace_back(xs[2], ys[0], xs[3], ys[3]);
+  }
+  while (rects.size() < n) rects.emplace_back(at(), at(), at(), at());
+  std::shuffle(rects.begin(), rects.end(), rng);
+  return rects;
+}
+
+/// The flat sweeps against the frozen map-based ones: identical slabs and
+/// identical rings, edge for edge, on 100k random rect sets.
+TEST(UnionBoundaryDifferential, RingsMatchReferenceOnRandomRectSets) {
+  std::mt19937 rng(18);
+  std::size_t holed = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const std::vector<Rect> rects = latticeRects(rng);
+    ASSERT_EQ(unionSlabs(rects), reference::unionSlabs(rects)) << "set " << i;
+    const std::vector<BoundaryRing> rings = unionBoundary(rects);
+    ASSERT_EQ(rings, reference::unionBoundary(rects)) << "set " << i;
+    if (rings.size() > 1) ++holed;
+  }
+  // Multi-ring unions (holes, disjoint parts) are well represented.
+  EXPECT_GT(holed, 10000u);
 }
 
 }  // namespace
