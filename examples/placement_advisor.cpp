@@ -5,14 +5,15 @@
 // amount of inter-cell pin access analysis").
 //
 // The example takes a legal placement, tries several candidate positions
-// for one cell, and ranks them by resulting pin-access quality (failed
-// pins) — the kind of query a detailed placer would issue per move.
+// for one cell through an incremental OracleSession, and ranks them by
+// resulting pin-access quality (failed pins) — the kind of query a detailed
+// placer would issue per move.
+#include <chrono>
 #include <cstdio>
 
 #include "benchgen/testcase.hpp"
 #include "pao/evaluate.hpp"
-#include "pao/access_cache.hpp"
-#include "pao/oracle.hpp"
+#include "pao/session.hpp"
 
 int main() {
   using namespace pao;
@@ -46,30 +47,31 @@ int main() {
 
   // Candidate x offsets in site steps; each shifts the cell along its row.
   // (A real placer would also check overlap legality; we only score access.)
-  // The AccessCache makes the per-move re-analysis nearly free: a move can
-  // at most introduce ONE new signature; every other unique instance is a
-  // cache hit.
-  core::AccessCache cache;
-  core::OracleConfig cfg = core::withBcaConfig();
-  cfg.cache = &cache;
+  // One OracleSession serves every candidate: a move re-analyzes at most
+  // the one new signature it creates and re-runs only the clusters of the
+  // rows it touched, and failedPins() re-checks only the pins whose checks
+  // the move can reach.
+  core::OracleSession session(design, core::withBcaConfig());
+  const std::size_t totalPins = session.failedPins().totalPins;
 
   std::printf("%-12s %12s %12s %12s %12s\n", "candidate", "x-offset",
-              "failedPins", "wall(s)", "cacheHits");
+              "failedPins", "wall(s)", "rechecked");
   for (const int sites : {0, 1, 2, 3, 5, 8}) {
     const geom::Coord dx = sites * spec.siteWidth;
-    design.instances[victim].origin = {home.x + dx, home.y};
-
-    const std::size_t hitsBefore = cache.hits();
-    core::PinAccessOracle oracle(design, cfg);
-    const core::OracleResult result = oracle.run();
-    const core::FailedPinStats failed = core::countFailedPins(design, result);
-    std::printf("%-12s %12lld %12zu %12.3f %12zu\n",
+    const auto t0 = std::chrono::steady_clock::now();
+    session.moveInstance(victim, {home.x + dx, home.y});
+    const core::FailedPinStats failed = session.failedPins();
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    std::printf("%-12s %12lld %12zu %12.4f %12zu\n",
                 sites == 0 ? "home" : "shifted", static_cast<long long>(dx),
-                failed.failedPins, result.wallSeconds,
-                cache.hits() - hitsBefore);
+                failed.failedPins, wall, session.stats().lastPinsRechecked);
   }
-  design.instances[victim].origin = home;
-  std::printf("cache: %zu entries, %zu hits, %zu misses across all moves\n",
-              cache.size(), cache.hits(), cache.misses());
+  session.moveInstance(victim, home);
+  std::printf("%zu pins; %zu class analyses and %zu cluster DPs across all "
+              "moves\n",
+              totalPins, session.stats().classBuilds,
+              session.stats().clusterDpRuns);
   return 0;
 }

@@ -29,7 +29,8 @@ std::array<Shape, 3> DrcEngine::viaShapes(const db::ViaDef& via, Point p,
 
 void DrcEngine::mergedComponent(const Rect& seed, int layer, int net,
                                 std::span<const Shape> extra,
-                                util::ArenaVector<Rect>& comp) const {
+                                util::ArenaVector<Rect>& comp,
+                                Rect* reach) const {
   comp.assign(1, seed);
   const auto absorbed = [&](const Rect& r) {
     return std::find(comp.begin(), comp.end(), r) != comp.end();
@@ -42,18 +43,26 @@ void DrcEngine::mergedComponent(const Rect& seed, int layer, int net,
   for (std::size_t next = 0;
        next < comp.size() && comp.size() < kMaxComponent; ++next) {
     const Rect cur = comp[next];
-    queryWithExtra(layer, cur, extra, [&](const Shape& s) {
-      if (s.net != net || comp.size() >= kMaxComponent) return;
-      if (!s.rect.intersects(cur) || absorbed(s.rect)) return;
-      comp.push_back(s.rect);
-    });
+    queryWithExtra(
+        layer, cur, extra,
+        [&](const Shape& s) {
+          if (s.net != net || comp.size() >= kMaxComponent) return;
+          if (!s.rect.intersects(cur) || absorbed(s.rect)) return;
+          comp.push_back(s.rect);
+        },
+        reach);
+  }
+  if (reach != nullptr && comp.size() >= kMaxComponent) {
+    *reach = Rect(geom::kCoordMin, geom::kCoordMin, geom::kCoordMax,
+                  geom::kCoordMax);
   }
 }
 
 void DrcEngine::checkEdgeRules(const db::Layer& layer,
                                std::span<const Rect> comp, int net,
                                std::span<const Shape> extra,
-                               std::vector<Violation>& out) const {
+                               std::vector<Violation>& out,
+                               Rect* reach) const {
   if (!layer.minStep && !layer.eol) return;
   const std::vector<geom::BoundaryRing> rings = geom::unionBoundary(comp);
   for (const Violation& v : checkMinStep(layer, rings)) out.push_back(v);
@@ -63,12 +72,14 @@ void DrcEngine::checkEdgeRules(const db::Layer& layer,
   for (const Rect& r : comp) compBox = compBox.merge(r);
   util::ArenaScope scratch(util::scratchArena());
   util::ArenaVector<Rect> obstacles;
-  queryWithExtra(layer.index, compBox.bloat(maxSpacingHalo(layer)), extra,
-                 [&](const Shape& s) {
-                   if (s.net != net || s.net == Shape::kObsNet) {
-                     obstacles.push_back(s.rect);
-                   }
-                 });
+  queryWithExtra(
+      layer.index, compBox.bloat(maxSpacingHalo(layer)), extra,
+      [&](const Shape& s) {
+        if (s.net != net || s.net == Shape::kObsNet) {
+          obstacles.push_back(s.rect);
+        }
+      },
+      reach);
   for (const Violation& v : checkEol(layer, rings, net, obstacles)) {
     out.push_back(v);
   }
@@ -76,7 +87,8 @@ void DrcEngine::checkEdgeRules(const db::Layer& layer,
 
 std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
                                            int net,
-                                           std::span<const Shape> extra) const {
+                                           std::span<const Shape> extra,
+                                           Rect* reach) const {
   std::vector<Violation> out;
 
   const auto checkMetalRect = [&](const Rect& enc, int layerIdx) {
@@ -85,9 +97,12 @@ std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
     const Coord halo = maxSpacingHalo(layer);
 
     // Spacing / shorts against conflicting context shapes.
-    queryWithExtra(layerIdx, enc.bloat(halo), extra, [&](const Shape& s) {
-      if (auto v = checkSpacingPair(layer, cand, s)) out.push_back(*v);
-    });
+    queryWithExtra(
+        layerIdx, enc.bloat(halo), extra,
+        [&](const Shape& s) {
+          if (auto v = checkSpacingPair(layer, cand, s)) out.push_back(*v);
+        },
+        reach);
 
     // Min step and EOL over the merged same-net component. Only violations
     // in the via's vicinity are attributed to it — a long pin bar may carry
@@ -97,9 +112,9 @@ std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
     const Rect vicinity = enc.bloat(window);
     util::ArenaScope scratch(util::scratchArena());
     util::ArenaVector<Rect> comp;
-    mergedComponent(enc, layerIdx, net, extra, comp);
+    mergedComponent(enc, layerIdx, net, extra, comp, reach);
     const std::size_t first = out.size();
-    checkEdgeRules(layer, comp, net, extra, out);
+    checkEdgeRules(layer, comp, net, extra, out, reach);
     out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(first),
                              out.end(),
                              [&](const Violation& v) {
@@ -114,12 +129,14 @@ std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
   // Cut spacing.
   const db::Layer& cutLayer = tech_->layer(via.cutLayer);
   const Shape cutCand{via.cutAt(p), via.cutLayer, net, ShapeKind::kVia, false};
-  queryWithExtra(via.cutLayer, cutCand.rect.bloat(cutLayer.cutSpacing), extra,
-                 [&](const Shape& s) {
-                   if (auto v = checkCutSpacingPair(cutLayer, cutCand, s)) {
-                     out.push_back(*v);
-                   }
-                 });
+  queryWithExtra(
+      via.cutLayer, cutCand.rect.bloat(cutLayer.cutSpacing), extra,
+      [&](const Shape& s) {
+        if (auto v = checkCutSpacingPair(cutLayer, cutCand, s)) {
+          out.push_back(*v);
+        }
+      },
+      reach);
   return out;
 }
 

@@ -33,10 +33,14 @@ class DrcEngine {
 
   /// All violations caused by dropping `via` at `p` connecting `net`.
   /// `extra` shapes are treated as additional context (e.g. a neighboring
-  /// candidate via when evaluating DP edge compatibility).
+  /// candidate via when evaluating DP edge compatibility). When `reach` is
+  /// given, the bbox of every box the check queried is merged into it: the
+  /// result depends on no shape outside it. A check whose merged component
+  /// hit its size cap may depend on the order shapes are reported in, so it
+  /// widens `reach` to the whole plane.
   std::vector<Violation> checkVia(const db::ViaDef& via, geom::Point p,
-                                  int net,
-                                  std::span<const Shape> extra = {}) const;
+                                  int net, std::span<const Shape> extra = {},
+                                  geom::Rect* reach = nullptr) const;
   bool isViaClean(const db::ViaDef& via, geom::Point p, int net,
                   std::span<const Shape> extra = {}) const {
     return checkVia(via, p, net, extra).empty();
@@ -66,7 +70,8 @@ class DrcEngine {
   /// Written to `comp` (cleared first) in discovery order.
   void mergedComponent(const geom::Rect& seed, int layer, int net,
                        std::span<const Shape> extra,
-                       util::ArenaVector<geom::Rect>& comp) const;
+                       util::ArenaVector<geom::Rect>& comp,
+                       geom::Rect* reach) const;
 
   /// Appends the MINSTEP then the EOL violations of one merged `net`
   /// component on `layer` to `out`. Both rules walk the same boundary, so
@@ -75,11 +80,16 @@ class DrcEngine {
   /// the component's bounding box, which contains every EOL region.
   void checkEdgeRules(const db::Layer& layer, std::span<const geom::Rect> comp,
                       int net, std::span<const Shape> extra,
-                      std::vector<Violation>& out) const;
+                      std::vector<Violation>& out,
+                      geom::Rect* reach = nullptr) const;
 
+  /// Every region and `extra` shape on `layer` intersecting `box` (closed:
+  /// touching counts); merges `box` into `reach` when given.
   template <typename Fn>
   void queryWithExtra(int layer, const geom::Rect& box,
-                      std::span<const Shape> extra, Fn&& fn) const {
+                      std::span<const Shape> extra, Fn&& fn,
+                      geom::Rect* reach = nullptr) const {
+    if (reach != nullptr) *reach = reach->merge(box);
     region_.query(layer, box, fn);
     for (const Shape& s : extra) {
       if (s.layer == layer && s.rect.intersects(box)) fn(s);

@@ -22,42 +22,29 @@ constexpr long long kInf = std::numeric_limits<long long>::max() / 4;
 constexpr int pairNet(int side, int pin) { return 2 * pin + side; }
 }
 
+void splitRow(const db::Design& design, const db::RowIndex::Row& row,
+              std::vector<std::vector<int>>& out) {
+  std::vector<int> cur;
+  geom::Coord prevEnd = 0;
+  for (const db::RowIndex::Entry& e : row.entries) {
+    if (!cur.empty() && e.x > prevEnd) {
+      out.push_back(std::move(cur));
+      cur.clear();
+    }
+    cur.push_back(e.inst);
+    prevEnd = design.instances[e.inst].bbox().xhi;
+  }
+  if (!cur.empty()) out.push_back(std::move(cur));
+}
+
 std::vector<std::vector<int>> buildClusters(const db::Design& design) {
-  // Group instances by row, sort by x, split at gaps. A multi-height
-  // instance spans several rows and joins the cluster of each row its bbox
-  // covers (its pattern choice is then pinned after the first cluster that
-  // decides it — see clusterDeps()).
+  // A multi-height instance is listed in every row its bbox covers and so
+  // joins the cluster of each (its pattern choice is then pinned after the
+  // first cluster that decides it — see clusterDeps()).
   std::vector<std::vector<int>> clusters;
-  std::map<geom::Coord, std::vector<int>> byRow;
-  std::vector<geom::Coord> rowYs;
-  for (const db::Instance& inst : design.instances) {
-    rowYs.push_back(inst.origin.y);
-  }
-  std::sort(rowYs.begin(), rowYs.end());
-  rowYs.erase(std::unique(rowYs.begin(), rowYs.end()), rowYs.end());
-  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
-    const geom::Rect bbox = design.instances[i].bbox();
-    for (auto y = std::lower_bound(rowYs.begin(), rowYs.end(), bbox.ylo);
-         y != rowYs.end() && *y < bbox.yhi; ++y) {
-      byRow[*y].push_back(i);
-    }
-  }
-  for (auto& [y, insts] : byRow) {
-    std::sort(insts.begin(), insts.end(), [&](int a, int b) {
-      return design.instances[a].origin.x < design.instances[b].origin.x;
-    });
-    std::vector<int> cur;
-    geom::Coord prevEnd = 0;
-    for (const int idx : insts) {
-      const db::Instance& inst = design.instances[idx];
-      if (!cur.empty() && inst.origin.x > prevEnd) {
-        clusters.push_back(std::move(cur));
-        cur.clear();
-      }
-      cur.push_back(idx);
-      prevEnd = inst.bbox().xhi;
-    }
-    if (!cur.empty()) clusters.push_back(std::move(cur));
+  const db::RowIndex rows(design);
+  for (const db::RowIndex::Row& row : rows.rows()) {
+    splitRow(design, row, clusters);
   }
   PAO_COUNTER_ADD("pao.step3.clusters_built", clusters.size());
   return clusters;

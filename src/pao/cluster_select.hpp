@@ -21,6 +21,7 @@
 #include <mutex>  // std::once_flag, std::call_once
 #include <vector>
 
+#include "db/row_index.hpp"
 #include "db/unique_inst.hpp"
 #include "drc/engine.hpp"
 #include "pao/access_point.hpp"
@@ -51,10 +52,17 @@ struct ClassAccess {
   std::vector<int> pinOrder;  ///< Step-2 ordered signal-pin positions
 };
 
-/// Maximal runs of row-abutting instances (instance indices, left to right).
-/// A multi-height instance joins the cluster of every row its bbox covers.
-/// Deterministic in content and order for a given design, regardless of
-/// instance insertion order (rows bottom-up, runs left to right).
+/// Appends the maximal runs of abutting instances of `row` to `out`, left to
+/// right: a run ends where the next instance's origin x lies beyond the
+/// previous instance's right edge.
+void splitRow(const db::Design& design, const db::RowIndex::Row& row,
+              std::vector<std::vector<int>>& out);
+
+/// Maximal runs of row-abutting instances (instance indices, left to right)
+/// over every row of a db::RowIndex of `design`, bottom-up: splitRow of
+/// each row. A multi-height instance joins the cluster of every row its
+/// bbox covers. Instances at the same origin x keep index order, so the
+/// result is a function of the design alone.
 std::vector<std::vector<int>> buildClusters(const db::Design& design);
 
 /// Per-cluster scheduling dependencies for the job graph: deps[c] lists, in

@@ -229,13 +229,20 @@ void FailedPinContext::neighbourShapes(int v,
   });
 }
 
-FailedPinStats countFailedPins(const db::Design& design,
-                               const OracleResult& result,
-                               std::size_t maxDetails,
-                               FailedPinCriterion criterion) {
-  PAO_TRACE_SCOPE("eval.failed_pins");
-  // Declared inside the span, so its teardown is attributed to it too.
-  const FailedPinContext ctx(design, result);
+namespace {
+
+/// The failed-pin loop of the batch and the incremental evaluation: checks
+/// pins pinAt(0), ..., pinAt(count - 1) (indices into ctx.pins()) in
+/// fixed-size chunks on result.numThreads workers. Each chunk keeps its own
+/// count and its first maxDetails details, merged in chunk order, which
+/// reproduces the serial stats exactly. With `verdicts`, also stores each
+/// checked pin's verdict and reach at verdicts[pin].
+template <typename PinAt>
+FailedPinStats checkPins(const FailedPinContext& ctx, const db::Design& design,
+                         const OracleResult& result, std::size_t count,
+                         PinAt pinAt, std::size_t maxDetails,
+                         FailedPinCriterion criterion,
+                         std::span<PinVerdict> verdicts) {
   const drc::DrcEngine& engine = ctx.engine();
   const std::vector<FailedPinContext::PinRef>& pins = ctx.pins();
 
@@ -254,51 +261,56 @@ FailedPinStats countFailedPins(const db::Design& design,
     return false;
   };
 
-  // Each chunk keeps its own count and its first maxDetails details; the
-  // merge below walks chunks in pin order, which reproduces the serial
-  // stats exactly.
   struct Chunk {
     std::size_t failed = 0;
     std::vector<FailedPinDetail> details;
   };
-  std::vector<Chunk> chunks((pins.size() + kPinsPerChunk - 1) / kPinsPerChunk);
+  std::vector<Chunk> chunks((count + kPinsPerChunk - 1) / kPinsPerChunk);
   util::parallelFor(
       chunks.size(),
       [&](std::size_t c) {
         Chunk& out = chunks[c];
-        const auto fail = [&](const FailedPinContext::PinRef& ref,
-                              std::vector<drc::Violation> violations) {
+        std::vector<drc::Shape> extra;
+        const std::size_t end = std::min(count, (c + 1) * kPinsPerChunk);
+        for (std::size_t k = c * kPinsPerChunk; k < end; ++k) {
+          const std::size_t i = pinAt(k);
+          const FailedPinContext::PinRef& ref = pins[i];
+          // The verdict also reads the pin's own instance: its placement,
+          // class and chosen pattern.
+          geom::Rect reach;
+          geom::Rect* reachOut = nullptr;
+          if (!verdicts.empty()) {
+            reach = design.instances[ref.inst].bbox();
+            reachOut = &reach;
+          }
+          std::vector<drc::Violation> violations;
+          bool failed = false;
+          if (criterion == FailedPinCriterion::kAnyAp) {
+            failed = !anyApClean(ref);
+          } else if (ref.placedIdx < 0) {
+            failed = !ref.planar;
+          } else {
+            const FailedPinContext::PlacedVia& pv =
+                ctx.placed()[ref.placedIdx];
+            // Context: all other pins' chosen vias near this one.
+            extra.clear();
+            ctx.neighbourShapes(ref.placedIdx, extra);
+            violations = engine.checkVia(*pv.via, pv.loc, pv.net, extra,
+                                         reachOut);
+            failed = !violations.empty();
+          }
+          if (!verdicts.empty()) verdicts[i] = {reach, failed};
+          if (!failed) continue;
           ++out.failed;
           if (out.details.size() < maxDetails) {
             out.details.push_back(
                 {ref.inst, ref.pinPos, std::move(violations)});
           }
-        };
-        std::vector<drc::Shape> extra;
-        const std::size_t end = std::min(pins.size(), (c + 1) * kPinsPerChunk);
-        for (std::size_t i = c * kPinsPerChunk; i < end; ++i) {
-          const FailedPinContext::PinRef& ref = pins[i];
-          if (criterion == FailedPinCriterion::kAnyAp) {
-            if (!anyApClean(ref)) fail(ref, {});
-            continue;
-          }
-          if (ref.placedIdx < 0) {
-            if (!ref.planar) fail(ref, {});
-            continue;
-          }
-          const FailedPinContext::PlacedVia& pv = ctx.placed()[ref.placedIdx];
-          // Context: all other pins' chosen vias near this one.
-          extra.clear();
-          ctx.neighbourShapes(ref.placedIdx, extra);
-          std::vector<drc::Violation> violations =
-              engine.checkVia(*pv.via, pv.loc, pv.net, extra);
-          if (!violations.empty()) fail(ref, std::move(violations));
         }
       },
       result.numThreads);
 
   FailedPinStats stats;
-  stats.totalPins = pins.size();
   for (Chunk& chunk : chunks) {
     stats.failedPins += chunk.failed;
     for (FailedPinDetail& d : chunk.details) {
@@ -307,6 +319,31 @@ FailedPinStats countFailedPins(const db::Design& design,
     }
   }
   return stats;
+}
+
+}  // namespace
+
+FailedPinStats countFailedPins(const db::Design& design,
+                               const OracleResult& result,
+                               std::size_t maxDetails,
+                               FailedPinCriterion criterion) {
+  PAO_TRACE_SCOPE("eval.failed_pins");
+  // Declared inside the span, so its teardown is attributed to it too.
+  const FailedPinContext ctx(design, result);
+  FailedPinStats stats = checkPins(
+      ctx, design, result, ctx.pins().size(), [](std::size_t k) { return k; },
+      maxDetails, criterion, {});
+  stats.totalPins = ctx.pins().size();
+  return stats;
+}
+
+void recheckFailedPins(const FailedPinContext& ctx, const db::Design& design,
+                       const OracleResult& result, std::span<const int> which,
+                       std::span<PinVerdict> verdicts) {
+  checkPins(
+      ctx, design, result, which.size(),
+      [which](std::size_t k) { return static_cast<std::size_t>(which[k]); },
+      0, FailedPinCriterion::kChosenAp, verdicts);
 }
 
 }  // namespace pao::core

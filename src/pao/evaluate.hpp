@@ -7,6 +7,7 @@
 //     its pattern and neighbors are taken into account.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "drc/engine.hpp"
@@ -104,5 +105,23 @@ FailedPinStats countFailedPins(
     const db::Design& design, const OracleResult& result,
     std::size_t maxDetails = 0,
     FailedPinCriterion criterion = FailedPinCriterion::kChosenAp);
+
+/// One pin's strict-criterion verdict and the reach of its check: the bbox
+/// of its instance's bbox and of every box the check's DRC queries read.
+/// Fixed shapes and neighbour vias enter a check only through those queries,
+/// so a change that touches neither the reach nor the pin's own instance
+/// cannot change the verdict.
+struct PinVerdict {
+  geom::Rect reach;
+  bool failed = false;
+};
+
+/// The incremental form of countFailedPins: checks only pins `which`
+/// (indices into ctx.pins(), which `result` and `design` built) under the
+/// strict criterion, in the same chunked loop on result.numThreads
+/// workers, and stores each one's verdict at verdicts[pin].
+void recheckFailedPins(const FailedPinContext& ctx, const db::Design& design,
+                       const OracleResult& result, std::span<const int> which,
+                       std::span<PinVerdict> verdicts);
 
 }  // namespace pao::core

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <stdexcept>
 #include <tuple>
 
@@ -44,7 +46,8 @@ OracleSession::OracleSession(db::Design& design, OracleConfig cfg)
       mutableDesign_(&design),
       cfg_(cfg),
       cache_(cfg.cache),
-      index_(design, cfg.numThreads) {
+      index_(design, cfg.numThreads),
+      rows_(design) {
   buildAll();
 }
 
@@ -53,7 +56,8 @@ OracleSession::OracleSession(const db::Design& design, OracleConfig cfg)
       mutableDesign_(nullptr),
       cfg_(cfg),
       cache_(cfg.cache),
-      index_(design, cfg.numThreads) {
+      index_(design, cfg.numThreads),
+      rows_(design) {
   buildAll();
 }
 
@@ -260,13 +264,21 @@ void OracleSession::buildAll() {
         },
         s1Dep);
   }
+  // Step 3's clusters: each row's runs, with the end of each row's runs in
+  // `clusters` (filed by row once the graph has run).
+  std::vector<std::vector<int>> clusters;
+  std::vector<std::size_t> rowEnds;
   if (!cfg_.legacyMode) {
     selector_ = std::make_unique<ClusterSelector>(
         *design_, index_.classes(), classes_, cfg_.clusterSelect);
     selector_->armBudget();
     chosen_.assign(design_->instances.size(), -1);
-    clusters_ = buildClusters(*design_);
-    addClusterJobs(graph, clusters_, s2Id);
+    for (const db::RowIndex::Row& row : rows_.rows()) {
+      splitRow(*design_, row, clusters);
+      rowEnds.push_back(clusters.size());
+    }
+    PAO_COUNTER_ADD("pao.step3.clusters_built", clusters.size());
+    addClusterJobs(graph, clusters, s2Id);
   }
 
   {
@@ -285,6 +297,16 @@ void OracleSession::buildAll() {
     trivialSelection();
     step3Seconds_ = secondsSince(t3);
   } else {
+    std::size_t first = 0;
+    for (std::size_t r = 0; r < rowEnds.size(); ++r) {
+      rowClusters_.emplace_hint(
+          rowClusters_.end(), rows_.rows()[r].y,
+          std::vector<std::vector<int>>(
+              std::make_move_iterator(clusters.begin() + first),
+              std::make_move_iterator(clusters.begin() + rowEnds[r])));
+      first = rowEnds[r];
+    }
+    stats_.lastClusterCount = clusters.size();
     finishSelectionPass();
     // step3Seconds_ spans from the first DP node's start to the end of the
     // graph — with overlap, "Step-3 wall time" necessarily includes tail
@@ -347,111 +369,221 @@ void OracleSession::ensureClassAccess(int cls) {
     classes_.resize(numClasses);
     classReady_.resize(numClasses, 0);
   }
-  if (!classReady_[cls]) computeClassAccess(static_cast<std::size_t>(cls));
+  if (classReady_[cls]) return;
+  try {
+    computeClassAccess(static_cast<std::size_t>(cls));
+  } catch (...) {
+    // Leave the class to be analyzed again by the next mutation that needs
+    // it.
+    classes_[cls] = ClassAccess{};
+    classReady_[cls] = 0;
+    throw;
+  }
 }
 
-void OracleSession::onGeometryChanged(int instIdx) {
+template <typename Edit, typename Undo>
+void OracleSession::editGeometry(int instIdx, Edit&& edit, Undo&& undo) {
+  // Until the mutation completes, the stored failed-pin verdicts are not
+  // backed by a complete change record.
+  const bool track = verdictsValid_;
+  verdictsValid_ = false;
+  if (track) changedBoxes_.push_back(footprint(instIdx, chosen_[instIdx]));
+  std::vector<geom::Coord> rowYs;
+  rows_.erase(*design_, instIdx, rowYs);
+  edit();
+  rows_.insert(*design_, instIdx, rowYs);
   index_.update(instIdx);
-  ensureClassAccess(index_.classOf(instIdx));
-  recomputeAfterMutation({instIdx});
+  try {
+    ensureClassAccess(index_.classOf(instIdx));
+  } catch (...) {
+    std::vector<geom::Coord> ignored;
+    rows_.erase(*design_, instIdx, ignored);
+    undo();
+    rows_.insert(*design_, instIdx, ignored);
+    index_.update(instIdx);
+    designRevision_ = design_->revision();
+    throw;
+  }
+  const int touched[] = {instIdx};
+  recomputeAfterMutation(touched, rowYs, track);
+  if (!track) return;
+  changedBoxes_.push_back(footprint(instIdx, chosen_[instIdx]));
+  verdictsValid_ = true;
 }
 
 void OracleSession::moveInstance(int instIdx, geom::Point newOrigin) {
   requireMutable();
-  mutableDesign_->moveInstance(instIdx, newOrigin);
-  onGeometryChanged(instIdx);
+  const geom::Point oldOrigin = design_->instances.at(instIdx).origin;
+  editGeometry(
+      instIdx, [&] { mutableDesign_->moveInstance(instIdx, newOrigin); },
+      [&] { mutableDesign_->moveInstance(instIdx, oldOrigin); });
 }
 
 void OracleSession::setOrient(int instIdx, geom::Orient orient) {
   requireMutable();
-  mutableDesign_->setInstanceOrient(instIdx, orient);
-  onGeometryChanged(instIdx);
+  const geom::Orient oldOrient = design_->instances.at(instIdx).orient;
+  editGeometry(
+      instIdx, [&] { mutableDesign_->setInstanceOrient(instIdx, orient); },
+      [&] { mutableDesign_->setInstanceOrient(instIdx, oldOrient); });
 }
 
 int OracleSession::addInstance(db::Instance inst) {
   requireMutable();
+  // Instance indices of the evaluation's synthetic nets shift: the next
+  // failedPins() re-checks every pin.
+  verdictsValid_ = false;
   const int idx = mutableDesign_->addInstance(std::move(inst));
+  std::vector<geom::Coord> rowYs;
+  rows_.insert(*design_, idx, rowYs);
   index_.add(idx);
   chosen_.push_back(-1);
-  ensureClassAccess(index_.classOf(idx));
-  recomputeAfterMutation({idx});
+  try {
+    ensureClassAccess(index_.classOf(idx));
+  } catch (...) {
+    std::vector<geom::Coord> ignored;
+    rows_.erase(*design_, idx, ignored);
+    index_.remove(idx);
+    mutableDesign_->removeInstance(idx);
+    chosen_.pop_back();
+    designRevision_ = design_->revision();
+    throw;
+  }
+  const int touched[] = {idx};
+  recomputeAfterMutation(touched, rowYs, false);
   return idx;
 }
 
 void OracleSession::removeInstance(int instIdx) {
   requireMutable();
+  verdictsValid_ = false;
+  std::vector<geom::Coord> rowYs;
+  rows_.erase(*design_, instIdx, rowYs);
   index_.remove(instIdx);
   mutableDesign_->removeInstance(instIdx);
+  rows_.renumberAfterRemove(instIdx);
   chosen_.erase(chosen_.begin() + instIdx);
   // Clusters that contained the instance lose their identity entirely (the
   // survivors' abutment changed, so their old DP result must not be reused
   // under the remapped member list); all other stored clusters renumber.
-  for (std::vector<int>& cluster : clusters_) {
-    if (std::find(cluster.begin(), cluster.end(), instIdx) != cluster.end()) {
-      cluster.clear();
-      continue;
-    }
-    for (int& m : cluster) {
-      if (m > instIdx) --m;
+  for (auto& [y, runs] : rowClusters_) {
+    for (std::vector<int>& cluster : runs) {
+      if (std::find(cluster.begin(), cluster.end(), instIdx) !=
+          cluster.end()) {
+        cluster.clear();
+        continue;
+      }
+      for (int& m : cluster) {
+        if (m > instIdx) --m;
+      }
     }
   }
-  std::erase_if(clusters_,
-                [](const std::vector<int>& c) { return c.empty(); });
-  recomputeAfterMutation({});
+  recomputeAfterMutation({}, rowYs, false);
 }
 
-void OracleSession::recomputeAfterMutation(const std::vector<int>& touched) {
+std::size_t OracleSession::runOf(geom::Coord y, int inst) const {
+  const std::vector<std::vector<int>>& runs = rowClusters_.at(y);
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    if (std::find(runs[k].begin(), runs[k].end(), inst) != runs[k].end()) {
+      return k;
+    }
+  }
+  throw std::logic_error("OracleSession: instance missing from its row");
+}
+
+void OracleSession::recomputeAfterMutation(std::span<const int> touched,
+                                           std::vector<geom::Coord>& rowYs,
+                                           bool track) {
   PAO_TRACE_SCOPE("session.mutation");
   ++stats_.mutations;
   PAO_COUNTER_INC("pao.session.mutations");
   designRevision_ = design_->revision();
+  std::sort(rowYs.begin(), rowYs.end());
+  rowYs.erase(std::unique(rowYs.begin(), rowYs.end()), rowYs.end());
+  stats_.lastRowsSplit = rowYs.size();
+  PAO_COUNTER_ADD("pao.session.rows_split", rowYs.size());
   if (cfg_.legacyMode) {
     trivialSelection();
     return;
   }
 
-  std::vector<std::vector<int>> newClusters = buildClusters(*design_);
-  const std::set<std::vector<int>> oldSet(clusters_.begin(), clusters_.end());
-  const std::size_t numInst = design_->instances.size();
-  std::vector<char> touchedInst(numInst, 0);
-  for (const int t : touched) touchedInst[t] = 1;
-
-  // Dirty = structurally new, contains a touched instance, or — checked in
-  // cluster (i.e. pinning) order — shares an instance with an earlier dirty
-  // cluster, whose pinned multi-height decision may have changed.
-  std::vector<char> dirty(newClusters.size(), 0);
-  std::vector<char> instDirty(numInst, 0);
-  for (std::size_t c = 0; c < newClusters.size(); ++c) {
-    bool d = oldSet.find(newClusters[c]) == oldSet.end();
-    if (!d) {
-      for (const int inst : newClusters[c]) {
-        if (touchedInst[inst] != 0 || instDirty[inst] != 0) {
-          d = true;
-          break;
-        }
-      }
+  // Re-split the touched rows. A run is dirty when it is not one of its
+  // row's old runs or holds a touched instance. A cluster is named by its
+  // (row y, run index); in that order the clusters are in pinning order.
+  using ClusterId = std::pair<geom::Coord, std::size_t>;
+  std::vector<ClusterId> seeds;
+  std::size_t built = 0;
+  for (const geom::Coord y : rowYs) {
+    std::vector<std::vector<int>> old;
+    if (const auto it = rowClusters_.find(y); it != rowClusters_.end()) {
+      old = std::move(it->second);
+      rowClusters_.erase(it);
     }
-    if (d) {
-      dirty[c] = 1;
-      for (const int inst : newClusters[c]) instDirty[inst] = 1;
+    stats_.lastClusterCount -= old.size();
+    const db::RowIndex::Row* row = rows_.find(y);
+    if (row == nullptr) continue;
+    std::sort(old.begin(), old.end());
+    std::vector<std::vector<int>>& runs = rowClusters_[y];
+    splitRow(*design_, *row, runs);
+    built += runs.size();
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const bool fresh =
+          !std::binary_search(old.begin(), old.end(), runs[k]);
+      const bool hit = std::any_of(
+          runs[k].begin(), runs[k].end(), [&](int inst) {
+            return std::find(touched.begin(), touched.end(), inst) !=
+                   touched.end();
+          });
+      if (fresh || hit) seeds.push_back({y, k});
+    }
+  }
+  stats_.lastClusterCount += built;
+  PAO_COUNTER_ADD("pao.step3.clusters_built", built);
+
+  // Carry the multi-height pinning closure forward in cluster order: a
+  // cluster sharing an instance with an earlier dirty cluster is dirty too.
+  // Every cluster found that way lies in a higher row than the one that
+  // found it, so the queue pops in cluster order and repeats pop together.
+  std::priority_queue<ClusterId, std::vector<ClusterId>, std::greater<>>
+      queue(std::greater<>{}, std::move(seeds));
+  std::vector<ClusterId> dirty;
+  while (!queue.empty()) {
+    const ClusterId id = queue.top();
+    queue.pop();
+    if (!dirty.empty() && dirty.back() == id) continue;
+    dirty.push_back(id);
+    for (const int inst : rowClusters_.at(id.first)[id.second]) {
+      const geom::Coord top = design_->instances[inst].bbox().yhi;
+      for (const db::RowIndex::Row& row : rows_.rowsIn(id.first + 1, top)) {
+        queue.push({row.y, runOf(row.y, inst)});
+      }
     }
   }
 
   // Reset the choice of instances that appear only in dirty clusters; an
   // instance shared with a clean cluster keeps that cluster's (earlier, and
   // unchanged) decision as a pin for the re-run.
-  std::vector<char> inClean(numInst, 0);
   std::vector<std::vector<int>> dirtyClusters;
-  for (std::size_t c = 0; c < newClusters.size(); ++c) {
-    if (dirty[c] == 0) {
-      for (const int inst : newClusters[c]) inClean[inst] = 1;
-    } else {
-      dirtyClusters.push_back(newClusters[c]);
-    }
-  }
-  for (const std::vector<int>& cluster : dirtyClusters) {
+  dirtyClusters.reserve(dirty.size());
+  std::vector<std::pair<int, int>> before;  // (instance, old pattern)
+  for (const auto& [y, k] : dirty) {
+    const std::vector<int>& cluster = rowClusters_.at(y)[k];
+    dirtyClusters.push_back(cluster);
     for (const int inst : cluster) {
-      if (inClean[inst] == 0) chosen_[inst] = -1;
+      const geom::Rect bbox = design_->instances[inst].bbox();
+      const auto clean = [&](const db::RowIndex::Row& r) {
+        const ClusterId other{r.y, r.y == y ? k : runOf(r.y, inst)};
+        return !std::binary_search(dirty.begin(), dirty.end(), other);
+      };
+      if (std::ranges::any_of(rows_.rowsIn(bbox.ylo, bbox.yhi), clean)) {
+        continue;
+      }
+      // Its own row's cluster comes first in order: record the old pattern
+      // there, before any reset.
+      if (track && y == bbox.ylo &&
+          std::find(touched.begin(), touched.end(), inst) == touched.end()) {
+        before.push_back({inst, chosen_[inst]});
+      }
+      chosen_[inst] = -1;
     }
   }
 
@@ -470,9 +602,74 @@ void OracleSession::recomputeAfterMutation(const std::vector<int>& touched) {
 #endif
   }
   stats_.lastDirtyClusters = dirtyClusters.size();
-  clusters_ = std::move(newClusters);
   finishSelectionPass();
   PAO_COUNTER_ADD("pao.session.dirty_clusters", dirtyClusters.size());
+
+  // An instance whose pattern the re-run changed moved its vias.
+  for (const auto& [inst, pattern] : before) {
+    if (chosen_[inst] == pattern) continue;
+    changedBoxes_.push_back(footprint(inst, pattern));
+    changedBoxes_.push_back(footprint(inst, chosen_[inst]));
+  }
+}
+
+geom::Rect OracleSession::footprint(int inst, int pattern) const {
+  const db::Instance& instance = design_->instances[inst];
+  geom::Rect box = instance.bbox();
+  db::forEachPlacedShape(instance, [&](const geom::Rect& r, int, int) {
+    box = box.merge(r);
+  });
+  const int cls = index_.classes().classOf[inst];
+  if (cls < 0 || static_cast<std::size_t>(cls) >= classes_.size()) return box;
+  const ClassAccess& ca = classes_[cls];
+  for (std::size_t p = 0; p < ca.pinAps.size(); ++p) {
+    const auto ap = placeChosenAp(ca, pattern, static_cast<int>(p),
+                                  instance.origin);
+    const db::ViaDef* via = ap ? ap->ap->primaryVia(*design_->tech) : nullptr;
+    if (via == nullptr) continue;
+    box = box.merge(via->botEncAt(ap->loc))
+              .merge(via->cutAt(ap->loc))
+              .merge(via->topEncAt(ap->loc));
+  }
+  return box;
+}
+
+FailedPinStats OracleSession::failedPins() {
+  PAO_TRACE_SCOPE("eval.failed_pins");
+  const bool incremental = verdictsValid_;
+  verdictsValid_ = false;  // an exception below leaves a full re-check due
+  const OracleResult res = snapshot();
+  const FailedPinContext ctx(*design_, res);
+  const std::vector<FailedPinContext::PinRef>& pins = ctx.pins();
+  std::vector<int> recheck;
+  if (!incremental || verdicts_.size() != pins.size()) {
+    verdicts_.assign(pins.size(), PinVerdict{});
+    recheck.resize(pins.size());
+    std::iota(recheck.begin(), recheck.end(), 0);
+  } else {
+    // A pin is re-checked when a changed footprint intersects the reach of
+    // its last check.
+    std::vector<geom::GridIndex<char>::Entry> boxes;
+    boxes.reserve(changedBoxes_.size());
+    for (const geom::Rect& box : changedBoxes_) boxes.push_back({box, 0});
+    const geom::GridIndex<char> changed(std::move(boxes));
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      bool reached = false;
+      changed.queryIndices(verdicts_[i].reach,
+                           [&](std::size_t) { reached = true; });
+      if (reached) recheck.push_back(static_cast<int>(i));
+    }
+  }
+  recheckFailedPins(ctx, *design_, res, recheck, verdicts_);
+  changedBoxes_.clear();
+  stats_.lastPinsRechecked = recheck.size();
+  PAO_COUNTER_ADD("pao.eval.pins_rechecked", recheck.size());
+
+  FailedPinStats stats;
+  stats.totalPins = pins.size();
+  for (const PinVerdict& v : verdicts_) stats.failedPins += v.failed ? 1 : 0;
+  verdictsValid_ = true;
+  return stats;
 }
 
 void OracleSession::finishSelectionPass() {
@@ -481,7 +678,6 @@ void OracleSession::finishSelectionPass() {
     PAO_COUNTER_ADD("pao.step3.pair_checks", pairChecks - stats_.pairChecks);
   }
   stats_.pairChecks = pairChecks;
-  stats_.lastClusterCount = clusters_.size();
   stats_.clusterDpRuns = selector_->numDpRuns();
   step3CpuSeconds_ = selector_->dpCpuSeconds();
   if (!selector_->budgetExpired()) return;

@@ -12,30 +12,39 @@
 //     (db::UniqueInstanceIndex) — class indices are stable, so per-class
 //     results and the Step-3 pair-verdict table stay valid for the session
 //     lifetime.
-//   * Step 3 re-runs the cluster DP only for dirty clusters: clusters whose
-//     member list changed, clusters containing a touched instance, and —
-//     transitively, in cluster order — clusters sharing a (multi-height)
-//     instance with an earlier dirty cluster, whose pinned input may have
-//     changed. Everything else keeps its chosen pattern.
+//   * Placement rows are a db::RowIndex kept current in O(row length); a
+//     mutation re-splits only the rows it touched into clusters.
+//   * Step 3 re-runs the cluster DP only for dirty clusters: runs of a
+//     re-split row that are not among that row's old runs, clusters
+//     containing a touched instance, and — transitively, in cluster order —
+//     clusters sharing a (multi-height) instance with an earlier dirty
+//     cluster, whose pinned input may have changed. Everything else keeps
+//     its chosen pattern.
+//   * failedPins() keeps every pin's verdict and the reach of its check
+//     between calls and re-checks only the pins whose reach a changed
+//     shape intersects (see DESIGN.md "Incremental oracle session").
 //
 // Invariant (enforced by tests): after any mutation sequence, chosenPattern()
-// equals a fresh PinAccessOracle::run() on the mutated design, for any
-// thread count.
+// equals a fresh PinAccessOracle::run() on the mutated design, and
+// failedPins() equals countFailedPins() of that run, for any thread count.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "db/row_index.hpp"
 #include "db/unique_inst.hpp"
 #include "obs/enabled.hpp"
 #include "pao/access_cache.hpp"
 #include "pao/cluster_select.hpp"
+#include "pao/evaluate.hpp"
 #include "pao/oracle.hpp"
 #include "util/jobs.hpp"
 
@@ -60,6 +69,9 @@ class OracleSession {
   // --- mutation API --------------------------------------------------------
   /// Each call applies the design edit, re-signatures the instance, and
   /// brings chosenPattern() back in sync by recomputing dirty clusters only.
+  /// When the analysis of a new class throws, moveInstance, setOrient and
+  /// addInstance undo the edit before rethrowing: design and session stay
+  /// as they were.
   void moveInstance(int instIdx, geom::Point newOrigin);
   void setOrient(int instIdx, geom::Orient orient);
   /// Appends `inst` to the design; returns its instance index.
@@ -81,6 +93,8 @@ class OracleSession {
   const std::vector<ClassAccess>& classAccesses() const { return classes_; }
   /// Chosen pattern per instance (-1 when the class has none).
   const std::vector<int>& chosenPattern() const { return chosen_; }
+  /// The placement rows, current with the design.
+  const db::RowIndex& rows() const { return rows_; }
   /// The access point chosen for (instance, signal-pin position), placed at
   /// the instance's current location.
   std::optional<OracleResult::ChosenAp> chosenAp(int instIdx,
@@ -90,6 +104,12 @@ class OracleSession {
   /// without members empty. Timings describe the initial full analysis, not
   /// later mutations.
   OracleResult snapshot() const;
+  /// countFailedPins(design(), snapshot()) under the strict criterion,
+  /// without details. Rebuilds the evaluation context, then re-checks only
+  /// the pins whose last check could have read a shape changed since the
+  /// previous call: every pin on the first call, after addInstance or
+  /// removeInstance, and after an exception in a mutation or in this call.
+  FailedPinStats failedPins();
 
   /// Graceful-degradation events accumulated so far (cfg.keepGoing class
   /// fallbacks, Step-3 budget expiries). Unsorted accumulation order;
@@ -105,6 +125,12 @@ class OracleSession {
     /// headline (a full build sets the count with zero dirty clusters).
     std::size_t lastDirtyClusters = 0;
     std::size_t lastClusterCount = 0;
+    /// Rows the last mutation re-split (published per mutation as
+    /// "pao.session.rows_split").
+    std::size_t lastRowsSplit = 0;
+    /// Pins the last failedPins() call re-checked (published per call as
+    /// "pao.eval.pins_rechecked").
+    std::size_t lastPinsRechecked = 0;
     /// Steps 1-2 per-class analyses actually computed (signature misses).
     std::size_t classBuilds = 0;
     /// Per-class analyses answered from the configured AccessCache.
@@ -156,11 +182,23 @@ class OracleSession {
   /// Grows per-class storage after the index created classes, then makes
   /// sure `cls` is analyzed.
   void ensureClassAccess(int cls);
-  void onGeometryChanged(int instIdx);
-  /// Rebuilds clusters, diffs against the previous structure, and re-runs
-  /// the DP for dirty clusters only (`touched` = instances whose geometry
-  /// or class changed in this mutation).
-  void recomputeAfterMutation(const std::vector<int>& touched);
+  /// Applies `edit` (a geometry change of instance `instIdx`) and brings
+  /// the session back in sync; on a class-analysis exception runs `undo`
+  /// and restores the indices before rethrowing.
+  template <typename Edit, typename Undo>
+  void editGeometry(int instIdx, Edit&& edit, Undo&& undo);
+  /// Re-splits the rows at `rowYs` (the rows the mutation's db::RowIndex
+  /// edits touched), diffs each against its old runs, and re-runs the DP
+  /// for dirty clusters only (`touched` = instances whose geometry or class
+  /// changed in this mutation). With `track`, records the footprints of
+  /// instances whose chosen pattern the re-run changed.
+  void recomputeAfterMutation(std::span<const int> touched,
+                              std::vector<geom::Coord>& rowYs, bool track);
+  /// Index of the run of row `y` in rowClusters_ that holds `inst`.
+  std::size_t runOf(geom::Coord y, int inst) const;
+  /// Everything of instance `inst` a failed-pin check can see under
+  /// pattern `pattern`: its bbox, placed master shapes and chosen vias.
+  geom::Rect footprint(int inst, int pattern) const;
   /// Registers the clusters' abutment keys with the selector, then adds one
   /// Step-3 DP node per cluster to `graph`, chained by clusterDeps; with
   /// `classStep2` (the initial build) each node also depends on its member
@@ -187,8 +225,18 @@ class OracleSession {
   std::vector<ClassAccess> classes_;
   std::vector<char> classReady_;
   std::vector<int> chosen_;
-  /// Cluster structure the current chosen_ was computed against.
-  std::vector<std::vector<int>> clusters_;
+  db::RowIndex rows_;
+  /// Cluster structure the current chosen_ was computed against: each
+  /// row's runs, left to right, keyed by row y. Map order is the cluster
+  /// order of buildClusters.
+  std::map<geom::Coord, std::vector<std::vector<int>>> rowClusters_;
+  /// Per pin of the evaluation context, the last failedPins() verdict and
+  /// the reach of its check. Valid (verdictsValid_) only while every
+  /// change since is recorded in changedBoxes_ (footprints before and
+  /// after each change).
+  std::vector<PinVerdict> verdicts_;
+  bool verdictsValid_ = false;
+  std::vector<geom::Rect> changedBoxes_;
   std::unique_ptr<ClusterSelector> selector_;
   std::uint64_t designRevision_ = 0;
   Stats stats_;

@@ -425,16 +425,12 @@ obs::Json Service::cmdQuery(const Request& req) {
   const core::OracleSession& session = *t.session;
   const std::vector<int>& chosen = session.chosenPattern();
   obs::Json instances = obs::Json::array();
-  for (std::size_t i = 0; i < design.instances.size(); ++i) {
+  for (const int idx : session.rows().overlapping(design, region)) {
+    const auto i = static_cast<std::size_t>(idx);
     const db::Instance& instance = design.instances[i];
-    const geom::Rect bbox = instance.bbox();
-    const bool overlaps = bbox.xlo < region.xhi && region.xlo < bbox.xhi &&
-                          bbox.ylo < region.yhi && region.ylo < bbox.yhi;
-    if (!overlaps) continue;
     obs::Json j = obs::Json::object();
     j.set("inst", obs::Json(i));
     j.set("name", obs::Json(instance.name));
-    const int idx = static_cast<int>(i);
     j.set("pattern", obs::Json(idx < static_cast<int>(chosen.size())
                                    ? chosen[idx]
                                    : -1));
@@ -472,7 +468,7 @@ obs::Json Service::cmdReport(const Request& req) {
   // process-wide numbers a fresh batch run cannot reproduce).
   const core::OracleResult res = t.session->snapshot();
   const core::DirtyApStats dirty = core::countDirtyAps(*t.design, res);
-  const core::FailedPinStats failed = core::countFailedPins(*t.design, res);
+  const core::FailedPinStats failed = t.session->failedPins();
   obs::RunReport report("pao_serve report");
   report.section("design") = core::designSectionJson(t.bundle->tech,
                                                      t.bundle->lib,

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Service smoke test: boots pao_serve on a Unix-domain socket, drives a
-# load -> move -> query -> save -> report flow through pao_client, and
+# load -> move -> query -> save -> report flow through pao_client, then a
+# move -> revert -> orient -> save -> (incremental) report flow, and
 # asserts the service-level equivalence contract: the daemon's report for a
 # mutated tenant is byte-identical — after normalizeForCompare and modulo
 # the producer-specific tool/session/cache/metrics keys — to `pao_cli
@@ -58,14 +59,31 @@ grep -q '"inflight":0' "$WORK/metrics.json"
 # the same normalized report. analyze may exit 1 (quality failure: failed
 # pins) on a mutated placement — that is a legal outcome; the reports must
 # still agree.
-"$CLI" analyze "$WORK/case.lef" "$WORK/post.def" \
-  --report-json "$WORK/analyze_report.json" >/dev/null 2>&1 || rc=$?
-if [ "${rc:-0}" -gt 1 ]; then
-  echo "serve_smoke: pao_cli analyze failed with rc=${rc:-0}" >&2
-  exit 1
-fi
-"$CHECK" compare "$WORK/serve_report.json" "$WORK/analyze_report.json" \
-  --ignore tool --ignore session --ignore cache --ignore metrics
+compare_with_batch() {  # <saved def> <serve report> <tag>
+  rc=0
+  "$CLI" analyze "$WORK/case.lef" "$1" \
+    --report-json "$WORK/analyze_$3.json" >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -gt 1 ]; then
+    echo "serve_smoke: pao_cli analyze failed with rc=$rc" >&2
+    exit 1
+  fi
+  "$CHECK" compare "$2" "$WORK/analyze_$3.json" \
+    --ignore tool --ignore session --ignore cache --ignore metrics
+}
+compare_with_batch "$WORK/post.def" "$WORK/serve_report.json" first
+
+# A second report after move -> revert -> orient re-checks only the pins
+# those edits can reach, and must equal batch just the same.
+"$CLIENT" --socket "$SOCK" \
+  '{"cmd":"move","tenant":"t1","inst":3,"dx":760}' \
+  '{"cmd":"move","tenant":"t1","inst":3,"dx":-760}' \
+  '{"cmd":"orient","tenant":"t1","inst":5,"orient":"MY"}' \
+  "{\"cmd\":\"save\",\"tenant\":\"t1\",\"def\":\"$WORK/post2.def\"}" \
+  >"$WORK/mutate2.json"
+"$CLIENT" --socket "$SOCK" --extract result.report \
+  '{"cmd":"report","tenant":"t1"}' >"$WORK/serve_report2.json"
+"$CHECK" report "$WORK/serve_report2.json"
+compare_with_batch "$WORK/post2.def" "$WORK/serve_report2.json" second
 
 # Clean shutdown: the daemon must exit 0 on the shutdown command.
 "$CLIENT" --socket "$SOCK" '{"cmd":"shutdown"}' >/dev/null

@@ -4,7 +4,9 @@
 
 #include "pao/access_cache.hpp"
 #include "pao/ap_gen.hpp"
+#include "pao/oracle.hpp"
 #include "pao/pattern_gen.hpp"
+#include "pao/session.hpp"
 #include "test_util.hpp"
 
 namespace pao::core {
@@ -118,6 +120,49 @@ TEST(BuildClusters, MultiHeightCellJoinsEveryRowItCovers) {
   EXPECT_EQ(clusters[0], (std::vector<int>{3, 1, 5}));
   EXPECT_EQ(clusters[1], (std::vector<int>{2, 1, 4}));
   EXPECT_EQ(clusters[2], (std::vector<int>{0}));
+}
+
+// Instances at the same origin x are ordered by index, so a row's runs do
+// not depend on how a sort happened to leave them. Here the order matters:
+// the wide cell first ends the run at its right edge, the narrow one
+// second ends it earlier, so the next cell starts a new run. A serve move
+// onto an occupied site creates exactly this, and the session must agree
+// with a batch run on it.
+TEST(BuildClusters, CoincidentOriginsKeepIndexOrder) {
+  test::TinyDesign td = test::makeTinyDesign({{0, Rect{150, 300, 250, 1100}}});
+  const db::Master* cell = td.lib->findMaster("CELL");
+  db::Master& wide = td.lib->addMaster("WIDE");
+  wide.width = 2400;
+  wide.height = 1200;
+  wide.pins = cell->pins;
+  db::Master& tall = td.lib->addMaster("TALL");
+  tall.width = 1200;
+  tall.height = 2400;
+  tall.pins = cell->pins;
+  db::Design& d = *td.design;
+  d.instances.clear();
+  const auto place = [&](const char* name, const db::Master* m, Point at) {
+    d.instances.push_back({name, m, at, geom::Orient::R0});
+  };
+  place("w", &wide, {0, 0});     // 0
+  place("a", cell, {4800, 0});   // 1: moved onto w's origin below
+  place("b", cell, {2400, 0});   // 2
+  place("t", &tall, {2400, 0});  // 3: over b, rows 0 and 1200
+  place("c", cell, {2400, 1200});  // 4: coincident with t's upper half
+  d.buildInstanceIndex();
+
+  const OracleConfig cfg = withBcaConfig();
+  OracleSession session(d, cfg);
+  session.moveInstance(1, {0, 0});
+
+  const std::vector<std::vector<int>> clusters = buildClusters(d);
+  ASSERT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(clusters[0], (std::vector<int>{0, 1}));
+  EXPECT_EQ(clusters[1], (std::vector<int>{2, 3}));
+  EXPECT_EQ(clusters[2], (std::vector<int>{3, 4}));
+  EXPECT_EQ(session.stats().lastClusterCount, clusters.size());
+  PinAccessOracle batch(d, cfg);
+  EXPECT_EQ(session.chosenPattern(), batch.run().chosenPattern);
 }
 
 TEST_F(ClusterFixture, EveryInstanceGetsAPattern) {

@@ -384,6 +384,120 @@ TEST(ServeEquivalence, ReportMatchesFreshBatchRunOfSavedDesign) {
             pao::obs::normalizeForCompare(expected.doc()).dump());
 }
 
+/// The region query as a linear scan over every instance: the reference
+/// the row-index lookup of Service::cmdQuery must reproduce byte for byte.
+Json referenceQuery(const pao::core::OracleSession& session,
+                    const pao::db::Design& design,
+                    const pao::geom::Rect& region) {
+  Json instances = Json::array();
+  for (std::size_t i = 0; i < design.instances.size(); ++i) {
+    const pao::geom::Rect bbox = design.instances[i].bbox();
+    if (!(bbox.xlo < region.xhi && region.xlo < bbox.xhi &&
+          bbox.ylo < region.yhi && region.ylo < bbox.yhi)) {
+      continue;
+    }
+    const int idx = static_cast<int>(i);
+    Json j = Json::object();
+    j.set("inst", Json(i));
+    j.set("name", Json(design.instances[i].name));
+    j.set("pattern", Json(session.chosenPattern()[i]));
+    Json aps = Json::array();
+    const int cls = session.unique().classOf[i];
+    if (cls >= 0) {
+      const std::size_t pins = session.classAccess(cls).pinAps.size();
+      for (std::size_t p = 0; p < pins; ++p) {
+        const auto ap = session.chosenAp(idx, static_cast<int>(p));
+        if (!ap) continue;
+        Json a = Json::object();
+        a.set("pin", Json(p));
+        a.set("x", Json(static_cast<long long>(ap->loc.x)));
+        a.set("y", Json(static_cast<long long>(ap->loc.y)));
+        aps.push(std::move(a));
+      }
+    }
+    j.set("aps", std::move(aps));
+    instances.push(std::move(j));
+  }
+  Json result = Json::object();
+  result.set("instances", std::move(instances));
+  return result;
+}
+
+// Random regions — empty, inverted, degenerate, off the die — after edits
+// that move instances half a row off their rows and flip them: the
+// tenant's query responses equal the linear-scan reference over a local
+// session that saw the same edits.
+TEST(ServeQuery, RowIndexLookupMatchesLinearScan) {
+  Service service(ServiceConfig{});
+  expectOk(service.handleLine(loadLine("q")));
+  auto slurp = [](const std::string& path) {
+    std::stringstream ss;
+    ss << std::ifstream(path).rdbuf();
+    return ss.str();
+  };
+  pao::db::Tech tech;
+  pao::db::Library lib;
+  pao::lefdef::parseLef(slurp(testFiles().lef), tech, lib);
+  pao::db::Design design;
+  design.tech = &tech;
+  design.lib = &lib;
+  pao::lefdef::parseDef(slurp(testFiles().def), design);
+  pao::core::OracleSession local(design, pao::core::withBcaConfig());
+
+  std::uint64_t state = 99;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 17;
+  };
+  const pao::geom::Rect die = design.dieArea;
+  const auto coord = [&](long long lo, long long hi) {
+    return lo + static_cast<long long>(next() % static_cast<std::uint64_t>(
+                                                    hi - lo + 1));
+  };
+  const long long rowHeight = design.rows.front().height;
+  for (int step = 0; step < 40; ++step) {
+    const int inst = static_cast<int>(next() % design.instances.size());
+    if (step % 5 == 4) {
+      expectOk(service.handleLine(
+          "{\"cmd\":\"orient\",\"tenant\":\"q\",\"inst\":" +
+          std::to_string(inst) + ",\"orient\":\"MY\"}"));
+      local.setOrient(inst, pao::geom::Orient::MY);
+    } else {
+      const long long dx = 380 * coord(-4, 4);
+      const long long dy = rowHeight / 2 * coord(-2, 2);
+      expectOk(service.handleLine(
+          "{\"cmd\":\"move\",\"tenant\":\"q\",\"inst\":" +
+          std::to_string(inst) + ",\"dx\":" + std::to_string(dx) +
+          ",\"dy\":" + std::to_string(dy) + "}"));
+      const pao::geom::Point at = design.instances[inst].origin;
+      local.moveInstance(inst, {at.x + dx, at.y + dy});
+    }
+    for (int q = 0; q < 5; ++q) {
+      long long box[4] = {coord(die.xlo - 2000, die.xhi + 2000),
+                          coord(die.ylo - 2000, die.yhi + 2000),
+                          coord(die.xlo - 2000, die.xhi + 2000),
+                          coord(die.ylo - 2000, die.yhi + 2000)};
+      if (q == 0) box[2] = box[0];  // zero width: nothing overlaps
+      const std::string region =
+          "[" + std::to_string(box[0]) + "," + std::to_string(box[1]) + "," +
+          std::to_string(box[2]) + "," + std::to_string(box[3]) + "]";
+      const Json got = expectOk(service.handleLine(
+          "{\"cmd\":\"query\",\"tenant\":\"q\",\"region\":" + region +
+          "}"));
+      EXPECT_EQ(got.dump(),
+                referenceQuery(local, design,
+                               pao::geom::Rect(box[0], box[1], box[2], box[3]))
+                    .dump())
+          << "step " << step << " region " << region;
+    }
+  }
+  // The whole die (no region) lists every instance.
+  EXPECT_EQ(
+      expectOk(service.handleLine("{\"cmd\":\"query\",\"tenant\":\"q\"}"))
+          .dump(),
+      referenceQuery(local, design, design.dieArea).dump());
+}
+
 TEST(ServeEquivalence, TenantsShareTheCacheThroughInternedLibraries) {
   Service service(ServiceConfig{});
   expectOk(service.handleLine(loadLine("t1")));

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "benchgen/huge.hpp"
 #include "benchgen/testcase.hpp"
+#include "lefdef/stream.hpp"
+#include "pao/evaluate.hpp"
 #include "pao/oracle.hpp"
 #include "reference.hpp"
+#include "util/fault.hpp"
 
 namespace pao::core {
 namespace {
@@ -117,8 +122,200 @@ TEST_P(SessionEquivalence, MutatedStep3MatchesReference) {
   }
 }
 
+void expectSameFailedPins(const FailedPinStats& got,
+                          const FailedPinStats& want) {
+  EXPECT_EQ(got.totalPins, want.totalPins);
+  EXPECT_EQ(got.failedPins, want.failedPins);
+}
+
+/// session.failedPins() equals countFailedPins of a fresh batch run of the
+/// mutated design, and the chosen patterns are the run's; returns the
+/// session's stats.
+FailedPinStats expectFailedPinsMatchBatch(OracleSession& session,
+                                          const db::Design& design,
+                                          const OracleConfig& cfg) {
+  const FailedPinStats got = session.failedPins();
+  PinAccessOracle fresh(design, cfg);
+  const OracleResult batch = fresh.run();
+  EXPECT_EQ(session.chosenPattern(), batch.chosenPattern);
+  expectSameFailedPins(got, countFailedPins(design, batch));
+  return got;
+}
+
+// Random mutation runs with a report after every 1-10 mutations: the
+// session re-checks only the pins a change can reach, and still counts
+// exactly what the batch evaluation of its state counts — the contract of
+// failedPins(), held apart from the oracle steps before it (chosen patterns
+// can drift from a fresh run once a class's representative sits where the
+// track patterns end; see ROADMAP "Class access at track-range ends").
+// Moves onto occupied sites make pins fail, so the counts are not trivially
+// zero; moves half a row off the rows make rows appear and empty.
+TEST_P(SessionEquivalence, IncrementalFailedPinsMatchBatch) {
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed 0.02" : "small case");
+    benchgen::Testcase tc = mixed
+                                ? benchgen::generate(benchgen::mixedSpec(), 0.02)
+                                : smallCase();
+    db::Design& design = *tc.design;
+    OracleConfig cfg = withBcaConfig();
+    cfg.numThreads = GetParam();
+    OracleSession session(design, cfg);
+    expectFailedPinsMatchBatch(session, design, cfg);
+    const auto evaluate = [&] {
+      const FailedPinStats got = session.failedPins();
+      expectSameFailedPins(got, countFailedPins(design, session.snapshot()));
+      return got;
+    };
+
+    Lcg rng{31 + static_cast<std::uint64_t>(GetParam())};
+    bool sawFailure = false;
+    bool sawPartial = false;
+    int clones = 0;
+    for (int report = 0; report < 30; ++report) {
+      const int mutations = 1 + static_cast<int>(rng.next() % 10);
+      for (int m = 0; m < mutations; ++m) {
+        const std::uint64_t kind = rng.next() % 40;
+        const int inst =
+            static_cast<int>(rng.next() % design.instances.size());
+        if (kind == 0) {
+          db::Instance clone = design.instances[inst];
+          clone.name = "failed_pins_clone_" + std::to_string(clones++);
+          session.addInstance(clone);
+        } else if (kind == 1) {
+          session.removeInstance(inst);
+        } else if (kind < 6) {
+          const geom::Point at = design.instances[inst].origin;
+          session.moveInstance(
+              inst, {at.x, at.y + design.rows.front().height / 2});
+        } else {
+          randomMutation(session, design, rng);
+        }
+      }
+      SCOPED_TRACE("report " + std::to_string(report));
+      const FailedPinStats got = evaluate();
+      sawFailure = sawFailure || got.failedPins > 0;
+      sawPartial =
+          sawPartial || session.stats().lastPinsRechecked < got.totalPins;
+    }
+    EXPECT_TRUE(sawFailure);
+    EXPECT_TRUE(sawPartial);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, SessionEquivalence,
                          ::testing::Values(1, 4, 0));
+
+// A mutation whose new class fails to analyze is undone: the design and the
+// session are as before, so the chosen patterns and the next failed-pin
+// report (a full re-check after the exception) still equal a batch run.
+TEST(OracleSession, FailedMutationIsUndoneAndReportStaysExact) {
+  benchgen::Testcase tc = smallCase();
+  db::Design& design = *tc.design;
+  OracleConfig cfg = withBcaConfig();
+  OracleSession session(design, cfg);
+  expectFailedPinsMatchBatch(session, design, cfg);
+
+  util::FaultRegistry& faults = util::FaultRegistry::instance();
+  ASSERT_TRUE(faults.configure("oracle.class_access"));
+  // Find an orientation that gives instance 2 a signature no class has yet;
+  // a flip onto an existing class needs no analysis and succeeds.
+  bool threw = false;
+  for (const geom::Orient o : {geom::Orient::MY, geom::Orient::R180,
+                               geom::Orient::MX, geom::Orient::R0}) {
+    const db::Instance before = design.instances[2];
+    const std::size_t rowsBefore = session.rows().rows().size();
+    try {
+      session.setOrient(2, o);
+    } catch (const util::FaultInjected&) {
+      threw = true;
+      EXPECT_EQ(design.instances[2].orient, before.orient);
+      EXPECT_EQ(design.instances[2].origin, before.origin);
+      EXPECT_EQ(session.rows().rows().size(), rowsBefore);
+      break;
+    }
+  }
+  faults.reset();
+  ASSERT_TRUE(threw);
+  expectMatchesBatch(session, design, cfg);
+  const FailedPinStats after = expectFailedPinsMatchBatch(session, design, cfg);
+  EXPECT_EQ(session.stats().lastPinsRechecked, after.totalPins);
+
+  // The class is analyzed on the next mutation that needs it.
+  session.setOrient(2, geom::Orient::MY);
+  expectMatchesBatch(session, design, cfg);
+  expectFailedPinsMatchBatch(session, design, cfg);
+}
+
+/// The huge preset at h 0.01, parsed as pao_serve loads it.
+struct HugeCase {
+  benchgen::HugeTechLib techLib;
+  db::Design design;
+};
+
+std::unique_ptr<HugeCase> hugeCase(double scale) {
+  auto hc = std::make_unique<HugeCase>();
+  const benchgen::HugeSpec spec = benchgen::hugeSpec();
+  hc->techLib = benchgen::makeHugeTechLib(spec);
+  std::ostringstream def;
+  benchgen::writeHugeDef(spec, scale, *hc->techLib.tech, *hc->techLib.lib,
+                         def);
+  hc->design.tech = hc->techLib.tech.get();
+  hc->design.lib = hc->techLib.lib.get();
+  lefdef::parseDef(def.str(), hc->design);
+  return hc;
+}
+
+// The deterministic gate of the serve edit path, on the perfbench serve_edit
+// trial shape (huge h 0.01; a row-snapped move of a random instance or, every
+// 8th trial, a mirror flip, each reverted; a report every 100 mutations):
+// every mutation re-splits at most 4 rows, every report after the first
+// re-checks at most a quarter of the pins, and every report equals batch.
+TEST(SessionGate, ServeEditShapeStaysLocal) {
+  const std::unique_ptr<HugeCase> hc = hugeCase(0.01);
+  db::Design& design = hc->design;
+  AccessCache cache;
+  OracleConfig cfg = withBcaConfig();
+  cfg.numThreads = 1;
+  cfg.cache = &cache;
+  OracleSession session(design, cfg);
+  const std::size_t totalPins =
+      expectFailedPinsMatchBatch(session, design, cfg).totalPins;
+  ASSERT_GT(totalPins, 0u);
+
+  Lcg rng{0x9e3779b97f4a7c15ULL};
+  int mutations = 0;
+  const auto mutated = [&] {
+    EXPECT_LE(session.stats().lastRowsSplit, 4u) << "mutation " << mutations;
+    if (++mutations % 100 != 0) return;
+    SCOPED_TRACE("report after " + std::to_string(mutations));
+    expectFailedPinsMatchBatch(session, design, cfg);
+    EXPECT_LE(session.stats().lastPinsRechecked * 4, totalPins);
+  };
+  for (int trial = 1; 2 * trial <= 300; ++trial) {
+    const int inst = static_cast<int>(rng.next() % design.instances.size());
+    const db::Instance home = design.instances[inst];
+    if (trial % 8 == 0) {
+      session.setOrient(inst, home.orient == geom::Orient::R0
+                                  ? geom::Orient::MY
+                                  : geom::Orient::R0);
+      mutated();
+      session.setOrient(inst, home.orient);
+      mutated();
+      continue;
+    }
+    const db::Row& row = design.rows[rng.next() % design.rows.size()];
+    const std::uint64_t sites = static_cast<std::uint64_t>(
+        std::max(1, row.numSites - 4));
+    session.moveInstance(
+        inst, {row.origin.x + static_cast<geom::Coord>(rng.next() % sites) *
+                                  row.siteWidth,
+               row.origin.y});
+    mutated();
+    session.moveInstance(inst, home.origin);
+    mutated();
+  }
+  EXPECT_EQ(mutations, 300);
+}
 
 TEST(OracleSession, SingleMoveRecomputesOnlyDirtyClusters) {
   benchgen::Testcase tc = smallCase();

@@ -748,8 +748,10 @@ int cmdRoute(int argc, char** argv) {
 }
 
 // Measures the incremental OracleSession against fresh batch reruns over K
-// random row-snapped instance moves, asserting chosen-pattern equivalence
-// after every move. Exit 1 on any divergence.
+// random row-snapped instance moves, asserting after every move that the
+// chosen patterns and the failed-pin evaluation (session.failedPins() vs
+// countFailedPins of the fresh run) are equivalent, and timing both
+// evaluations. Exit 1 on any divergence.
 int cmdBenchIncremental(int argc, char** argv) {
   if (argc < 4) return usage();
   int moves = 8;
@@ -792,6 +794,9 @@ int cmdBenchIncremental(int argc, char** argv) {
   const auto tInit = Clock::now();
   core::OracleSession session(ld.design, cfg);
   const double initialSeconds = since(tInit);
+  // The first evaluation checks every pin; the moves below re-check only
+  // what each one reaches.
+  const std::size_t totalPins = session.failedPins().totalPins;
 
   std::uint64_t state = seed;
   const auto nextRand = [&state]() {
@@ -805,6 +810,9 @@ int cmdBenchIncremental(int argc, char** argv) {
   std::size_t freshDp = 0;
   std::size_t dirtySum = 0;
   std::size_t clusterSum = 0;
+  double incrementalEvalSeconds = 0;
+  double freshEvalSeconds = 0;
+  std::size_t pinsRechecked = 0;
   for (int m = 0; m < moves; ++m) {
     const int inst =
         static_cast<int>(nextRand() % ld.design.instances.size());
@@ -847,6 +855,24 @@ int cmdBenchIncremental(int argc, char** argv) {
                    m);
       return 1;
     }
+
+    const auto tEval = Clock::now();
+    const core::FailedPinStats incremental = session.failedPins();
+    incrementalEvalSeconds += since(tEval);
+    pinsRechecked += session.stats().lastPinsRechecked;
+    const core::OracleResult freshResult = fresh.snapshot();
+    const auto tFreshEval = Clock::now();
+    const core::FailedPinStats batch = core::countFailedPins(cref, freshResult);
+    freshEvalSeconds += since(tFreshEval);
+    if (incremental.totalPins != batch.totalPins ||
+        incremental.failedPins != batch.failedPins) {
+      std::fprintf(stderr,
+                   "MISMATCH after move %d: session failedPins %zu/%zu, "
+                   "fresh batch evaluation %zu/%zu\n",
+                   m, incremental.failedPins, incremental.totalPins,
+                   batch.failedPins, batch.totalPins);
+      return 1;
+    }
   }
 
   std::fprintf(stderr, "\nincremental bench (%d moves, seed %llu)\n", moves,
@@ -862,6 +888,13 @@ int cmdBenchIncremental(int argc, char** argv) {
                sessionDp, freshDp);
   std::fprintf(stderr, "  dirty clusters   : %zu of %zu visited\n", dirtySum,
                clusterSum);
+  std::fprintf(stderr, "  session eval     : %.3f s total (%.4f s/move)\n",
+               incrementalEvalSeconds,
+               moves > 0 ? incrementalEvalSeconds / moves : 0.0);
+  std::fprintf(stderr, "  fresh eval       : %.3f s total (%.4f s/move)\n",
+               freshEvalSeconds, moves > 0 ? freshEvalSeconds / moves : 0.0);
+  std::fprintf(stderr, "  pins re-checked  : %zu of %zu evaluated\n",
+               pinsRechecked, totalPins * static_cast<std::size_t>(moves));
   reportCache(cache);
   std::fprintf(stderr, "  equivalence      : OK\n");
 
@@ -880,6 +913,10 @@ int cmdBenchIncremental(int argc, char** argv) {
   bench.set("freshDpRuns", obs::Json(freshDp));
   bench.set("dirtyClusters", obs::Json(dirtySum));
   bench.set("visitedClusters", obs::Json(clusterSum));
+  bench.set("incrementalEvalSeconds", obs::Json(incrementalEvalSeconds));
+  bench.set("freshEvalSeconds", obs::Json(freshEvalSeconds));
+  bench.set("pinsRechecked", obs::Json(pinsRechecked));
+  bench.set("totalPins", obs::Json(totalPins));
   report.section("session") = core::sessionSectionJson(session.stats());
   report.section("cache") = core::cacheSectionJson(cache);
   if (!outputs.finish(report)) return 1;
