@@ -135,11 +135,6 @@ UniqueInstances extractUniqueInstances(const Design& design, int numThreads) {
   return out;
 }
 
-UniqueInstanceIndex::UniqueInstanceIndex(const Design& design)
-    : design_(&design), ui_(extractUniqueInstances(design)) {
-  buildClassIdx();
-}
-
 UniqueInstanceIndex::UniqueInstanceIndex(const Design& design, int numThreads)
     : design_(&design), ui_(extractUniqueInstances(design, numThreads)) {
   buildClassIdx();

@@ -61,7 +61,6 @@ std::vector<Coord> trackOffsets(const Design& design, const Instance& inst);
 ///     the same representative for every populated signature.
 class UniqueInstanceIndex {
  public:
-  explicit UniqueInstanceIndex(const Design& design);
   /// Builds the initial classes with the sharded parallel extraction
   /// (identical result at any thread count); mutations stay serial.
   UniqueInstanceIndex(const Design& design, int numThreads);

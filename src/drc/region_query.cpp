@@ -15,11 +15,4 @@ void RegionQuery::clear() {
   count_ = 0;
 }
 
-std::vector<Shape> RegionQuery::queryShapes(int layer,
-                                            const geom::Rect& box) const {
-  std::vector<Shape> out;
-  query(layer, box, [&](const Shape& s) { out.push_back(s); });
-  return out;
-}
-
 }  // namespace pao::drc

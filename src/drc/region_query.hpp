@@ -90,8 +90,6 @@ class RegionQuery {
     layers_[layer].queryIndices(box, fn);
   }
 
-  std::vector<Shape> queryShapes(int layer, const geom::Rect& box) const;
-
   /// All shapes on `layer`, in insertion order.
   const std::vector<Shape>& shapesOnLayer(int layer) const {
     return layers_.at(layer).items();

@@ -37,7 +37,8 @@ class AccessCache {
   /// (the pao_serve cross-tenant cache). A returned pointer stays valid —
   /// std::map nodes are stable and store() never overwrites a published
   /// entry (first writer wins; any two writers of the same signature
-  /// compute identical values, see computeClassAccess's determinism note).
+  /// compute identical values, as OracleSession::analyzeClass is
+  /// deterministic).
   const ClassAccess* find(const Key& key);
   void store(const Key& key, ClassAccess originRelative);
 

@@ -35,10 +35,6 @@ PatternGenerator::PatternGenerator(
   for (const auto& [key, idx] : keys) order_.push_back(idx);
 }
 
-bool PatternGenerator::isBoundaryPin(int orderedPos) const {
-  return orderedPos == 0 || orderedPos == static_cast<int>(order_.size()) - 1;
-}
-
 long long PatternGenerator::apCost(int pin, int ap) const {
   const AccessPoint& a = (*pinAps_)[pin][ap];
   return a.typeCost();

@@ -62,7 +62,6 @@ class PatternGenerator {
   /// Memoized "are these two access points' primary vias DRC-compatible".
   bool pairClean(int pinA, int apA, int pinB, int apB);
   long long apCost(int pin, int ap) const;
-  bool isBoundaryPin(int orderedPos) const;
 
   const InstContext* ctx_;
   const std::vector<std::vector<AccessPoint>>* pinAps_;

@@ -39,6 +39,26 @@ AccessPattern firstApPattern(const std::vector<std::vector<AccessPoint>>& aps) {
   return pat;
 }
 
+/// TrRte-style access for one class: legacy APs + first-AP pattern. The
+/// primary path in legacyMode, and the keep-going fallback otherwise.
+void legacyAccessInto(ClassAccess& ca, const InstContext& ctx) {
+  ca.pinAps = LegacyApGenerator(ctx).generateAll();
+  ca.patterns.push_back(firstApPattern(ca.pinAps));
+  for (int i = 0; i < static_cast<int>(ca.pinAps.size()); ++i) {
+    if (!ca.pinAps[i].empty()) ca.pinOrder.push_back(i);
+  }
+}
+
+/// Wall and thread-CPU time since construction, added to a step's sums.
+struct Lap {
+  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+  double cpu0 = util::threadCpuSeconds();
+  void addTo(double& wall, double& cpu) const {
+    wall += secondsSince(t0);
+    cpu += util::threadCpuSeconds() - cpu0;
+  }
+};
+
 }  // namespace
 
 OracleSession::OracleSession(db::Design& design, OracleConfig cfg)
@@ -73,71 +93,17 @@ void OracleSession::requireMutable() const {
   }
 }
 
-/// State threaded from a class's Step-1 node to its Step-2 node in the
-/// pipeline graph. The graph edge S1(c) -> S2(c) provides the
-/// happens-before; nothing here needs synchronization.
-struct OracleSession::ClassBuildState {
-  /// Entered the full analysis path (not unplaced/pinless/cache-hit):
-  /// classStep2 owes this class finalization (normalize, cache, stats).
-  bool analyzed = false;
-  /// classStep2 must still run the pattern DP (false in legacyMode and
-  /// after a Step-1 keepGoing fallback, which already produced patterns).
-  bool patternsPending = false;
-  std::optional<InstContext> ctx;
-  AccessCache::Key key{};
-  geom::Point repOrigin{};
-  std::optional<DegradedEvent> event;
-  double step1 = 0;
-  double step2 = 0;
-  double cpu1 = 0;
-  double cpu2 = 0;
-};
-
-namespace {
-
-/// TrRte-style access for one class: legacy APs + first-AP pattern. The
-/// primary path in legacyMode, and the keep-going fallback otherwise.
-void legacyAccessInto(ClassAccess& ca, const InstContext& ctx) {
-  ca.pinAps = LegacyApGenerator(ctx).generateAll();
-  ca.patterns.push_back(firstApPattern(ca.pinAps));
-  for (int i = 0; i < static_cast<int>(ca.pinAps.size()); ++i) {
-    if (!ca.pinAps[i].empty()) ca.pinOrder.push_back(i);
-  }
-}
-
-}  // namespace
-
-void OracleSession::fallbackToLegacy(std::size_t c, ClassBuildState& st,
-                                     const std::exception& e) {
-  st.event = DegradedEvent{"class_fallback", e.what(), static_cast<int>(c)};
-  st.patternsPending = false;
-  ClassAccess& ca = classes_[c];
-  ca = ClassAccess{};
-  try {
-    const auto t1 = std::chrono::steady_clock::now();
-    const double cpu1 = util::threadCpuSeconds();
-    legacyAccessInto(ca, *st.ctx);
-    st.step1 += secondsSince(t1);
-    st.cpu1 += util::threadCpuSeconds() - cpu1;
-  } catch (const std::exception& e2) {
-    // Even the fallback failed: the class keeps empty access (its pins
-    // count as failed) but the run continues.
-    ca = ClassAccess{};
-    st.event = DegradedEvent{"class_failed", e2.what(), static_cast<int>(c)};
-  }
-}
-
-void OracleSession::classStep1(std::size_t c, ClassBuildState& st) {
+void OracleSession::analyzeClass(std::size_t c) {
   const db::UniqueInstance& ui = index_.classes().classes[c];
   if (ui.members.empty()) return;  // nothing placed; stays un-analyzed
   ClassAccess& ca = classes_[c];
   classReady_[c] = 1;
   if (ui.master->signalPinIndices().empty()) return;  // fillers etc.
 
-  st.key = AccessCache::keyOf(ui);
+  const AccessCache::Key key = AccessCache::keyOf(ui);
   if (cache_ != nullptr && !cfg_.legacyMode) {
     std::lock_guard<std::mutex> lock(cacheMu_);
-    if (const ClassAccess* hit = cache_->find(st.key)) {
+    if (const ClassAccess* hit = cache_->find(key)) {
       ca = *hit;  // stored origin-relative, same as the session convention
       ++stats_.cacheHits;
       PAO_COUNTER_INC("pao.oracle.cache_hits");
@@ -146,75 +112,65 @@ void OracleSession::classStep1(std::size_t c, ClassBuildState& st) {
     PAO_COUNTER_INC("pao.oracle.cache_misses");
   }
 
-  st.analyzed = true;
-  st.repOrigin = design_->instances[ui.representative].origin;
-  st.ctx.emplace(*design_, ui);
+  const InstContext ctx(*design_, ui);
   PAO_TRACE_SCOPE("oracle.class_access");
+  // Step 1 is access point generation (the legacy generator, first-AP
+  // pattern included, in legacyMode and on a keep-going fallback); step 2
+  // is the pattern DP.
+  double step1 = 0, step2 = 0, cpu1 = 0, cpu2 = 0;
+  std::optional<DegradedEvent> event;
   try {
     // The fault point models "this class's Steps 1-2 analysis blew up";
     // legacyMode has no deeper fallback to degrade to, so it stays strict.
     if (!cfg_.legacyMode) PAO_FAULT_INJECT("oracle.class_access");
-    const auto t1 = std::chrono::steady_clock::now();
-    const double cpu1 = util::threadCpuSeconds();
+    const Lap s1;
     if (cfg_.legacyMode) {
-      legacyAccessInto(ca, *st.ctx);
+      legacyAccessInto(ca, ctx);
+      s1.addTo(step1, cpu1);
     } else {
       ApGenConfig apCfg = cfg_.apGen;
       // Macro (block) pins admit planar access: via access is only
       // mandatory for standard cells (paper footnote 1).
       if (ui.master->cls == db::MasterClass::kBlock) apCfg.requireVia = false;
-      ca.pinAps = AccessPointGenerator(*st.ctx, apCfg).generateAll();
-      st.patternsPending = true;
-    }
-    st.step1 = secondsSince(t1);
-    st.cpu1 = util::threadCpuSeconds() - cpu1;
-  } catch (const std::exception& e) {
-    if (!cfg_.keepGoing || cfg_.legacyMode) throw;
-    fallbackToLegacy(c, st, e);
-  }
-}
-
-void OracleSession::classStep2(std::size_t c, ClassBuildState& st) {
-  if (!st.analyzed) return;
-  ClassAccess& ca = classes_[c];
-  if (st.patternsPending) {
-    PAO_TRACE_SCOPE("oracle.class_access");
-    try {
-      const auto t2 = std::chrono::steady_clock::now();
-      const double cpu2 = util::threadCpuSeconds();
-      PatternGenerator gen(*st.ctx, ca.pinAps, cfg_.patternGen);
+      ca.pinAps = AccessPointGenerator(ctx, apCfg).generateAll();
+      s1.addTo(step1, cpu1);
+      const Lap s2;
+      PatternGenerator gen(ctx, ca.pinAps, cfg_.patternGen);
       ca.patterns = gen.run();
       ca.pinOrder = gen.pinOrder();
-      st.step2 = secondsSince(t2);
-      st.cpu2 = util::threadCpuSeconds() - cpu2;
-    } catch (const std::exception& e) {
-      if (!cfg_.keepGoing || cfg_.legacyMode) throw;
-      fallbackToLegacy(c, st, e);
+      s2.addTo(step2, cpu2);
+    }
+  } catch (const std::exception& e) {
+    if (!cfg_.keepGoing || cfg_.legacyMode) throw;
+    event = DegradedEvent{"class_fallback", e.what(), static_cast<int>(c)};
+    ca = ClassAccess{};
+    try {
+      const Lap fallback;
+      legacyAccessInto(ca, ctx);
+      fallback.addTo(step1, cpu1);
+    } catch (const std::exception& e2) {
+      // Even the fallback failed: the class keeps empty access (its pins
+      // count as failed) but the run continues.
+      ca = ClassAccess{};
+      event = DegradedEvent{"class_failed", e2.what(), static_cast<int>(c)};
     }
   }
   PAO_COUNTER_INC("pao.oracle.class_builds");
 
   // Normalize to origin-relative so the entry is placement-independent.
-  ca = AccessCache::translate(ca, geom::Point{0, 0} - st.repOrigin);
+  ca = AccessCache::translate(
+      ca, geom::Point{0, 0} - design_->instances[ui.representative].origin);
 
   std::lock_guard<std::mutex> lock(cacheMu_);
   // A degraded class result must never poison the cross-run cache: a later
   // fault-free run would silently inherit the fallback access.
-  if (cache_ != nullptr && !cfg_.legacyMode && !st.event) {
-    cache_->store(st.key, ca);
-  }
-  if (st.event) degraded_.push_back(std::move(*st.event));
+  if (cache_ != nullptr && !cfg_.legacyMode && !event) cache_->store(key, ca);
+  if (event) degraded_.push_back(std::move(*event));
   ++stats_.classBuilds;
-  step1Seconds_ += st.step1;
-  step2Seconds_ += st.step2;
-  step1CpuSeconds_ += st.cpu1;
-  step2CpuSeconds_ += st.cpu2;
-}
-
-void OracleSession::computeClassAccess(std::size_t c) {
-  ClassBuildState st;
-  classStep1(c, st);
-  classStep2(c, st);
+  step1Seconds_ += step1;
+  step2Seconds_ += step2;
+  step1CpuSeconds_ += cpu1;
+  step2CpuSeconds_ += cpu2;
 }
 
 void OracleSession::buildAll() {
@@ -224,45 +180,26 @@ void OracleSession::buildAll() {
   classes_.assign(numClasses, ClassAccess{});
   classReady_.assign(numClasses, 0);
 
-  // The whole flow runs as ONE job graph (ROADMAP item 2): each class
-  // contributes a Step-1 node chained to a Step-2 node, and each cluster a
-  // Step-3 DP node depending only on its member classes' Step-2 nodes plus
-  // the same-instance predecessor clusters (clusterDeps). A cluster whose
-  // classes finished early therefore overlaps other classes' Steps 1-2 —
-  // there is no barrier between the phases. Node ids interleave
-  // S1(0),S2(0),S1(1),... so a strict-mode failure still rethrows the
-  // lowest class's exception. The legacy baseline has no Step-2 DP to split
-  // off: one fused node per class, no cluster nodes, and the trivial
-  // selection after the graph.
-  std::vector<ClassBuildState> states(numClasses);
+  // The whole flow runs as ONE job graph (ROADMAP item 2): one node per
+  // class runs its Steps 1-2, and each cluster a Step-3 DP node depending
+  // only on its member classes' nodes plus the same-instance predecessor
+  // clusters (clusterDeps). A cluster whose classes finished early
+  // therefore overlaps other classes' Steps 1-2 — there is no barrier
+  // between the phases. Class nodes come first, in class order, so a
+  // strict-mode failure rethrows the lowest class's exception. The legacy baseline adds no
+  // cluster nodes and runs the trivial selection after the graph.
   pendingSteps12_.store(numClasses, std::memory_order_relaxed);
   overlapJobs_.store(0, std::memory_order_relaxed);
   step3Started_.store(false, std::memory_order_relaxed);
-  const auto steps12Done = [this, t0] {
-    if (pendingSteps12_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      steps12WallSeconds_ = secondsSince(t0);
-    }
-  };
-
   util::JobGraph graph;
-  std::vector<util::JobId> s2Id(numClasses);
+  std::vector<util::JobId> classNode(numClasses);
   for (std::size_t c = 0; c < numClasses; ++c) {
-    if (cfg_.legacyMode) {
-      graph.addJob([this, c, steps12Done] {
-        computeClassAccess(c);
-        steps12Done();
-      });
-      continue;
-    }
-    const util::JobId s1 =
-        graph.addJob([this, c, &states] { classStep1(c, states[c]); });
-    const util::JobId s1Dep[] = {s1};
-    s2Id[c] = graph.addJob(
-        [this, c, &states, steps12Done] {
-          classStep2(c, states[c]);
-          steps12Done();
-        },
-        s1Dep);
+    classNode[c] = graph.addJob([this, c, t0] {
+      analyzeClass(c);
+      if (pendingSteps12_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        steps12WallSeconds_ = secondsSince(t0);
+      }
+    });
   }
   // Step 3's clusters: each row's runs, with the end of each row's runs in
   // `clusters` (filed by row once the graph has run).
@@ -278,7 +215,7 @@ void OracleSession::buildAll() {
       rowEnds.push_back(clusters.size());
     }
     PAO_COUNTER_ADD("pao.step3.clusters_built", clusters.size());
-    addClusterJobs(graph, clusters, s2Id);
+    addClusterJobs(graph, clusters, classNode);
   }
 
   {
@@ -321,7 +258,7 @@ void OracleSession::buildAll() {
 
 void OracleSession::addClusterJobs(
     util::JobGraph& graph, const std::vector<std::vector<int>>& clusters,
-    std::span<const util::JobId> classStep2) {
+    std::span<const util::JobId> classNode) {
   selector_->addPairKeys(clusters);
   const std::vector<std::vector<std::size_t>> cDeps = clusterDeps(clusters);
   const std::vector<int>& classOf = index_.classes().classOf;
@@ -329,10 +266,10 @@ void OracleSession::addClusterJobs(
   std::vector<util::JobId> deps;
   for (std::size_t k = 0; k < clusters.size(); ++k) {
     deps.clear();
-    if (!classStep2.empty()) {
+    if (!classNode.empty()) {
       for (const int inst : clusters[k]) {
         const int cls = classOf[inst];
-        if (cls >= 0) deps.push_back(classStep2[static_cast<std::size_t>(cls)]);
+        if (cls >= 0) deps.push_back(classNode[static_cast<std::size_t>(cls)]);
       }
     }
     for (const std::size_t d : cDeps[k]) deps.push_back(ids[d]);
@@ -371,7 +308,7 @@ void OracleSession::ensureClassAccess(int cls) {
   }
   if (classReady_[cls]) return;
   try {
-    computeClassAccess(static_cast<std::size_t>(cls));
+    analyzeClass(static_cast<std::size_t>(cls));
   } catch (...) {
     // Leave the class to be analyzed again by the next mutation that needs
     // it.
@@ -708,7 +645,7 @@ OracleResult OracleSession::snapshot() const {
   r.chosenPattern = chosen_;
   r.degraded = degraded_;
   r.numThreads = cfg_.numThreads;
-  // Canonical order: computeClassAccess appends in worker-completion order,
+  // Canonical order: analyzeClass appends in worker-completion order,
   // which is schedule-dependent under numThreads > 1.
   std::sort(r.degraded.begin(), r.degraded.end(),
             [](const DegradedEvent& a, const DegradedEvent& b) {

@@ -7,7 +7,10 @@
 //   * Steps 1-2 are keyed by unique-instance signature: a mutation that
 //     lands an instance in an already-seen class costs a lookup; a new
 //     signature costs one per-class analysis (added to the AccessCache when
-//     one is configured, so the work survives the session too).
+//     one is configured, so the work survives the session too). A class's
+//     Steps 1-2 are one unit of work on every path and in every mode: one
+//     job-graph node per class in the initial build, the same call when a
+//     mutation creates a class.
 //   * Unique-instance class membership is maintained incrementally
 //     (db::UniqueInstanceIndex) — class indices are stable, so per-class
 //     results and the Step-3 pair-verdict table stay valid for the session
@@ -159,26 +162,14 @@ class OracleSession {
 #endif
 
  private:
-  /// Per-class build state threaded between the Step-1 and Step-2 job-graph
-  /// nodes of one class (defined in session.cpp).
-  struct ClassBuildState;
-
   void buildAll();
-  /// Computes (or cache-loads) class `c`'s origin-relative Steps 1-2 access
-  /// into classes_[c]. Thread-safe across distinct classes. The fused form
-  /// of classStep1 + classStep2, used on the mutation path.
-  void computeClassAccess(std::size_t c);
-  /// Step 1 of class `c`: cache lookup, then access point generation (or the
-  /// legacy generator in legacyMode). One job-graph node per class (fused
-  /// with Step 2 through computeClassAccess in legacyMode).
-  void classStep1(std::size_t c, ClassBuildState& st);
-  /// Step 2 of class `c`: pattern DP, origin normalization, cache store and
-  /// stats commit. Depends on classStep1(c) in the pipeline graph.
-  void classStep2(std::size_t c, ClassBuildState& st);
-  /// keepGoing fallback shared by both steps: legacy access for the class,
-  /// or empty access (class_failed) when even that throws.
-  void fallbackToLegacy(std::size_t c, ClassBuildState& st,
-                        const std::exception& e);
+  /// Steps 1-2 of class `c`, into classes_[c] origin-relative: a cache
+  /// lookup, else access point generation and the pattern DP (the legacy
+  /// generator and first-AP pattern in legacyMode, or as the cfg.keepGoing
+  /// fallback). One job-graph node per class in the initial build, and the
+  /// mutation path's analysis of a new class. Thread-safe across distinct
+  /// classes.
+  void analyzeClass(std::size_t c);
   /// Grows per-class storage after the index created classes, then makes
   /// sure `cls` is analyzed.
   void ensureClassAccess(int cls);
@@ -201,12 +192,12 @@ class OracleSession {
   geom::Rect footprint(int inst, int pattern) const;
   /// Registers the clusters' abutment keys with the selector, then adds one
   /// Step-3 DP node per cluster to `graph`, chained by clusterDeps; with
-  /// `classStep2` (the initial build) each node also depends on its member
-  /// classes' Step-2 nodes. The one way both the build and a mutation
-  /// schedule Step 3. `clusters` must outlive the run.
+  /// `classNode` (the initial build) each node also depends on its member
+  /// classes' nodes. The one way both the build and a mutation schedule
+  /// Step 3. `clusters` must outlive the run.
   void addClusterJobs(util::JobGraph& graph,
                       const std::vector<std::vector<int>>& clusters,
-                      std::span<const util::JobId> classStep2);
+                      std::span<const util::JobId> classNode);
   /// The no-Step-3 selection of legacyMode: every instance takes pattern 0.
   void trivialSelection();
   /// After a selection pass over clusters_: updates the Step-3 stats,
@@ -249,9 +240,8 @@ class OracleSession {
   double step2CpuSeconds_ = 0;
   double step3CpuSeconds_ = 0;
   double steps12WallSeconds_ = 0;
-  /// Pipeline-graph bookkeeping for the initial build: Steps 1-2 nodes not
-  /// yet finished (the Step-2 node that drains it stamps
-  /// steps12WallSeconds_), Step-3 nodes that started while it was nonzero,
+  /// Pipeline-graph bookkeeping for the initial build: class nodes not yet
+  /// finished (the class node that drains it stamps steps12WallSeconds_), Step-3 nodes that started while it was nonzero,
   /// and the start time of the first Step-3 node (step3Started_ winner
   /// writes step3T0_; read after the graph joins).
   std::atomic<std::size_t> pendingSteps12_{0};

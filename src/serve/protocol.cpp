@@ -29,6 +29,10 @@ bool isSerialCommand(std::string_view cmd) {
          cmd == "metrics" || cmd == "profile" || cmd == "shutdown";
 }
 
+bool runsAlone(const Request& req) {
+  return req.malformed || req.tenant.empty() || isSerialCommand(req.cmd);
+}
+
 bool isKnownCommand(std::string_view cmd) {
   return isSerialCommand(cmd) || cmd == "move" || cmd == "orient" ||
          cmd == "add" || cmd == "remove" || cmd == "query" ||

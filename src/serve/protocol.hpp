@@ -73,6 +73,9 @@ Request parseRequest(std::string line);
 /// report, ...) may run concurrently with other tenants' requests.
 bool isSerialCommand(std::string_view cmd);
 bool isKnownCommand(std::string_view cmd);
+/// True for a request that must form a dispatch batch of its own: a
+/// malformed line, a tenant-less request or a serial command.
+bool runsAlone(const Request& req);
 
 /// Response lines (no trailing newline; the transport appends it).
 std::string okLine(obs::Json result);

@@ -266,9 +266,7 @@ void Server::drainQueue() {
     std::vector<Item> batch;
     while (!queue_.empty()) {
       const Request& head = queue_.front().req;
-      const bool serial =
-          head.malformed || head.tenant.empty() || isSerialCommand(head.cmd);
-      if (serial) {
+      if (runsAlone(head)) {
         if (batch.empty()) {
           batch.push_back(std::move(queue_.front()));
           queue_.pop_front();

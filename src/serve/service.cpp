@@ -1,12 +1,12 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <optional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "geom/orient.hpp"
@@ -183,6 +183,16 @@ void Service::maybeLogSlow(const Request& req, std::uint64_t requestId,
 
 std::vector<std::string> Service::dispatchBatch(
     const std::vector<Request>& batch) {
+  if (batch.size() > 1) {
+    std::set<std::string_view> tenants;
+    for (const Request& req : batch) {
+      if (runsAlone(req) || !tenants.insert(req.tenant).second) {
+        throw std::invalid_argument(
+            "Service::dispatchBatch: a batch of several requests must hold "
+            "at most one request per tenant and no request that runs alone");
+      }
+    }
+  }
   std::vector<std::string> out(batch.size());
   if (cfg_.deterministic || batch.size() <= 1) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -190,39 +200,13 @@ std::vector<std::string> Service::dispatchBatch(
     }
     return out;
   }
-  // Per-tenant request graph: every request is a node chained to the
-  // previous request of the same tenant, so arrival order holds within a
-  // tenant while distinct tenants overlap. Tenant-less requests (global /
-  // serial commands, malformed lines) are barriers: they wait for all
-  // earlier chains and gate all later ones. Slot writes only — each node
-  // computes one response string; socket I/O stays on the transport thread
-  // (lint: executor-hygiene).
+  // No two requests share a tenant, so every request is an independent
+  // node. Slot writes only — each node computes one response string;
+  // socket I/O stays on the transport thread (lint: executor-hygiene).
   util::JobGraph graph;
-  std::vector<util::JobId> ids(batch.size());
-  std::map<std::string, util::JobId> lastOfTenant;
-  std::optional<util::JobId> lastBarrier;
-  std::vector<util::JobId> deps;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    deps.clear();
-    if (batch[i].tenant.empty()) {
-      for (const auto& [tenant, id] : lastOfTenant) deps.push_back(id);
-      if (lastBarrier) deps.push_back(*lastBarrier);
-    } else {
-      const auto it = lastOfTenant.find(batch[i].tenant);
-      if (it != lastOfTenant.end()) deps.push_back(it->second);
-      if (lastBarrier) deps.push_back(*lastBarrier);
-    }
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    ids[i] = graph.addJob(
-        [this, i, &batch, &out] { out[i] = dispatch(batch[i]); }, deps);
-    if (batch[i].tenant.empty()) {
-      lastOfTenant.clear();
-      lastBarrier = ids[i];
-    } else {
-      lastOfTenant[batch[i].tenant] = ids[i];
-    }
-  }
+  graph.addJobRange(batch.size(), [this, &batch, &out](std::size_t i) {
+    out[i] = dispatch(batch[i]);
+  });
   graph.run(static_cast<int>(batch.size()));
 #if PAO_OBS_ENABLED
   {

@@ -16,12 +16,13 @@
 //
 // Concurrency contract (what makes the PR 3 determinism guarantee extend
 // to the service):
-//   * Requests for the same tenant are always dispatched in arrival order:
-//     dispatchBatch builds a per-tenant request graph (util::JobGraph) that
-//     chains same-tenant requests and treats tenant-less/serial commands as
-//     barriers, so distinct tenants overlap while each tenant's order
-//     holds. (The transport additionally batches at most one request per
-//     tenant and serial commands alone; see Server::drainQueue.)
+//   * Requests for the same tenant are always dispatched in arrival order.
+//     The transport owns the batching rule (Server::drainQueue): a batch
+//     holds at most one request per tenant, and a request that runs alone
+//     (runsAlone: malformed, tenant-less or serial) forms a batch of its
+//     own. dispatchBatch rejects a batch that breaks the rule and runs the
+//     requests of a valid one as independent util::JobGraph nodes, so
+//     distinct tenants overlap.
 //   * Concurrent nodes touch no shared state except the internally-
 //     synchronized AccessCache and obs registry. Cache hit/miss *counters*
 //     are therefore schedule-dependent; chosen patterns, query answers and
@@ -90,8 +91,10 @@ class Service {
   /// Dispatch only — the caller did the admission bookkeeping.
   std::string dispatch(const Request& req);
   /// Dispatches a batch holding at most one request per tenant and no
-  /// serial commands (the transport guarantees both), concurrently unless
-  /// configured deterministic. Returns one response per request, aligned.
+  /// request that runs alone (the transport guarantees both), concurrently
+  /// unless configured deterministic. Returns one response per request,
+  /// aligned. Throws std::invalid_argument, before dispatching anything,
+  /// for a batch of two or more that breaks the rule.
   std::vector<std::string> dispatchBatch(const std::vector<Request>& batch);
 
   bool shutdownRequested() const { return shutdown_; }

@@ -19,23 +19,17 @@
 // Determinism note: bytesRequested() counts one arena's bumps. It is
 // schedule-invariant only for work that ran on one thread (a serial run on
 // the caller's scratchArena()); across a worker pool the split between
-// arenas follows the schedule. Block counts are per-thread too. Neither is
-// registered with the obs metrics registry; they surface only through bench
-// reports. Keeping the count on its arena means a bump writes only memory
-// its own thread owns.
+// arenas follows the schedule. It is not registered with the obs metrics
+// registry; bench_pipeline reports it. Keeping the count on its arena means
+// a bump writes only memory its own thread owns.
 //
-// The global bypass switch routes ArenaAllocator through plain operator
-// new/delete so benches can measure the no-arena baseline through the SAME
-// code path (bench_pipeline's allocation-count comparison). The choice is
-// captured per allocator instance at construction, so a container built
-// while bypass was on frees through the heap even if the switch flips later.
+// bench_pipeline holds the arena's effect as an absolute ceiling on the
+// heap allocations of one serial analyze.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <vector>
 
 namespace pao::util {
@@ -92,23 +86,6 @@ class Arena {
   /// Rewinds everything (blocks retained).
   void reset() { rewind(Mark{}); }
 
-  std::size_t blockCount() const { return blocks_.size(); }
-
-  std::size_t capacityBytes() const {
-    std::size_t total = 0;
-    for (const Block& b : blocks_) total += b.size;
-    return total;
-  }
-
-  /// Process-wide toggle: when on, ArenaAllocator instances constructed from
-  /// then on use the heap instead of the arena. Benches only.
-  static void setBypass(bool on) {
-    // Flipped by benches between runs, never while a job runs.
-    // pao-lint: allow(executor-hygiene): bench-only, not a hot-path write
-    gBypass.store(on, std::memory_order_relaxed);
-  }
-  static bool bypass() { return gBypass.load(std::memory_order_relaxed); }
-
   /// Cumulative bytes requested from this arena since construction (see
   /// header comment). Bench-only counter; never decreases on rewind.
   std::uint64_t bytesRequested() const { return bytesRequested_; }
@@ -136,8 +113,6 @@ class Arena {
   std::size_t cur_ = 0;
   std::size_t off_ = 0;
   std::uint64_t bytesRequested_ = 0;
-
-  inline static std::atomic<bool> gBypass{false};
 };
 
 /// RAII lifetime rule for arena scratch: everything allocated between
@@ -161,34 +136,22 @@ inline Arena& scratchArena() {
   return arena;
 }
 
-/// std-allocator adapter. arena_ == nullptr means "heap" (the bypass mode,
-/// captured at construction — see header comment). Deallocation through an
-/// arena is a no-op; the enclosing ArenaScope reclaims.
+/// std-allocator adapter over the constructing thread's scratch arena.
+/// Deallocation is a no-op; the enclosing ArenaScope reclaims.
 template <typename T>
 class ArenaAllocator {
  public:
   using value_type = T;
 
-  /// Binds to the calling thread's scratch arena unless bypass is on.
-  ArenaAllocator() : arena_(Arena::bypass() ? nullptr : &scratchArena()) {}
-  explicit ArenaAllocator(Arena* arena) : arena_(arena) {}
+  ArenaAllocator() : arena_(&scratchArena()) {}
   template <typename U>
   ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
 
   T* allocate(std::size_t n) {
-    const std::size_t bytes = n * sizeof(T);
-    if (arena_ == nullptr) {
-      return static_cast<T*>(::operator new(bytes, std::align_val_t{alignof(T)}));
-    }
-    return static_cast<T*>(arena_->allocate(bytes, alignof(T)));
+    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
   }
 
-  void deallocate(T* p, std::size_t) noexcept {
-    if (arena_ == nullptr) {
-      ::operator delete(p, std::align_val_t{alignof(T)});
-    }
-    // Arena memory dies at ArenaScope exit.
-  }
+  void deallocate(T*, std::size_t) noexcept {}
 
   Arena* arena() const { return arena_; }
 
@@ -201,8 +164,8 @@ class ArenaAllocator {
   Arena* arena_;
 };
 
-/// Vector whose backing store lives in the thread's scratch arena (or the
-/// heap under bypass). Use inside an ArenaScope; do not return across it.
+/// Vector whose backing store lives in the thread's scratch arena. Use
+/// inside an ArenaScope; do not return across it.
 template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 

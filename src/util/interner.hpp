@@ -58,8 +58,6 @@ class StringInterner {
   }
 
   std::size_t size() const { return views_.size(); }
-  /// Bytes held by the character pool (capacity, not just used bytes).
-  std::size_t poolBytes() const { return blocks_.size() * kBlockBytes; }
 
  private:
   static constexpr std::size_t kBlockBytes = 1 << 16;

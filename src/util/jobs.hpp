@@ -23,7 +23,7 @@
 //     first among the initially ready, and a completed job's newly-ready
 //     dependents run before anything older (owner LIFO). That makes the
 //     one-worker schedule a deterministic DFS — Step-3 work overlaps
-//     Step-2 even serially, which is what bench_pipeline measures.
+//     Steps 1-2 even serially, which is what bench_pipeline measures.
 //   * Nested run() (a job body building and running its own graph, or
 //     calling parallelFor) degrades to serial on the calling worker rather
 //     than spawning pools-squared threads.

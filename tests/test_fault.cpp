@@ -139,6 +139,10 @@ TEST_F(FaultTest, InjectThrowsTypedExceptionWithPointName) {
 
 class OracleFaultTest : public FaultTest {
  protected:
+  /// The class-fault cases run at one worker, a fixed pool and the
+  /// hardware default.
+  static constexpr int kThreadCounts[] = {1, 4, 0};
+
   void SetUp() override {
     tc_ = std::make_unique<benchgen::Testcase>(
         benchgen::generate(benchgen::ispd18Suite()[0], /*scale=*/0.01));
@@ -207,7 +211,7 @@ TEST_F(OracleFaultTest, ClassFaultDegradesUnderKeepGoing) {
   ASSERT_TRUE(reg().configure("oracle.class_access"));
   core::OracleConfig cfg = core::withBcaConfig();
   cfg.keepGoing = true;
-  const core::OracleResult res = run(cfg);
+  const core::OracleResult res = run(cfg);  // one worker
   ASSERT_FALSE(res.degraded.empty());
   for (const core::DegradedEvent& ev : res.degraded) {
     EXPECT_EQ(ev.kind, "class_fallback");
@@ -221,30 +225,54 @@ TEST_F(OracleFaultTest, ClassFaultDegradesUnderKeepGoing) {
   for (std::size_t i = 1; i < res.degraded.size(); ++i) {
     EXPECT_LE(res.degraded[i - 1].cls, res.degraded[i].cls);
   }
+  // Every class faults whatever the schedule, so the degraded result does
+  // not depend on the thread count.
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    cfg.numThreads = threads;
+    const core::OracleResult again = run(cfg);
+    ASSERT_EQ(again.degraded.size(), res.degraded.size());
+    for (std::size_t i = 0; i < res.degraded.size(); ++i) {
+      EXPECT_EQ(again.degraded[i].kind, res.degraded[i].kind);
+      EXPECT_EQ(again.degraded[i].detail, res.degraded[i].detail);
+      EXPECT_EQ(again.degraded[i].cls, res.degraded[i].cls);
+    }
+    expectSameAccess(res, again);
+  }
 }
 
 TEST_F(OracleFaultTest, ClassFaultThrowsUnderStrict) {
   ASSERT_TRUE(reg().configure("oracle.class_access"));
   core::OracleConfig cfg = core::withBcaConfig();  // keepGoing = false
-  EXPECT_THROW(run(cfg), util::FaultInjected);
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    cfg.numThreads = threads;
+    EXPECT_THROW(run(cfg), util::FaultInjected);
+  }
 }
 
 TEST_F(OracleFaultTest, SingleClassFaultDegradesOnlyThatClass) {
   const core::OracleResult baseline = run(core::withBcaConfig());
-  ASSERT_TRUE(reg().configure("oracle.class_access:1"));
-  core::OracleConfig cfg = core::withBcaConfig();
-  cfg.keepGoing = true;
-  const core::OracleResult res = run(cfg);
-  ASSERT_EQ(res.degraded.size(), 1u);
-  const int cls = res.degraded[0].cls;
-  // Untouched classes are bit-identical to the baseline.
-  ASSERT_EQ(res.classes.size(), baseline.classes.size());
-  for (std::size_t c = 0; c < res.classes.size(); ++c) {
-    if (static_cast<int>(c) == cls) continue;
-    SCOPED_TRACE("class " + std::to_string(c));
-    EXPECT_EQ(res.classes[c].pinOrder, baseline.classes[c].pinOrder);
-    EXPECT_EQ(res.classes[c].patterns.size(),
-              baseline.classes[c].patterns.size());
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Re-arming restarts the hit count. Which class takes the first hit
+    // depends on the schedule at more than one thread.
+    ASSERT_TRUE(reg().configure("oracle.class_access:1"));
+    core::OracleConfig cfg = core::withBcaConfig();
+    cfg.keepGoing = true;
+    cfg.numThreads = threads;
+    const core::OracleResult res = run(cfg);
+    ASSERT_EQ(res.degraded.size(), 1u);
+    const int cls = res.degraded[0].cls;
+    // Untouched classes are bit-identical to the baseline.
+    ASSERT_EQ(res.classes.size(), baseline.classes.size());
+    for (std::size_t c = 0; c < res.classes.size(); ++c) {
+      if (static_cast<int>(c) == cls) continue;
+      SCOPED_TRACE("class " + std::to_string(c));
+      EXPECT_EQ(res.classes[c].pinOrder, baseline.classes[c].pinOrder);
+      EXPECT_EQ(res.classes[c].patterns.size(),
+                baseline.classes[c].patterns.size());
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -532,6 +533,26 @@ TEST(ServeDispatch, BatchRunsDistinctTenantsAndAlignsResponses) {
   const Json rb = expectOk(responses[1]);
   EXPECT_EQ(ra.find("inst")->asInt(), 0);  // response i answers request i
   EXPECT_EQ(rb.find("inst")->asInt(), 1);
+}
+
+TEST(ServeDispatch, BatchBreakingTheTransportRuleIsRejected) {
+  ServiceConfig cfg;
+  cfg.numThreads = 1;
+  Service service(cfg);
+  expectOk(service.handleLine(loadLine("a")));
+  const std::string move =
+      "{\"cmd\":\"move\",\"tenant\":\"a\",\"inst\":0,\"dx\":380}";
+  const std::vector<Request> sameTenant = {parseRequest(move),
+                                           parseRequest(move)};
+  EXPECT_THROW(service.dispatchBatch(sameTenant), std::invalid_argument);
+  const std::vector<Request> withPing = {parseRequest(move),
+                                         parseRequest("{\"cmd\":\"ping\"}")};
+  EXPECT_THROW(service.dispatchBatch(withPing), std::invalid_argument);
+  // Nothing was dispatched: the tenant has no applied mutation.
+  const Json history = expectOk(
+      service.handleLine("{\"cmd\":\"history\",\"tenant\":\"a\"}"));
+  ASSERT_NE(history.find("seq"), nullptr);
+  EXPECT_EQ(history.find("seq")->asInt(), 0);
 }
 
 // --- soak -----------------------------------------------------------------

@@ -337,6 +337,27 @@ TEST(OracleSession, SingleMoveRecomputesOnlyDirtyClusters) {
   expectMatchesBatch(session, *tc.design, cfg);
 }
 
+TEST(OracleSession, BuildGraphHasOneNodePerClassAndCluster) {
+  const benchgen::Testcase tc = smallCase();
+  const db::Design& design = *tc.design;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    for (OracleConfig cfg : {withBcaConfig(), withoutBcaConfig()}) {
+      cfg.numThreads = threads;
+      const OracleSession session(design, cfg);
+      EXPECT_GT(session.stats().lastClusterCount, 0u);
+      EXPECT_EQ(session.stats().graphJobs,
+                session.unique().classes.size() +
+                    session.stats().lastClusterCount);
+    }
+    // The legacy baseline has no Step-3 nodes.
+    OracleConfig cfg = legacyConfig();
+    cfg.numThreads = threads;
+    const OracleSession legacy(design, cfg);
+    EXPECT_EQ(legacy.stats().graphJobs, legacy.unique().classes.size());
+  }
+}
+
 TEST(OracleSession, AddAndRemoveInstanceMatchBatch) {
   benchgen::Testcase tc = smallCase();
   AccessCache cache;

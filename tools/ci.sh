@@ -42,8 +42,9 @@
 #                      oversubscription, the oracle graph-vs-batch
 #                      equivalence at threads 1/4/0, the evaluators'
 #                      thread invariance at threads 1/2/4/0, and the Step-3
-#                      reference differential and pair-check count at
-#                      threads 1/4/0, repeated)
+#                      reference differential, pair-check count, class-
+#                      fault cases and graph shape at threads 1/4/0,
+#                      repeated)
 #  10. UBSan          (-fsanitize=undefined with all diagnostics fatal)
 #  11. UBSan fuzz     (pao_fuzz: >=10k seeded mutation iterations over the
 #                      LEF/DEF parsers, the streamed/reference differential,
@@ -215,8 +216,11 @@ echo "== ThreadSanitizer job-graph soak =="
   --gtest_filter='OracleFixture.ThreadCountDoesNotChangeResult:Threads/SessionEquivalence.*:Presets/EvalDifferential.StatsDoNotDependOnThreadCount/*:EvalThreads.*'
 # Step-3 verdict slots are filled by whichever DP reaches them first: repeat
 # the graph lifecycles so the first-touch race gets many chances to show.
+# The class-fault cases (keep-going, strict, single class at threads 1/4/0)
+# and the one-node-per-class graph shape ride along: class nodes commit
+# their fallbacks and stats under the session's lock from any worker.
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
-  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*'
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \
