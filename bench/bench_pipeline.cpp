@@ -6,17 +6,20 @@
 //     arena carrying the per-class and per-cluster scratch,
 //   - the DRC via check's cost in heap allocations per DrcEngine::checkVia
 //     call, over every chosen via of the failed-pin evaluation,
-//   - the failed-pin evaluation context's build cost in heap allocations
-//     per context shape.
+//   - the failed-pin evaluation's memory: the peak live heap bytes above
+//     the starting level during one 1-thread countFailedPins, per instance.
 //
 // Self-check (exit 1 on failure): the overlap must be nonzero — the DFS
 // schedule starts a ready cluster before unrelated classes finish, even
 // serially — the serial analyze must stay within kMaxOracleHeapAllocs
 // heap allocations, checkVia within kMaxAllocsPerCheckVia per call, and
-// the context build within kMaxAllocsPerContextShape per shape.
+// the evaluation within kMaxEvalPeakBytesPerInst.
 //
-// The binary overrides global operator new/delete to count allocations;
-// keep it leaf (no other benches link this TU).
+// The binary overrides global operator new/delete to count allocations and
+// track live bytes (malloc_usable_size); keep it leaf (no other benches link
+// this TU).
+#include <malloc.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -31,22 +34,38 @@
 
 namespace {
 std::atomic<std::uint64_t> gHeapAllocs{0};
-}  // namespace
+/// Bytes held by live operator-new blocks, and the highest value it has
+/// reached since a measurement last reset it to the live count.
+std::atomic<std::int64_t> gLiveBytes{0};
+std::atomic<std::int64_t> gPeakBytes{0};
 
-void* operator new(std::size_t n) {
-  gHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n ? n : 1);
+void* counted(void* p) {
   if (p == nullptr) throw std::bad_alloc();
+  gHeapAllocs.fetch_add(1, std::memory_order_relaxed);
+  const auto n = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live =
+      gLiveBytes.fetch_add(n, std::memory_order_relaxed) + n;
+  std::int64_t peak = gPeakBytes.load(std::memory_order_relaxed);
+  while (live > peak && !gPeakBytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
   return p;
 }
 
+void release(void* p) noexcept {
+  if (p == nullptr) return;
+  gLiveBytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                       std::memory_order_relaxed);
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted(std::malloc(n ? n : 1)); }
+
 void* operator new(std::size_t n, std::align_val_t align) {
-  gHeapAllocs.fetch_add(1, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t rounded = (n + a - 1) / a * a;
-  void* p = std::aligned_alloc(a, rounded ? rounded : a);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+  return counted(std::aligned_alloc(a, rounded ? rounded : a));
 }
 
 void* operator new[](std::size_t n) { return operator new(n); }
@@ -54,17 +73,17 @@ void* operator new[](std::size_t n, std::align_val_t align) {
   return operator new(n, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 using namespace pao;
@@ -91,12 +110,13 @@ constexpr std::uint64_t kMaxOracleHeapAllocs = 63500;
 // RegionQuery per call for the EOL context it was 36.2.
 constexpr double kMaxAllocsPerCheckVia = 5.0;
 
-// Ceiling of the context-build self-check: 25% of the 1.96 heap
-// allocations per shape (1103 for 563 shapes) that one FailedPinContext
-// build took on the mixed preset at scale 0.02 when every GridIndex bin was
-// a hash-map entry holding its own vector and each shape was stored twice.
-// The exact-size bulk fill measured 0.071 (40 allocations).
-constexpr double kMaxAllocsPerContextShape = 0.49;
+// Ceiling of the evaluation-memory self-check: the peak live heap bytes
+// above the starting level during one 1-thread countFailedPins on the mixed
+// preset at scale 0.02, per instance. Measured 583.3 with the evaluation
+// reading the design through a placed-instance view, plus 25%; copying
+// every placed shape into a RegionQuery and every chosen via into a via
+// index took 904.9.
+constexpr double kMaxEvalPeakBytesPerInst = 729.0;
 
 RunMeasure analyzeOnce(const db::Design& design, int threads) {
   core::OracleConfig cfg;
@@ -133,7 +153,8 @@ ViaCheckMeasure measureCheckVia(const db::Design& design) {
   cfg.numThreads = 1;
   const core::OracleResult result =
       core::OracleSession(design, cfg).snapshot();
-  const core::FailedPinContext ctx(design, result);
+  const db::RowIndex rows(design);
+  const core::FailedPinContext ctx(design, result, rows);
   std::vector<drc::Shape> extra;
   ViaCheckMeasure m;
   for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
@@ -144,34 +165,36 @@ ViaCheckMeasure measureCheckVia(const db::Design& design) {
     // The returned vector is part of the call's cost; it dies after the
     // window closes.
     const std::vector<drc::Violation> violations =
-        ctx.engine().checkVia(*pv.via, pv.loc, pv.net, extra);
+        ctx.engine().checkVia(ctx, *pv.via, pv.loc, pv.net, extra);
     m.heapAllocs += gHeapAllocs.load(std::memory_order_relaxed) - allocs0;
     ++m.calls;
   }
   return m;
 }
 
-struct ContextMeasure {
-  std::uint64_t shapes = 0;
-  std::uint64_t heapAllocs = 0;
-  double perShape() const {
-    return shapes > 0 ? static_cast<double>(heapAllocs) /
-                            static_cast<double>(shapes)
-                      : 0.0;
+struct EvalMemoryMeasure {
+  std::size_t instances = 0;
+  std::int64_t peakBytes = 0;
+  double perInst() const {
+    return instances > 0 ? static_cast<double>(peakBytes) /
+                               static_cast<double>(instances)
+                         : 0.0;
   }
 };
 
-/// Heap allocations of one FailedPinContext build, per fixed context shape.
-ContextMeasure measureContextBuild(const db::Design& design) {
+/// Peak live heap bytes above the starting level during one 1-thread
+/// countFailedPins.
+EvalMemoryMeasure measureEvalMemory(const db::Design& design) {
   core::OracleConfig cfg;
   cfg.numThreads = 1;
   const core::OracleResult result =
       core::OracleSession(design, cfg).snapshot();
-  const std::uint64_t allocs0 = gHeapAllocs.load(std::memory_order_relaxed);
-  const core::FailedPinContext ctx(design, result);
-  ContextMeasure m;
-  m.heapAllocs = gHeapAllocs.load(std::memory_order_relaxed) - allocs0;
-  m.shapes = ctx.engine().region().size();
+  const std::int64_t live0 = gLiveBytes.load(std::memory_order_relaxed);
+  gPeakBytes.store(live0, std::memory_order_relaxed);
+  core::countFailedPins(design, result);
+  EvalMemoryMeasure m;
+  m.instances = design.instances.size();
+  m.peakBytes = gPeakBytes.load(std::memory_order_relaxed) - live0;
   return m;
 }
 
@@ -192,7 +215,7 @@ int main() {
   const RunMeasure pooled = analyzeOnce(*tc.design, /*threads=*/0);
 
   const ViaCheckMeasure viaCheck = measureCheckVia(*tc.design);
-  const ContextMeasure context = measureContextBuild(*tc.design);
+  const EvalMemoryMeasure evalMemory = measureEvalMemory(*tc.design);
 
   const std::size_t clusterJobs = serialRun.stats.lastClusterCount;
   const double overlapFraction =
@@ -217,10 +240,10 @@ int main() {
               static_cast<unsigned long long>(viaCheck.calls));
   std::printf("%-34s | %10.2f\n", "heap allocs per checkVia",
               viaCheck.perCall());
-  std::printf("%-34s | %10llu\n", "failed-pin context shapes",
-              static_cast<unsigned long long>(context.shapes));
-  std::printf("%-34s | %10.3f\n", "heap allocs per context shape",
-              context.perShape());
+  std::printf("%-34s | %10lld\n", "eval peak heap bytes",
+              static_cast<long long>(evalMemory.peakBytes));
+  std::printf("%-34s | %10.1f\n", "eval peak heap bytes per inst",
+              evalMemory.perInst());
   std::fflush(stdout);
 
   report.bench()
@@ -235,8 +258,9 @@ int main() {
       .set("heapAllocsArena", obs::Json(static_cast<double>(serialRun.heapAllocs)))
       .set("checkViaCalls", obs::Json(static_cast<double>(viaCheck.calls)))
       .set("heapAllocsPerCheckVia", obs::Json(viaCheck.perCall()))
-      .set("contextShapes", obs::Json(static_cast<double>(context.shapes)))
-      .set("heapAllocsPerContextShape", obs::Json(context.perShape()));
+      .set("evalPeakBytes",
+           obs::Json(static_cast<double>(evalMemory.peakBytes)))
+      .set("evalPeakBytesPerInst", obs::Json(evalMemory.perInst()));
 #if PAO_OBS_ENABLED
   // Profile of the full-pool run, so BENCH_bench_pipeline.json carries the
   // measured critical path and parallelism headroom next to the shape rows.
@@ -268,14 +292,12 @@ int main() {
                  kMaxAllocsPerCheckVia);
     ok = false;
   }
-  if (context.shapes == 0 ||
-      context.perShape() > kMaxAllocsPerContextShape) {
+  if (evalMemory.peakBytes <= 0 ||
+      evalMemory.perInst() > kMaxEvalPeakBytesPerInst) {
     std::fprintf(stderr,
-                 "selfcheck FAILED: %.3f heap allocations per shape over a "
-                 "%llu-shape failed-pin context build (need <= %.3f)\n",
-                 context.perShape(),
-                 static_cast<unsigned long long>(context.shapes),
-                 kMaxAllocsPerContextShape);
+                 "selfcheck FAILED: %.1f peak heap bytes per instance in "
+                 "countFailedPins (need <= %.1f)\n",
+                 evalMemory.perInst(), kMaxEvalPeakBytesPerInst);
     ok = false;
   }
   if (ok) std::fprintf(stderr, "selfcheck OK\n");

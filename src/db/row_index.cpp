@@ -1,17 +1,10 @@
 #include "db/row_index.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace pao::db {
 
 namespace {
-
-/// a - b + 1 without overflow: the first coordinate strictly above a - b.
-Coord above(Coord a, Coord b) {
-  constexpr Coord kMin = std::numeric_limits<Coord>::min();
-  return a < kMin + b ? kMin : a - b + 1;
-}
 
 /// End (exclusive) of the row range an instance is listed in: the rows its
 /// bbox covers, and at least its own origin row.
@@ -65,25 +58,9 @@ std::span<const RowIndex::Row> RowIndex::rowsIn(Coord ylo, Coord yhi) const {
 std::vector<int> RowIndex::overlapping(const Design& design,
                                        const geom::Rect& region) const {
   std::vector<int> out;
-  if (region.empty()) return out;
-  // An instance overlaps only if its origin y lies in
-  // (region.ylo - height, region.yhi) and its origin x in
-  // (region.xlo - width, region.xhi). It is visited in its own origin row
-  // only, so a multi-height instance is reported once.
-  for (const Row& row : rowsIn(above(region.ylo, maxHeight_), region.yhi)) {
-    auto it = std::lower_bound(
-        row.entries.begin(), row.entries.end(),
-        Entry{above(region.xlo, maxWidth_), std::numeric_limits<int>::min()});
-    for (; it != row.entries.end() && it->x < region.xhi; ++it) {
-      const Instance& inst = design.instances[it->inst];
-      if (inst.origin.y != row.y) continue;
-      const geom::Rect bbox = inst.bbox();
-      if (bbox.xlo < region.xhi && region.xlo < bbox.xhi &&
-          bbox.ylo < region.yhi && region.ylo < bbox.yhi) {
-        out.push_back(it->inst);
-      }
-    }
-  }
+  forEachNear(design, region, [&](int i) {
+    if (design.instances[i].bbox().overlaps(region)) out.push_back(i);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -117,14 +94,10 @@ void RowIndex::insert(const Design& design, int inst,
     // reach over y. Each is visited in its own origin row only.
     Row fresh;
     fresh.y = y;
-    for (auto row = rowAt(above(y, maxHeight_)); row != own; ++row) {
-      for (const Entry& e : row->entries) {
-        const Instance& other = design.instances[e.inst];
-        if (other.origin.y == row->y && other.bbox().yhi > y) {
-          fresh.entries.push_back(e);
-        }
-      }
-    }
+    forEachNear(design, {geom::kCoordMin, y, geom::kCoordMax, y}, [&](int i) {
+      const Instance& other = design.instances[i];
+      if (other.bbox().yhi > y) fresh.entries.push_back({other.origin.x, i});
+    });
     std::sort(fresh.entries.begin(), fresh.entries.end());
     own = rows_.insert(own, std::move(fresh));
   }

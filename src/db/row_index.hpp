@@ -6,11 +6,14 @@
 // re-splits only the rows a mutation touched, and region queries map a box
 // to a row range and then to an x range by binary search (the box-to-cell
 // range lookup of a dense navigation grid, instead of a scan of every
-// instance).
+// instance): forEachNear(), which the failed-pin evaluation reads every
+// placed shape through.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -44,10 +47,34 @@ class RowIndex {
   /// The rows whose y lies in [ylo, yhi), bottom-up.
   std::span<const Row> rowsIn(Coord ylo, Coord yhi) const;
 
+  /// Calls fn(inst) once for every instance whose bbox touches or overlaps
+  /// `region` (closed). Visits only the rows within the tallest indexed
+  /// instance of the region's y range, and in each the entries within the
+  /// widest one of its x range. Rows go bottom-up, each in ascending
+  /// (x, inst); an instance is visited in its own origin row only, so a
+  /// multi-height instance is reported once.
+  template <typename Fn>
+  void forEachNear(const Design& design, const geom::Rect& region,
+                   Fn&& fn) const {
+    if (region.empty()) return;
+    const auto byY = [](const Row& row, Coord v) { return row.y < v; };
+    for (auto row = std::lower_bound(rows_.begin(), rows_.end(),
+                                     minus(region.ylo, maxHeight_), byY);
+         row != rows_.end() && row->y <= region.yhi; ++row) {
+      auto it = std::lower_bound(
+          row->entries.begin(), row->entries.end(),
+          Entry{minus(region.xlo, maxWidth_), std::numeric_limits<int>::min()});
+      for (; it != row->entries.end() && it->x <= region.xhi; ++it) {
+        const Instance& inst = design.instances[it->inst];
+        if (inst.origin.y == row->y && inst.bbox().intersects(region)) {
+          fn(it->inst);
+        }
+      }
+    }
+  }
+
   /// Instances whose bbox interior overlaps the interior of `region`
-  /// (touching does not count), in ascending index order. Visits only the
-  /// rows within the tallest indexed instance of the region's y range, and
-  /// in each the entries within the widest one of its x range.
+  /// (touching does not count), in ascending index order.
   std::vector<int> overlapping(const Design& design,
                                const geom::Rect& region) const;
 
@@ -70,10 +97,15 @@ class RowIndex {
 
  private:
   std::vector<Row>::iterator rowAt(Coord y);
+  /// a - b for b >= 0, saturating at the lowest Coord.
+  static Coord minus(Coord a, Coord b) {
+    constexpr Coord kMin = std::numeric_limits<Coord>::min();
+    return a < kMin + b ? kMin : a - b;
+  }
 
   std::vector<Row> rows_;
   /// Largest bbox width and height of any instance ever listed: the
-  /// widening of overlapping() and of a created row's taller-instance scan.
+  /// widening of forEachNear() and of a created row's taller-instance scan.
   /// Never shrinks, which only widens a search.
   Coord maxWidth_ = 0;
   Coord maxHeight_ = 0;

@@ -6,7 +6,6 @@
 #include <map>
 #include <utility>
 
-#include "geom/polygon.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/jobs.hpp"
@@ -27,118 +26,9 @@ std::array<Shape, 3> DrcEngine::viaShapes(const db::ViaDef& via, Point p,
            {via.topEncAt(p), via.topLayer, net, ShapeKind::kVia, fixed}}};
 }
 
-void DrcEngine::mergedComponent(const Rect& seed, int layer, int net,
-                                std::span<const Shape> extra,
-                                util::ArenaVector<Rect>& comp,
-                                Rect* reach) const {
-  comp.assign(1, seed);
-  const auto absorbed = [&](const Rect& r) {
-    return std::find(comp.begin(), comp.end(), r) != comp.end();
-  };
-  // Bounded flood fill over touching same-net shapes, breadth first: every
-  // absorbed rect is expanded in turn, so comp[next..] is the frontier. The
-  // bound keeps the incremental check local; standard-cell pins have few
-  // rects.
-  constexpr std::size_t kMaxComponent = 64;
-  for (std::size_t next = 0;
-       next < comp.size() && comp.size() < kMaxComponent; ++next) {
-    const Rect cur = comp[next];
-    queryWithExtra(
-        layer, cur, extra,
-        [&](const Shape& s) {
-          if (s.net != net || comp.size() >= kMaxComponent) return;
-          if (!s.rect.intersects(cur) || absorbed(s.rect)) return;
-          comp.push_back(s.rect);
-        },
-        reach);
-  }
-  if (reach != nullptr && comp.size() >= kMaxComponent) {
-    *reach = Rect(geom::kCoordMin, geom::kCoordMin, geom::kCoordMax,
-                  geom::kCoordMax);
-  }
-}
-
-void DrcEngine::checkEdgeRules(const db::Layer& layer,
-                               std::span<const Rect> comp, int net,
-                               std::span<const Shape> extra,
-                               std::vector<Violation>& out,
-                               Rect* reach) const {
-  if (!layer.minStep && !layer.eol) return;
-  const std::vector<geom::BoundaryRing> rings = geom::unionBoundary(comp);
-  for (const Violation& v : checkMinStep(layer, rings)) out.push_back(v);
-  if (!layer.eol) return;
-
-  Rect compBox;
-  for (const Rect& r : comp) compBox = compBox.merge(r);
-  util::ArenaScope scratch(util::scratchArena());
-  util::ArenaVector<Rect> obstacles;
-  queryWithExtra(
-      layer.index, compBox.bloat(maxSpacingHalo(layer)), extra,
-      [&](const Shape& s) {
-        if (s.net != net || s.net == Shape::kObsNet) {
-          obstacles.push_back(s.rect);
-        }
-      },
-      reach);
-  for (const Violation& v : checkEol(layer, rings, net, obstacles)) {
-    out.push_back(v);
-  }
-}
-
-std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
-                                           int net,
-                                           std::span<const Shape> extra,
-                                           Rect* reach) const {
-  std::vector<Violation> out;
-
-  const auto checkMetalRect = [&](const Rect& enc, int layerIdx) {
-    const db::Layer& layer = tech_->layer(layerIdx);
-    const Shape cand{enc, layerIdx, net, ShapeKind::kVia, false};
-    const Coord halo = maxSpacingHalo(layer);
-
-    // Spacing / shorts against conflicting context shapes.
-    queryWithExtra(
-        layerIdx, enc.bloat(halo), extra,
-        [&](const Shape& s) {
-          if (auto v = checkSpacingPair(layer, cand, s)) out.push_back(*v);
-        },
-        reach);
-
-    // Min step and EOL over the merged same-net component. Only violations
-    // in the via's vicinity are attributed to it — a long pin bar may carry
-    // pre-existing artifacts far away that the via did not cause.
-    const Coord window =
-        halo + (layer.minStep ? layer.minStep->minStepLength : 0);
-    const Rect vicinity = enc.bloat(window);
-    util::ArenaScope scratch(util::scratchArena());
-    util::ArenaVector<Rect> comp;
-    mergedComponent(enc, layerIdx, net, extra, comp, reach);
-    const std::size_t first = out.size();
-    checkEdgeRules(layer, comp, net, extra, out, reach);
-    out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(first),
-                             out.end(),
-                             [&](const Violation& v) {
-                               return !v.bbox.intersects(vicinity);
-                             }),
-              out.end());
-  };
-
-  checkMetalRect(via.botEncAt(p), via.botLayer);
-  checkMetalRect(via.topEncAt(p), via.topLayer);
-
-  // Cut spacing.
-  const db::Layer& cutLayer = tech_->layer(via.cutLayer);
-  const Shape cutCand{via.cutAt(p), via.cutLayer, net, ShapeKind::kVia, false};
-  queryWithExtra(
-      via.cutLayer, cutCand.rect.bloat(cutLayer.cutSpacing), extra,
-      [&](const Shape& s) {
-        if (auto v = checkCutSpacingPair(cutLayer, cutCand, s)) {
-          out.push_back(*v);
-        }
-      },
-      reach);
-  return out;
-}
+template std::vector<Violation> DrcEngine::checkVia(
+    const RegionQuery&, const db::ViaDef&, Point, int, std::span<const Shape>,
+    Rect*) const;
 
 std::vector<Violation> DrcEngine::checkWire(const Rect& r, int layerIdx,
                                             int net,
@@ -146,7 +36,7 @@ std::vector<Violation> DrcEngine::checkWire(const Rect& r, int layerIdx,
   std::vector<Violation> out;
   const db::Layer& layer = tech_->layer(layerIdx);
   const Shape cand{r, layerIdx, net, ShapeKind::kWire, false};
-  queryWithExtra(layerIdx, r.bloat(maxSpacingHalo(layer)), extra,
+  queryWithExtra(region_, layerIdx, r.bloat(maxSpacingHalo(layer)), extra,
                  [&](const Shape& s) {
                    if (auto v = checkSpacingPair(layer, cand, s)) {
                      out.push_back(*v);
@@ -285,7 +175,7 @@ std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
           if (!anyRouted) continue;
           // MINSTEP markers carry no net; EOL markers already name `net`.
           const std::size_t first = out.size();
-          checkEdgeRules(layer, comp, net, {}, out);
+          checkEdgeRules(region_, layer, comp, net, {}, out);
           for (std::size_t k = first; k < out.size(); ++k) out[k].netA = net;
           if (layer.minArea > 0 && !anyFixed) {
             if (auto v = checkMinArea(layer, comp, net)) out.push_back(*v);

@@ -7,12 +7,10 @@ RegionQuery::RegionQuery(int numLayers) : layers_(numLayers) {}
 void RegionQuery::add(const Shape& s) {
   if (!accepts(s, numLayers())) return;
   layers_[s.layer].insert(s);
-  ++count_;
 }
 
 void RegionQuery::clear() {
   for (auto& g : layers_) g.clear();
-  count_ = 0;
 }
 
 }  // namespace pao::drc

@@ -61,7 +61,6 @@ class RegionQuery {
     });
     layers_.reserve(numLayers);
     for (std::vector<Shape>& shapes : byLayer) {
-      count_ += shapes.size();
       layers_.emplace_back(std::move(shapes));
     }
   }
@@ -72,7 +71,6 @@ class RegionQuery {
   void clear();
 
   int numLayers() const { return static_cast<int>(layers_.size()); }
-  std::size_t size() const { return count_; }
 
   /// Invokes fn(shape) for every stored shape on `layer` intersecting `box`,
   /// in geom::GridIndex query order.
@@ -101,7 +99,6 @@ class RegionQuery {
   }
 
   std::vector<geom::GridIndex<Shape, &Shape::rect>> layers_;
-  std::size_t count_ = 0;
 };
 
 }  // namespace pao::drc

@@ -260,11 +260,16 @@ Json normalizeForCompare(const Json& doc) {
 }
 
 bool validateTrace(const Json& doc, int minSpans, bool requireWorker,
-                   std::string* error) {
+                   std::string* error, bool allowDrops) {
   if (!doc.isObject()) return failValidation(error, "trace is not an object");
   const Json* events = doc.find("traceEvents");
   if (events == nullptr || !events->isArray()) {
     return failValidation(error, "missing array 'traceEvents'");
+  }
+  const Json* other = doc.find("otherData");
+  const Json* dropped = other ? other->find("droppedEvents") : nullptr;
+  if (!allowDrops && dropped != nullptr && dropped->asDouble() > 0) {
+    return failValidation(error, dropped->dump() + " events were dropped");
   }
   std::vector<std::string> spanNames;
   std::vector<const Json*> spans;

@@ -87,8 +87,10 @@ Json normalizeForCompare(const Json& doc);
 /// Validation for an exported Chrome trace: well-formed traceEvents with
 /// ph:"X" spans, at least `minSpans` distinct span names, and (when
 /// `requireWorker`) at least one "<parent>.worker" span nested in time
-/// within a same-named parent span. Returns false and sets *error.
+/// within a same-named parent span. Unless `allowDrops`, a trace whose
+/// otherData.droppedEvents is above 0 is rejected. Returns false and sets
+/// *error.
 bool validateTrace(const Json& doc, int minSpans, bool requireWorker,
-                   std::string* error = nullptr);
+                   std::string* error = nullptr, bool allowDrops = false);
 
 }  // namespace pao::obs

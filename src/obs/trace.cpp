@@ -162,6 +162,9 @@ std::string Tracer::exportChromeTrace() const {
   }
   doc.set("traceEvents", std::move(events));
   doc.set("displayTimeUnit", Json("ms"));
+  doc.set("otherData", Json::object()
+                           .set("eventCount", Json(eventCount()))
+                           .set("droppedEvents", Json(droppedEvents())));
   return doc.dump(1);
 }
 

@@ -79,7 +79,10 @@ class Tracer {
 
   /// Serializes collected events as a Chrome trace_event JSON document:
   /// {"traceEvents":[{"name",...,"ph":"X","ts","dur","pid":1,"tid","args"}],
-  ///  "displayTimeUnit":"ms"}
+  ///  "displayTimeUnit":"ms",
+  ///  "otherData":{"eventCount":N,"droppedEvents":D}}
+  /// where D counts the events full rings overwrote, so a trace that lost
+  /// spans says so.
   std::string exportChromeTrace() const;
 
   // Span-name stack maintenance (used by TraceScope; public so the executor

@@ -1,6 +1,7 @@
 #include "pao/evaluate.hpp"
 
 #include <algorithm>
+#include <map>
 #include <span>
 #include <utility>
 
@@ -20,11 +21,17 @@ constexpr std::size_t kPinsPerChunk = 64;
 /// Floor of the neighbour-via radius of FailedPinContext.
 constexpr geom::Coord kMinNeighbourRadius = 2048;
 
-/// The three shapes of placed via `v` in FailedPinContext::viaShapes_.
-std::span<const drc::Shape> shapesOf(const std::vector<drc::Shape>& all,
-                                     int v) {
-  return std::span<const drc::Shape>(all).subspan(
-      static_cast<std::size_t>(v) * 3, 3);
+/// How far `r` reaches beyond `box` on any side; 0 when it lies inside.
+geom::Coord beyond(const geom::Rect& r, const geom::Rect& box) {
+  return std::max({geom::Coord{0}, box.xlo - r.xlo, box.ylo - r.ylo,
+                   r.xhi - box.xhi, r.yhi - box.yhi});
+}
+
+/// The bounding box of the three shapes of a chosen via.
+geom::Rect viaBox(const FailedPinContext::PlacedVia& pv) {
+  return pv.via->botEncAt(pv.loc)
+      .merge(pv.via->cutAt(pv.loc))
+      .merge(pv.via->topEncAt(pv.loc));
 }
 
 /// The dirty-AP tally of unique class `c`.
@@ -101,8 +108,12 @@ DirtyApStats countDirtyAps(const db::Design& design,
 }
 
 FailedPinContext::FailedPinContext(const db::Design& design,
-                                   const OracleResult& result)
-    : engine_(*design.tech), neighbourRadius_(kMinNeighbourRadius) {
+                                   const OracleResult& result,
+                                   const db::RowIndex& rows)
+    : design_(&design),
+      rows_(&rows),
+      engine_(*design.tech),
+      neighbourRadius_(kMinNeighbourRadius) {
   PAO_TRACE_SCOPE("eval.failed_pins.context");
   for (const db::Layer& l : design.tech->layers()) {
     const geom::Coord step = l.minStep ? l.minStep->minStepLength : 0;
@@ -112,75 +123,72 @@ FailedPinContext::FailedPinContext(const db::Design& design,
 
   const int numInsts = static_cast<int>(design.instances.size());
   const int numNets = static_cast<int>(design.nets.size());
+  const int numLayers = engine_.region().numLayers();
 
   // Global electrical identity per (instance, master-pin), flat by
-  // instance: pin p of instance i sits at netOf[pinBase[i] + p]. It holds
+  // instance: pin p of instance i sits at netOf_[pinBase_[i] + p]. It holds
   // the design net index when attached, a unique synthetic id otherwise,
   // and kNoNet for supply pins (never looked up) and malformed terms.
   constexpr int kNoNet = -2;
-  std::vector<std::size_t> pinBase(design.instances.size() + 1, 0);
+  pinBase_.assign(design.instances.size() + 1, 0);
   for (int i = 0; i < numInsts; ++i) {
-    pinBase[i + 1] = pinBase[i] + design.instances[i].master->pins.size();
+    pinBase_[i + 1] = pinBase_[i] + design.instances[i].master->pins.size();
   }
-  std::vector<int> netOf(pinBase.back(), kNoNet);
+  netOf_.assign(pinBase_.back(), kNoNet);
+  std::size_t attached = 0;  // bounds the pins and vias listed below
   for (int n = 0; n < numNets; ++n) {
     for (const db::NetTerm& t : design.nets[n].terms) {
       if (t.isIo() || t.instIdx >= numInsts || t.pinIdx < 0) continue;
-      const std::size_t slot = pinBase[t.instIdx] + t.pinIdx;
-      if (slot < pinBase[t.instIdx + 1]) netOf[slot] = n;
+      const std::size_t slot = pinBase_[t.instIdx] + t.pinIdx;
+      if (slot >= pinBase_[t.instIdx + 1]) continue;
+      attached += std::exchange(netOf_[slot], n) == kNoNet ? 1 : 0;
     }
   }
-  // A signal pin without a design net gets a synthetic id, numbered in
-  // (instance, pin) order; the IO pins are numbered after them.
+
+  // One pass in (instance, pin) order: the instance's shape table, then per
+  // pin a synthetic id if it has no design net, and for a net-attached
+  // signal pin its evaluation entry and chosen via. Chosen vias are kept by
+  // instance, so each pin can be checked against every *other* pin's via
+  // without seeing its own.
+  std::map<std::pair<const db::Master*, geom::Orient>, std::size_t> cells;
+  cellOf_.resize(design.instances.size());
+  placedBase_.resize(design.instances.size() + 1);
+  pins_.reserve(attached);
+  placed_.reserve(attached);
   int synthetic = numNets;
   for (int i = 0; i < numInsts; ++i) {
-    const db::Master& master = *design.instances[i].master;
-    for (std::size_t p = 0; p < master.pins.size(); ++p) {
-      if (!master.pins[p].isSupply() && netOf[pinBase[i] + p] == kNoNet) {
-        netOf[pinBase[i] + p] = synthetic++;
+    const db::Instance& inst = design.instances[i];
+    const db::Master& master = *inst.master;
+    const auto [cell, fresh] =
+        cells.try_emplace({inst.master, inst.orient}, cellBase_.size());
+    if (fresh) {
+      // The master's shapes at this orient, placed at the origin, one layer
+      // after another. Supply pins are foreign metal; shapes a RegionQuery
+      // would skip are skipped.
+      const db::Instance atOrigin{"", inst.master, {0, 0}, inst.orient};
+      for (int l = 0; l <= numLayers; ++l) {
+        cellBase_.push_back(cellShapes_.size());
+        db::forEachPlacedShape(atOrigin, [&](const geom::Rect& r, int layer,
+                                             int p) {
+          if (layer != l || r.empty()) return;
+          const bool foreign = p < 0 || master.pins[p].isSupply();
+          cellShapes_.push_back(
+              {r, foreign ? -1 : p,
+               p < 0 ? drc::ShapeKind::kObstruction : drc::ShapeKind::kPin});
+          overhang_ = std::max(overhang_, beyond(r, atOrigin.bbox()));
+        });
       }
     }
-  }
-  const int ioBase = synthetic;
-
-  // Fixed design context: every instance's pin shapes and obstructions, and
-  // the IO pins, straight into the region's exact-size bulk fill. Supply
-  // pins are foreign metal.
-  engine_.region() = drc::RegionQuery(
-      engine_.region().numLayers(), [&](const auto& add) {
-        for (int i = 0; i < numInsts; ++i) {
-          const db::Master& master = *design.instances[i].master;
-          const std::size_t base = pinBase[i];
-          db::forEachPlacedShape(
-              design.instances[i], [&](const geom::Rect& r, int layer, int p) {
-                if (p < 0) {
-                  add({r, layer, drc::Shape::kObsNet,
-                       drc::ShapeKind::kObstruction, true});
-                  return;
-                }
-                const int net = master.pins[p].isSupply() ? drc::Shape::kObsNet
-                                                          : netOf[base + p];
-                add({r, layer, net, drc::ShapeKind::kPin, true});
-              });
-        }
-        for (std::size_t k = 0; k < design.ioPins.size(); ++k) {
-          const db::IoPin& p = design.ioPins[k];
-          add({p.rect, p.layer, ioBase + static_cast<int>(k),
-               drc::ShapeKind::kIoPin, true});
-        }
-      });
-
-  // Chosen vias of every net-attached pin, in a side index so each pin can
-  // be checked against every *other* pin's via without seeing its own.
-  for (int i = 0; i < numInsts; ++i) {
-    const db::Master& master = *design.instances[i].master;
+    cellOf_[i] = cell->second;
+    placedBase_[i] = static_cast<int>(placed_.size());
     int pos = -1;  // signal-pin position within the master
     for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
-      if (!master.pins[p].isSignal()) continue;
+      if (master.pins[p].isSupply()) continue;
+      int& net = netOf_[pinBase_[i] + p];
+      if (net == kNoNet) net = synthetic++;
       ++pos;
-      const int net = netOf[pinBase[i] + p];
       // Only count pins attached to real design nets.
-      if (net < 0 || net >= numNets) continue;
+      if (net >= numNets) continue;
       PinRef ref{i, pos, net, -1, false};
       const auto chosen = result.chosenAp(design, i, pos);
       const db::ViaDef* via =
@@ -188,6 +196,8 @@ FailedPinContext::FailedPinContext(const db::Design& design,
       if (via != nullptr) {
         ref.placedIdx = static_cast<int>(placed_.size());
         placed_.push_back({i, pos, via, chosen->loc, net});
+        overhang_ =
+            std::max(overhang_, beyond(viaBox(placed_.back()), inst.bbox()));
       } else if (chosen && chosen->ap->dirs != 0) {
         // Planar-only access (macro pins): counts as accessible; the stub
         // legality was validated at generation and re-checked by
@@ -197,35 +207,30 @@ FailedPinContext::FailedPinContext(const db::Design& design,
       pins_.push_back(ref);
     }
   }
+  placedBase_[numInsts] = static_cast<int>(placed_.size());
 
-  viaShapes_.reserve(placed_.size() * 3);
-  std::vector<geom::GridIndex<int>::Entry> vias;
-  vias.reserve(placed_.size());
-  for (int v = 0; v < static_cast<int>(placed_.size()); ++v) {
-    const PlacedVia& pv = placed_[v];
-    geom::Rect bbox;
-    for (const drc::Shape& s : engine_.viaShapes(*pv.via, pv.loc, pv.net)) {
-      viaShapes_.push_back(s);
-      bbox = bbox.merge(s.rect);
+  // The IO pins are numbered after the synthetic ids.
+  engine_.region() = drc::RegionQuery(numLayers, [&](const auto& add) {
+    for (std::size_t k = 0; k < design.ioPins.size(); ++k) {
+      const db::IoPin& p = design.ioPins[k];
+      add({p.rect, p.layer, synthetic + static_cast<int>(k),
+           drc::ShapeKind::kIoPin, true});
     }
-    vias.push_back({bbox, v});
-  }
-  viaIndex_ = geom::GridIndex<int>(std::move(vias));
+  });
 }
 
 void FailedPinContext::neighbourShapes(int v,
                                        std::vector<drc::Shape>& extra) const {
-  geom::Rect query;
-  for (const drc::Shape& s : shapesOf(viaShapes_, v)) {
-    query = query.merge(s.rect);
-  }
-  query = query.bloat(neighbourRadius_);
-  viaIndex_.query(query, [&](const geom::Rect&, int other) {
-    if (other == v) return;
-    // Same-net vias (multi-pin nets) are not conflicts; include them
-    // anyway — checkVia treats same-net context as merge candidates.
-    const std::span<const drc::Shape> shapes = shapesOf(viaShapes_, other);
-    extra.insert(extra.end(), shapes.begin(), shapes.end());
+  const geom::Rect query = viaBox(placed_[v]).bloat(neighbourRadius_);
+  rows_->forEachNear(*design_, query.bloat(overhang_), [&](int i) {
+    for (int u = placedBase_[i]; u < placedBase_[i + 1]; ++u) {
+      if (u == v || !viaBox(placed_[u]).intersects(query)) continue;
+      // Same-net vias (multi-pin nets) are not conflicts; include them
+      // anyway — checkVia treats same-net context as merge candidates.
+      const PlacedVia& pu = placed_[u];
+      const auto shapes = engine_.viaShapes(*pu.via, pu.loc, pu.net);
+      extra.insert(extra.end(), shapes.begin(), shapes.end());
+    }
   });
 }
 
@@ -254,7 +259,8 @@ FailedPinStats checkPins(const FailedPinContext& ctx, const db::Design& design,
     const geom::Point origin = design.instances[ref.inst].origin;
     for (const AccessPoint& ap : result.classes[cls].pinAps[ref.pinPos]) {
       const db::ViaDef* via = ap.primaryVia(*design.tech);
-      if (via != nullptr && engine.isViaClean(*via, ap.loc + origin, ref.net)) {
+      if (via != nullptr &&
+          engine.checkVia(ctx, *via, ap.loc + origin, ref.net).empty()) {
         return true;
       }
     }
@@ -295,8 +301,8 @@ FailedPinStats checkPins(const FailedPinContext& ctx, const db::Design& design,
             // Context: all other pins' chosen vias near this one.
             extra.clear();
             ctx.neighbourShapes(ref.placedIdx, extra);
-            violations = engine.checkVia(*pv.via, pv.loc, pv.net, extra,
-                                         reachOut);
+            violations = engine.checkVia(ctx, *pv.via, pv.loc, pv.net,
+                                         extra, reachOut);
             failed = !violations.empty();
           }
           if (!verdicts.empty()) verdicts[i] = {reach, failed};
@@ -328,8 +334,9 @@ FailedPinStats countFailedPins(const db::Design& design,
                                std::size_t maxDetails,
                                FailedPinCriterion criterion) {
   PAO_TRACE_SCOPE("eval.failed_pins");
-  // Declared inside the span, so its teardown is attributed to it too.
-  const FailedPinContext ctx(design, result);
+  // Declared inside the span, so their teardown is attributed to it too.
+  const db::RowIndex rows(design);
+  const FailedPinContext ctx(design, result, rows);
   FailedPinStats stats = checkPins(
       ctx, design, result, ctx.pins().size(), [](std::size_t k) { return k; },
       maxDetails, criterion, {});

@@ -10,8 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "db/row_index.hpp"
 #include "drc/engine.hpp"
-#include "geom/grid_index.hpp"
 #include "pao/oracle.hpp"
 
 namespace pao::core {
@@ -53,9 +53,13 @@ enum class FailedPinCriterion {
 };
 
 /// What the failed-pin evaluation checks pins against, built once per
-/// design and result: the fixed design context (every instance's pin shapes
-/// and obstructions, and the IO pins) in a DRC engine, every net-attached
-/// instance pin in evaluation order, and every chosen access via.
+/// design and result: every net-attached instance pin in evaluation order,
+/// every chosen access via, and the fixed design context of
+/// DrcEngine::checkVia (every instance's pin shapes and obstructions, and
+/// the IO pins). That context is a view, not a copy: query() walks the
+/// db::RowIndex to the instances near a box and shifts a per-(master,
+/// orient) table of origin-relative shapes to each one's origin; only the
+/// IO pins sit in the engine's region. Read-only once built.
 class FailedPinContext {
  public:
   struct PlacedVia {
@@ -73,31 +77,78 @@ class FailedPinContext {
     bool planar;    ///< chosen access is planar-only (macro pins)
   };
 
-  FailedPinContext(const db::Design& design, const OracleResult& result);
+  /// `rows` must index `design` as it is now, and both must outlive the
+  /// context unchanged.
+  FailedPinContext(const db::Design& design, const OracleResult& result,
+                   const db::RowIndex& rows);
 
   const drc::DrcEngine& engine() const { return engine_; }
   const std::vector<PinRef>& pins() const { return pins_; }
+  /// In instance order.
   const std::vector<PlacedVia>& placed() const { return placed_; }
+
+  /// Calls fn(shape) for every fixed shape on `layer` touching `box`. A pin
+  /// shape carries its design net or, unattached, a synthetic id numbered
+  /// in (instance, pin) order, then the IO pins; supply pins and
+  /// obstructions carry Shape::kObsNet.
+  template <typename Fn>
+  void query(int layer, const geom::Rect& box, Fn&& fn) const {
+    if (layer < 0 || layer >= engine_.region().numLayers()) return;
+    rows_->forEachNear(*design_, box.bloat(overhang_), [&](int i) {
+      const geom::Point at = design_->instances[i].origin;
+      const geom::Rect local = box.translate(-at.x, -at.y);
+      const std::size_t* range = &cellBase_[cellOf_[i] + layer];
+      for (std::size_t k = range[0]; k < range[1]; ++k) {
+        const CellShape& s = cellShapes_[k];
+        if (!s.rect.intersects(local)) continue;
+        fn(drc::Shape{s.rect.translate(at.x, at.y), layer,
+                      s.pin < 0 ? drc::Shape::kObsNet
+                                : netOf_[pinBase_[i] + s.pin],
+                      s.kind, true});
+      }
+    });
+    engine_.region().query(layer, box, fn);
+  }
 
   /// Appends to `extra` the shapes of every other chosen via near
   /// placed()[v]: the context placed()[v] is checked in beside the fixed
-  /// design.
+  /// design. The vias are found through the same row walk as query().
   void neighbourShapes(int v, std::vector<drc::Shape>& extra) const;
 
  private:
+  /// A master shape at one orient, relative to the instance origin.
+  struct CellShape {
+    geom::Rect rect;
+    int pin;  ///< master pin index; -1 for obstructions and supply pins
+    drc::ShapeKind kind;
+  };
+
+  const db::Design* design_;
+  const db::RowIndex* rows_;
   drc::DrcEngine engine_;
   /// How far from a via's bounding box neighbourShapes() gathers vias: the
   /// widest spacing halo plus min-step length of any layer in the tech, and
   /// never less than 2048 dbu.
   geom::Coord neighbourRadius_ = 0;
+  /// How far any shape or chosen via reaches beyond its instance's bbox.
+  geom::Coord overhang_ = 0;
+  /// The shapes of each (master, orient) in use, layer by layer, each
+  /// layer's in forEachPlacedShape order. Instance i's on layer l are
+  /// cellShapes_[cellBase_[cellOf_[i] + l] .. cellBase_[cellOf_[i] + l + 1]).
+  std::vector<CellShape> cellShapes_;
+  std::vector<std::size_t> cellBase_;
+  std::vector<std::size_t> cellOf_;
+  /// Pin p of instance i has net id netOf_[pinBase_[i] + p] (query()).
+  std::vector<std::size_t> pinBase_;
+  std::vector<int> netOf_;
+  std::vector<int> placedBase_;  ///< per instance, plus one end entry
   std::vector<PinRef> pins_;
   std::vector<PlacedVia> placed_;
-  std::vector<drc::Shape> viaShapes_;  ///< three per placed via
-  geom::GridIndex<int> viaIndex_;
 };
 
 /// Evaluates every net-attached instance pin against the fully populated
-/// design context (all instances' pins and obstructions) and counts the pins
+/// design context (all instances' pins and obstructions, read through a
+/// db::RowIndex of the design built for the call) and counts the pins
 /// without a DRC-clean access point per the criterion. The pins are checked
 /// in fixed-size chunks on result.numThreads workers and merged in pin
 /// order, so the stats, details included, do not depend on the thread count.

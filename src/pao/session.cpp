@@ -576,7 +576,7 @@ FailedPinStats OracleSession::failedPins() {
   const bool incremental = verdictsValid_;
   verdictsValid_ = false;  // an exception below leaves a full re-check due
   const OracleResult res = snapshot();
-  const FailedPinContext ctx(*design_, res);
+  const FailedPinContext ctx(*design_, res, rows_);
   const std::vector<FailedPinContext::PinRef>& pins = ctx.pins();
   std::vector<int> recheck;
   if (!incremental || verdicts_.size() != pins.size()) {

@@ -41,6 +41,11 @@ std::vector<drc::Violation> checkVia(const drc::DrcEngine& engine,
 /// EOL checks (EOL querying the whole region per edge).
 std::vector<drc::Violation> checkAll(const drc::DrcEngine& engine);
 
+/// The fixed design context of the failed-pin evaluation as a copy: every
+/// instance's pin shapes and obstructions and the IO pins, with the net ids
+/// FailedPinContext::query() reports, bulk-filled into a RegionQuery.
+drc::RegionQuery fixedContext(const db::Design& design);
+
 /// countFailedPins with a std::map net lookup, per-instance
 /// signalPinIndices() and per-pin shape vectors, checking vias with
 /// reference::checkVia.

@@ -1,13 +1,77 @@
 // Reference failed-pin evaluation (see reference.hpp): countFailedPins as
 // it was, with its via checks routed through reference::checkVia and the
 // via-shape copy adapted to DrcEngine::viaShapes returning an array; its via
-// index is the frozen hash-bin GridIndex (reference_grid_index.hpp).
+// index is the frozen hash-bin GridIndex (reference_grid_index.hpp). Also
+// the fixed design context as a copy of every placed shape in a
+// RegionQuery, as FailedPinContext built it before it read the design in
+// place.
 #include <map>
 
 #include "reference_grid_index.hpp"
 #include "reference.hpp"
 
 namespace pao::reference {
+
+drc::RegionQuery fixedContext(const db::Design& design) {
+  const int numInsts = static_cast<int>(design.instances.size());
+  const int numNets = static_cast<int>(design.nets.size());
+
+  // Global electrical identity per (instance, master-pin), flat by
+  // instance: pin p of instance i sits at netOf[pinBase[i] + p]. It holds
+  // the design net index when attached, a unique synthetic id otherwise,
+  // and kNoNet for supply pins (never looked up) and malformed terms.
+  constexpr int kNoNet = -2;
+  std::vector<std::size_t> pinBase(design.instances.size() + 1, 0);
+  for (int i = 0; i < numInsts; ++i) {
+    pinBase[i + 1] = pinBase[i] + design.instances[i].master->pins.size();
+  }
+  std::vector<int> netOf(pinBase.back(), kNoNet);
+  for (int n = 0; n < numNets; ++n) {
+    for (const db::NetTerm& t : design.nets[n].terms) {
+      if (t.isIo() || t.instIdx >= numInsts || t.pinIdx < 0) continue;
+      const std::size_t slot = pinBase[t.instIdx] + t.pinIdx;
+      if (slot < pinBase[t.instIdx + 1]) netOf[slot] = n;
+    }
+  }
+  // A signal pin without a design net gets a synthetic id, numbered in
+  // (instance, pin) order; the IO pins are numbered after them.
+  int synthetic = numNets;
+  for (int i = 0; i < numInsts; ++i) {
+    const db::Master& master = *design.instances[i].master;
+    for (std::size_t p = 0; p < master.pins.size(); ++p) {
+      if (!master.pins[p].isSupply() && netOf[pinBase[i] + p] == kNoNet) {
+        netOf[pinBase[i] + p] = synthetic++;
+      }
+    }
+  }
+  const int ioBase = synthetic;
+
+  // Every instance's pin shapes and obstructions, and the IO pins, straight
+  // into the region's exact-size bulk fill. Supply pins are foreign metal.
+  return drc::RegionQuery(
+      static_cast<int>(design.tech->layers().size()), [&](const auto& add) {
+        for (int i = 0; i < numInsts; ++i) {
+          const db::Master& master = *design.instances[i].master;
+          const std::size_t base = pinBase[i];
+          db::forEachPlacedShape(
+              design.instances[i], [&](const geom::Rect& r, int layer, int p) {
+                if (p < 0) {
+                  add({r, layer, drc::Shape::kObsNet,
+                       drc::ShapeKind::kObstruction, true});
+                  return;
+                }
+                const int net = master.pins[p].isSupply() ? drc::Shape::kObsNet
+                                                          : netOf[base + p];
+                add({r, layer, net, drc::ShapeKind::kPin, true});
+              });
+        }
+        for (std::size_t k = 0; k < design.ioPins.size(); ++k) {
+          const db::IoPin& p = design.ioPins[k];
+          add({p.rect, p.layer, ioBase + static_cast<int>(k),
+               drc::ShapeKind::kIoPin, true});
+        }
+      });
+}
 
 core::FailedPinStats countFailedPins(const db::Design& design,
                                      const core::OracleResult& result,

@@ -1,12 +1,17 @@
 // Differential tests of the DRC via check, the failed-pin evaluation and
 // the Step-3 cluster selection against their reference implementations
-// (reference.hpp): identical violation vectors, in the same order, and
-// identical chosen patterns on the mixed, aes14 and huge presets at small
-// scale and at every thread count, an identical batch check on a routed
-// design, and both DRC checks on random dense layouts that make every rule
-// fire.
+// (reference.hpp): identical violation vectors and identical chosen
+// patterns on the mixed, aes14 and huge presets at small scale and at every
+// thread count, an identical batch check on a routed design, and both DRC
+// checks on random dense layouts that make every rule fire. checkVia
+// returns its violations in violationLess order, which the reference never
+// did, so each reference via-check result is compared after that sort;
+// every other order, failed-pin details included, is compared as is. The
+// failed-pin evaluation's placed-instance view must also report exactly the
+// shapes of the reference's copied fixed context for any box.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -14,6 +19,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchgen/huge.hpp"
@@ -64,6 +70,12 @@ const db::Design& presetDesign(const std::string& name) {
   return slot->design();
 }
 
+/// A reference via-check result in checkVia's violationLess order.
+std::vector<drc::Violation> sorted(std::vector<drc::Violation> violations) {
+  drc::sortViolations(violations);
+  return violations;
+}
+
 void expectSameStats(const core::FailedPinStats& got,
                      const core::FailedPinStats& want) {
   EXPECT_EQ(got.totalPins, want.totalPins);
@@ -72,7 +84,8 @@ void expectSameStats(const core::FailedPinStats& got,
   for (std::size_t i = 0; i < got.details.size(); ++i) {
     EXPECT_EQ(got.details[i].instIdx, want.details[i].instIdx) << i;
     EXPECT_EQ(got.details[i].sigPinPos, want.details[i].sigPinPos) << i;
-    EXPECT_EQ(got.details[i].violations, want.details[i].violations) << i;
+    EXPECT_EQ(got.details[i].violations, sorted(want.details[i].violations))
+        << i;
   }
 }
 
@@ -92,9 +105,14 @@ class EvalDifferential
   }
 };
 
+// The view-backed checkVia against the reference check over the copied
+// fixed context, on every chosen via alone and beside its neighbours.
 TEST_P(EvalDifferential, CheckViaMatchesReferenceOnEveryChosenVia) {
   const core::OracleResult result = runOracle();
-  const core::FailedPinContext ctx(design(), result);
+  const db::RowIndex rows(design());
+  const core::FailedPinContext ctx(design(), result, rows);
+  drc::DrcEngine copy(*design().tech);
+  copy.region() = reference::fixedContext(design());
   ASSERT_FALSE(ctx.placed().empty());
   std::vector<drc::Shape> extra;
   std::size_t dirtyAlone = 0;
@@ -104,13 +122,14 @@ TEST_P(EvalDifferential, CheckViaMatchesReferenceOnEveryChosenVia) {
     extra.clear();
     ctx.neighbourShapes(v, extra);
 
-    const auto alone = ctx.engine().checkVia(*pv.via, pv.loc, pv.net);
-    ASSERT_EQ(alone, reference::checkVia(ctx.engine(), *pv.via, pv.loc,
-                                         pv.net))
+    const auto alone = ctx.engine().checkVia(ctx, *pv.via, pv.loc, pv.net);
+    ASSERT_EQ(alone,
+              sorted(reference::checkVia(copy, *pv.via, pv.loc, pv.net)))
         << "via " << v << " without neighbours";
-    const auto beside = ctx.engine().checkVia(*pv.via, pv.loc, pv.net, extra);
-    ASSERT_EQ(beside, reference::checkVia(ctx.engine(), *pv.via, pv.loc,
-                                          pv.net, extra))
+    const auto beside =
+        ctx.engine().checkVia(ctx, *pv.via, pv.loc, pv.net, extra);
+    ASSERT_EQ(beside, sorted(reference::checkVia(copy, *pv.via, pv.loc,
+                                                 pv.net, extra)))
         << "via " << v << " with " << extra.size() << " neighbour shapes";
     dirtyAlone += alone.empty() ? 0 : 1;
     dirtyWithNeighbours += beside.empty() ? 0 : 1;
@@ -194,6 +213,118 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) +
              (std::get<1>(info.param) ? "_legacy" : "_bca");
     });
+
+/// Every (rect, layer, net, kind) a fixed-context query reports, sorted.
+template <typename Context>
+std::vector<std::tuple<geom::Rect, int, int, drc::ShapeKind>> shapesIn(
+    const Context& context, int layer, const geom::Rect& box) {
+  std::vector<std::tuple<geom::Rect, int, int, drc::ShapeKind>> out;
+  context.query(layer, box, [&](const drc::Shape& s) {
+    out.emplace_back(s.rect, s.layer, s.net, s.kind);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Queries the failed-pin view of `design` and the reference copy of its
+/// fixed context with 2,000 seeded boxes per layer plus the whole die, and
+/// requires the same shapes from both. The boxes lie around a random
+/// instance, touch its bbox from outside, touch a random shape's corner
+/// from outside, or have zero width.
+void expectViewMatchesCopy(const db::Design& design) {
+  const core::OracleResult result =
+      core::PinAccessOracle(design, core::withBcaConfig()).run();
+  const db::RowIndex rows(design);
+  const core::FailedPinContext view(design, result, rows);
+  const drc::RegionQuery copy = reference::fixedContext(design);
+  std::mt19937_64 rng(17);
+  const auto pick = [&](geom::Coord lo, geom::Coord hi) {
+    return std::uniform_int_distribution<geom::Coord>(lo, hi)(rng);
+  };
+  const auto count = [&](std::size_t n) {
+    return static_cast<std::size_t>(pick(0, static_cast<geom::Coord>(n) - 1));
+  };
+  std::size_t hits = 0;
+  for (int layer = 0; layer < copy.numLayers(); ++layer) {
+    SCOPED_TRACE("layer " + std::to_string(layer));
+    const std::vector<drc::Shape>& shapes = copy.shapesOnLayer(layer);
+    ASSERT_EQ(shapesIn(view, layer, design.dieArea.bloat(10000)),
+              shapesIn(copy, layer, design.dieArea.bloat(10000)));
+    for (int q = 0; q < 2000; ++q) {
+      const geom::Rect cell =
+          design.instances[count(design.instances.size())].bbox();
+      const geom::Coord d = pick(0, 600);
+      const geom::Coord x = pick(cell.xlo, cell.xhi);
+      const geom::Coord y = pick(cell.ylo, cell.yhi);
+      geom::Rect box;
+      switch (q % 5) {
+        case 0:
+          box = geom::Rect(pick(cell.xlo - 2000, cell.xhi + 2000),
+                           pick(cell.ylo - 2000, cell.yhi + 2000),
+                           pick(cell.xlo - 2000, cell.xhi + 2000),
+                           pick(cell.ylo - 2000, cell.yhi + 2000));
+          break;
+        case 1:  // touching the left or the right edge
+          box = q % 2 == 0 ? geom::Rect(cell.xlo - d, y, cell.xlo, cell.yhi)
+                           : geom::Rect(cell.xhi, cell.ylo, cell.xhi + d, y);
+          break;
+        case 2:  // touching the bottom or the top edge
+          box = q % 2 == 0 ? geom::Rect(x, cell.ylo - d, cell.xhi, cell.ylo)
+                           : geom::Rect(cell.xlo, cell.yhi, x, cell.yhi + d);
+          break;
+        case 3:  // touching a shape's upper-right corner
+          if (!shapes.empty()) {
+            const geom::Rect r = shapes[count(shapes.size())].rect;
+            box = geom::Rect(r.xhi, r.yhi, r.xhi + d, r.yhi + d);
+            break;
+          }
+          [[fallthrough]];
+        default:  // zero width
+          box = geom::Rect(x, cell.ylo - d, x, cell.yhi + d);
+      }
+      const auto want = shapesIn(copy, layer, box);
+      hits += want.empty() ? 0 : 1;
+      ASSERT_EQ(shapesIn(view, layer, box), want) << "box " << q;
+    }
+  }
+  EXPECT_GT(hits, 0u);
+}
+
+// The view against the copy on every preset, on multi-height cells, and on
+// abutting cells whose pin shape and obstruction overhang the cell bbox.
+TEST(FailedPinView, QueryMatchesRegionQuery) {
+  for (const char* name : {"mixed", "aes14", "huge"}) {
+    SCOPED_TRACE(name);
+    expectViewMatchesCopy(presetDesign(name));
+  }
+  {
+    SCOPED_TRACE("multi-height");
+    benchgen::TestcaseSpec spec = benchgen::ispd18Suite()[0];
+    spec.numCells = 250;
+    spec.numNets = 120;
+    spec.multiHeightFraction = 0.12;
+    spec.seed = 7;
+    const benchgen::Testcase tc = benchgen::generate(spec, 1.0);
+    expectViewMatchesCopy(*tc.design);
+  }
+  SCOPED_TRACE("overhang");
+  test::TinyDesign td =
+      test::makeTinyDesign({{0, geom::Rect{-150, 300, 250, 1100}}},
+                           {{1, geom::Rect{500, 900, 700, 1500}}});
+  db::Design& d = *td.design;
+  db::Instance right = d.instances[0];
+  right.name = "u2";
+  right.origin = {1200, 0};
+  right.orient = geom::Orient::MY;
+  d.instances.push_back(right);
+  db::Instance above = d.instances[0];
+  above.name = "u3";
+  above.origin = {0, 1200};
+  d.instances.push_back(above);
+  d.buildInstanceIndex();
+  d.nets.push_back({"n0", {{0, 0, -1}, {2, 0, -1}}});
+  expectViewMatchesCopy(d);
+}
 
 /// Preset x worker count: the session's Step 3 against the reference
 /// selection run serially on the same Steps 1-2 result.
@@ -362,7 +493,7 @@ TEST(DrcRandomDifferential, CheckViaAndCheckAllMatchReference) {
       }
       const std::vector<drc::Violation> got =
           engine.checkVia(via, p, net, extra);
-      ASSERT_EQ(got, reference::checkVia(engine, via, p, net, extra))
+      ASSERT_EQ(got, sorted(reference::checkVia(engine, via, p, net, extra)))
           << "layout " << layout << " drop " << d;
       for (const drc::Violation& v : got) ++kinds[v.kind];
     }

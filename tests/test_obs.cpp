@@ -179,6 +179,33 @@ TEST(ObsTrace, ExportNestsWorkerSpansUnderParallelFor) {
   EXPECT_TRUE(sawWorker);
 }
 
+// A full ring overwrites its oldest events; the export counts them and
+// validation rejects the lossy trace unless drops are allowed.
+TEST(ObsTrace, DroppedEventsAreExportedAndRejected) {
+  Tracer& tracer = Tracer::instance();
+  tracer.enable(16);
+  for (int i = 0; i < 100; ++i) {
+    PAO_TRACE_SCOPE("test.ring");
+  }
+  tracer.disable();
+  EXPECT_EQ(tracer.droppedEvents(), 84u);
+
+  std::string error;
+  const auto doc = Json::parse(tracer.exportChromeTrace(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const Json* other = doc->find("otherData");
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(other->find("eventCount")->asInt(), 16);
+  EXPECT_EQ(other->find("droppedEvents")->asInt(), 84);
+  EXPECT_FALSE(pao::obs::validateTrace(*doc, 1, /*requireWorker=*/false,
+                                       &error));
+  EXPECT_NE(error.find("84 events were dropped"), std::string::npos)
+      << error;
+  EXPECT_TRUE(pao::obs::validateTrace(*doc, 1, /*requireWorker=*/false,
+                                      &error, /*allowDrops=*/true))
+      << error;
+}
+
 TEST(ObsTrace, ReenableClearsPriorCapture) {
   Tracer& tracer = Tracer::instance();
   tracer.enable();

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -270,6 +273,8 @@ std::unique_ptr<HugeCase> hugeCase(double scale) {
 // 8th trial, a mirror flip, each reverted; a report every 100 mutations):
 // every mutation re-splits at most 4 rows, every report after the first
 // re-checks at most a quarter of the pins, and every report equals batch.
+// Then the cost of a report: one after a single move takes at most 5% of a
+// fresh countFailedPins of the same design, best of 3 on each side.
 TEST(SessionGate, ServeEditShapeStaysLocal) {
   const std::unique_ptr<HugeCase> hc = hugeCase(0.01);
   db::Design& design = hc->design;
@@ -315,6 +320,31 @@ TEST(SessionGate, ServeEditShapeStaysLocal) {
     mutated();
   }
   EXPECT_EQ(mutations, 300);
+
+  const auto seconds = [](const auto& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  double report = std::numeric_limits<double>::infinity();
+  double fresh = report;
+  for (int rep = 0; rep < 3; ++rep) {
+    const int inst = static_cast<int>(rng.next() % design.instances.size());
+    const geom::Point home = design.instances[inst].origin;
+    const db::Row& row = design.rows[rng.next() % design.rows.size()];
+    session.moveInstance(inst, {row.origin.x + 4 * row.siteWidth,
+                                row.origin.y});
+    report = std::min(report, seconds([&] { session.failedPins(); }));
+    const OracleResult res = session.snapshot();
+    fresh = std::min(fresh, seconds([&] { countFailedPins(design, res); }));
+    session.moveInstance(inst, home);
+    session.failedPins();
+  }
+  EXPECT_LE(report, 0.05 * fresh)
+      << "post-move report " << report * 1e3 << " ms, fresh evaluation "
+      << fresh * 1e3 << " ms";
 }
 
 TEST(OracleSession, SingleMoveRecomputesOnlyDirtyClusters) {

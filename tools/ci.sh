@@ -43,8 +43,8 @@
 #                      equivalence at threads 1/4/0, the evaluators'
 #                      thread invariance at threads 1/2/4/0, and the Step-3
 #                      reference differential, pair-check count, class-
-#                      fault cases and graph shape at threads 1/4/0,
-#                      repeated)
+#                      fault cases, graph shape at threads 1/4/0 and the
+#                      failed-pin view and serve-report gate, repeated)
 #  10. UBSan          (-fsanitize=undefined with all diagnostics fatal)
 #  11. UBSan fuzz     (pao_fuzz: >=10k seeded mutation iterations over the
 #                      LEF/DEF parsers, the streamed/reference differential,
@@ -218,9 +218,11 @@ echo "== ThreadSanitizer job-graph soak =="
 # the graph lifecycles so the first-touch race gets many chances to show.
 # The class-fault cases (keep-going, strict, single class at threads 1/4/0)
 # and the one-node-per-class graph shape ride along: class nodes commit
-# their fallbacks and stats under the session's lock from any worker.
+# their fallbacks and stats under the session's lock from any worker. So do
+# the failed-pin view tests: every evaluation worker reads the one
+# placed-instance view (and the session's row index) at once.
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
-  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster'
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \

@@ -255,8 +255,10 @@ struct ObsOutputs {
         ok = false;
       } else {
         out << tracer.exportChromeTrace() << "\n";
-        std::fprintf(stderr, "trace: wrote %llu events to %s\n",
+        std::fprintf(stderr,
+                     "trace: wrote %llu events (%llu dropped) to %s\n",
                      static_cast<unsigned long long>(tracer.eventCount()),
+                     static_cast<unsigned long long>(tracer.droppedEvents()),
                      tracePath);
       }
     }

@@ -2,7 +2,9 @@
 //
 //   report_check report <file.json>            validate a pao-report/1 doc
 //   report_check trace <file.json> [minSpans] [--require-worker]
-//                                              validate a Chrome trace
+//                      [--allow-drops]         validate a Chrome trace (one
+//                                              that dropped events fails
+//                                              unless --allow-drops)
 //   report_check compare <a.json> <b.json> [--ignore KEY ...]
 //                                              byte-compare two reports
 //                                              after stripping timings (and
@@ -42,7 +44,7 @@ int usage() {
                "usage:\n"
                "  report_check report <file.json>\n"
                "  report_check trace <file.json> [minSpans]"
-               " [--require-worker]\n"
+               " [--require-worker] [--allow-drops]\n"
                "  report_check compare <a.json> <b.json> [--ignore KEY ...]\n"
                "  report_check metrics <file.json>\n"
                "  report_check sarif <file.json>\n"
@@ -93,9 +95,12 @@ int cmdTrace(int argc, char** argv) {
   const char* path = argv[2];
   int minSpans = 1;
   bool requireWorker = false;
+  bool allowDrops = false;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--require-worker") == 0) {
       requireWorker = true;
+    } else if (std::strcmp(argv[i], "--allow-drops") == 0) {
+      allowDrops = true;
     } else {
       minSpans = std::atoi(argv[i]);
     }
@@ -103,7 +108,8 @@ int cmdTrace(int argc, char** argv) {
   pao::obs::Json doc;
   if (!parseFile(path, doc)) return 2;
   std::string error;
-  if (!pao::obs::validateTrace(doc, minSpans, requireWorker, &error)) {
+  if (!pao::obs::validateTrace(doc, minSpans, requireWorker, &error,
+                               allowDrops)) {
     std::fprintf(stderr, "%s: invalid trace: %s\n", path, error.c_str());
     return 1;
   }
