@@ -99,16 +99,19 @@ struct RunMeasure {
 #endif
 };
 
-// Ceiling of the serial-analyze self-check: 57,761 heap allocations
-// measured on the mixed preset at scale 0.02, plus 9.9%. With the arena's
-// scratch routed to the heap the same analyze took 342,408.
-constexpr std::uint64_t kMaxOracleHeapAllocs = 63500;
+// Ceiling of the serial-analyze self-check: 31,441 heap allocations
+// measured on the mixed preset at scale 0.02, plus 10%. With every via
+// check's boundary rings on the heap it was 57,761, and with the arena's
+// scratch routed to the heap as well 342,408.
+constexpr std::uint64_t kMaxOracleHeapAllocs = 34600;
 
-// Ceiling of the checkVia self-check: 4.00 allocations per call measured
-// on the mixed preset at scale 0.02 (the boundary rings of both
-// enclosures), plus 25%. With a boundary extraction per rule and a
-// RegionQuery per call for the EOL context it was 36.2.
-constexpr double kMaxAllocsPerCheckVia = 5.0;
+// Ceiling of the checkVia self-check: 0.00 allocations per call measured
+// on the mixed preset at scale 0.02 (the boundary rings live in the
+// scratch arena; only a violation list would allocate), plus a margin of
+// one allocation in twenty calls. With the rings of both enclosures on the
+// heap it was 4.00, and with a boundary extraction per rule and a
+// RegionQuery per call for the EOL context 36.2.
+constexpr double kMaxAllocsPerCheckVia = 0.05;
 
 // Ceiling of the evaluation-memory self-check: the peak live heap bytes
 // above the starting level during one 1-thread countFailedPins on the mixed
@@ -146,8 +149,9 @@ struct ViaCheckMeasure {
 };
 
 /// Heap allocations of checkVia over the failed-pin evaluation: every
-/// chosen via, checked beside its neighbours' vias as countFailedPins does,
-/// with only the checkVia call inside the counting window.
+/// chosen via, checked through its per-pin view (the fixed design plus its
+/// neighbours' vias) as countFailedPins does, with only the checkVia call
+/// inside the counting window.
 ViaCheckMeasure measureCheckVia(const db::Design& design) {
   core::OracleConfig cfg;
   cfg.numThreads = 1;
@@ -155,17 +159,14 @@ ViaCheckMeasure measureCheckVia(const db::Design& design) {
       core::OracleSession(design, cfg).snapshot();
   const db::RowIndex rows(design);
   const core::FailedPinContext ctx(design, result, rows);
-  std::vector<drc::Shape> extra;
   ViaCheckMeasure m;
   for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
     const core::FailedPinContext::PlacedVia& pv = ctx.placed()[v];
-    extra.clear();
-    ctx.neighbourShapes(v, extra);
     const std::uint64_t allocs0 = gHeapAllocs.load(std::memory_order_relaxed);
     // The returned vector is part of the call's cost; it dies after the
     // window closes.
     const std::vector<drc::Violation> violations =
-        ctx.engine().checkVia(ctx, *pv.via, pv.loc, pv.net, extra);
+        ctx.engine().checkVia(ctx.pinView(v), *pv.via, pv.loc, pv.net);
     m.heapAllocs += gHeapAllocs.load(std::memory_order_relaxed) - allocs0;
     ++m.calls;
   }

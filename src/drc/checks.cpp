@@ -5,7 +5,7 @@
 namespace pao::drc {
 
 using geom::BoundaryEdge;
-using geom::BoundaryRing;
+using geom::BoundaryRings;
 using geom::Coord;
 using geom::Point;
 using geom::Rect;
@@ -34,13 +34,14 @@ std::optional<Violation> checkSpacingPair(const db::Layer& layer,
 }
 
 std::vector<Violation> checkMinStep(const db::Layer& layer,
-                                    std::span<const BoundaryRing> rings) {
+                                    const BoundaryRings& rings) {
   std::vector<Violation> out;
   if (!layer.minStep) return out;
   const Coord minLen = layer.minStep->minStepLength;
   const int maxEdges = layer.minStep->maxEdges;
 
-  for (const BoundaryRing& ring : rings) {
+  for (std::size_t r = 0; r < rings.size(); ++r) {
+    const std::span<const BoundaryEdge> ring = rings[r];
     const int n = static_cast<int>(ring.size());
     if (n == 0) continue;
     // Rotate the scan to start right after a long edge so runs never wrap.
@@ -113,13 +114,14 @@ Rect eolRegion(const BoundaryEdge& e, Coord space, Coord within) {
 }  // namespace
 
 std::vector<Violation> checkEol(const db::Layer& layer,
-                                std::span<const BoundaryRing> rings,
-                                int selfNet, std::span<const Rect> obstacles) {
+                                const BoundaryRings& rings, int selfNet,
+                                std::span<const Rect> obstacles) {
   std::vector<Violation> out;
   if (!layer.eol) return out;
   const db::EolRule rule = *layer.eol;
 
-  for (const BoundaryRing& ring : rings) {
+  for (std::size_t r = 0; r < rings.size(); ++r) {
+    const std::span<const BoundaryEdge> ring = rings[r];
     const int n = static_cast<int>(ring.size());
     for (int i = 0; i < n; ++i) {
       const BoundaryEdge& e = ring[i];

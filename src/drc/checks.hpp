@@ -25,7 +25,7 @@ std::optional<Violation> checkSpacingPair(const db::Layer& layer,
 /// `maxEdges` consecutive edges shorter than `minStepLength` (paper Fig. 3: a
 /// via enclosure protruding from a pin shape creates such steps).
 std::vector<Violation> checkMinStep(const db::Layer& layer,
-                                    std::span<const geom::BoundaryRing> rings);
+                                    const geom::BoundaryRings& rings);
 
 /// End-of-line spacing for one merged same-net component, given its boundary
 /// rings: edges shorter than `eolWidth` that are convex at both ends require
@@ -33,7 +33,7 @@ std::vector<Violation> checkMinStep(const db::Layer& layer,
 /// `obstacles` — the nearby shapes on `layer` that conflict with `selfNet`.
 /// Every clearance region lies within maxSpacingHalo(layer) of the rings.
 std::vector<Violation> checkEol(const db::Layer& layer,
-                                std::span<const geom::BoundaryRing> rings,
+                                const geom::BoundaryRings& rings,
                                 int selfNet,
                                 std::span<const geom::Rect> obstacles);
 

@@ -178,13 +178,14 @@ class DrcEngine {
                       std::vector<Violation>& out,
                       geom::Rect* reach = nullptr) const {
     if (!layer.minStep && !layer.eol) return;
-    const std::vector<geom::BoundaryRing> rings = geom::unionBoundary(comp);
+    util::ArenaScope scratch(util::scratchArena());
+    geom::BoundaryRings rings;
+    geom::unionBoundary(comp, rings);
     for (const Violation& v : checkMinStep(layer, rings)) out.push_back(v);
     if (!layer.eol) return;
 
     geom::Rect compBox;
     for (const geom::Rect& r : comp) compBox = compBox.merge(r);
-    util::ArenaScope scratch(util::scratchArena());
     util::ArenaVector<geom::Rect> obstacles;
     queryWithExtra(
         fixed, layer.index, compBox.bloat(maxSpacingHalo(layer)), extra,

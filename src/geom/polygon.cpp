@@ -11,10 +11,12 @@ namespace pao::geom {
 
 // These primitives run inside the DRC hot loop (checkVia extracts one
 // unionBoundary per via enclosure, shared by min-step and EOL), so all
-// internal scratch lives in the calling thread's arena and dies at function
-// exit, and every sweep is a sorted flat vector rather than a node-based
-// map: interval lists, sweep events and the edge stitching table alike.
-// Only the returned containers touch the heap.
+// internal scratch lives in the calling thread's arena, and every sweep is a
+// sorted flat vector rather than a node-based map: interval lists, sweep
+// events and the edge stitching table alike. unionBoundary touches no heap
+// at all: its rings go to caller storage in the same arena, and a lone
+// rectangle (every via enclosure checked on its own) gets its ring in
+// closed form, with no sweep. The other functions return heap containers.
 
 namespace {
 
@@ -80,6 +82,10 @@ void unionSlabsInto(std::span<const Rect> rects, OutVec& out) {
   ArenaVector<OpenSlab> nextOpen;
   ArenaVector<Interval> xs;
   ArenaVector<Interval> merged;
+  open.reserve(live.size());
+  nextOpen.reserve(live.size());
+  xs.reserve(live.size());
+  merged.reserve(live.size());
   for (std::size_t bi = 0; bi + 1 < ys.size(); ++bi) {
     const Coord y1 = ys[bi];
     const Coord y2 = ys[bi + 1];
@@ -233,15 +239,27 @@ Point dirOf(const RawEdge& e) {
 
 }  // namespace
 
-std::vector<BoundaryRing> unionBoundary(std::span<const Rect> rects) {
-  util::ArenaScope scratch(util::scratchArena());
+void unionBoundary(std::span<const Rect> rects, BoundaryRings& out) {
+  out.edges.clear();
+  out.ends.clear();
+  if (rects.size() == 1 && rects[0].area() != 0) {
+    // The ring the sweep below emits for one rect: bottom, right, top, left.
+    const Rect& r = rects[0];
+    out.edges.push_back({{r.xlo, r.ylo}, {r.xhi, r.ylo}});
+    out.edges.push_back({{r.xhi, r.ylo}, {r.xhi, r.yhi}});
+    out.edges.push_back({{r.xhi, r.yhi}, {r.xlo, r.yhi}});
+    out.edges.push_back({{r.xlo, r.yhi}, {r.xlo, r.ylo}});
+    out.ends.push_back(4);
+    return;
+  }
   ArenaVector<Rect> slabs;
   unionSlabsInto(rects, slabs);
-  if (slabs.empty()) return {};
+  if (slabs.empty()) return;
 
   ArenaVector<RawEdge> edges;
   ArenaVector<SweepEvent> events;
   events.reserve(slabs.size() * 4);
+  edges.reserve(slabs.size() * 8);
   // Horizontal boundary edges: slab bottoms count +1 and tops -1 along x.
   for (const Rect& s : slabs) {
     events.push_back({s.ylo, s.xlo, 1});
@@ -272,23 +290,34 @@ std::vector<BoundaryRing> unionBoundary(std::span<const Rect> rects) {
                      (edges[a].from == edges[b].from && a < b);
             });
   ArenaVector<char> used(edges.size(), 0);
-  std::vector<BoundaryRing> rings;
-  ArenaVector<BoundaryEdge> ring;
+  // Merged rings never hold more edges than the raw ones they come from.
+  out.edges.reserve(edges.size());
+  // Whether `b` goes on from the end of `a` along the same line.
+  const auto continues = [](const BoundaryEdge& a, const BoundaryEdge& b) {
+    return a.to == b.from && a.horizontal() == b.horizontal() &&
+           (a.horizontal() ? a.from.y == b.from.y : a.from.x == b.from.x);
+  };
   for (std::size_t seed = 0; seed < edges.size(); ++seed) {
     if (used[seed]) continue;
-    ring.clear();
+    // Collinear consecutive edges merge as the ring is walked.
+    const std::size_t first = out.edges.size();
     std::size_t cur = seed;
     while (!used[cur]) {
       used[cur] = 1;
-      ring.push_back({edges[cur].from, edges[cur].to});
+      const BoundaryEdge e{edges[cur].from, edges[cur].to};
+      if (out.edges.size() > first && continues(out.edges.back(), e)) {
+        out.edges.back().to = e.to;
+      } else {
+        out.edges.push_back(e);
+      }
       const Point at = edges[cur].to;
-      const auto first = std::lower_bound(
+      const auto next = std::lower_bound(
           byFrom.begin(), byFrom.end(), at,
           [&](std::uint32_t e, const Point& p) { return edges[e].from < p; });
       const Point inDir = dirOf(edges[cur]);
       std::size_t best = edges.size();
       int bestScore = 4;
-      for (auto it = first; it != byFrom.end() && edges[*it].from == at; ++it) {
+      for (auto it = next; it != byFrom.end() && edges[*it].from == at; ++it) {
         if (used[*it]) continue;
         const int score = turnScore(inDir, dirOf(edges[*it]));
         if (score < bestScore) {
@@ -299,39 +328,17 @@ std::vector<BoundaryRing> unionBoundary(std::span<const Rect> rects) {
       if (best == edges.size()) break;  // ring closed (or a dead end)
       cur = best;
     }
-    // Merge collinear consecutive edges, including across the wrap point.
-    BoundaryRing merged;
-    merged.reserve(ring.size());
-    for (const BoundaryEdge& e : ring) {
-      if (!merged.empty()) {
-        BoundaryEdge& last = merged.back();
-        const bool collinear = (last.horizontal() && e.horizontal() &&
-                                last.from.y == e.from.y) ||
-                               (!last.horizontal() && !e.horizontal() &&
-                                last.from.x == e.from.x);
-        if (collinear && last.to == e.from) {
-          last.to = e.to;
-          continue;
-        }
-      }
-      merged.push_back(e);
-    }
-    if (merged.size() >= 2) {
-      BoundaryEdge& last = merged.back();
-      BoundaryEdge& first = merged.front();
-      const bool collinear =
-          (last.horizontal() && first.horizontal() &&
-           last.from.y == first.from.y) ||
-          (!last.horizontal() && !first.horizontal() &&
-           last.from.x == first.from.x);
-      if (collinear && last.to == first.from) {
-        first.from = last.from;
-        merged.pop_back();
+    // ...including across the wrap point.
+    if (out.edges.size() - first >= 2) {
+      const BoundaryEdge last = out.edges.back();
+      BoundaryEdge& head = out.edges[first];
+      if (continues(last, head)) {
+        head.from = last.from;
+        out.edges.pop_back();
       }
     }
-    if (!merged.empty()) rings.push_back(std::move(merged));
+    out.ends.push_back(static_cast<std::uint32_t>(out.edges.size()));
   }
-  return rings;
 }
 
 std::vector<Rect> maxRects(const std::vector<Rect>& rects) {

@@ -9,10 +9,12 @@
 //    pin shape plus a candidate via enclosure (Fig. 3).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "geom/geom.hpp"
+#include "util/arena.hpp"
 
 namespace pao::geom {
 
@@ -43,13 +45,25 @@ struct BoundaryEdge {
   friend bool operator==(const BoundaryEdge&, const BoundaryEdge&) = default;
 };
 
-/// A closed ring of boundary edges (edge i ends where edge i+1 starts; the
-/// last edge ends at the first edge's start).
-using BoundaryRing = std::vector<BoundaryEdge>;
+/// Boundary rings stored flat in the calling thread's scratch arena: ring r
+/// is edges[ends[r - 1], ends[r]), the first starting at 0. In a ring, edge
+/// i ends where edge i+1 starts and the last ends at the first's start.
+struct BoundaryRings {
+  util::ArenaVector<BoundaryEdge> edges;
+  util::ArenaVector<std::uint32_t> ends;
 
-/// Extracts all boundary rings (outer boundaries and holes) of the union of
-/// `rects`. Collinear consecutive edges are merged.
-std::vector<BoundaryRing> unionBoundary(std::span<const Rect> rects);
+  std::size_t size() const { return ends.size(); }
+  std::span<const BoundaryEdge> operator[](std::size_t r) const {
+    const std::size_t first = r == 0 ? 0 : ends[r - 1];
+    return {edges.data() + first, ends[r] - first};
+  }
+};
+
+/// Writes all boundary rings (outer boundaries and holes) of the union of
+/// `rects` to `out`, replacing its contents. Collinear consecutive edges are
+/// merged. The caller must hold an ArenaScope: `out` and the sweep's
+/// scratch live in it, so the rings stay valid until the scope ends.
+void unionBoundary(std::span<const Rect> rects, BoundaryRings& out);
 
 /// Maximal rectangles of the union of `rects`: every decomposition slab is
 /// extended as far as possible in the perpendicular direction while staying

@@ -59,7 +59,8 @@ bool isKnownTopLevelKey(std::string_view key) {
   static constexpr std::string_view kKnown[] = {
       "schema", "tool",    "env",   "design", "config", "args",
       "timings", "oracle", "session", "cache", "drc",   "router",
-      "bench",  "metrics", "notes", "degraded", "profile", "ingest"};
+      "bench",  "metrics", "notes", "degraded", "profile", "ingest",
+      "trace"};
   for (const std::string_view k : kKnown) {
     if (k == key) return true;
   }
@@ -162,6 +163,19 @@ bool validateReport(const Json& doc, std::string* error) {
     }
     if (!validateProfileSection(*profile, error)) return false;
   }
+  const Json* trace = doc.find("trace");
+  if (trace != nullptr) {
+    if (!trace->isObject()) {
+      return failValidation(error, "'trace' is not an object");
+    }
+    for (const std::string_view key : {"eventCount", "droppedEvents"}) {
+      const Json* v = trace->find(key);
+      if (v == nullptr || !v->isInt() || v->asInt() < 0) {
+        return failValidation(error, "trace." + std::string(key) +
+                                         " missing or not a count");
+      }
+    }
+  }
   const Json* ingest = doc.find("ingest");
   if (ingest != nullptr) {
     if (schema->asString() != kReportSchemaV2) {
@@ -236,6 +250,9 @@ Json normalizeImpl(const Json& doc, bool insideProfile) {
       for (const auto& [key, value] : doc.members()) {
         if (isTimingKey(key)) continue;
         if (isMachineRateKey(key)) continue;
+        // The trace section describes a recording, present only when traced
+        // and schedule-dependent, not the work.
+        if (key == "trace") continue;
         if (insideProfile && isProfileScheduleKey(key)) continue;
         out.set(key, normalizeImpl(value, insideProfile || key == "profile"));
       }

@@ -15,6 +15,7 @@
 //     "design" | "config" | "args" | "timings" | "oracle" | "session" |
 //     "cache" | "drc" | "router" | "bench" | "notes": {...},
 //     "degraded": [{"kind": "...", "cls": N, "detail": "..."}, ...],
+//     "trace": {"eventCount": N, "droppedEvents": D},  (when traced)
 //     "metrics": Registry::snapshot()
 //   }
 //
@@ -66,7 +67,9 @@ Json environmentJson();
 
 /// Structural validation of a pao-report/1 document: schema/tool/env
 /// present and well-typed, only known top-level keys, metrics section (when
-/// present) shaped like a Registry snapshot. Returns false and sets *error.
+/// present) shaped like a Registry snapshot, trace section (when present)
+/// holding eventCount and droppedEvents counts. Returns false and sets
+/// *error.
 bool validateReport(const Json& doc, std::string* error = nullptr);
 
 /// Structural validation of a metrics-registry snapshot (the "metrics"
@@ -76,8 +79,9 @@ bool validateReport(const Json& doc, std::string* error = nullptr);
 bool validateMetricsSnapshot(const Json& metrics, std::string* error = nullptr);
 
 /// Recursively strips timing-valued keys ("timings", "threads", "hwThreads",
-/// "seconds", any key ending in "Seconds" or "Micros") so reports from
-/// identical work at different thread counts compare byte-identical. Inside
+/// "seconds", any key ending in "Seconds" or "Micros") and the "trace"
+/// section so reports from identical work at different thread counts, traced
+/// or not, compare byte-identical. Inside
 /// a "profile" section the schedule-valued keys ("workers", "steals",
 /// "headroom", "speedup", "perWorker", "queue") are stripped too — what
 /// survives is the critical-path *structure*, which two serial runs of the

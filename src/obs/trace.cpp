@@ -162,10 +162,15 @@ std::string Tracer::exportChromeTrace() const {
   }
   doc.set("traceEvents", std::move(events));
   doc.set("displayTimeUnit", Json("ms"));
-  doc.set("otherData", Json::object()
-                           .set("eventCount", Json(eventCount()))
-                           .set("droppedEvents", Json(droppedEvents())));
+  doc.set("otherData", counts());
   return doc.dump(1);
+}
+
+Json Tracer::counts() const {
+  Json out = Json::object();
+  out.set("eventCount", Json(eventCount()));
+  out.set("droppedEvents", Json(droppedEvents()));
+  return out;
 }
 
 void TraceScope::beginStr(std::string name, Json args) {

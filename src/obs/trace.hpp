@@ -76,6 +76,9 @@ class Tracer {
   std::vector<TraceEvent> collect() const;
   std::uint64_t eventCount() const;
   std::uint64_t droppedEvents() const;
+  /// {"eventCount":N,"droppedEvents":D}: the trace's otherData, and the
+  /// "trace" section of a run report.
+  Json counts() const;
 
   /// Serializes collected events as a Chrome trace_event JSON document:
   /// {"traceEvents":[{"name",...,"ph":"X","ts","dur","pid":1,"tid","args"}],

@@ -5,7 +5,6 @@
 #include <span>
 #include <utility>
 
-#include "drc/checks.hpp"
 #include "obs/trace.hpp"
 #include "pao/inst_context.hpp"
 #include "util/jobs.hpp"
@@ -17,9 +16,6 @@ namespace {
 /// Pins per failed-pin evaluation job. Fixed, so the chunking (and with it
 /// every chunk's detail list) is the same at any thread count.
 constexpr std::size_t kPinsPerChunk = 64;
-
-/// Floor of the neighbour-via radius of FailedPinContext.
-constexpr geom::Coord kMinNeighbourRadius = 2048;
 
 /// How far `r` reaches beyond `box` on any side; 0 when it lies inside.
 geom::Coord beyond(const geom::Rect& r, const geom::Rect& box) {
@@ -110,17 +106,8 @@ DirtyApStats countDirtyAps(const db::Design& design,
 FailedPinContext::FailedPinContext(const db::Design& design,
                                    const OracleResult& result,
                                    const db::RowIndex& rows)
-    : design_(&design),
-      rows_(&rows),
-      engine_(*design.tech),
-      neighbourRadius_(kMinNeighbourRadius) {
+    : design_(&design), rows_(&rows), engine_(*design.tech) {
   PAO_TRACE_SCOPE("eval.failed_pins.context");
-  for (const db::Layer& l : design.tech->layers()) {
-    const geom::Coord step = l.minStep ? l.minStep->minStepLength : 0;
-    neighbourRadius_ =
-        std::max(neighbourRadius_, drc::maxSpacingHalo(l) + step);
-  }
-
   const int numInsts = static_cast<int>(design.instances.size());
   const int numNets = static_cast<int>(design.nets.size());
   const int numLayers = engine_.region().numLayers();
@@ -219,21 +206,6 @@ FailedPinContext::FailedPinContext(const db::Design& design,
   });
 }
 
-void FailedPinContext::neighbourShapes(int v,
-                                       std::vector<drc::Shape>& extra) const {
-  const geom::Rect query = viaBox(placed_[v]).bloat(neighbourRadius_);
-  rows_->forEachNear(*design_, query.bloat(overhang_), [&](int i) {
-    for (int u = placedBase_[i]; u < placedBase_[i + 1]; ++u) {
-      if (u == v || !viaBox(placed_[u]).intersects(query)) continue;
-      // Same-net vias (multi-pin nets) are not conflicts; include them
-      // anyway — checkVia treats same-net context as merge candidates.
-      const PlacedVia& pu = placed_[u];
-      const auto shapes = engine_.viaShapes(*pu.via, pu.loc, pu.net);
-      extra.insert(extra.end(), shapes.begin(), shapes.end());
-    }
-  });
-}
-
 namespace {
 
 /// The failed-pin loop of the batch and the incremental evaluation: checks
@@ -276,7 +248,6 @@ FailedPinStats checkPins(const FailedPinContext& ctx, const db::Design& design,
       chunks.size(),
       [&](std::size_t c) {
         Chunk& out = chunks[c];
-        std::vector<drc::Shape> extra;
         const std::size_t end = std::min(count, (c + 1) * kPinsPerChunk);
         for (std::size_t k = c * kPinsPerChunk; k < end; ++k) {
           const std::size_t i = pinAt(k);
@@ -298,11 +269,9 @@ FailedPinStats checkPins(const FailedPinContext& ctx, const db::Design& design,
           } else {
             const FailedPinContext::PlacedVia& pv =
                 ctx.placed()[ref.placedIdx];
-            // Context: all other pins' chosen vias near this one.
-            extra.clear();
-            ctx.neighbourShapes(ref.placedIdx, extra);
-            violations = engine.checkVia(ctx, *pv.via, pv.loc, pv.net,
-                                         extra, reachOut);
+            // Context: the fixed design and all other pins' chosen vias.
+            violations = engine.checkVia(ctx.pinView(ref.placedIdx), *pv.via,
+                                         pv.loc, pv.net, {}, reachOut);
             failed = !violations.empty();
           }
           if (!verdicts.empty()) verdicts[i] = {reach, failed};

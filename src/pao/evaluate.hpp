@@ -13,6 +13,7 @@
 #include "db/row_index.hpp"
 #include "drc/engine.hpp"
 #include "pao/oracle.hpp"
+#include "util/small_vec.hpp"
 
 namespace pao::core {
 
@@ -59,7 +60,8 @@ enum class FailedPinCriterion {
 /// the IO pins). That context is a view, not a copy: query() walks the
 /// db::RowIndex to the instances near a box and shifts a per-(master,
 /// orient) table of origin-relative shapes to each one's origin; only the
-/// IO pins sit in the engine's region. Read-only once built.
+/// IO pins sit in the engine's region. pinView() adds the other chosen vias
+/// through the same walk. Read-only once built.
 class FailedPinContext {
  public:
   struct PlacedVia {
@@ -93,7 +95,32 @@ class FailedPinContext {
   /// obstructions carry Shape::kObsNet.
   template <typename Fn>
   void query(int layer, const geom::Rect& box, Fn&& fn) const {
+    queryFrom(-1, layer, box, fn);
+  }
+
+  /// The context chosen via placed()[self] is checked in: for any box,
+  /// query()'s fixed shapes, then the shape on the layer of every other
+  /// chosen via touching it, instances in row-walk order (rows bottom-up,
+  /// each by origin x) and each instance's vias in placed() order.
+  struct PinView {
+    const FailedPinContext* ctx;
+    int self;
+
+    template <typename Fn>
+    void query(int layer, const geom::Rect& box, Fn&& fn) const {
+      ctx->queryFrom(self, layer, box, fn);
+    }
+  };
+  PinView pinView(int self) const { return {this, self}; }
+
+ private:
+  /// query() with `self` < 0; else PinView(*this, self).query(). One row
+  /// walk serves both: it lists the instances that have chosen vias, whose
+  /// vias are reported after the IO pins.
+  template <typename Fn>
+  void queryFrom(int self, int layer, const geom::Rect& box, Fn&& fn) const {
     if (layer < 0 || layer >= engine_.region().numLayers()) return;
+    util::SmallVec<int, 32> withVias;
     rows_->forEachNear(*design_, box.bloat(overhang_), [&](int i) {
       const geom::Point at = design_->instances[i].origin;
       const geom::Rect local = box.translate(-at.x, -at.y);
@@ -106,16 +133,32 @@ class FailedPinContext {
                                 : netOf_[pinBase_[i] + s.pin],
                       s.kind, true});
       }
+      if (self >= 0 && placedBase_[i] != placedBase_[i + 1]) {
+        withVias.push_back(i);
+      }
     });
     engine_.region().query(layer, box, fn);
+    for (const int i : withVias) {
+      for (int u = placedBase_[i]; u < placedBase_[i + 1]; ++u) {
+        if (u == self) continue;
+        const PlacedVia& pu = placed_[u];
+        geom::Rect r;
+        if (layer == pu.via->botLayer) {
+          r = pu.via->botEncAt(pu.loc);
+        } else if (layer == pu.via->cutLayer) {
+          r = pu.via->cutAt(pu.loc);
+        } else if (layer == pu.via->topLayer) {
+          r = pu.via->topEncAt(pu.loc);
+        } else {
+          continue;
+        }
+        if (r.intersects(box)) {
+          fn(drc::Shape{r, layer, pu.net, drc::ShapeKind::kVia, false});
+        }
+      }
+    }
   }
 
-  /// Appends to `extra` the shapes of every other chosen via near
-  /// placed()[v]: the context placed()[v] is checked in beside the fixed
-  /// design. The vias are found through the same row walk as query().
-  void neighbourShapes(int v, std::vector<drc::Shape>& extra) const;
-
- private:
   /// A master shape at one orient, relative to the instance origin.
   struct CellShape {
     geom::Rect rect;
@@ -126,10 +169,6 @@ class FailedPinContext {
   const db::Design* design_;
   const db::RowIndex* rows_;
   drc::DrcEngine engine_;
-  /// How far from a via's bounding box neighbourShapes() gathers vias: the
-  /// widest spacing halo plus min-step length of any layer in the tech, and
-  /// never less than 2048 dbu.
-  geom::Coord neighbourRadius_ = 0;
   /// How far any shape or chosen via reaches beyond its instance's bbox.
   geom::Coord overhang_ = 0;
   /// The shapes of each (master, orient) in use, layer by layer, each

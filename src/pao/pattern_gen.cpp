@@ -55,9 +55,6 @@ bool PatternGenerator::pairClean(int pinA, int apA, int pinB, int apB) {
   // Only up-vias participate in pattern-stage DRC (Sec. III-B, last para).
   if (a.primaryVia(tech) != nullptr && b.primaryVia(tech) != nullptr) {
     ++numPairChecks_;
-    // Each generator runs serially within its class, and classes run once
-    // each: the total is thread-count-invariant.
-    PAO_COUNTER_INC("pao.step2.pair_checks");
     const std::vector<int>& sig = ctx_->signalPins();
     clean =
         ctx_->engine()
@@ -228,6 +225,12 @@ std::vector<AccessPattern> PatternGenerator::run() {
     }
   }
   PAO_COUNTER_ADD("pao.step2.patterns_generated", patterns.size());
+  // The pair-check tally, published once: each class runs one generator,
+  // serially, so the total is thread-count-invariant. A counter first
+  // written with 0 would enter the snapshot.
+  if (numPairChecks_ > 0) {
+    PAO_COUNTER_ADD("pao.step2.pair_checks", numPairChecks_);
+  }
   return patterns;
 }
 

@@ -21,11 +21,14 @@
 
 namespace pao::reference {
 
+/// One boundary ring as its own vector, as geom::unionBoundary returned
+/// rings before it wrote them flat into arena storage.
+using BoundaryRing = std::vector<geom::BoundaryEdge>;
+
 /// geom::unionBoundary with a std::map of intervals per band and per
 /// scanline and an unordered_map of outgoing edges per point for the ring
-/// stitching.
-std::vector<geom::BoundaryRing> unionBoundary(
-    std::span<const geom::Rect> rects);
+/// stitching, and a vector per ring.
+std::vector<BoundaryRing> unionBoundary(std::span<const geom::Rect> rects);
 /// geom::unionSlabs with a std::map of the previous band's open slabs.
 std::vector<geom::Rect> unionSlabs(std::vector<geom::Rect> rects);
 
@@ -45,6 +48,15 @@ std::vector<drc::Violation> checkAll(const drc::DrcEngine& engine);
 /// instance's pin shapes and obstructions and the IO pins, with the net ids
 /// FailedPinContext::query() reports, bulk-filled into a RegionQuery.
 drc::RegionQuery fixedContext(const db::Design& design);
+
+/// The neighbour context the failed-pin evaluation gave chosen via
+/// ctx.placed()[v] before it read the other vias through a per-pin view: the
+/// shapes (bottom enclosure, cut, top enclosure) of every other chosen via
+/// whose bbox lies within a radius of its bbox, in placed() order. The
+/// radius is the tech's widest spacing halo plus min-step length, and never
+/// less than 2048 dbu.
+std::vector<drc::Shape> neighbourShapes(const core::FailedPinContext& ctx,
+                                        int v);
 
 /// countFailedPins with a std::map net lookup, per-instance
 /// signalPinIndices() and per-pin shape vectors, checking vias with

@@ -25,7 +25,6 @@ using drc::Shape;
 using drc::ShapeKind;
 using drc::Violation;
 using geom::BoundaryEdge;
-using geom::BoundaryRing;
 using geom::Coord;
 using geom::Point;
 using geom::Rect;

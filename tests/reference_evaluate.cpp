@@ -4,7 +4,9 @@
 // index is the frozen hash-bin GridIndex (reference_grid_index.hpp). Also
 // the fixed design context as a copy of every placed shape in a
 // RegionQuery, as FailedPinContext built it before it read the design in
-// place.
+// place, and the radius gather of neighbour vias it used before its
+// per-pin view.
+#include <algorithm>
 #include <map>
 
 #include "reference_grid_index.hpp"
@@ -71,6 +73,31 @@ drc::RegionQuery fixedContext(const db::Design& design) {
                drc::ShapeKind::kIoPin, true});
         }
       });
+}
+
+std::vector<drc::Shape> neighbourShapes(const core::FailedPinContext& ctx,
+                                        int v) {
+  const drc::DrcEngine& engine = ctx.engine();
+  geom::Coord radius = 2048;
+  for (const db::Layer& l : engine.tech().layers()) {
+    const geom::Coord step = l.minStep ? l.minStep->minStepLength : 0;
+    radius = std::max(radius, drc::maxSpacingHalo(l) + step);
+  }
+  const auto boxOf = [&](int u) {
+    const core::FailedPinContext::PlacedVia& pv = ctx.placed()[u];
+    return pv.via->botEncAt(pv.loc)
+        .merge(pv.via->cutAt(pv.loc))
+        .merge(pv.via->topEncAt(pv.loc));
+  };
+  const geom::Rect query = boxOf(v).bloat(radius);
+  std::vector<drc::Shape> extra;
+  for (int u = 0; u < static_cast<int>(ctx.placed().size()); ++u) {
+    if (u == v || !boxOf(u).intersects(query)) continue;
+    const core::FailedPinContext::PlacedVia& pu = ctx.placed()[u];
+    const auto shapes = engine.viaShapes(*pu.via, pu.loc, pu.net);
+    extra.insert(extra.end(), shapes.begin(), shapes.end());
+  }
+  return extra;
 }
 
 core::FailedPinStats countFailedPins(const db::Design& design,

@@ -17,7 +17,6 @@ namespace pao::reference {
 
 using geom::Area;
 using geom::BoundaryEdge;
-using geom::BoundaryRing;
 using geom::Coord;
 using geom::Interval;
 using geom::Point;

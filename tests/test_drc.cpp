@@ -22,6 +22,14 @@ class DrcFixture : public ::testing::Test {
     via_ = tech_->findViaDef("V1_0");
   }
 
+  /// The boundary rings of `comp`, in the test's arena scope.
+  static geom::BoundaryRings ringsOf(const std::vector<Rect>& comp) {
+    geom::BoundaryRings rings;
+    geom::unionBoundary(comp, rings);
+    return rings;
+  }
+
+  util::ArenaScope scratch_{util::scratchArena()};
   std::unique_ptr<db::Tech> tech_;
   DrcEngine engine_;
   int m1_ = -1, v1_ = -1, m2_ = -1;
@@ -71,21 +79,21 @@ TEST_F(DrcFixture, MinStepDetectsSmallNotch) {
   const db::Layer& m1 = tech_->layer(m1_);
   // An 80-tall tab sticking out of a big rect: edges of 80 < 120 min step.
   const std::vector<Rect> comp = {{0, 0, 1000, 500}, {400, 500, 480, 580}};
-  const auto violations = checkMinStep(m1, geom::unionBoundary(comp));
+  const auto violations = checkMinStep(m1, ringsOf(comp));
   EXPECT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].kind, RuleKind::kMinStep);
   // A 200-wide, 200-tall tab: all new edges >= 120 -> clean.
   const std::vector<Rect> ok = {{0, 0, 1000, 500}, {400, 500, 600, 700}};
-  EXPECT_TRUE(checkMinStep(m1, geom::unionBoundary(ok)).empty());
+  EXPECT_TRUE(checkMinStep(m1, ringsOf(ok)).empty());
 }
 
 TEST_F(DrcFixture, MinStepCleanRect) {
   const db::Layer& m1 = tech_->layer(m1_);
   const std::vector<Rect> big = {{0, 0, 1000, 500}};
-  EXPECT_TRUE(checkMinStep(m1, geom::unionBoundary(big)).empty());
+  EXPECT_TRUE(checkMinStep(m1, ringsOf(big)).empty());
   // A rect smaller than min step on both sides is all-short-edges.
   const std::vector<Rect> tiny = {{0, 0, 100, 100}};
-  EXPECT_FALSE(checkMinStep(m1, geom::unionBoundary(tiny)).empty());
+  EXPECT_FALSE(checkMinStep(m1, ringsOf(tiny)).empty());
 }
 
 TEST_F(DrcFixture, EolNeighborTriggersViolation) {
@@ -93,7 +101,7 @@ TEST_F(DrcFixture, EolNeighborTriggersViolation) {
   // A 100-wide wire end (eolWidth 110 -> EOL edge), neighbor within the
   // 120 clearance region in front of the end.
   const std::vector<Rect> comp = {{0, 0, 1000, 100}};
-  const auto rings = geom::unionBoundary(comp);
+  const auto rings = ringsOf(comp);
   const std::vector<Rect> near = {{1050, 0, 1200, 100}};
   const auto violations = checkEol(m1, rings, 1, near);
   ASSERT_FALSE(violations.empty());
@@ -109,7 +117,7 @@ TEST_F(DrcFixture, EolWideEdgeExempt) {
   // A 200-wide wire end is not an EOL edge (>= eolWidth 110).
   const std::vector<Rect> comp = {{0, 0, 1000, 200}};
   const std::vector<Rect> near = {{1050, 0, 1200, 200}};
-  EXPECT_TRUE(checkEol(m1, geom::unionBoundary(comp), 1, near).empty());
+  EXPECT_TRUE(checkEol(m1, ringsOf(comp), 1, near).empty());
 }
 
 TEST_F(DrcFixture, MinArea) {

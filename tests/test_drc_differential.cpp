@@ -8,7 +8,9 @@
 // did, so each reference via-check result is compared after that sort;
 // every other order, failed-pin details included, is compared as is. The
 // failed-pin evaluation's placed-instance view must also report exactly the
-// shapes of the reference's copied fixed context for any box.
+// shapes of the reference's copied fixed context for any box, and its
+// per-pin view then the other chosen vias a scan of all of them finds, in
+// row-walk order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,7 +108,8 @@ class EvalDifferential
 };
 
 // The view-backed checkVia against the reference check over the copied
-// fixed context, on every chosen via alone and beside its neighbours.
+// fixed context, on every chosen via alone and beside its neighbours: the
+// per-pin view against the reference's radius gather of neighbour vias.
 TEST_P(EvalDifferential, CheckViaMatchesReferenceOnEveryChosenVia) {
   const core::OracleResult result = runOracle();
   const db::RowIndex rows(design());
@@ -114,20 +117,18 @@ TEST_P(EvalDifferential, CheckViaMatchesReferenceOnEveryChosenVia) {
   drc::DrcEngine copy(*design().tech);
   copy.region() = reference::fixedContext(design());
   ASSERT_FALSE(ctx.placed().empty());
-  std::vector<drc::Shape> extra;
   std::size_t dirtyAlone = 0;
   std::size_t dirtyWithNeighbours = 0;
   for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
     const core::FailedPinContext::PlacedVia& pv = ctx.placed()[v];
-    extra.clear();
-    ctx.neighbourShapes(v, extra);
+    const std::vector<drc::Shape> extra = reference::neighbourShapes(ctx, v);
 
     const auto alone = ctx.engine().checkVia(ctx, *pv.via, pv.loc, pv.net);
     ASSERT_EQ(alone,
               sorted(reference::checkVia(copy, *pv.via, pv.loc, pv.net)))
         << "via " << v << " without neighbours";
     const auto beside =
-        ctx.engine().checkVia(ctx, *pv.via, pv.loc, pv.net, extra);
+        ctx.engine().checkVia(ctx.pinView(v), *pv.via, pv.loc, pv.net);
     ASSERT_EQ(beside, sorted(reference::checkVia(copy, *pv.via, pv.loc,
                                                  pv.net, extra)))
         << "via " << v << " with " << extra.size() << " neighbour shapes";
@@ -324,6 +325,114 @@ TEST(FailedPinView, QueryMatchesRegionQuery) {
   d.buildInstanceIndex();
   d.nets.push_back({"n0", {{0, 0, -1}, {2, 0, -1}}});
   expectViewMatchesCopy(d);
+}
+
+/// Every shape a query reports, in report order.
+template <typename Context>
+std::vector<std::tuple<geom::Rect, int, int, drc::ShapeKind, bool>> reported(
+    const Context& context, int layer, const geom::Rect& box) {
+  std::vector<std::tuple<geom::Rect, int, int, drc::ShapeKind, bool>> out;
+  context.query(layer, box, [&](const drc::Shape& s) {
+    out.emplace_back(s.rect, s.layer, s.net, s.kind, s.fixed);
+  });
+  return out;
+}
+
+// The per-pin view of a chosen via against brute force: for seeded boxes
+// around the via, it must report the copied fixed context's shapes, then the
+// shape on the layer of every other chosen via touching the box, found by a
+// scan of all of them, in the documented order: instances by (origin y,
+// origin x, index), each instance's vias in placed() order.
+TEST(FailedPinView, PinViewMatchesBruteForce) {
+  for (const char* name : {"mixed", "aes14", "huge"}) {
+    SCOPED_TRACE(name);
+    const db::Design& design = presetDesign(name);
+    const core::OracleResult result =
+        core::PinAccessOracle(design, core::withBcaConfig()).run();
+    const db::RowIndex rows(design);
+    const core::FailedPinContext ctx(design, result, rows);
+    const drc::RegionQuery copy = reference::fixedContext(design);
+    const std::vector<core::FailedPinContext::PlacedVia>& placed =
+        ctx.placed();
+    ASSERT_FALSE(placed.empty());
+    // Row-walk rank of a placed via: its instance's (origin y, origin x,
+    // index), then its own index.
+    const auto rank = [&](int u) {
+      const db::Instance& inst = design.instances[placed[u].inst];
+      return std::make_tuple(inst.origin.y, inst.origin.x, placed[u].inst, u);
+    };
+    std::mt19937_64 rng(23);
+    const auto pick = [&](geom::Coord lo, geom::Coord hi) {
+      return std::uniform_int_distribution<geom::Coord>(lo, hi)(rng);
+    };
+    const auto anyVia = [&] {
+      return static_cast<int>(
+          pick(0, static_cast<geom::Coord>(placed.size()) - 1));
+    };
+    std::size_t viaHits = 0;
+    for (int q = 0; q < 3000; ++q) {
+      const int v = anyVia();
+      const core::FailedPinContext::PlacedVia& pv = placed[v];
+      const int layers[] = {pv.via->botLayer, pv.via->cutLayer,
+                            pv.via->topLayer};
+      const int layer = layers[q % 3];
+      const geom::Rect enc = pv.via->botEncAt(pv.loc).merge(
+          pv.via->topEncAt(pv.loc));
+      const geom::Coord d = pick(0, 3000);
+      geom::Rect box;
+      switch (q % 4) {
+        case 0:  // the via's vicinity
+          box = enc.bloat(d);
+          break;
+        case 1:  // an offset box nearby
+          box = geom::Rect(pick(enc.xlo - 4000, enc.xhi + 4000),
+                           pick(enc.ylo - 4000, enc.yhi + 4000),
+                           pick(enc.xlo - 4000, enc.xhi + 4000),
+                           pick(enc.ylo - 4000, enc.yhi + 4000));
+          break;
+        case 2: {  // touching another via's shape corner from outside
+          const core::FailedPinContext::PlacedVia& pu = placed[anyVia()];
+          const geom::Rect r = pu.via->topEncAt(pu.loc);
+          box = geom::Rect(r.xhi, r.yhi, r.xhi + d, r.yhi + d);
+          break;
+        }
+        default:  // zero width
+          box = geom::Rect(pv.loc.x, pv.loc.y - d, pv.loc.x, pv.loc.y + d);
+      }
+      const auto got = reported(ctx.pinView(v), layer, box);
+      const auto fixed = reported(ctx, layer, box);
+      ASSERT_GE(got.size(), fixed.size()) << "box " << q;
+      // The fixed shapes come first, as the context reports them, and are
+      // exactly the copy's.
+      ASSERT_TRUE(std::equal(fixed.begin(), fixed.end(), got.begin()))
+          << "box " << q;
+      ASSERT_EQ(shapesIn(ctx, layer, box), shapesIn(copy, layer, box))
+          << "box " << q;
+
+      // A via has one shape per layer, so its rank orders its shapes.
+      std::vector<std::pair<decltype(rank(0)), drc::Shape>> touching;
+      for (int u = 0; u < static_cast<int>(placed.size()); ++u) {
+        if (u == v) continue;
+        for (const drc::Shape& s : ctx.engine().viaShapes(
+                 *placed[u].via, placed[u].loc, placed[u].net)) {
+          if (s.layer == layer && s.rect.intersects(box)) {
+            touching.emplace_back(rank(u), s);
+          }
+        }
+      }
+      std::sort(touching.begin(), touching.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      std::vector<std::tuple<geom::Rect, int, int, drc::ShapeKind, bool>> want;
+      for (const auto& [key, s] : touching) {
+        want.emplace_back(s.rect, s.layer, s.net, s.kind, s.fixed);
+      }
+      viaHits += want.empty() ? 0 : 1;
+      const auto vias = got.begin() + static_cast<std::ptrdiff_t>(fixed.size());
+      ASSERT_EQ(std::vector(vias, got.end()), want)
+          << "box " << q << " of via " << v;
+    }
+    EXPECT_GT(viaHits, 100u);
+  }
 }
 
 /// Preset x worker count: the session's Step 3 against the reference

@@ -256,6 +256,53 @@ TEST(ObsReport, ValidateRejectsBadDocuments) {
   EXPECT_NE(error.find("surprise"), std::string::npos);
 }
 
+// A traced run's report carries the trace's event and drop counts, which
+// validation checks and the compare normalization drops with the recording.
+TEST(ObsReport, TraceSectionCarriesDropCounts) {
+  Tracer& tracer = Tracer::instance();
+  tracer.enable(16);
+  for (int i = 0; i < 100; ++i) {
+    PAO_TRACE_SCOPE("test.ring");
+  }
+  tracer.disable();
+
+  RunReport traced("pao_tests");
+  traced.section("oracle").set("totalAps", Json(12));
+  traced.section("trace") = tracer.counts();
+  std::string error;
+  EXPECT_TRUE(pao::obs::validateReport(traced.doc(), &error)) << error;
+  const auto parsed = Json::parse(traced.dump(), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  const Json* trace = parsed->find("trace");
+  ASSERT_NE(trace, nullptr);
+  EXPECT_EQ(trace->find("eventCount")->asInt(), 16);
+  EXPECT_EQ(trace->find("droppedEvents")->asInt(), 84);
+
+  for (const char* key : {"eventCount", "droppedEvents"}) {
+    SCOPED_TRACE(key);
+    Json missing = traced.doc();
+    Json counts = Json::object();
+    counts.set(key, Json(3));
+    missing.set("trace", counts);
+    EXPECT_FALSE(pao::obs::validateReport(missing, &error));
+    EXPECT_NE(error.find("trace."), std::string::npos) << error;
+    Json negative = traced.doc();
+    negative["trace"].set(key, Json(-1));
+    EXPECT_FALSE(pao::obs::validateReport(negative, &error));
+    Json text = traced.doc();
+    text["trace"].set(key, Json("84"));
+    EXPECT_FALSE(pao::obs::validateReport(text, &error));
+  }
+  Json notObject = traced.doc();
+  notObject.set("trace", Json(84));
+  EXPECT_FALSE(pao::obs::validateReport(notObject, &error));
+
+  RunReport untraced("pao_tests");
+  untraced.section("oracle").set("totalAps", Json(12));
+  EXPECT_EQ(pao::obs::normalizeForCompare(traced.doc()).dump(),
+            pao::obs::normalizeForCompare(untraced.doc()).dump());
+}
+
 TEST(ObsReport, NormalizeForCompareStripsEveryTimingKey) {
   RunReport a("pao_tests");
   a.section("oracle").set("totalAps", Json(12)).set("wallSeconds", Json(1.5));

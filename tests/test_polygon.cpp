@@ -7,17 +7,38 @@
 #include <vector>
 
 #include "reference.hpp"
+#include "util/arena.hpp"
 
 namespace pao::geom {
 namespace {
 
-Area ringPerimeter(const BoundaryRing& ring) {
+using Ring = reference::BoundaryRing;
+
+/// unionBoundary's flat rings, one vector per ring. Checks the flat layout:
+/// ring ends ascend, no ring is empty and the last ends the edge array.
+std::vector<Ring> ringsOf(std::span<const Rect> rects) {
+  util::ArenaScope scratch(util::scratchArena());
+  BoundaryRings flat;
+  flat.ends.push_back(99);  // stale contents are replaced
+  unionBoundary(rects, flat);
+  std::vector<Ring> out;
+  std::size_t prevEnd = 0;
+  for (std::size_t r = 0; r < flat.size(); ++r) {
+    EXPECT_GT(flat.ends[r], prevEnd);
+    prevEnd = flat.ends[r];
+    out.emplace_back(flat[r].begin(), flat[r].end());
+  }
+  EXPECT_EQ(prevEnd, flat.edges.size());
+  return out;
+}
+
+Area ringPerimeter(const Ring& ring) {
   Area p = 0;
   for (const BoundaryEdge& e : ring) p += e.length();
   return p;
 }
 
-bool ringClosed(const BoundaryRing& ring) {
+bool ringClosed(const Ring& ring) {
   for (std::size_t i = 0; i < ring.size(); ++i) {
     if (ring[i].to != ring[(i + 1) % ring.size()].from) return false;
   }
@@ -75,7 +96,7 @@ TEST(ConnectedComponents, CornerTouchConnects) {
 }
 
 TEST(UnionBoundary, SquareHasFourEdges) {
-  const auto rings = unionBoundary(std::vector<Rect>{{0, 0, 100, 100}});
+  const auto rings = ringsOf(std::vector<Rect>{{0, 0, 100, 100}});
   ASSERT_EQ(rings.size(), 1u);
   EXPECT_EQ(rings[0].size(), 4u);
   EXPECT_TRUE(ringClosed(rings[0]));
@@ -85,7 +106,7 @@ TEST(UnionBoundary, SquareHasFourEdges) {
 TEST(UnionBoundary, MergedRectsHaveMergedBoundary) {
   // Two abutting squares form a 200x100 rect: still 4 edges.
   const auto rings =
-      unionBoundary(std::vector<Rect>{{0, 0, 100, 100}, {100, 0, 200, 100}});
+      ringsOf(std::vector<Rect>{{0, 0, 100, 100}, {100, 0, 200, 100}});
   ASSERT_EQ(rings.size(), 1u);
   EXPECT_EQ(rings[0].size(), 4u);
   EXPECT_EQ(ringPerimeter(rings[0]), 600);
@@ -93,7 +114,7 @@ TEST(UnionBoundary, MergedRectsHaveMergedBoundary) {
 
 TEST(UnionBoundary, LShapeHasSixEdges) {
   const auto rings =
-      unionBoundary(std::vector<Rect>{{0, 0, 10, 30}, {0, 0, 30, 10}});
+      ringsOf(std::vector<Rect>{{0, 0, 10, 30}, {0, 0, 30, 10}});
   ASSERT_EQ(rings.size(), 1u);
   EXPECT_EQ(rings[0].size(), 6u);
   EXPECT_TRUE(ringClosed(rings[0]));
@@ -102,7 +123,7 @@ TEST(UnionBoundary, LShapeHasSixEdges) {
 
 TEST(UnionBoundary, PlusShapeHasTwelveEdges) {
   const auto rings =
-      unionBoundary(std::vector<Rect>{{10, 0, 20, 30}, {0, 10, 30, 20}});
+      ringsOf(std::vector<Rect>{{10, 0, 20, 30}, {0, 10, 30, 20}});
   ASSERT_EQ(rings.size(), 1u);
   EXPECT_EQ(rings[0].size(), 12u);
   EXPECT_TRUE(ringClosed(rings[0]));
@@ -112,7 +133,7 @@ TEST(UnionBoundary, HoleProducesSecondRing) {
   // A square ring: outer 0..40, inner hole 10..30.
   const std::vector<Rect> frame = {
       {0, 0, 40, 10}, {0, 30, 40, 40}, {0, 10, 10, 30}, {30, 10, 40, 30}};
-  const auto rings = unionBoundary(frame);
+  const auto rings = ringsOf(frame);
   ASSERT_EQ(rings.size(), 2u);
   // One ring has perimeter 160 (outer), the other 80 (hole).
   std::vector<Area> per{ringPerimeter(rings[0]), ringPerimeter(rings[1])};
@@ -123,14 +144,14 @@ TEST(UnionBoundary, HoleProducesSecondRing) {
 
 TEST(UnionBoundary, TwoComponentsTwoRings) {
   const auto rings =
-      unionBoundary(std::vector<Rect>{{0, 0, 10, 10}, {100, 100, 120, 120}});
+      ringsOf(std::vector<Rect>{{0, 0, 10, 10}, {100, 100, 120, 120}});
   EXPECT_EQ(rings.size(), 2u);
 }
 
 TEST(UnionBoundary, InteriorOnLeftOrientation) {
   // For a single square the ring must be counter-clockwise: a bottom edge
   // (y = 0) runs +x, the right edge runs +y, etc.
-  const auto rings = unionBoundary(std::vector<Rect>{{0, 0, 100, 100}});
+  const auto rings = ringsOf(std::vector<Rect>{{0, 0, 100, 100}});
   ASSERT_EQ(rings.size(), 1u);
   for (const BoundaryEdge& e : rings[0]) {
     if (e.horizontal() && e.from.y == 0) {
@@ -222,12 +243,32 @@ TEST(UnionBoundaryDifferential, RingsMatchReferenceOnRandomRectSets) {
   for (int i = 0; i < 100000; ++i) {
     const std::vector<Rect> rects = latticeRects(rng);
     ASSERT_EQ(unionSlabs(rects), reference::unionSlabs(rects)) << "set " << i;
-    const std::vector<BoundaryRing> rings = unionBoundary(rects);
+    const std::vector<Ring> rings = ringsOf(rects);
     ASSERT_EQ(rings, reference::unionBoundary(rects)) << "set " << i;
     if (rings.size() > 1) ++holed;
   }
   // Multi-ring unions (holes, disjoint parts) are well represented.
   EXPECT_GT(holed, 10000u);
+
+  // A lone rect takes the closed form, which must be the sweep's ring
+  // exactly; a degenerate lone rect and an empty input have no ring.
+  std::uniform_int_distribution<Coord> at(-1000, 1000);
+  std::uniform_int_distribution<Coord> side(1, 1000);
+  for (int i = 0; i < 20000; ++i) {
+    const Coord x = at(rng);
+    const Coord y = at(rng);
+    const std::vector<Rect> one = {Rect(x, y, x + side(rng), y + side(rng))};
+    ASSERT_EQ(ringsOf(one), reference::unionBoundary(one)) << one[0];
+  }
+  for (const Rect& r : {Rect(0, 0, 100, 50), Rect(-30, -20, -10, 70),
+                        Rect(0, 0, 0, 50), Rect(0, 0, 100, 0),
+                        Rect(7, 7, 7, 7), Rect(10, 10, 0, 0)}) {
+    const std::vector<Rect> one = {r};
+    EXPECT_EQ(ringsOf(one), reference::unionBoundary(one)) << r;
+    EXPECT_EQ(ringsOf(one).size(), r.area() != 0 ? 1u : 0u) << r;
+  }
+  EXPECT_TRUE(ringsOf({}).empty());
+  EXPECT_TRUE(reference::unionBoundary({}).empty());
 }
 
 }  // namespace

@@ -65,7 +65,11 @@ TEST_P(PolygonProperty, SlabsAreDisjointAndCover) {
 
 TEST_P(PolygonProperty, BoundaryRingsCloseAndHaveEvenEdges) {
   const auto rects = randomRects(GetParam(), 8);
-  for (const auto& ring : geom::unionBoundary(rects)) {
+  util::ArenaScope scratch(util::scratchArena());
+  geom::BoundaryRings rings;
+  geom::unionBoundary(rects, rings);
+  for (std::size_t r = 0; r < rings.size(); ++r) {
+    const std::span<const geom::BoundaryEdge> ring = rings[r];
     ASSERT_GE(ring.size(), 4u);
     EXPECT_EQ(ring.size() % 2, 0u);  // rectilinear rings alternate H/V
     for (std::size_t i = 0; i < ring.size(); ++i) {

@@ -44,7 +44,8 @@
 #                      thread invariance at threads 1/2/4/0, and the Step-3
 #                      reference differential, pair-check count, class-
 #                      fault cases, graph shape at threads 1/4/0 and the
-#                      failed-pin view and serve-report gate, repeated)
+#                      failed-pin view, ring sweep and serve-report gate,
+#                      repeated)
 #  10. UBSan          (-fsanitize=undefined with all diagnostics fatal)
 #  11. UBSan fuzz     (pao_fuzz: >=10k seeded mutation iterations over the
 #                      LEF/DEF parsers, the streamed/reference differential,
@@ -220,9 +221,11 @@ echo "== ThreadSanitizer job-graph soak =="
 # and the one-node-per-class graph shape ride along: class nodes commit
 # their fallbacks and stats under the session's lock from any worker. So do
 # the failed-pin view tests: every evaluation worker reads the one
-# placed-instance view (and the session's row index) at once.
+# placed-instance view (and the session's row index) at once. The ring
+# sweep's differential rides along too: every via-check worker writes its
+# boundary rings into its own thread's arena.
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
-  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal'
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \

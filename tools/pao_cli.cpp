@@ -242,13 +242,15 @@ struct ObsOutputs {
     if (tracePath != nullptr) obs::Tracer::instance().enable();
   }
 
-  /// Finishes the run: captures metrics into the report and writes both
-  /// files. Returns false (after printing to stderr) on any I/O failure.
+  /// Finishes the run: captures metrics (and, when traced, the trace's
+  /// event and drop counts) into the report and writes both files. Returns
+  /// false (after printing to stderr) on any I/O failure.
   bool finish(obs::RunReport& report) const {
     bool ok = true;
     if (tracePath != nullptr) {
       obs::Tracer& tracer = obs::Tracer::instance();
       tracer.disable();
+      report.section("trace") = tracer.counts();
       std::ofstream out(tracePath);
       if (!out) {
         std::fprintf(stderr, "cannot write %s\n", tracePath);
