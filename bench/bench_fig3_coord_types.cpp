@@ -40,7 +40,8 @@ int main() {
   bool allMatch = true;
   for (const Panel& p : panels) {
     const test::TinyDesign td = test::makeTinyDesign({{0, p.pin}});
-    const db::UniqueInstances ui = db::extractUniqueInstances(*td.design);
+    const db::UniqueInstances ui =
+        db::UniqueInstanceIndex(*td.design, 1).classes();
     const core::InstContext ctx(*td.design, ui.classes[0]);
     const db::ViaDef* via = td.tech->findViaDef("V1_0");
     const auto violations =
@@ -65,7 +66,8 @@ int main() {
   {
     const test::TinyDesign td =
         test::makeTinyDesign({{0, Rect{100, 620, 700, 800}}});
-    const db::UniqueInstances ui = db::extractUniqueInstances(*td.design);
+    const db::UniqueInstances ui =
+        db::UniqueInstanceIndex(*td.design, 1).classes();
     const core::InstContext ctx(*td.design, ui.classes[0]);
     const auto aps =
         core::AccessPointGenerator(ctx).generate(ctx.signalPins()[0]);

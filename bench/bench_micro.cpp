@@ -117,7 +117,7 @@ BENCHMARK(BM_UnionBoundary)->DenseRange(1, 4);
 
 void BM_CheckVia(benchmark::State& state) {
   const benchgen::Testcase& tc = testcase();
-  const auto unique = db::extractUniqueInstances(*tc.design);
+  const auto unique = db::UniqueInstanceIndex(*tc.design, 1).classes();
   const core::InstContext ctx(*tc.design, unique.classes[0]);
   const db::ViaDef* via = tc.tech->viaDefsFromLayer(0).front();
   const int pin = ctx.signalPins()[0];
@@ -132,7 +132,7 @@ BENCHMARK(BM_CheckVia);
 
 void BM_AccessPointGeneration(benchmark::State& state) {
   const benchgen::Testcase& tc = testcase();
-  const auto unique = db::extractUniqueInstances(*tc.design);
+  const auto unique = db::UniqueInstanceIndex(*tc.design, 1).classes();
   const core::InstContext ctx(*tc.design, unique.classes[0]);
   core::ApGenConfig cfg;
   cfg.k = static_cast<int>(state.range(0));
@@ -145,7 +145,7 @@ BENCHMARK(BM_AccessPointGeneration)->Arg(1)->Arg(3)->Arg(10);
 
 void BM_PatternGeneration(benchmark::State& state) {
   const benchgen::Testcase& tc = testcase();
-  const auto unique = db::extractUniqueInstances(*tc.design);
+  const auto unique = db::UniqueInstanceIndex(*tc.design, 1).classes();
   const core::InstContext ctx(*tc.design, unique.classes[0]);
   const auto aps = core::AccessPointGenerator(ctx).generateAll();
   for (auto _ : state) {
@@ -167,7 +167,7 @@ BENCHMARK(BM_FullOracle)->Unit(benchmark::kMillisecond);
 void BM_UniqueInstanceExtraction(benchmark::State& state) {
   const benchgen::Testcase& tc = testcase();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(db::extractUniqueInstances(*tc.design));
+    benchmark::DoNotOptimize(db::UniqueInstanceIndex(*tc.design, 1).classes());
   }
 }
 BENCHMARK(BM_UniqueInstanceExtraction);

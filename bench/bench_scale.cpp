@@ -1,6 +1,7 @@
 // Scale bench (ROADMAP item 3): stream-generates a huge-preset DEF to
 // disk, ingests it back through the chunked parallel parser, builds the
-// unique-instance index serially and sharded, then runs a full analyze.
+// unique-instance classes with the serial reference loop and the sharded
+// index, then runs a full analyze.
 // BENCH_scale.json (schema pao-report/2) records the throughput figures —
 // MB/s, insts/s — index-build times, analyze wall time and peak RSS, plus
 // a validated "ingest" section (report_check ingest gates it in CI).
@@ -9,8 +10,10 @@
 //   * the streamed parse and the frozen reference parser
 //     (tests/reference_lefdef.cpp) agree on db::designFingerprint for a
 //     small huge-preset DEF,
-//   * sharded extraction at 1, 4 and hardware threads is identical to the
-//     serial extraction (class indices and members included),
+//   * the sharded db::UniqueInstanceIndex at 1, 4 and hardware threads is
+//     identical to the serial reference extraction
+//     (tests/reference_unique_inst.cpp; class indices, signatures and
+//     members included),
 //   * DEF throughput and peak RSS are nonzero.
 //
 // PAO_SCALE defaults to 1.0 here (~1.5M instances, ~150MB of DEF) to match
@@ -41,19 +44,6 @@ namespace {
 double secondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-bool sameExtraction(const db::UniqueInstances& a,
-                    const db::UniqueInstances& b) {
-  if (a.classOf != b.classOf) return false;
-  if (a.classes.size() != b.classes.size()) return false;
-  for (std::size_t i = 0; i < a.classes.size(); ++i) {
-    if (a.classes[i].representative != b.classes[i].representative ||
-        a.classes[i].members != b.classes[i].members) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -121,10 +111,12 @@ int main() {
 
   // Phase 3: unique-instance index, serial vs sharded.
   const auto tSerial = std::chrono::steady_clock::now();
-  const db::UniqueInstances serial = db::extractUniqueInstances(design);
+  const db::UniqueInstances serial =
+      reference::extractUniqueInstances(design);
   const double serialSeconds = secondsSince(tSerial);
   const auto tSharded = std::chrono::steady_clock::now();
-  const db::UniqueInstances sharded = db::extractUniqueInstances(design, 0);
+  const db::UniqueInstances sharded =
+      db::UniqueInstanceIndex(design, 0).classes();
   const double shardedSeconds = secondsSince(tSharded);
   std::printf("%-34s | %12zu\n", "unique classes", serial.classes.size());
   std::printf("%-34s | %12.2f\n", "index build s (serial)", serialSeconds);
@@ -205,10 +197,9 @@ int main() {
   // Self-check 2: sharded extraction is invariant across thread counts and
   // identical to the serial result.
   for (const int threads : {1, 4, 0}) {
-    if (!sameExtraction(serial, threads == 0
-                                    ? sharded
-                                    : db::extractUniqueInstances(design,
-                                                                 threads))) {
+    if (serial != (threads == 0
+                       ? sharded
+                       : db::UniqueInstanceIndex(design, threads).classes())) {
       std::fprintf(stderr,
                    "selfcheck FAILED: sharded extraction at %d thread(s) "
                    "differs from serial\n",

@@ -34,7 +34,7 @@ int main() {
         ++stdCells;
       }
     }
-    const auto unique = db::extractUniqueInstances(*tc.design);
+    const auto unique = db::UniqueInstanceIndex(*tc.design, 1).classes();
     char die[32];
     std::snprintf(die, sizeof(die), "%.2fx%.2f", spec.paperDieWmm,
                   spec.paperDieHmm);

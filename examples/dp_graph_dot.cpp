@@ -18,7 +18,8 @@ int main() {
   spec.numCells = 60;
   spec.numNets = 30;
   const benchgen::Testcase tc = benchgen::generate(spec, 1.0);
-  const db::UniqueInstances unique = db::extractUniqueInstances(*tc.design);
+  const db::UniqueInstances unique =
+      db::UniqueInstanceIndex(*tc.design, 1).classes();
 
   // Pick a class with at least 3 pins so the graph looks like Fig. 6.
   int chosen = -1;

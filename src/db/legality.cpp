@@ -1,9 +1,10 @@
 #include "db/legality.hpp"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
-#include "geom/grid_index.hpp"
+#include "db/row_index.hpp"
 
 namespace pao::db {
 
@@ -25,34 +26,46 @@ std::vector<PlacementViolation> checkPlacement(const Design& design) {
   using Kind = PlacementViolation::Kind;
 
   // Row lookup by y (multi-height cells sit on a row like everyone else):
-  // (y, index of the first row in design order at that y), sorted by y.
-  std::vector<std::pair<Coord, int>> rowAtY;
-  for (int r = 0; r < static_cast<int>(design.rows.size()); ++r) {
-    rowAtY.emplace_back(design.rows[r].origin.y, r);
-  }
-  std::sort(rowAtY.begin(), rowAtY.end());
-  rowAtY.erase(std::unique(rowAtY.begin(), rowAtY.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first == b.first;
-                           }),
-               rowAtY.end());
+  // the first row in design order at each y.
+  std::map<Coord, const Row*> rowAtY;
+  for (const Row& row : design.rows) rowAtY.emplace(row.origin.y, &row);
 
-  geom::GridIndex<int> index(1 << 14);
+  // Overlapping pairs (j < i, sorted): two bboxes whose interiors meet
+  // share the RowIndex row at the higher of their origin ys, where both are
+  // listed. Each row is swept once in x order against the entries still
+  // open; a pair is kept in that one row only.
+  std::vector<std::pair<int, int>> overlaps;
+  const RowIndex rowIndex(design);
+  std::vector<int> open;
+  for (const RowIndex::Row& row : rowIndex.rows()) {
+    open.clear();
+    for (const auto& [x, i] : row.entries) {
+      const Instance& inst = design.instances[i];
+      std::erase_if(open, [&](int j) {
+        return design.instances[j].bbox().xhi <= x;
+      });
+      for (const int j : open) {
+        const Instance& other = design.instances[j];
+        if (std::max(other.origin.y, inst.origin.y) == row.y &&
+            other.bbox().overlaps(inst.bbox())) {
+          overlaps.emplace_back(std::max(i, j), std::min(i, j));
+        }
+      }
+      open.push_back(i);
+    }
+  }
+  std::sort(overlaps.begin(), overlaps.end());
+  auto overlap = overlaps.begin();
+
   for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
     const Instance& inst = design.instances[i];
-    const geom::Rect bbox = inst.bbox();
-
-    if (!design.dieArea.empty() && !design.dieArea.contains(bbox)) {
+    if (!design.dieArea.empty() && !design.dieArea.contains(inst.bbox())) {
       out.push_back({Kind::kOffDie, i, -1});
     }
 
     if (!rowAtY.empty() && inst.master->cls != MasterClass::kBlock) {
-      const auto it = std::lower_bound(
-          rowAtY.begin(), rowAtY.end(), inst.origin.y,
-          [](const std::pair<Coord, int>& e, Coord y) { return e.first < y; });
-      const Row* row = it != rowAtY.end() && it->first == inst.origin.y
-                           ? &design.rows[it->second]
-                           : nullptr;
+      const auto it = rowAtY.find(inst.origin.y);
+      const Row* row = it != rowAtY.end() ? it->second : nullptr;
       if (row == nullptr) {
         out.push_back({Kind::kNoRow, i, -1});
       } else if (row->siteWidth > 0 &&
@@ -61,11 +74,9 @@ std::vector<PlacementViolation> checkPlacement(const Design& design) {
       }
     }
 
-    // Overlaps against previously indexed instances.
-    index.query(bbox, [&](const geom::Rect& other, int j) {
-      if (other.overlaps(bbox)) out.push_back({Kind::kOverlap, j, i});
-    });
-    index.insert(bbox, i);
+    for (; overlap != overlaps.end() && overlap->first == i; ++overlap) {
+      out.push_back({Kind::kOverlap, overlap->second, i});
+    }
   }
   return out;
 }

@@ -24,7 +24,9 @@ struct PlacementViolation {
 };
 
 /// Checks every instance. Row/site checks are skipped when the design has
-/// no rows (e.g. hand-built unit-test designs).
+/// no rows (e.g. hand-built unit-test designs). Violations come per instance
+/// in index order: off-die, then no-row or off-site, then an overlap with
+/// each earlier instance, ascending.
 std::vector<PlacementViolation> checkPlacement(const Design& design);
 
 }  // namespace pao::db

@@ -1,6 +1,7 @@
 #include "db/unique_inst.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/jobs.hpp"
 
@@ -22,37 +23,12 @@ std::vector<Coord> trackOffsets(const Design& design, const Instance& inst) {
   return offsets;
 }
 
-UniqueInstances extractUniqueInstances(const Design& design) {
-  UniqueInstances out;
-  out.classOf.assign(design.instances.size(), -1);
-
-  using Key = std::tuple<const Master*, geom::Orient, std::vector<Coord>>;
-  std::map<Key, int> classIdx;
-
-  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
-    const Instance& inst = design.instances[i];
-    Key key{inst.master, inst.orient, trackOffsets(design, inst)};
-    const auto it = classIdx.find(key);
-    if (it == classIdx.end()) {
-      UniqueInstance ui;
-      ui.master = inst.master;
-      ui.orient = inst.orient;
-      ui.offsets = std::get<2>(key);
-      ui.representative = i;
-      ui.members.push_back(i);
-      classIdx.emplace(std::move(key), static_cast<int>(out.classes.size()));
-      out.classOf[i] = static_cast<int>(out.classes.size());
-      out.classes.push_back(std::move(ui));
-    } else {
-      out.classes[it->second].members.push_back(i);
-      out.classOf[i] = it->second;
-    }
-  }
-  return out;
+Signature signatureOf(const Design& design, const Instance& inst) {
+  return {inst.master, inst.orient, trackOffsets(design, inst)};
 }
 
-UniqueInstances extractUniqueInstances(const Design& design, int numThreads) {
-  using Key = std::tuple<const Master*, geom::Orient, std::vector<Coord>>;
+UniqueInstanceIndex::UniqueInstanceIndex(const Design& design, int numThreads)
+    : design_(&design) {
   const std::size_t n = design.instances.size();
   // Fixed shard target, like DrcEngine's rangeChunks: the shard (= job)
   // count must depend only on the design, never on the worker count, so
@@ -61,108 +37,76 @@ UniqueInstances extractUniqueInstances(const Design& design, int numThreads) {
   // *shard-local class*, so per-shard overhead is set by the class
   // count, not the instance count.
   constexpr std::size_t kShardTarget = 64;
-  const std::size_t numShards = std::min<std::size_t>(
-      kShardTarget, std::max<std::size_t>(1, n / 1024 + 1));
-  if (numShards <= 1) return extractUniqueInstances(design);
+  const std::size_t numShards = std::min(kShardTarget, n / 1024 + 1);
 
   struct Shard {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    /// Signature -> shard-local class id, local ids dense in shard-local
+    /// Signature -> shard-local class id, dense in shard-local
     /// first-appearance order.
-    std::map<Key, int> local;
-    std::vector<const Key*> keyOf;  ///< local class id -> signature
-    std::vector<int> localClassOf;  ///< per instance in [begin, end)
+    std::map<Signature, int> local;
+    std::vector<int> firstOf;       ///< local class id -> first member
+    std::vector<int> localClassOf;  ///< per instance of the shard
+    std::vector<int> classOf;       ///< local class id -> class index
   };
   std::vector<Shard> shards(numShards);
-  for (std::size_t s = 0; s < numShards; ++s) {
-    shards[s].begin = n * s / numShards;
-    shards[s].end = n * (s + 1) / numShards;
-  }
-
-  util::JobGraph graph;
-  graph.addJobRange(numShards, [&](std::size_t s) {
+  const auto scan = [&](std::size_t s) {
     Shard& sh = shards[s];
-    sh.localClassOf.reserve(sh.end - sh.begin);
-    for (std::size_t i = sh.begin; i < sh.end; ++i) {
-      const Instance& inst = design.instances[i];
-      Key key{inst.master, inst.orient, trackOffsets(design, inst)};
+    const std::size_t begin = n * s / numShards;
+    const std::size_t end = n * (s + 1) / numShards;
+    sh.localClassOf.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
       const auto [it, added] =
-          sh.local.emplace(std::move(key), static_cast<int>(sh.keyOf.size()));
-      if (added) sh.keyOf.push_back(&it->first);
+          sh.local.emplace(signatureOf(design, design.instances[i]),
+                           static_cast<int>(sh.firstOf.size()));
+      if (added) sh.firstOf.push_back(static_cast<int>(i));
       sh.localClassOf.push_back(it->second);
     }
-  });
-  graph.run(numThreads);
+  };
+  // One shard runs inline: a small design adds no job-graph job.
+  if (numShards == 1) {
+    scan(0);
+  } else {
+    util::JobGraph graph;
+    graph.addJobRange(numShards, scan);
+    graph.run(numThreads);
+  }
 
   // Canonical merge: shards in instance order, each shard's new signatures
-  // in shard-local first-appearance order. A signature's global class is
-  // created when the FIRST shard containing it merges, so the global class
-  // sequence equals the serial first-appearance sequence.
-  UniqueInstances out;
-  out.classOf.assign(n, -1);
-  std::map<Key, int> globalIdx;
-  std::vector<std::vector<int>> localToGlobal(numShards);
-  for (std::size_t s = 0; s < numShards; ++s) {
-    Shard& sh = shards[s];
-    localToGlobal[s].reserve(sh.keyOf.size());
-    for (const Key* key : sh.keyOf) {
-      const auto [it, added] =
-          globalIdx.emplace(*key, static_cast<int>(out.classes.size()));
-      if (added) {
-        UniqueInstance ui;
-        ui.master = std::get<0>(*key);
-        ui.orient = std::get<1>(*key);
-        ui.offsets = std::get<2>(*key);
-        out.classes.push_back(std::move(ui));
-      }
-      localToGlobal[s].push_back(it->second);
+  // in shard-local first-appearance order. A signature's class is created
+  // when the FIRST shard containing it merges, with that shard's first
+  // member as its representative, so the class sequence equals the serial
+  // first-appearance sequence. Members then fill by ascending instance
+  // index — the serial convention.
+  for (Shard& sh : shards) {
+    for (const int first : sh.firstOf) {
+      Signature sig = signatureOf(design, design.instances[first]);
+      const auto it = classIdx_.find(sig);
+      sh.classOf.push_back(it != classIdx_.end()
+                               ? it->second
+                               : addClass(std::move(sig), first));
     }
   }
-  // Members fill by ascending instance index — the serial convention —
-  // and the representative is the lowest member.
-  for (std::size_t s = 0; s < numShards; ++s) {
-    const Shard& sh = shards[s];
-    for (std::size_t i = sh.begin; i < sh.end; ++i) {
-      const int cls = localToGlobal[s][sh.localClassOf[i - sh.begin]];
-      out.classOf[i] = cls;
-      out.classes[cls].members.push_back(static_cast<int>(i));
+  ui_.classOf.reserve(n);
+  for (const Shard& sh : shards) {
+    for (const int local : sh.localClassOf) {
+      const int i = static_cast<int>(ui_.classOf.size());
+      UniqueInstance& cls = ui_.classes[sh.classOf[local]];
+      ui_.classOf.push_back(sh.classOf[local]);
+      if (cls.representative != i) cls.members.push_back(i);
     }
   }
-  for (UniqueInstance& cls : out.classes) {
-    cls.representative = cls.members.front();
-  }
-  return out;
 }
 
-UniqueInstanceIndex::UniqueInstanceIndex(const Design& design, int numThreads)
-    : design_(&design), ui_(extractUniqueInstances(design, numThreads)) {
-  buildClassIdx();
-}
-
-void UniqueInstanceIndex::buildClassIdx() {
-  for (int c = 0; c < static_cast<int>(ui_.classes.size()); ++c) {
-    const UniqueInstance& cls = ui_.classes[c];
-    classIdx_.emplace(Key{cls.master, cls.orient, cls.offsets}, c);
-  }
+int UniqueInstanceIndex::addClass(Signature sig, int first) {
+  const int c = static_cast<int>(ui_.classes.size());
+  classIdx_.emplace(sig, c);
+  ui_.classes.push_back({std::move(sig), first, {first}});
+  return c;
 }
 
 int UniqueInstanceIndex::attach(int instIdx) {
-  const Instance& inst = design_->instances[instIdx];
-  Key key{inst.master, inst.orient, trackOffsets(*design_, inst)};
-  const auto it = classIdx_.find(key);
-  if (it == classIdx_.end()) {
-    UniqueInstance cls;
-    cls.master = inst.master;
-    cls.orient = inst.orient;
-    cls.offsets = std::get<2>(key);
-    cls.representative = instIdx;
-    cls.members.push_back(instIdx);
-    const int c = static_cast<int>(ui_.classes.size());
-    classIdx_.emplace(std::move(key), c);
-    ui_.classes.push_back(std::move(cls));
-    return c;
-  }
+  Signature sig = signatureOf(*design_, design_->instances[instIdx]);
+  const auto it = classIdx_.find(sig);
+  if (it == classIdx_.end()) return addClass(std::move(sig), instIdx);
   UniqueInstance& cls = ui_.classes[it->second];
   cls.members.insert(
       std::lower_bound(cls.members.begin(), cls.members.end(), instIdx),

@@ -1,68 +1,71 @@
-// Unique-instance extraction (paper Sec. II-A): instances sharing the same
-// signature — (cell master, orientation, offsets to every track pattern in
-// the design) — have identical intra-cell pin access and are analyzed once.
+// Unique instances (paper Sec. II-A): instances sharing the same signature —
+// (cell master, orientation, offsets to every track pattern in the design) —
+// have identical intra-cell pin access and are analyzed once.
 #pragma once
 
+#include <compare>
 #include <map>
-#include <tuple>
 #include <vector>
 
 #include "db/design.hpp"
 
 namespace pao::db {
 
-struct UniqueInstance {
+/// The unique-instance key: instances with equal signatures get one class.
+struct Signature {
   const Master* master = nullptr;
   geom::Orient orient = geom::Orient::R0;
   /// One offset per design track pattern: the instance origin coordinate
   /// (x for vertical-axis patterns, y for horizontal) modulo the track step.
   std::vector<Coord> offsets;
+  auto operator<=>(const Signature&) const = default;
+};
+
+/// The signature of a placed instance.
+Signature signatureOf(const Design& design, const Instance& inst);
+/// The track-offset part of an instance's signature.
+std::vector<Coord> trackOffsets(const Design& design, const Instance& inst);
+
+/// One class: its signature plus the placed instances that share it.
+struct UniqueInstance : Signature {
   /// Index of a representative placed instance in Design::instances.
   int representative = -1;
   /// All placed instances sharing this signature.
   std::vector<int> members;
+  bool operator==(const UniqueInstance&) const = default;
 };
 
 struct UniqueInstances {
   std::vector<UniqueInstance> classes;
-  /// instIdx -> index into `classes` (-1 for non-core masters if skipped).
+  /// instIdx -> index into `classes`.
   std::vector<int> classOf;
+  bool operator==(const UniqueInstances&) const = default;
 };
 
-/// Groups Design::instances into unique-instance classes. Filler cells
-/// (masters with no signal pins) still get classes — they participate in
-/// boundary DRC — but callers typically skip them for access analysis.
-UniqueInstances extractUniqueInstances(const Design& design);
-
-/// Sharded parallel extraction: contiguous instance ranges are signatured
-/// into per-shard maps on a util::JobGraph, then merged canonically in
-/// shard order (each shard's new signatures in shard-local first-appearance
-/// order). That merge order reproduces the serial first-appearance order
-/// exactly, so class indices — and everything keyed by them — are
-/// byte-identical to extractUniqueInstances(design) at any thread or shard
-/// count (tests/test_stream_parse.cpp locks this).
-UniqueInstances extractUniqueInstances(const Design& design, int numThreads);
-
-/// The track-offset part of an instance's signature.
-std::vector<Coord> trackOffsets(const Design& design, const Instance& inst);
-
-/// Incrementally-maintained unique-instance classes over a mutating design
-/// (the batch equivalent of extractUniqueInstances, kept consistent under
-/// the Design mutation API). Two invariants make it usable as the backbone
-/// of per-class caches:
+/// Groups Design::instances into unique-instance classes and keeps them
+/// consistent under the Design mutation API. Filler cells (masters with no
+/// signal pins) still get classes — they participate in boundary DRC — but
+/// callers typically skip them for access analysis.
+///
+/// The initial build is sharded: contiguous instance ranges are signatured
+/// into per-shard maps on a util::JobGraph, then merged in shard order (each
+/// shard's new signatures in shard-local first-appearance order). That
+/// merge reproduces the serial first-appearance order, so class indices —
+/// and everything keyed by them — are identical at any thread or shard count
+/// (tests/reference_unique_inst.cpp keeps the serial loop this is tested
+/// against). Mutations stay serial. Two invariants make the index usable as
+/// the backbone of per-class caches:
 ///   * Class indices are stable for the lifetime of the index. A class whose
 ///     last member leaves stays allocated (empty members, representative -1)
 ///     and is revived when an instance with its signature reappears, so
 ///     results keyed by class index (Steps 1-2 access, Step-3 pair memos)
 ///     survive arbitrary mutation sequences.
 ///   * `members` is kept sorted ascending and `representative` is always
-///     members.front() — the same lowest-index convention batch extraction
-///     uses, so a fresh extractUniqueInstances on the mutated design picks
-///     the same representative for every populated signature.
+///     members.front() — the lowest-index convention of the initial build,
+///     so a fresh index over the mutated design picks the same
+///     representative for every populated signature.
 class UniqueInstanceIndex {
  public:
-  /// Builds the initial classes with the sharded parallel extraction
-  /// (identical result at any thread count); mutations stay serial.
   UniqueInstanceIndex(const Design& design, int numThreads);
 
   const UniqueInstances& classes() const { return ui_; }
@@ -85,16 +88,17 @@ class UniqueInstanceIndex {
   int remove(int instIdx);
 
  private:
-  using Key = std::tuple<const Master*, geom::Orient, std::vector<Coord>>;
+  /// Appends a class for `sig` whose first (and representative) member is
+  /// `first`; returns its index.
+  int addClass(Signature sig, int first);
   /// Class for `inst`'s signature, creating (or reviving) one as needed and
   /// attaching `instIdx` to it.
   int attach(int instIdx);
   void detach(int instIdx, int cls);
-  void buildClassIdx();
 
   const Design* design_;
   UniqueInstances ui_;
-  std::map<Key, int> classIdx_;
+  std::map<Signature, int> classIdx_;
 };
 
 }  // namespace pao::db

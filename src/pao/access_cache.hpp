@@ -12,7 +12,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "db/unique_inst.hpp"
@@ -22,12 +21,8 @@ namespace pao::core {
 
 class AccessCache {
  public:
-  using Key =
-      std::tuple<const db::Master*, geom::Orient, std::vector<geom::Coord>>;
-
-  static Key keyOf(const db::UniqueInstance& ui) {
-    return {ui.master, ui.orient, ui.offsets};
-  }
+  /// A db::UniqueInstance is its own key.
+  using Key = db::Signature;
 
   /// Origin-relative entry, or nullptr on miss. find() counts hit/miss
   /// statistics.

@@ -100,10 +100,9 @@ void OracleSession::analyzeClass(std::size_t c) {
   classReady_[c] = 1;
   if (ui.master->signalPinIndices().empty()) return;  // fillers etc.
 
-  const AccessCache::Key key = AccessCache::keyOf(ui);
   if (cache_ != nullptr && !cfg_.legacyMode) {
     std::lock_guard<std::mutex> lock(cacheMu_);
-    if (const ClassAccess* hit = cache_->find(key)) {
+    if (const ClassAccess* hit = cache_->find(ui)) {
       ca = *hit;  // stored origin-relative, same as the session convention
       ++stats_.cacheHits;
       PAO_COUNTER_INC("pao.oracle.cache_hits");
@@ -164,7 +163,7 @@ void OracleSession::analyzeClass(std::size_t c) {
   std::lock_guard<std::mutex> lock(cacheMu_);
   // A degraded class result must never poison the cross-run cache: a later
   // fault-free run would silently inherit the fallback access.
-  if (cache_ != nullptr && !cfg_.legacyMode && !event) cache_->store(key, ca);
+  if (cache_ != nullptr && !cfg_.legacyMode && !event) cache_->store(ui, ca);
   if (event) degraded_.push_back(std::move(*event));
   ++stats_.classBuilds;
   step1Seconds_ += step1;

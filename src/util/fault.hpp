@@ -118,8 +118,10 @@ class FaultRegistry {
     }                                                          \
   } while (0)
 #else
-#define PAO_FAULT_POINT(name) (false)
+// The name is mentioned unevaluated: no code or symbol, no unused warning.
+#define PAO_FAULT_POINT(name) ((void)sizeof(name), false)
 #define PAO_FAULT_INJECT(name) \
   do {                         \
+    (void)sizeof(name);        \
   } while (0)
 #endif

@@ -1,8 +1,8 @@
 // Test-only reference implementations: earlier versions of hot kernels, of
-// the Step-3 cluster selection and of the DEF parser, kept as they were
-// before a rewrite. Differential tests hold each rewrite to its reference's
-// output exactly, order included. The hash-bin grid index is a header of its
-// own (reference_grid_index.hpp).
+// the Step-3 cluster selection, of the DEF parser and of unique-instance
+// extraction, kept as they were before a rewrite. Differential tests hold
+// each rewrite to its reference's output exactly, order included. The
+// hash-bin grid index is a header of its own (reference_grid_index.hpp).
 #pragma once
 
 #include <cstddef>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "db/design.hpp"
+#include "db/unique_inst.hpp"
 #include "drc/engine.hpp"
 #include "geom/polygon.hpp"
 #include "lefdef/lexer.hpp"
@@ -104,5 +105,9 @@ struct TokenStream {
 };
 TokenStream tokenize(std::string_view text,
                      std::string_view file = "<input>");
+
+/// Unique-instance classes by one serial pass in instance order: a class is
+/// created at its signature's first appearance, members ascend.
+db::UniqueInstances extractUniqueInstances(const db::Design& design);
 
 }  // namespace pao::reference

@@ -20,7 +20,7 @@ class ApGenFixture : public ::testing::Test {
                                        ApGenConfig cfg = {},
                                        const std::vector<db::Obstruction>& obs = {}) {
     td_ = test::makeTinyDesign(shapes, obs);
-    ui_ = db::extractUniqueInstances(*td_.design);
+    ui_ = db::UniqueInstanceIndex(*td_.design, 1).classes();
     ctx_ = std::make_unique<InstContext>(*td_.design, ui_.classes[0]);
     return AccessPointGenerator(*ctx_, cfg).generate(
         ctx_->signalPins()[0]);
@@ -161,7 +161,7 @@ TEST_F(ApGenFixture, GenerateAllCoversEveryPin) {
   b.use = db::PinUse::kSignal;
   b.shapes.push_back({0, Rect{540, 300, 660, 900}});
 
-  ui_ = db::extractUniqueInstances(*td_.design);
+  ui_ = db::UniqueInstanceIndex(*td_.design, 1).classes();
   ctx_ = std::make_unique<InstContext>(*td_.design, ui_.classes[0]);
   const auto all = AccessPointGenerator(*ctx_).generateAll();
   ASSERT_EQ(all.size(), 2u);

@@ -158,7 +158,7 @@ TEST(Testcase, UniqueInstanceCountsScaleWithSuite) {
   // even at tiny scale (class structure is placement-offset driven, not
   // count driven).
   const Testcase t1 = generate(ispd18Suite()[0], 0.02);
-  const auto u1 = db::extractUniqueInstances(*t1.design);
+  const auto u1 = db::UniqueInstanceIndex(*t1.design, 1).classes();
   EXPECT_GE(u1.classes.size(), 50u);
   EXPECT_LE(u1.classes.size(), 400u);
 }

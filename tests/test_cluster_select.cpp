@@ -70,7 +70,7 @@ class ClusterFixture : public ::testing::Test {
     }
     d.buildInstanceIndex();
 
-    unique_ = db::extractUniqueInstances(d);
+    unique_ = db::UniqueInstanceIndex(d, 1).classes();
     classes_.clear();
     classes_.resize(unique_.classes.size());
     for (std::size_t c = 0; c < unique_.classes.size(); ++c) {
@@ -242,7 +242,7 @@ TEST_F(ClusterFixture, FillersAreTransparent) {
   inst.origin = {2400, 0};
   td_.design->instances.push_back(inst);
   td_.design->buildInstanceIndex();
-  unique_ = db::extractUniqueInstances(*td_.design);
+  unique_ = db::UniqueInstanceIndex(*td_.design, 1).classes();
   // Rebuild class access for the new class layout: the filler class gets no
   // patterns.
   std::vector<ClassAccess> classes(unique_.classes.size());
@@ -281,7 +281,7 @@ TEST(ClusterSelectNets, PinsPastSixtyFourDoNotAliasTheNeighbour) {
   d.instances.push_back(second);
   d.buildInstanceIndex();
 
-  const db::UniqueInstances unique = db::extractUniqueInstances(d);
+  const db::UniqueInstances unique = db::UniqueInstanceIndex(d, 1).classes();
   ASSERT_EQ(unique.classes.size(), 1u);
   const auto ap = [](Point loc) {
     AccessPoint a;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "benchgen/testcase.hpp"
 #include "db/legality.hpp"
 #include "db/unique_inst.hpp"
 #include "test_util.hpp"
@@ -99,7 +104,7 @@ TEST(UniqueInst, SameSignatureShares) {
   d.instances.push_back({"u4", m, {400, 400}, geom::Orient::MY});
   d.buildInstanceIndex();
 
-  const UniqueInstances ui = extractUniqueInstances(d);
+  const UniqueInstances ui = UniqueInstanceIndex(d, 1).classes();
   EXPECT_EQ(ui.classes.size(), 3u);
   EXPECT_EQ(ui.classOf[0], ui.classOf[1]);
   EXPECT_NE(ui.classOf[0], ui.classOf[2]);
@@ -214,6 +219,74 @@ TEST(Legality, RowLookupTakesTheFirstRowAtEachY) {
   EXPECT_EQ(violations[0].instA, 1);
   EXPECT_EQ(violations[1].kind, PlacementViolation::Kind::kNoRow);
   EXPECT_EQ(violations[1].instA, 4);
+}
+
+// The RowIndex sweep reports exactly the overlapping pairs an O(n^2) scan
+// finds, in the canonical order: instance i ascending, then the earlier
+// instances j < i it overlaps, ascending. Seeded moves stack cells on top
+// of others, on and off the rows; a double-height cell and a block spanning
+// several rows sit over the placement.
+TEST(Legality, OverlapsMatchBruteForce) {
+  struct Case {
+    benchgen::TestcaseSpec spec;
+    double scale;
+  };
+  for (const Case& c : {Case{benchgen::mixedSpec(), 0.02},
+                        Case{benchgen::aes14Spec(), 0.05}}) {
+    SCOPED_TRACE(c.spec.name);
+    benchgen::Testcase tc = benchgen::generate(c.spec, c.scale);
+    Design& d = *tc.design;
+    ASSERT_GE(d.rows.size(), 4u);
+    const Row& row = d.rows[d.rows.size() / 2];
+    Master& tall = tc.lib->addMaster("LEGALITY_DOUBLE");
+    tall.width = 4 * row.siteWidth;
+    tall.height = 2 * row.height;
+    Master& block = tc.lib->addMaster("LEGALITY_BLOCK");
+    block.cls = MasterClass::kBlock;
+    block.width = 40 * row.siteWidth;
+    block.height = 3 * row.height + 7;
+    d.instances.push_back({"tall", &tall,
+                           {row.origin.x + 9 * row.siteWidth, row.origin.y},
+                           geom::Orient::R0});
+    d.instances.push_back({"block", &block,
+                           {row.origin.x + 5 * row.siteWidth + 3,
+                            row.origin.y - row.height / 2},
+                           geom::Orient::R0});
+
+    std::uint64_t state = 17;
+    const auto next = [&state] {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return state >> 17;
+    };
+    const std::size_t n = d.instances.size();
+    for (int k = 0; k < 60; ++k) {
+      Instance& moved = d.instances[next() % n];
+      const Instance& onto = d.instances[next() % n];
+      const geom::Coord dx = static_cast<geom::Coord>(next() % 9) * 50 - 200;
+      const bool offRow = next() % 2 == 0;
+      const geom::Coord dy =
+          offRow ? static_cast<geom::Coord>(next() % 9) * 50 - 200 : 0;
+      moved.origin = {onto.origin.x + dx, onto.origin.y + dy};
+      if (next() % 4 == 0) moved.orient = geom::Orient::R90;
+    }
+
+    std::vector<std::pair<int, int>> want;
+    for (int i = 0; i < static_cast<int>(n); ++i) {
+      for (int j = 0; j < i; ++j) {
+        if (d.instances[j].bbox().overlaps(d.instances[i].bbox())) {
+          want.emplace_back(j, i);
+        }
+      }
+    }
+    std::vector<std::pair<int, int>> got;
+    for (const PlacementViolation& v : checkPlacement(d)) {
+      if (v.kind == PlacementViolation::Kind::kOverlap) {
+        got.emplace_back(v.instA, v.instB);
+      }
+    }
+    EXPECT_GT(want.size(), 60u);
+    EXPECT_EQ(got, want);
+  }
 }
 
 }  // namespace

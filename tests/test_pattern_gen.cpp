@@ -23,7 +23,7 @@ class PatternFixture : public ::testing::Test {
     b.use = db::PinUse::kSignal;
     b.shapes.push_back({0, Rect{barBx - barBHalfWidth, 300,
                                 barBx + barBHalfWidth, 1100}});
-    ui_ = db::extractUniqueInstances(*td_.design);
+    ui_ = db::UniqueInstanceIndex(*td_.design, 1).classes();
     ctx_ = std::make_unique<InstContext>(*td_.design, ui_.classes[0]);
     aps_ = AccessPointGenerator(*ctx_).generateAll();
   }
@@ -52,7 +52,7 @@ TEST_F(PatternFixture, AlphaTiltsOrdering) {
   b.name = "B";
   b.use = db::PinUse::kSignal;
   b.shapes.push_back({0, Rect{140, 140, 260, 500}});  // same x, lower y
-  ui_ = db::extractUniqueInstances(*td_.design);
+  ui_ = db::UniqueInstanceIndex(*td_.design, 1).classes();
   ctx_ = std::make_unique<InstContext>(*td_.design, ui_.classes[0]);
   aps_ = AccessPointGenerator(*ctx_).generateAll();
   ASSERT_FALSE(aps_[0].empty());

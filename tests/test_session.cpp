@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -556,6 +557,106 @@ TEST(OracleSession, RepresentativeRemovalLeavesSnapshotClassesUnchanged) {
   const int rep = session.unique().classes[cls].representative;
   session.removeInstance(rep);
   expectPopulatedClassesUnchanged(session, before);
+}
+
+// The index under seeded random move/orient/add/remove sequences equals a
+// fresh serial extraction of the mutated design, up to class renumbering:
+// each populated class matches its reference class (signature, members,
+// representative) and classOf agrees. Class indices never move, so a class
+// emptied and later repopulated is revived at its old index.
+TEST(UniqueInstanceIndex, MutationsMatchReference) {
+  const auto check = [](db::Design& design, std::uint64_t seed, int steps,
+                         int& revivals) {
+    db::UniqueInstanceIndex index(design, 1);
+    std::vector<db::Signature> sigs;  // by class index, as first seen
+    std::vector<bool> wasEmpty;
+    int added = 0;
+    Lcg rng{seed};
+    for (int step = 0; step <= steps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const int inst =
+          static_cast<int>(rng.next() % design.instances.size());
+      switch (step == 0 ? -1 : static_cast<int>(rng.next() % 8)) {
+        case -1:
+          break;  // the initial build
+        case 0: {
+          db::Instance clone = design.instances[inst];
+          clone.name = "index_test_clone_" + std::to_string(added++);
+          const db::Row& row = design.rows[rng.next() % design.rows.size()];
+          clone.origin = {row.origin.x + static_cast<geom::Coord>(
+                                             rng.next() % 64) * row.siteWidth,
+                          row.origin.y};
+          index.add(design.addInstance(std::move(clone)));
+          break;
+        }
+        case 1:
+          index.remove(inst);
+          design.removeInstance(inst);
+          break;
+        case 2:
+        case 3:
+          design.setInstanceOrient(inst, design.instances[inst].orient ==
+                                                 geom::Orient::R0
+                                             ? geom::Orient::MX
+                                             : geom::Orient::R0);
+          index.update(inst);
+          break;
+        default: {
+          // Back and forth by a few dbu, so signatures recur.
+          const geom::Coord d =
+              static_cast<geom::Coord>(rng.next() % 5) * 10 - 20;
+          const geom::Point o = design.instances[inst].origin;
+          design.moveInstance(inst, {o.x + d, o.y - d});
+          index.update(inst);
+          break;
+        }
+      }
+
+      const db::UniqueInstances ref =
+          reference::extractUniqueInstances(design);
+      const db::UniqueInstances& got = index.classes();
+      ASSERT_EQ(got.classOf.size(), design.instances.size());
+      // Stable indices: a class keeps its signature for life, and no two
+      // classes share one (so a signature that returns revives its class).
+      ASSERT_GE(got.classes.size(), sigs.size());
+      std::set<db::Signature> distinct;
+      std::size_t populated = 0;
+      for (std::size_t c = 0; c < got.classes.size(); ++c) {
+        const db::Signature& sig = got.classes[c];
+        if (c < sigs.size()) {
+          EXPECT_TRUE(sig == sigs[c]) << "class " << c << " changed key";
+        } else {
+          sigs.push_back(sig);
+          wasEmpty.push_back(false);
+        }
+        EXPECT_TRUE(distinct.insert(sig).second) << "duplicate class " << c;
+        const bool empty = got.classes[c].members.empty();
+        if (wasEmpty[c] && !empty) ++revivals;
+        wasEmpty[c] = empty;
+        populated += empty ? 0 : 1;
+        if (empty) {
+          EXPECT_EQ(got.classes[c].representative, -1);
+        }
+      }
+      EXPECT_EQ(populated, ref.classes.size());
+      for (const db::UniqueInstance& want : ref.classes) {
+        const int c = got.classOf[want.representative];
+        ASSERT_GE(c, 0);
+        EXPECT_EQ(got.classes[c], want);
+        for (const int m : want.members) EXPECT_EQ(got.classOf[m], c);
+      }
+    }
+  };
+
+  benchgen::Testcase small = smallCase();
+  int revivals = 0;
+  check(*small.design, 23, 120, revivals);
+  EXPECT_GT(revivals, 0);
+  benchgen::Testcase mixed =
+      benchgen::generate(benchgen::mixedSpec(), 0.02);
+  revivals = 0;
+  check(*mixed.design, 29, 60, revivals);
+  EXPECT_GT(revivals, 0);
 }
 
 }  // namespace

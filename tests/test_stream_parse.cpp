@@ -485,14 +485,16 @@ TEST_F(StreamFileTest, MissingFileThrowsLocatedIoDiag) {
 // ------------------------------------------- sharded unique-inst extraction
 
 TEST(ShardedUnique, AnyThreadCountMatchesSerialExtraction) {
+  // Large enough for several ~1k-instance shards, so the merge runs.
   const benchgen::Testcase tc =
-      benchgen::generate(benchgen::ispd18Suite()[1], /*scale=*/0.02);
+      benchgen::generate(benchgen::ispd18Suite()[1], /*scale=*/0.1);
+  ASSERT_GT(tc.design->instances.size(), 3000u);
   const db::UniqueInstances serial =
-      db::extractUniqueInstances(*tc.design);
+      reference::extractUniqueInstances(*tc.design);
   for (const int threads : {1, 2, 3, 4, 0}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const db::UniqueInstances sharded =
-        db::extractUniqueInstances(*tc.design, threads);
+        db::UniqueInstanceIndex(*tc.design, threads).classes();
     EXPECT_EQ(sharded.classOf, serial.classOf);
     ASSERT_EQ(sharded.classes.size(), serial.classes.size());
     for (std::size_t c = 0; c < serial.classes.size(); ++c) {
@@ -509,8 +511,8 @@ TEST(ShardedUnique, AnyThreadCountMatchesSerialExtraction) {
 
 TEST(ShardedUnique, OracleResultIdenticalOnStreamedDesign) {
   // End to end on the new front end: stream-parse a generated case, then
-  // check the oracle (whose session index now builds via the sharded
-  // extraction) produces byte-identical access at different thread counts.
+  // check the oracle (whose session index builds its classes sharded)
+  // produces byte-identical access at different thread counts.
   const benchgen::Testcase tc = smallCase();
   const std::string text = lefdef::writeDef(*tc.design);
   db::Design design = freshTarget(tc);

@@ -173,12 +173,15 @@ echo "== PAO_OBS=OFF / PAO_FAULTS=OFF zero-overhead build =="
 # With instrumentation and fault injection compiled out, the hot libraries
 # must carry no reference to the metrics registry, tracer, or fault
 # registry: the macros expand to nothing, so any surviving symbol means a
-# stray direct call crept in.
+# stray direct call crept in. The tools must build in this configuration
+# too; pao_tests stays out, as tests/test_obs.cpp asserts an instrumented
+# build.
 OFF_DIR="$SRC/build-ci-obsoff"
 cmake -B "$OFF_DIR" -S "$SRC" -DCMAKE_BUILD_TYPE=Release -DPAO_OBS=OFF \
   -DPAO_FAULTS=OFF
 cmake --build "$OFF_DIR" -j "$JOBS" \
-  --target pao_util pao_drc pao_core pao_router pao_lefdef
+  --target pao_util pao_drc pao_core pao_router pao_lefdef \
+  pao_cli pao_serve pao_client report_check pao_fuzz
 for lib in pao_util pao_drc pao_core pao_router pao_lefdef; do
   archive=$(find "$OFF_DIR/src" -name "lib${lib}.a" | head -n 1)
   [ -n "$archive" ]
@@ -223,9 +226,10 @@ echo "== ThreadSanitizer job-graph soak =="
 # the failed-pin view tests: every evaluation worker reads the one
 # placed-instance view (and the session's row index) at once. The ring
 # sweep's differential rides along too: every via-check worker writes its
-# boundary rings into its own thread's arena.
+# boundary rings into its own thread's arena. The unique-instance index
+# builds its classes on a job graph of instance shards.
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
-  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal'
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \
