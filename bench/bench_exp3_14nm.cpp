@@ -50,9 +50,10 @@ int main() {
               chosen ? 100.0 * static_cast<double>(offTrack) /
                            static_cast<double>(chosen)
                      : 0.0);
-  std::printf("  runtime            : %.2f s (steps: %.2f / %.2f / %.2f)\n",
-              res.totalSeconds(), res.step1Seconds, res.step2Seconds,
-              res.step3Seconds);
+  std::printf("  runtime            : %.2f s wall (steps: %.2f / %.2f / "
+              "%.2f s cpu)\n",
+              res.wallSeconds, res.step1CpuSeconds, res.step2CpuSeconds,
+              res.step3CpuSeconds);
   std::printf("\nPaper shape check: DRC-clean access for all pins; off-track "
               "access is engaged\nautomatically by the coordinate-type "
               "ladder.\n");
@@ -66,7 +67,7 @@ int main() {
       .set("failedPins", obs::Json(failed.failedPins))
       .set("chosenAps", obs::Json(chosen))
       .set("offTrackAps", obs::Json(offTrack))
-      .set("totalSeconds", obs::Json(res.totalSeconds()));
+      .set("wallSeconds", obs::Json(res.wallSeconds));
 #if PAO_OBS_ENABLED
   report.attachProfile(oracle.lastGraphProfile());
 #endif

@@ -1,7 +1,8 @@
 // Pipeline-shape bench for the job-graph oracle (ROADMAP item 2): runs the
 // mixed preset through OracleSession and reports
-//   - the graph shape: node count, Step-3 DP nodes that started while
-//     Steps 1-2 work was still pending (pipeline overlap), steal count,
+//   - the graph shape: node count, and from the job-graph profile the
+//     Step-3 DP nodes that began before the last class node (pipeline
+//     overlap) and the steal count,
 //   - the heap allocation count of one serial analyze, with the scratch
 //     arena carrying the per-class and per-cluster scratch,
 //   - the DRC via check's cost in heap allocations per DrcEngine::checkVia
@@ -11,7 +12,8 @@
 //
 // Self-check (exit 1 on failure): the overlap must be nonzero — the DFS
 // schedule starts a ready cluster before unrelated classes finish, even
-// serially — the serial analyze must stay within kMaxOracleHeapAllocs
+// serially; a build without PAO_OBS has no profile and skips this one —
+// the serial analyze must stay within kMaxOracleHeapAllocs
 // heap allocations, checkVia within kMaxAllocsPerCheckVia per call, and
 // the evaluation within kMaxEvalPeakBytesPerInst.
 //
@@ -20,6 +22,7 @@
 // this TU).
 #include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -92,6 +95,7 @@ namespace {
 
 struct RunMeasure {
   core::OracleSession::Stats stats;
+  std::size_t classJobs = 0;
   std::uint64_t heapAllocs = 0;
   std::uint64_t arenaBytes = 0;
 #if PAO_OBS_ENABLED
@@ -130,6 +134,7 @@ RunMeasure analyzeOnce(const db::Design& design, int threads) {
   core::OracleSession session(design, cfg);
   RunMeasure m;
   m.stats = session.stats();
+  m.classJobs = session.unique().classes.size();
   m.heapAllocs = gHeapAllocs.load(std::memory_order_relaxed) - allocs0;
   m.arenaBytes = util::scratchArena().bytesRequested() - bytes0;
 #if PAO_OBS_ENABLED
@@ -137,6 +142,25 @@ RunMeasure analyzeOnce(const db::Design& design, int threads) {
 #endif
   return m;
 }
+
+#if PAO_OBS_ENABLED
+/// Step-3 DP nodes of a serial build that began before its last class node
+/// did — serially, exactly the DP nodes that ran while Steps 1-2 work was
+/// still pending. The build adds its class nodes first (ids [0,
+/// classJobs)), then one node per cluster.
+std::size_t overlapJobs(const RunMeasure& m) {
+  const std::vector<obs::ProfileNode>& nodes = m.profile.nodes;
+  std::int64_t lastClassBegin = 0;
+  for (std::size_t i = 0; i < m.classJobs && i < nodes.size(); ++i) {
+    lastClassBegin = std::max(lastClassBegin, nodes[i].beginNs);
+  }
+  std::size_t overlap = 0;
+  for (std::size_t i = m.classJobs; i < nodes.size(); ++i) {
+    if (nodes[i].beginNs < lastClassBegin) ++overlap;
+  }
+  return overlap;
+}
+#endif
 
 struct ViaCheckMeasure {
   std::uint64_t calls = 0;
@@ -212,27 +236,31 @@ int main() {
   // Serial run: the overlap count is deterministic at one worker (the DFS
   // schedule is fixed), which is what the self-check keys on.
   const RunMeasure serialRun = analyzeOnce(*tc.design, /*threads=*/1);
-  // Full-pool run, only for the steal counter (schedule-dependent).
+#if PAO_OBS_ENABLED
+  // Full-pool run, for its profile and steal count (schedule-dependent).
   const RunMeasure pooled = analyzeOnce(*tc.design, /*threads=*/0);
+#endif
 
   const ViaCheckMeasure viaCheck = measureCheckVia(*tc.design);
   const EvalMemoryMeasure evalMemory = measureEvalMemory(*tc.design);
 
   const std::size_t clusterJobs = serialRun.stats.lastClusterCount;
-  const double overlapFraction =
-      clusterJobs > 0 ? static_cast<double>(serialRun.stats.overlapJobs) /
-                            static_cast<double>(clusterJobs)
-                      : 0.0;
 
   std::printf("%-34s | %10s\n", "quantity", "value");
   bench::printRule(50);
   std::printf("%-34s | %10zu\n", "graph jobs", serialRun.stats.graphJobs);
   std::printf("%-34s | %10zu\n", "cluster DP jobs", clusterJobs);
-  std::printf("%-34s | %10zu\n", "overlap jobs (serial DFS)",
-              serialRun.stats.overlapJobs);
+#if PAO_OBS_ENABLED
+  const std::size_t overlap = overlapJobs(serialRun);
+  const double overlapFraction =
+      clusterJobs > 0 ? static_cast<double>(overlap) /
+                            static_cast<double>(clusterJobs)
+                      : 0.0;
+  std::printf("%-34s | %10zu\n", "overlap jobs (serial DFS)", overlap);
   std::printf("%-34s | %10.3f\n", "overlap fraction", overlapFraction);
-  std::printf("%-34s | %10zu\n", "steals (threads=0 run)",
-              static_cast<std::size_t>(pooled.stats.graphSteals));
+  std::printf("%-34s | %10llu\n", "steals (threads=0 run)",
+              static_cast<unsigned long long>(pooled.profile.steals));
+#endif
   std::printf("%-34s | %10llu\n", "arena bytes requested",
               static_cast<unsigned long long>(serialRun.arenaBytes));
   std::printf("%-34s | %10llu\n", "heap allocs (serial analyze)",
@@ -251,9 +279,6 @@ int main() {
       .set("instances", obs::Json(tc.design->instances.size()))
       .set("graphJobs", obs::Json(serialRun.stats.graphJobs))
       .set("clusterJobs", obs::Json(clusterJobs))
-      .set("overlapJobs", obs::Json(serialRun.stats.overlapJobs))
-      .set("overlapFraction", obs::Json(overlapFraction))
-      .set("steals", obs::Json(pooled.stats.graphSteals))
       .set("pairChecks", obs::Json(serialRun.stats.pairChecks))
       .set("arenaBytes", obs::Json(static_cast<double>(serialRun.arenaBytes)))
       .set("heapAllocsArena", obs::Json(static_cast<double>(serialRun.heapAllocs)))
@@ -263,6 +288,10 @@ int main() {
            obs::Json(static_cast<double>(evalMemory.peakBytes)))
       .set("evalPeakBytesPerInst", obs::Json(evalMemory.perInst()));
 #if PAO_OBS_ENABLED
+  report.bench()
+      .set("overlapJobs", obs::Json(overlap))
+      .set("overlapFraction", obs::Json(overlapFraction))
+      .set("steals", obs::Json(static_cast<double>(pooled.profile.steals)));
   // Profile of the full-pool run, so BENCH_bench_pipeline.json carries the
   // measured critical path and parallelism headroom next to the shape rows.
   report.attachProfile(pooled.profile);
@@ -270,12 +299,14 @@ int main() {
   report.write();
 
   bool ok = true;
-  if (serialRun.stats.overlapJobs == 0) {
+#if PAO_OBS_ENABLED
+  if (overlap == 0) {
     std::fprintf(stderr,
                  "selfcheck FAILED: no Step-3 job started while Steps 1-2 "
                  "work was pending\n");
     ok = false;
   }
+#endif
   if (serialRun.heapAllocs > kMaxOracleHeapAllocs) {
     std::fprintf(stderr,
                  "selfcheck FAILED: %llu heap allocations in the serial "

@@ -2,7 +2,7 @@
 // unique instance pins, without intra-/inter-cell compatibility — original
 // TritonRoute-style baseline (TrRte) vs our PAAF. Reports total #APs,
 // #dirty APs (points whose primary via is NOT DRC-clean against the
-// intra-cell context) and the Step-1 runtime.
+// intra-cell context) and the Step-1 CPU time.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -20,7 +20,7 @@ int main() {
               scale);
   std::printf("%-14s %8s | %10s %10s | %9s %9s | %9s %9s\n", "Benchmark",
               "#Unique", "APs:TrRte", "APs:PAAF", "dirty:TrR", "dirty:PAA",
-              "t(s):TrR", "t(s):PAA");
+              "cpu:TrRte", "cpu:PAAF");
   bench::printRule(100);
 
   for (std::size_t i = 0; i < benchgen::ispd18Suite().size(); ++i) {
@@ -45,7 +45,7 @@ int main() {
                 spec.name.c_str(), paafRes.unique.classes.size(),
                 legacyDirty.totalAps, paafDirty.totalAps,
                 legacyDirty.dirtyAps, paafDirty.dirtyAps,
-                legacyRes.step1Seconds, paafRes.step1Seconds);
+                legacyRes.step1CpuSeconds, paafRes.step1CpuSeconds);
     std::fflush(stdout);
     rows.push(obs::Json::object()
                   .set("benchmark", obs::Json(spec.name))
@@ -55,8 +55,10 @@ int main() {
                   .set("apsPaaf", obs::Json(paafDirty.totalAps))
                   .set("dirtyLegacy", obs::Json(legacyDirty.dirtyAps))
                   .set("dirtyPaaf", obs::Json(paafDirty.dirtyAps))
-                  .set("step1SecondsLegacy", obs::Json(legacyRes.step1Seconds))
-                  .set("step1SecondsPaaf", obs::Json(paafRes.step1Seconds)));
+                  .set("step1CpuSecondsLegacy",
+                       obs::Json(legacyRes.step1CpuSeconds))
+                  .set("step1CpuSecondsPaaf",
+                       obs::Json(paafRes.step1CpuSeconds)));
 #if PAO_OBS_ENABLED
     // Last selected testcase's PAAF pipeline profile wins — one headroom
     // sample per report is enough for the CI digest.

@@ -45,8 +45,8 @@ int main() {
     std::printf("%-14s %10zu | %9zu %9zu %9zu | %8.2f %8.2f %8.2f\n",
                 spec.name.c_str(), bcaFailed.totalPins,
                 legacyFailed.failedPins, noBcaFailed.failedPins,
-                bcaFailed.failedPins, legacyRes.totalSeconds(),
-                noBcaRes.totalSeconds(), bcaRes.totalSeconds());
+                bcaFailed.failedPins, legacyRes.wallSeconds,
+                noBcaRes.wallSeconds, bcaRes.wallSeconds);
     std::fflush(stdout);
     rows.push(obs::Json::object()
                   .set("benchmark", obs::Json(spec.name))
@@ -54,10 +54,9 @@ int main() {
                   .set("failedLegacy", obs::Json(legacyFailed.failedPins))
                   .set("failedNoBca", obs::Json(noBcaFailed.failedPins))
                   .set("failedBca", obs::Json(bcaFailed.failedPins))
-                  .set("totalSecondsLegacy",
-                       obs::Json(legacyRes.totalSeconds()))
-                  .set("totalSecondsNoBca", obs::Json(noBcaRes.totalSeconds()))
-                  .set("totalSecondsBca", obs::Json(bcaRes.totalSeconds())));
+                  .set("wallSecondsLegacy", obs::Json(legacyRes.wallSeconds))
+                  .set("wallSecondsNoBca", obs::Json(noBcaRes.wallSeconds))
+                  .set("wallSecondsBca", obs::Json(bcaRes.wallSeconds)));
   }
   std::printf("\nPaper shape check: TrRte fails many pins; PAAF w/o BCA "
               "leaves a few inter-cell\nconflicts; PAAF w/ BCA reaches zero "

@@ -76,8 +76,8 @@ int main() {
               dirty.dirtyAps);
   std::printf("net-attached pins: %zu, failed: %zu\n", failed.totalPins,
               failed.failedPins);
-  std::printf("runtime: %.3f s (%.3f / %.3f / %.3f per step)\n",
-              result.totalSeconds(), result.step1Seconds,
-              result.step2Seconds, result.step3Seconds);
+  std::printf("runtime: %.3f s wall (%.3f / %.3f / %.3f s cpu per step)\n",
+              result.wallSeconds, result.step1CpuSeconds,
+              result.step2CpuSeconds, result.step3CpuSeconds);
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "pao/cluster_select.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <unordered_map>
 
@@ -219,7 +218,6 @@ void ClusterSelector::fillSlot(PairSlot& slot, int instA, int instB) const {
 
 void ClusterSelector::armBudget() {
   expired_.store(false, std::memory_order_relaxed);
-  expiredClusters_.store(0, std::memory_order_relaxed);
   budgetArmed_ = cfg_.budgetSeconds > 0;
   if (budgetArmed_) {
     deadline_ = std::chrono::steady_clock::now() +
@@ -240,8 +238,6 @@ bool ClusterSelector::deadlineExpired() {
 
 void ClusterSelector::fallbackSelect(const std::vector<int>& cluster,
                                      std::vector<int>& chosen) {
-  expiredClusters_.fetch_add(1, std::memory_order_relaxed);
-  PAO_COUNTER_INC("pao.step3.budget_fallbacks");
   for (const int inst : cluster) {
     if (chosen[inst] >= 0) continue;  // pinned by an earlier cluster
     const int cls = unique_->classOf[inst];
@@ -259,8 +255,8 @@ void ClusterSelector::fallbackSelect(const std::vector<int>& cluster,
   }
 }
 
-void ClusterSelector::selectCluster(const std::vector<int>& cluster,
-                                    std::vector<int>& chosen) {
+ClusterTally ClusterSelector::selectCluster(const std::vector<int>& cluster,
+                                            std::vector<int>& chosen) {
   const int n = static_cast<int>(cluster.size());
 
   const auto numPatterns = [&](int pos) {
@@ -285,28 +281,19 @@ void ClusterSelector::selectCluster(const std::vector<int>& cluster,
   for (int i = 0; i < n; ++i) {
     if (numPatterns(i) > 0) active.push_back(i);
   }
-  if (active.empty()) return;
+  ClusterTally tally;
+  if (active.empty()) return tally;
   if (deadlineExpired()) {
     // Budget spent: commit best-so-far instead of running the DP. Not
     // counted as a DP run.
     fallbackSelect(cluster, chosen);
-    return;
+    tally.fellBack = true;
+    return tally;
   }
-  ++numDpRuns_;
-  // Deterministic per cluster: one DP per cluster regardless of schedule.
-  PAO_COUNTER_INC("pao.step3.cluster_dp_runs");
-  PAO_HISTOGRAM_OBSERVE("pao.step3.cluster_size", active.size());
+  tally.ranDp = true;
+  tally.activeSize = active.size();
   PAO_TRACE_SCOPE("step3.cluster_dp");
   const double cpu0 = util::threadCpuSeconds();
-  struct CpuAccumulator {
-    std::atomic<long long>* nanos;
-    double cpu0;
-    ~CpuAccumulator() {
-      nanos->fetch_add(
-          std::llround((util::threadCpuSeconds() - cpu0) * 1e9),
-          std::memory_order_relaxed);
-    }
-  } cpuAccum{&dpCpuNanos_, cpu0};
 
   const int an = static_cast<int>(active.size());
   util::ArenaVector<int> off(static_cast<std::size_t>(an) + 1, 0);
@@ -364,6 +351,8 @@ void ClusterSelector::selectCluster(const std::vector<int>& cluster,
     chosen[cluster[active[i]]] = best;
     best = prev[off[i] + best];
   }
+  tally.cpuSeconds = util::threadCpuSeconds() - cpu0;
+  return tally;
 }
 
 }  // namespace pao::core

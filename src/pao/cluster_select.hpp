@@ -75,6 +75,16 @@ std::vector<std::vector<int>> buildClusters(const db::Design& design);
 std::vector<std::vector<std::size_t>> clusterDeps(
     const std::vector<std::vector<int>>& clusters);
 
+/// What one selectCluster call did, returned to its caller instead of
+/// bumped into shared state: the session writes each cluster's tally into
+/// its own slot and merges the slots once per pass.
+struct ClusterTally {
+  std::size_t activeSize = 0;  ///< pattern-bearing instances the DP saw
+  double cpuSeconds = 0;       ///< thread-CPU time inside the DP
+  bool ranDp = false;          ///< the DP ran (not skipped, no fallback)
+  bool fellBack = false;       ///< budget expired: best-so-far committed
+};
+
 class ClusterSelector {
  public:
   ClusterSelector(const db::Design& design, const db::UniqueInstances& unique,
@@ -89,22 +99,15 @@ class ClusterSelector {
   /// `chosen` (safe to run concurrently for instance-disjoint clusters).
   /// Entries already >= 0 are pinned: the DP may only keep them. This is the
   /// unit OracleSession schedules for every cluster. The cluster's keys
-  /// must have been added (std::out_of_range otherwise).
-  void selectCluster(const std::vector<int>& cluster,
-                     std::vector<int>& chosen);
+  /// must have been added (std::out_of_range otherwise). Touches no shared
+  /// tally: what it did comes back as the ClusterTally.
+  ClusterTally selectCluster(const std::vector<int>& cluster,
+                             std::vector<int>& chosen);
 
   /// Via-clean probes run by the filled verdict slots: each key's full
   /// pattern x pattern matrix, counted once, so the total is the same at any
   /// thread count. Read it between graph runs.
   std::size_t numPairChecks() const;
-  /// selectCluster invocations that actually ran a DP (clusters with at
-  /// least one pattern-bearing instance). Cumulative.
-  std::size_t numDpRuns() const { return numDpRuns_.load(); }
-  /// Summed per-thread CPU seconds spent inside cluster DPs (the Step-3
-  /// cpu-clock analog of OracleResult::step3CpuSeconds). Cumulative.
-  double dpCpuSeconds() const {
-    return static_cast<double>(dpCpuNanos_.load()) * 1e-9;
-  }
 
   /// (Re)starts the cfg.budgetSeconds clock and clears the expired latch.
   /// OracleSession arms before the initial build and re-arms before each
@@ -115,10 +118,6 @@ class ClusterSelector {
   /// armBudget()).
   bool budgetExpired() const {
     return expired_.load(std::memory_order_relaxed);
-  }
-  /// Clusters that took the best-so-far fallback since the last armBudget().
-  std::size_t expiredClusters() const {
-    return expiredClusters_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -178,15 +177,12 @@ class ClusterSelector {
   /// stay put, and numPairChecks() walks them without chasing map nodes.
   std::map<PairKey, std::size_t> pairIndex_;
   std::deque<PairSlot> pairSlots_;
-  std::atomic<std::size_t> numDpRuns_{0};
-  std::atomic<long long> dpCpuNanos_{0};
   /// Budget state. deadline_/budgetArmed_ are written by armBudget() before
   /// the job graph runs (its start establishes the happens-before);
   /// expired_ latches concurrently.
   std::chrono::steady_clock::time_point deadline_{};
   bool budgetArmed_ = false;
   std::atomic<bool> expired_{false};
-  std::atomic<std::size_t> expiredClusters_{0};
 };
 
 }  // namespace pao::core

@@ -92,34 +92,22 @@ struct OracleResult {
   /// depend on it.
   int numThreads = 1;
 
-  /// Step timings. Two clocks are reported per step because they answer
-  /// different questions and diverge under numThreads > 1:
-  ///
-  ///   * step1Seconds/step2Seconds — summed per-class steady_clock time as
-  ///     measured on the worker that analyzed each class. This is
-  ///     "aggregate work" (comparable across thread counts, exceeds elapsed
-  ///     time when parallel) but is NOT strictly CPU time: a preempted
-  ///     worker inflates it.
-  ///   * step1CpuSeconds/step2CpuSeconds/step3CpuSeconds — the same work
-  ///     measured on the per-thread CPU clock (CLOCK_THREAD_CPUTIME_ID),
-  ///     immune to preemption. Use these for "where did the cycles go".
-  ///   * step3Seconds, steps12WallSeconds and wallSeconds — end-to-end wall
-  ///     (elapsed) time of Step 3, of the Steps 1-2 parallel region, and of
-  ///     the whole flow. Use these for "how long did I wait".
-  ///
-  /// The pao-report/1 "oracle" section carries all of them.
-  double step1Seconds = 0;
-  double step2Seconds = 0;
-  double step3Seconds = 0;
+  /// Timings of the initial full analysis, stamped once when it ends (a
+  /// session's later mutations leave them unchanged):
+  ///   * wallSeconds — elapsed time of the whole flow: "how long did I
+  ///     wait".
+  ///   * step{1,2,3}CpuSeconds — per-thread CPU time (CLOCK_THREAD_CPUTIME_ID)
+  ///     of each step's work, summed over classes (Steps 1-2) and cluster
+  ///     DPs (Step 3): "where did the cycles go". Immune to preemption and
+  ///     comparable across thread counts; at numThreads > 1 their sum may
+  ///     exceed wallSeconds.
+  /// Per-phase and per-node wall time lives in the traces
+  /// ("oracle.pipeline", "step3.cluster_dp") and the job-graph profile.
+  /// The pao-report/1 "oracle" section carries all four.
   double wallSeconds = 0;
   double step1CpuSeconds = 0;
   double step2CpuSeconds = 0;
   double step3CpuSeconds = 0;
-  /// Wall time of the Steps 1-2 parallel region alone.
-  double steps12WallSeconds = 0;
-  double totalSeconds() const {
-    return step1Seconds + step2Seconds + step3Seconds;
-  }
 
   /// Total access points generated across all unique-instance pins
   /// (Table II "Total #APs").

@@ -22,11 +22,6 @@ namespace pao::core {
 
 namespace {
 
-double secondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// The TrRte baseline has no pattern stage: every pin just takes its first
 /// access point.
 AccessPattern firstApPattern(const std::vector<std::vector<AccessPoint>>& aps) {
@@ -49,14 +44,10 @@ void legacyAccessInto(ClassAccess& ca, const InstContext& ctx) {
   }
 }
 
-/// Wall and thread-CPU time since construction, added to a step's sums.
-struct Lap {
-  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+/// Thread-CPU seconds since construction.
+struct CpuLap {
   double cpu0 = util::threadCpuSeconds();
-  void addTo(double& wall, double& cpu) const {
-    wall += secondsSince(t0);
-    cpu += util::threadCpuSeconds() - cpu0;
-  }
+  double seconds() const { return util::threadCpuSeconds() - cpu0; }
 };
 
 }  // namespace
@@ -93,12 +84,12 @@ void OracleSession::requireMutable() const {
   }
 }
 
-void OracleSession::analyzeClass(std::size_t c) {
+OracleSession::ClassCpu OracleSession::analyzeClass(std::size_t c) {
   const db::UniqueInstance& ui = index_.classes().classes[c];
-  if (ui.members.empty()) return;  // nothing placed; stays un-analyzed
+  if (ui.members.empty()) return {};  // nothing placed; stays un-analyzed
   ClassAccess& ca = classes_[c];
   classReady_[c] = 1;
-  if (ui.master->signalPinIndices().empty()) return;  // fillers etc.
+  if (ui.master->signalPinIndices().empty()) return {};  // fillers etc.
 
   if (cache_ != nullptr && !cfg_.legacyMode) {
     std::lock_guard<std::mutex> lock(cacheMu_);
@@ -106,7 +97,7 @@ void OracleSession::analyzeClass(std::size_t c) {
       ca = *hit;  // stored origin-relative, same as the session convention
       ++stats_.cacheHits;
       PAO_COUNTER_INC("pao.oracle.cache_hits");
-      return;
+      return {};
     }
     PAO_COUNTER_INC("pao.oracle.cache_misses");
   }
@@ -116,37 +107,37 @@ void OracleSession::analyzeClass(std::size_t c) {
   // Step 1 is access point generation (the legacy generator, first-AP
   // pattern included, in legacyMode and on a keep-going fallback); step 2
   // is the pattern DP.
-  double step1 = 0, step2 = 0, cpu1 = 0, cpu2 = 0;
+  ClassCpu cpu;
   std::optional<DegradedEvent> event;
   try {
     // The fault point models "this class's Steps 1-2 analysis blew up";
     // legacyMode has no deeper fallback to degrade to, so it stays strict.
     if (!cfg_.legacyMode) PAO_FAULT_INJECT("oracle.class_access");
-    const Lap s1;
+    const CpuLap s1;
     if (cfg_.legacyMode) {
       legacyAccessInto(ca, ctx);
-      s1.addTo(step1, cpu1);
+      cpu.step1 = s1.seconds();
     } else {
       ApGenConfig apCfg = cfg_.apGen;
       // Macro (block) pins admit planar access: via access is only
       // mandatory for standard cells (paper footnote 1).
       if (ui.master->cls == db::MasterClass::kBlock) apCfg.requireVia = false;
       ca.pinAps = AccessPointGenerator(ctx, apCfg).generateAll();
-      s1.addTo(step1, cpu1);
-      const Lap s2;
+      cpu.step1 = s1.seconds();
+      const CpuLap s2;
       PatternGenerator gen(ctx, ca.pinAps, cfg_.patternGen);
       ca.patterns = gen.run();
       ca.pinOrder = gen.pinOrder();
-      s2.addTo(step2, cpu2);
+      cpu.step2 = s2.seconds();
     }
   } catch (const std::exception& e) {
     if (!cfg_.keepGoing || cfg_.legacyMode) throw;
     event = DegradedEvent{"class_fallback", e.what(), static_cast<int>(c)};
     ca = ClassAccess{};
     try {
-      const Lap fallback;
+      const CpuLap fallback;
       legacyAccessInto(ca, ctx);
-      fallback.addTo(step1, cpu1);
+      cpu.step1 += fallback.seconds();
     } catch (const std::exception& e2) {
       // Even the fallback failed: the class keeps empty access (its pins
       // count as failed) but the run continues.
@@ -166,10 +157,7 @@ void OracleSession::analyzeClass(std::size_t c) {
   if (cache_ != nullptr && !cfg_.legacyMode && !event) cache_->store(ui, ca);
   if (event) degraded_.push_back(std::move(*event));
   ++stats_.classBuilds;
-  step1Seconds_ += step1;
-  step2Seconds_ += step2;
-  step1CpuSeconds_ += cpu1;
-  step2CpuSeconds_ += cpu2;
+  return cpu;
 }
 
 void OracleSession::buildAll() {
@@ -185,20 +173,16 @@ void OracleSession::buildAll() {
   // clusters (clusterDeps). A cluster whose classes finished early
   // therefore overlaps other classes' Steps 1-2 — there is no barrier
   // between the phases. Class nodes come first, in class order, so a
-  // strict-mode failure rethrows the lowest class's exception. The legacy baseline adds no
-  // cluster nodes and runs the trivial selection after the graph.
-  pendingSteps12_.store(numClasses, std::memory_order_relaxed);
-  overlapJobs_.store(0, std::memory_order_relaxed);
-  step3Started_.store(false, std::memory_order_relaxed);
+  // strict-mode failure rethrows the lowest class's exception. The legacy
+  // baseline adds no cluster nodes and runs the trivial selection after the
+  // graph. Every node writes only its own slot (classCpu, tallies_); the
+  // slots are summed once the graph has run.
   util::JobGraph graph;
   std::vector<util::JobId> classNode(numClasses);
+  std::vector<ClassCpu> classCpu(numClasses);
   for (std::size_t c = 0; c < numClasses; ++c) {
-    classNode[c] = graph.addJob([this, c, t0] {
-      analyzeClass(c);
-      if (pendingSteps12_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        steps12WallSeconds_ = secondsSince(t0);
-      }
-    });
+    classNode[c] =
+        graph.addJob([this, c, &classCpu] { classCpu[c] = analyzeClass(c); });
   }
   // Step 3's clusters: each row's runs, with the end of each row's runs in
   // `clusters` (filed by row once the graph has run).
@@ -223,15 +207,11 @@ void OracleSession::buildAll() {
   }
 
   stats_.graphJobs = graph.stats().jobs;
-  stats_.overlapJobs = overlapJobs_.load(std::memory_order_relaxed);
-  stats_.graphSteals = graph.stats().steals;
 #if PAO_OBS_ENABLED
   graphProfile_ = graph.profile();
 #endif
   if (cfg_.legacyMode) {
-    const auto t3 = std::chrono::steady_clock::now();
     trivialSelection();
-    step3Seconds_ = secondsSince(t3);
   } else {
     std::size_t first = 0;
     for (std::size_t r = 0; r < rowEnds.size(); ++r) {
@@ -243,15 +223,15 @@ void OracleSession::buildAll() {
       first = rowEnds[r];
     }
     stats_.lastClusterCount = clusters.size();
-    finishSelectionPass();
-    // step3Seconds_ spans from the first DP node's start to the end of the
-    // graph — with overlap, "Step-3 wall time" necessarily includes tail
-    // Steps 1-2 work running alongside.
-    step3Seconds_ = step3Started_.load(std::memory_order_relaxed)
-                        ? secondsSince(step3T0_)
-                        : 0.0;
+    step3CpuSeconds_ = finishSelectionPass();
   }
-  wallSeconds_ = secondsSince(t0);
+  for (const ClassCpu& cpu : classCpu) {
+    step1CpuSeconds_ += cpu.step1;
+    step2CpuSeconds_ += cpu.step2;
+  }
+  wallSeconds_ = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
   designRevision_ = design_->revision();
 }
 
@@ -259,6 +239,7 @@ void OracleSession::addClusterJobs(
     util::JobGraph& graph, const std::vector<std::vector<int>>& clusters,
     std::span<const util::JobId> classNode) {
   selector_->addPairKeys(clusters);
+  tallies_.assign(clusters.size(), ClusterTally{});
   const std::vector<std::vector<std::size_t>> cDeps = clusterDeps(clusters);
   const std::vector<int>& classOf = index_.classes().classOf;
   std::vector<util::JobId> ids(clusters.size());
@@ -276,14 +257,7 @@ void OracleSession::addClusterJobs(
     deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
     ids[k] = graph.addJob(
         [this, k, &clusters] {
-          if (pendingSteps12_.load(std::memory_order_acquire) > 0) {
-            overlapJobs_.fetch_add(1, std::memory_order_relaxed);
-          }
-          bool expected = false;
-          if (step3Started_.compare_exchange_strong(expected, true)) {
-            step3T0_ = std::chrono::steady_clock::now();
-          }
-          selector_->selectCluster(clusters[k], chosen_);
+          tallies_[k] = selector_->selectCluster(clusters[k], chosen_);
         },
         deps);
   }
@@ -532,7 +506,6 @@ void OracleSession::recomputeAfterMutation(std::span<const int> touched,
     addClusterJobs(graph, dirtyClusters, {});
     graph.run(cfg_.numThreads);
     stats_.graphJobs += graph.stats().jobs;
-    stats_.graphSteals += graph.stats().steals;
 #if PAO_OBS_ENABLED
     if (graph.size() > 0) graphProfile_ = graph.profile();
 #endif
@@ -608,20 +581,36 @@ FailedPinStats OracleSession::failedPins() {
   return stats;
 }
 
-void OracleSession::finishSelectionPass() {
+double OracleSession::finishSelectionPass() {
   const std::size_t pairChecks = selector_->numPairChecks();
   if (pairChecks > stats_.pairChecks) {
     PAO_COUNTER_ADD("pao.step3.pair_checks", pairChecks - stats_.pairChecks);
   }
   stats_.pairChecks = pairChecks;
-  stats_.clusterDpRuns = selector_->numDpRuns();
-  step3CpuSeconds_ = selector_->dpCpuSeconds();
-  if (!selector_->budgetExpired()) return;
-  degraded_.push_back(
-      {"step3_budget",
-       std::to_string(selector_->expiredClusters()) +
-           " cluster(s) committed best-so-far patterns on budget expiry",
-       -1});
+  std::size_t dpRuns = 0;
+  std::size_t fallbacks = 0;
+  double cpu = 0;
+  for (const ClusterTally& t : tallies_) {
+    if (t.ranDp) {
+      ++dpRuns;
+      PAO_HISTOGRAM_OBSERVE("pao.step3.cluster_size", t.activeSize);
+    }
+    fallbacks += t.fellBack ? 1 : 0;
+    cpu += t.cpuSeconds;
+  }
+  tallies_ = {};  // one slot per cluster: not kept past its pass
+  stats_.clusterDpRuns += dpRuns;
+  // A zero add would still register the metric: publish only what happened.
+  if (dpRuns > 0) PAO_COUNTER_ADD("pao.step3.cluster_dp_runs", dpRuns);
+  if (fallbacks > 0) PAO_COUNTER_ADD("pao.step3.budget_fallbacks", fallbacks);
+  if (selector_->budgetExpired()) {
+    degraded_.push_back(
+        {"step3_budget",
+         std::to_string(fallbacks) +
+             " cluster(s) committed best-so-far patterns on budget expiry",
+         -1});
+  }
+  return cpu;
 }
 
 std::optional<OracleResult::ChosenAp> OracleSession::chosenAp(
@@ -651,14 +640,10 @@ OracleResult OracleSession::snapshot() const {
               return std::tie(a.cls, a.kind, a.detail) <
                      std::tie(b.cls, b.kind, b.detail);
             });
-  r.step1Seconds = step1Seconds_;
-  r.step2Seconds = step2Seconds_;
-  r.step3Seconds = step3Seconds_;
   r.wallSeconds = wallSeconds_;
   r.step1CpuSeconds = step1CpuSeconds_;
   r.step2CpuSeconds = step2CpuSeconds_;
   r.step3CpuSeconds = step3CpuSeconds_;
-  r.steps12WallSeconds = steps12WallSeconds_;
   return r;
 }
 

@@ -32,8 +32,6 @@
 // failedPins() equals countFailedPins() of that run, for any thread count.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -142,15 +140,10 @@ class OracleSession {
     /// same at any thread count; reported, and published as the
     /// "pao.step3.pair_checks" delta once per selection pass.
     std::size_t pairChecks = 0;
-    /// Job-graph shape of the last full build plus mutation re-runs:
-    /// total nodes, Step-3 DP nodes that started while Steps 1-2 work was
-    /// still pending (the pipeline-overlap headline), and cross-worker
-    /// steals. graphJobs/overlapJobs are deterministic for a fixed thread
-    /// count; graphSteals is schedule-dependent (bench-only — neither is
-    /// part of the canonical report output).
+    /// Job-graph nodes of the full build plus mutation re-runs (one per
+    /// class and one per cluster DP); the same at any thread count. The
+    /// schedule itself (overlap, steals) is in lastGraphProfile().
     std::size_t graphJobs = 0;
-    std::size_t overlapJobs = 0;
-    std::size_t graphSteals = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -163,13 +156,19 @@ class OracleSession {
 
  private:
   void buildAll();
+  /// Thread-CPU seconds of one class's Steps 1 and 2.
+  struct ClassCpu {
+    double step1 = 0;
+    double step2 = 0;
+  };
   /// Steps 1-2 of class `c`, into classes_[c] origin-relative: a cache
   /// lookup, else access point generation and the pattern DP (the legacy
   /// generator and first-AP pattern in legacyMode, or as the cfg.keepGoing
   /// fallback). One job-graph node per class in the initial build, and the
   /// mutation path's analysis of a new class. Thread-safe across distinct
-  /// classes.
-  void analyzeClass(std::size_t c);
+  /// classes. Returns its ClassCpu (zero for a cache hit or a class left
+  /// un-analyzed).
+  ClassCpu analyzeClass(std::size_t c);
   /// Grows per-class storage after the index created classes, then makes
   /// sure `cls` is analyzed.
   void ensureClassAccess(int cls);
@@ -190,20 +189,22 @@ class OracleSession {
   /// Everything of instance `inst` a failed-pin check can see under
   /// pattern `pattern`: its bbox, placed master shapes and chosen vias.
   geom::Rect footprint(int inst, int pattern) const;
-  /// Registers the clusters' abutment keys with the selector, then adds one
-  /// Step-3 DP node per cluster to `graph`, chained by clusterDeps; with
-  /// `classNode` (the initial build) each node also depends on its member
-  /// classes' nodes. The one way both the build and a mutation schedule
-  /// Step 3. `clusters` must outlive the run.
+  /// Registers the clusters' abutment keys with the selector, sizes
+  /// tallies_ to one slot per cluster, then adds one Step-3 DP node per
+  /// cluster to `graph`, chained by clusterDeps, each writing only its own
+  /// slot; with `classNode` (the initial build) each node also depends on
+  /// its member classes' nodes. The one way both the build and a mutation
+  /// schedule Step 3. `clusters` must outlive the run.
   void addClusterJobs(util::JobGraph& graph,
                       const std::vector<std::vector<int>>& clusters,
                       std::span<const util::JobId> classNode);
   /// The no-Step-3 selection of legacyMode: every instance takes pattern 0.
   void trivialSelection();
-  /// After a selection pass over clusters_: updates the Step-3 stats,
-  /// publishes the pass's "pao.step3.pair_checks" delta, and appends a
-  /// "step3_budget" DegradedEvent when the pass expired its budget.
-  void finishSelectionPass();
+  /// After a selection pass: merges tallies_ in cluster order into the
+  /// Step-3 stats, publishes the pass's "pao.step3.*" metrics once, and
+  /// appends a "step3_budget" DegradedEvent when the pass expired its
+  /// budget. Returns the pass's cluster-DP thread-CPU seconds.
+  double finishSelectionPass();
   void requireMutable() const;
 
   const db::Design* design_;
@@ -229,25 +230,17 @@ class OracleSession {
   bool verdictsValid_ = false;
   std::vector<geom::Rect> changedBoxes_;
   std::unique_ptr<ClusterSelector> selector_;
+  /// One slot per cluster of the running selection pass; emptied by
+  /// finishSelectionPass.
+  std::vector<ClusterTally> tallies_;
   std::uint64_t designRevision_ = 0;
   Stats stats_;
   std::vector<DegradedEvent> degraded_;  ///< guarded by cacheMu_ during 1-2
-  double step1Seconds_ = 0;
-  double step2Seconds_ = 0;
-  double step3Seconds_ = 0;
+  /// OracleResult timings of the initial build, stamped once as it ends.
   double wallSeconds_ = 0;
   double step1CpuSeconds_ = 0;
   double step2CpuSeconds_ = 0;
   double step3CpuSeconds_ = 0;
-  double steps12WallSeconds_ = 0;
-  /// Pipeline-graph bookkeeping for the initial build: class nodes not yet
-  /// finished (the class node that drains it stamps steps12WallSeconds_), Step-3 nodes that started while it was nonzero,
-  /// and the start time of the first Step-3 node (step3Started_ winner
-  /// writes step3T0_; read after the graph joins).
-  std::atomic<std::size_t> pendingSteps12_{0};
-  std::atomic<std::size_t> overlapJobs_{0};
-  std::atomic<bool> step3Started_{false};
-  std::chrono::steady_clock::time_point step3T0_{};
 #if PAO_OBS_ENABLED
   obs::GraphProfile graphProfile_;
 #endif

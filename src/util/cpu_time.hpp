@@ -1,8 +1,7 @@
-// Per-thread CPU clock. Complements steady_clock wall time in the oracle
-// timing fields: step1/step2 run per-class on worker threads, so the summed
-// per-class numbers are CPU seconds (they exceed wall time under --threads
-// N), while whole-phase numbers are wall seconds. Reports carry both; see
-// OracleResult in src/pao/oracle.hpp.
+// Per-thread CPU clock, and the process's peak resident set size. The
+// oracle's step{1,2,3}CpuSeconds sum this clock over the class and cluster
+// nodes that ran each step (they can exceed the flow's wallSeconds under
+// --threads N); see OracleResult in src/pao/oracle.hpp.
 #pragma once
 
 #include <cstdint>

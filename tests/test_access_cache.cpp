@@ -52,8 +52,8 @@ TEST(AccessCache, SecondRunHitsEveryClass) {
   EXPECT_EQ(cache.misses(), cache.size());  // no new misses
   EXPECT_GT(cache.hits(), 0u);
   // Cached Steps 1-2 contribute no fresh per-class time.
-  EXPECT_EQ(r2.step1Seconds, 0.0);
-  EXPECT_EQ(r2.step2Seconds, 0.0);
+  EXPECT_EQ(r2.step1CpuSeconds, 0.0);
+  EXPECT_EQ(r2.step2CpuSeconds, 0.0);
   EXPECT_TRUE(sameAccess(r1, r2, *tc.design));
 }
 

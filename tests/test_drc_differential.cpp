@@ -34,6 +34,7 @@
 #include "router/access_source.hpp"
 #include "router/router.hpp"
 #include "test_util.hpp"
+#include "util/fault.hpp"
 
 namespace pao {
 namespace {
@@ -470,29 +471,68 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The session's pair-check count and the registry counter it publishes
-// agree, and neither depends on the worker count, on a preset with
-// multi-height cells.
+// The session's pair-check and cluster-DP counts and the registry metrics
+// it publishes from its merged per-cluster tallies agree, and the counts do
+// not depend on the worker count, on a preset with multi-height cells.
 TEST(Step3PairChecks, RegistryDeltaEqualsSessionCountAtAnyThreadCount) {
-  const obs::Counter& published =
-      obs::Registry::instance().counter("pao.step3.pair_checks");
+  obs::Registry& registry = obs::Registry::instance();
+  const obs::Counter& published = registry.counter("pao.step3.pair_checks");
+  const obs::Counter& dpRuns = registry.counter("pao.step3.cluster_dp_runs");
+  const obs::Histogram& sizes = registry.histogram("pao.step3.cluster_size");
   std::size_t serial = 0;
+  std::size_t serialDpRuns = 0;
   for (const int threads : {1, 4, 0}) {
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
     core::OracleConfig cfg = core::withBcaConfig();
     cfg.numThreads = threads;
     const std::uint64_t before = published.value();
+    const std::uint64_t dpRunsBefore = dpRuns.value();
+    const std::uint64_t sizesBefore = sizes.count();
     const core::OracleSession session(presetDesign("mixed"), cfg);
     const std::size_t pairChecks = session.stats().pairChecks;
+    const std::size_t clusterDpRuns = session.stats().clusterDpRuns;
     EXPECT_GT(pairChecks, 0u);
+    EXPECT_GT(clusterDpRuns, 0u);
 #if PAO_OBS_ENABLED
     EXPECT_EQ(published.value() - before, pairChecks);
+    EXPECT_EQ(dpRuns.value() - dpRunsBefore, clusterDpRuns);
+    EXPECT_EQ(sizes.count() - sizesBefore, clusterDpRuns);
 #else
     EXPECT_EQ(published.value(), before);
+    EXPECT_EQ(dpRuns.value(), dpRunsBefore);
+    EXPECT_EQ(sizes.count(), sizesBefore);
 #endif
-    if (threads == 1) serial = pairChecks;
+    if (threads == 1) {
+      serial = pairChecks;
+      serialDpRuns = clusterDpRuns;
+    }
     EXPECT_EQ(pairChecks, serial);
+    EXPECT_EQ(clusterDpRuns, serialDpRuns);
   }
+#if PAO_FAULTS && PAO_OBS_ENABLED
+  // A pass whose budget expires at its third deadline check: the fallback
+  // count the registry got equals the one the step3_budget event names.
+  struct Disarm {
+    ~Disarm() { util::FaultRegistry::instance().reset(); }
+  } disarm;
+  ASSERT_TRUE(util::FaultRegistry::instance().configure("step3.deadline:3"));
+  const obs::Counter& fallbacks =
+      registry.counter("pao.step3.budget_fallbacks");
+  const std::uint64_t fallbacksBefore = fallbacks.value();
+  const std::uint64_t dpRunsBefore = dpRuns.value();
+  core::OracleConfig cfg = core::withBcaConfig();
+  cfg.numThreads = 4;
+  const core::OracleSession session(presetDesign("mixed"), cfg);
+  const auto event = std::find_if(
+      session.degraded().begin(), session.degraded().end(),
+      [](const core::DegradedEvent& e) { return e.kind == "step3_budget"; });
+  ASSERT_NE(event, session.degraded().end());
+  const std::uint64_t named = std::stoull(event->detail);
+  EXPECT_GT(named, 0u);
+  EXPECT_EQ(fallbacks.value() - fallbacksBefore, named);
+  EXPECT_EQ(dpRuns.value() - dpRunsBefore, session.stats().clusterDpRuns);
+  EXPECT_LT(session.stats().clusterDpRuns, serialDpRuns);
+#endif
 }
 
 TEST(CheckAllDifferential, RoutedDesignMatchesReference) {

@@ -350,6 +350,64 @@ TEST(LintExecutorHygiene, SharedAtomicCheckIsScopedToLibraryCode) {
   }
 }
 
+TEST(LintExecutorHygiene, FlagsSharedWritesInTaskBodies) {
+  const auto fs = lintFixtureAs("executor_hygiene_tally_positive.cpp",
+                                "src/pao/fixture.cpp");
+  const auto live = unsuppressed(fs);
+  const std::vector<int> lines = {32, 34, 35, 40, 41, 50, 51};
+  ASSERT_EQ(live.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(live[i]->line, lines[i]);
+    EXPECT_NE(live[i]->message.find("shared write"), std::string::npos);
+  }
+  EXPECT_NE(live[0]->message.find("'fetch_add' inside a job-node body"),
+            std::string::npos);
+  EXPECT_NE(live[2]->message.find("'PAO_COUNTER_INC'"), std::string::npos);
+  EXPECT_NE(live[5]->message.find("'PAO_GAUGE_SET' inside a parallelFor"),
+            std::string::npos);
+}
+
+TEST(LintExecutorHygiene, AcceptsTalliesMergedAfterTheRun) {
+  const auto fs = lintFixtureAs("executor_hygiene_tally_negative.cpp",
+                                "src/pao/fixture.cpp");
+  EXPECT_TRUE(fs.empty());
+}
+
+TEST(LintExecutorHygiene, SharedWriteCheckIsScopedToLibraryCode) {
+  // The obs registry and the job graph own the shared state; benches,
+  // tests and tools may count from their tasks however they like.
+  for (const std::string path :
+       {"src/obs/metrics.cpp", "src/util/jobs.cpp", "bench/bench_x.cpp",
+        "tests/test_x.cpp", "tools/x.cpp"}) {
+    EXPECT_TRUE(unsuppressed(lintFixtureAs(
+                                 "executor_hygiene_tally_positive.cpp", path))
+                    .empty())
+        << path;
+  }
+}
+
+TEST(LintExecutorHygiene, NestedSubmissionIsReportedOnce) {
+  // A parallelFor nested in a job body is one finding of its own; the
+  // shared write inside it is reported once, not once per enclosing call.
+  const auto fs = lintSource("src/pao/x.cpp",
+                             "void f(G& g, A& a) {\n"
+                             "  g.addJob([&] {\n"
+                             "    parallelFor(4, [&](int) {\n"
+                             "      a.fetch_add(1);\n"
+                             "    }, 2);\n"
+                             "  });\n"
+                             "}\n",
+                             Options());
+  const auto live = unsuppressed(fs);
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_EQ(live[0]->line, 3);
+  EXPECT_NE(live[0]->message.find("parallelFor inside a job-node body"),
+            std::string::npos);
+  EXPECT_EQ(live[1]->line, 4);
+  EXPECT_NE(live[1]->message.find("'fetch_add' inside a job-node body"),
+            std::string::npos);
+}
+
 // --- obs-naming ----------------------------------------------------------
 
 TEST(LintObsNaming, FlagsAllKnownPositives) {

@@ -368,6 +368,40 @@ TEST(OracleSession, SingleMoveRecomputesOnlyDirtyClusters) {
   expectMatchesBatch(session, *tc.design, cfg);
 }
 
+// snapshot()'s four timings describe the initial build: neither a mutation
+// that analyzes a new class nor one that re-runs cluster DPs moves them.
+TEST(SessionTimings, MutationsLeaveBuildTimingsUnchanged) {
+  benchgen::Testcase tc = smallCase();
+  OracleSession session(*tc.design, withBcaConfig());
+  const OracleResult built = session.snapshot();
+  EXPECT_GT(built.wallSeconds, 0.0);
+  EXPECT_GT(built.step1CpuSeconds, 0.0);
+
+  // An orientation flip that lands an instance in a new class.
+  const std::size_t classes = session.unique().classes.size();
+  for (int i = 0; i < static_cast<int>(tc.design->instances.size()) &&
+                  session.unique().classes.size() == classes;
+       ++i) {
+    const geom::Orient cur = tc.design->instances[i].orient;
+    session.setOrient(i, cur == geom::Orient::R0 ? geom::Orient::MX
+                                                 : geom::Orient::R0);
+  }
+  ASSERT_GT(session.unique().classes.size(), classes);
+
+  // A move that re-runs cluster DPs.
+  const std::size_t dpRuns = session.stats().clusterDpRuns;
+  const db::Row& row = tc.design->rows.front();
+  session.moveInstance(3, geom::Point{row.origin.x + 7 * row.siteWidth,
+                                      row.origin.y});
+  ASSERT_GT(session.stats().clusterDpRuns, dpRuns);
+
+  const OracleResult now = session.snapshot();
+  EXPECT_EQ(now.wallSeconds, built.wallSeconds);
+  EXPECT_EQ(now.step1CpuSeconds, built.step1CpuSeconds);
+  EXPECT_EQ(now.step2CpuSeconds, built.step2CpuSeconds);
+  EXPECT_EQ(now.step3CpuSeconds, built.step3CpuSeconds);
+}
+
 TEST(OracleSession, BuildGraphHasOneNodePerClassAndCluster) {
   const benchgen::Testcase tc = smallCase();
   const db::Design& design = *tc.design;

@@ -174,14 +174,15 @@ echo "== PAO_OBS=OFF / PAO_FAULTS=OFF zero-overhead build =="
 # must carry no reference to the metrics registry, tracer, or fault
 # registry: the macros expand to nothing, so any surviving symbol means a
 # stray direct call crept in. The tools must build in this configuration
-# too; pao_tests stays out, as tests/test_obs.cpp asserts an instrumented
-# build.
+# too, and so must bench_pipeline, whose profile-based overlap check is
+# compiled out there; pao_tests stays out, as tests/test_obs.cpp asserts
+# an instrumented build.
 OFF_DIR="$SRC/build-ci-obsoff"
 cmake -B "$OFF_DIR" -S "$SRC" -DCMAKE_BUILD_TYPE=Release -DPAO_OBS=OFF \
   -DPAO_FAULTS=OFF
 cmake --build "$OFF_DIR" -j "$JOBS" \
   --target pao_util pao_drc pao_core pao_router pao_lefdef \
-  pao_cli pao_serve pao_client report_check pao_fuzz
+  pao_cli pao_serve pao_client report_check pao_fuzz bench_pipeline
 for lib in pao_util pao_drc pao_core pao_router pao_lefdef; do
   archive=$(find "$OFF_DIR/src" -name "lib${lib}.a" | head -n 1)
   [ -n "$archive" ]
@@ -227,9 +228,11 @@ echo "== ThreadSanitizer job-graph soak =="
 # placed-instance view (and the session's row index) at once. The ring
 # sweep's differential rides along too: every via-check worker writes its
 # boundary rings into its own thread's arena. The unique-instance index
-# builds its classes on a job graph of instance shards.
+# builds its classes on a job graph of instance shards. Every class and
+# cluster node writes its CPU time and tally into its own slot, merged
+# after the join: the session-timing case and Step3PairChecks cover both.
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
-  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*'
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:SessionTimings.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \

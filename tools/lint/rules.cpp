@@ -289,6 +289,38 @@ bool isSocketIoCall(std::string_view name) {
          name == "select" || name == "epoll_wait";
 }
 
+/// Library code (src/, outside src/obs/ and src/util/jobs.*): where tallies
+/// must live with their owner rather than in process-wide shared state.
+bool isLibraryCode(std::string_view path) {
+  const auto in = [&](std::string_view sub) {
+    return path.find(sub) != std::string_view::npos;
+  };
+  return in("src/") && !in("src/obs/") && !in("src/util/jobs.");
+}
+
+/// A write to state every worker shares, at toks[j] inside a worker body:
+/// a registry macro (PAO_COUNTER_*, PAO_HISTOGRAM_*, PAO_GAUGE_*) or an
+/// atomic read-modify-write member call (.fetch_*, .compare_exchange_*,
+/// .exchange). Returns the offending name, empty when there is none.
+std::string_view sharedWriteAt(const std::vector<Token>& toks, std::size_t j) {
+  if (toks[j].kind != TokKind::kIdent || j + 1 >= toks.size() ||
+      !isPunct(toks[j + 1], "(")) {
+    return {};
+  }
+  const std::string_view name = toks[j].text;
+  if (name.starts_with("PAO_COUNTER_") || name.starts_with("PAO_HISTOGRAM_") ||
+      name.starts_with("PAO_GAUGE_")) {
+    return name;
+  }
+  const bool member =
+      j > 0 && (isPunct(toks[j - 1], ".") || isPunct(toks[j - 1], "->"));
+  if (member && (name.starts_with("fetch_") ||
+                 name.starts_with("compare_exchange_") || name == "exchange")) {
+    return name;
+  }
+  return {};
+}
+
 void ruleExecutorHygiene(std::string_view path, const std::vector<Token>& toks,
                          const Options& options, std::vector<Finding>& out) {
   bool exemptRawThread = false;
@@ -299,6 +331,10 @@ void ruleExecutorHygiene(std::string_view path, const std::vector<Token>& toks,
   for (const std::string& sub : options.socketIoBanSubstrings) {
     if (path.find(sub) != std::string_view::npos) banSocketIo = true;
   }
+  const bool banSharedWrites = isLibraryCode(path);
+  // End of the last worker body scanned for shared writes: a submission
+  // nested inside it was already covered.
+  std::size_t sharedScanEnd = 0;
   for (std::size_t k = 0; k + 2 < toks.size(); ++k) {
     if (isIdent(toks[k], "std") && isPunct(toks[k + 1], "::") &&
         (isIdent(toks[k + 2], "thread") || isIdent(toks[k + 2], "jthread") ||
@@ -329,6 +365,22 @@ void ruleExecutorHygiene(std::string_view path, const std::vector<Token>& toks,
         isPunct(toks[k + 1], "(")) {
       const std::size_t cp = matchForward(toks, k + 1, "(", ")");
       for (std::size_t j = k + 2; j < cp && j < toks.size(); ++j) {
+        if (const std::string_view w = sharedWriteAt(toks, j);
+            banSharedWrites && j >= sharedScanEnd && !w.empty()) {
+          Finding f;
+          f.file = std::string(path);
+          f.line = toks[j].line;
+          f.rule = std::string(kRuleExecutorHygiene);
+          f.message = "shared write '" + std::string(w) +
+                      (isParallelForCall ? "' inside a parallelFor worker"
+                                         : "' inside a job-node body");
+          f.hint =
+              "return the task's tally into a pre-sized slot and merge the "
+              "slots once the run has joined; publish metrics from the "
+              "merge, not from each task";
+          out.push_back(std::move(f));
+          continue;
+        }
         if (isIdent(toks[j], "mutable")) {
           Finding f;
           f.file = std::string(path);
@@ -385,6 +437,7 @@ void ruleExecutorHygiene(std::string_view path, const std::vector<Token>& toks,
           out.push_back(std::move(f));
         }
       }
+      sharedScanEnd = std::max(sharedScanEnd, cp);
     }
   }
 }
@@ -487,10 +540,7 @@ void ruleSharedAtomicWrites(std::string_view path,
                             std::vector<Finding>& out) {
   // Library code only. The obs registry and the job graph own the
   // process-wide atomics by design.
-  const auto in = [&](std::string_view sub) {
-    return path.find(sub) != std::string_view::npos;
-  };
-  if (!in("src/") || in("src/obs/") || in("src/util/jobs.")) return;
+  if (!isLibraryCode(path)) return;
   const std::set<std::string_view> names = collectSharedAtomics(toks);
   if (names.empty()) return;
   for (std::size_t k = 0; k < toks.size(); ++k) {

@@ -30,7 +30,13 @@
 //                       Under src/ (outside src/obs/ and src/util/jobs.*)
 //                       it flags writes to namespace-scope or static
 //                       std::atomics: fetch_add/fetch_sub/store/exchange,
-//                       ++/-- and compound assignment.
+//                       ++/-- and compound assignment; and, inside a
+//                       parallelFor/addJob/addJobRange argument list, any
+//                       registry macro (PAO_COUNTER_*, PAO_HISTOGRAM_*,
+//                       PAO_GAUGE_*) or atomic read-modify-write member
+//                       call (.fetch_*, .compare_exchange_*, .exchange):
+//                       a task returns its tally into a slot, merged once
+//                       the run has joined.
 //   obs-naming          A string literal passed as the registry name to one
 //                       of the observability macros (PAO_COUNTER_ADD,
 //                       PAO_COUNTER_INC, PAO_GAUGE_SET,

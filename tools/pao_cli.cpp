@@ -596,9 +596,9 @@ int cmdAnalyze(int argc, char** argv) {
                failed.totalPins);
   std::fprintf(stderr,
                "  runtime          : %.2f s wall (steps %.2f / %.2f / "
-               "%.2f)\n",
-               res.wallSeconds, res.step1Seconds, res.step2Seconds,
-               res.step3Seconds);
+               "%.2f s cpu)\n",
+               res.wallSeconds, res.step1CpuSeconds, res.step2CpuSeconds,
+               res.step3CpuSeconds);
   if (cfg.cache != nullptr) reportCache(cache);
   if (cacheOut != nullptr) saveCacheFile(cache, cacheOut, ld);
   for (const core::FailedPinDetail& d : failed.details) {
