@@ -8,14 +8,19 @@
 //   - the DRC via check's cost in heap allocations per DrcEngine::checkVia
 //     call, over every chosen via of the failed-pin evaluation,
 //   - the failed-pin evaluation's memory: the peak live heap bytes above
-//     the starting level during one 1-thread countFailedPins, per instance.
+//     the starting level during one 1-thread countFailedPins, per instance,
+//   - the via check's boundary kernel: geom::unionBoundary's time on a pin
+//     bar plus a via enclosure over it (BM_UnionBoundary/2), as a ratio to
+//     the frozen map-based reference::unionBoundary in this process.
 //
 // Self-check (exit 1 on failure): the overlap must be nonzero — the DFS
 // schedule starts a ready cluster before unrelated classes finish, even
 // serially; a build without PAO_OBS has no profile and skips this one —
 // the serial analyze must stay within kMaxOracleHeapAllocs
-// heap allocations, checkVia within kMaxAllocsPerCheckVia per call, and
-// the evaluation within kMaxEvalPeakBytesPerInst.
+// heap allocations, checkVia within kMaxAllocsPerCheckVia per call, the
+// evaluation within kMaxEvalPeakBytesPerInst, and the boundary kernel
+// within kMaxBoundaryTimeRatio of the reference (skipped in sanitizer
+// builds, whose instrumentation skews the two unevenly).
 //
 // The binary overrides global operator new/delete to count allocations and
 // track live bytes (malloc_usable_size); keep it leaf (no other benches link
@@ -24,6 +29,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,8 +37,10 @@
 
 #include "bench_common.hpp"
 #include "benchgen/testcase.hpp"
+#include "geom/polygon.hpp"
 #include "pao/evaluate.hpp"
 #include "pao/session.hpp"
+#include "reference.hpp"
 #include "util/arena.hpp"
 
 namespace {
@@ -124,6 +132,19 @@ constexpr double kMaxAllocsPerCheckVia = 0.05;
 // every placed shape into a RegionQuery and every chosen via into a via
 // index took 904.9.
 constexpr double kMaxEvalPeakBytesPerInst = 729.0;
+
+// Ceiling of the boundary-kernel self-check: geom::unionBoundary's best of
+// kBoundaryRounds x kBoundaryCalls calls over the reference's, on one
+// 2-rect input. Measured 0.27 with a slab sweep, two scanline event sorts
+// and an edge stitching table, and 0.09 with the walk over a
+// compressed-grid bitmap (best of 5; the reference's heap allocations go
+// through this binary's counting operator new).
+constexpr double kMaxBoundaryTimeRatio = 0.2;
+constexpr int kBoundaryRounds = 5;
+constexpr int kBoundaryCalls = 100000;
+
+// PAO_SANITIZED is set by bench/CMakeLists.txt from -DPAO_SANITIZE.
+constexpr bool kSanitized = PAO_SANITIZED;
 
 RunMeasure analyzeOnce(const db::Design& design, int threads) {
   core::OracleConfig cfg;
@@ -223,6 +244,44 @@ EvalMemoryMeasure measureEvalMemory(const db::Design& design) {
   return m;
 }
 
+struct BoundaryTimeMeasure {
+  double seconds = 0;           // best round, production
+  double referenceSeconds = 0;  // best round, frozen reference
+  double ratio() const {
+    return referenceSeconds > 0 ? seconds / referenceSeconds : 0.0;
+  }
+};
+
+/// Best-of-kBoundaryRounds time of kBoundaryCalls unionBoundary calls, and
+/// of as many reference::unionBoundary calls, rounds interleaved so host
+/// noise hits both alike. The input is BM_UnionBoundary/2's: a pin bar and
+/// a via enclosure over it, the most common call in checkVia.
+BoundaryTimeMeasure measureBoundaryTime() {
+  const geom::Rect rects[] = {{-35, 500, 105, 570}, {0, 0, 70, 1150}};
+  const auto time = [](auto&& call) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kBoundaryCalls; ++i) call();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  BoundaryTimeMeasure m;
+  for (int round = 0; round < kBoundaryRounds; ++round) {
+    const double prod = time([&] {
+      util::ArenaScope scratch(util::scratchArena());
+      geom::BoundaryRings rings;
+      geom::unionBoundary(rects, rings);
+    });
+    const double ref = time([&] {
+      util::ArenaScope scratch(util::scratchArena());
+      reference::unionBoundary(rects);
+    });
+    if (round == 0 || prod < m.seconds) m.seconds = prod;
+    if (round == 0 || ref < m.referenceSeconds) m.referenceSeconds = ref;
+  }
+  return m;
+}
+
 }  // namespace
 
 int main() {
@@ -243,6 +302,7 @@ int main() {
 
   const ViaCheckMeasure viaCheck = measureCheckVia(*tc.design);
   const EvalMemoryMeasure evalMemory = measureEvalMemory(*tc.design);
+  const BoundaryTimeMeasure boundary = measureBoundaryTime();
 
   const std::size_t clusterJobs = serialRun.stats.lastClusterCount;
 
@@ -273,6 +333,12 @@ int main() {
               static_cast<long long>(evalMemory.peakBytes));
   std::printf("%-34s | %10.1f\n", "eval peak heap bytes per inst",
               evalMemory.perInst());
+  std::printf("%-34s | %10.1f\n", "unionBoundary ns per call",
+              boundary.seconds * 1e9 / kBoundaryCalls);
+  std::printf("%-34s | %10.1f\n", "reference ns per call",
+              boundary.referenceSeconds * 1e9 / kBoundaryCalls);
+  std::printf("%-34s | %10.3f\n", "unionBoundary / reference time",
+              boundary.ratio());
   std::fflush(stdout);
 
   report.bench()
@@ -286,7 +352,8 @@ int main() {
       .set("heapAllocsPerCheckVia", obs::Json(viaCheck.perCall()))
       .set("evalPeakBytes",
            obs::Json(static_cast<double>(evalMemory.peakBytes)))
-      .set("evalPeakBytesPerInst", obs::Json(evalMemory.perInst()));
+      .set("evalPeakBytesPerInst", obs::Json(evalMemory.perInst()))
+      .set("boundaryTimeRatio", obs::Json(boundary.ratio()));
 #if PAO_OBS_ENABLED
   report.bench()
       .set("overlapJobs", obs::Json(overlap))
@@ -330,6 +397,16 @@ int main() {
                  "selfcheck FAILED: %.1f peak heap bytes per instance in "
                  "countFailedPins (need <= %.1f)\n",
                  evalMemory.perInst(), kMaxEvalPeakBytesPerInst);
+    ok = false;
+  }
+  if (kSanitized) {
+    std::fprintf(stderr,
+                 "selfcheck: boundary time gate skipped: sanitizer build\n");
+  } else if (boundary.ratio() > kMaxBoundaryTimeRatio) {
+    std::fprintf(stderr,
+                 "selfcheck FAILED: unionBoundary takes %.3f of the "
+                 "reference's time on 2 rects (need <= %.2f)\n",
+                 boundary.ratio(), kMaxBoundaryTimeRatio);
     ok = false;
   }
   if (ok) std::fprintf(stderr, "selfcheck OK\n");

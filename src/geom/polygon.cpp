@@ -1,6 +1,7 @@
 #include "geom/polygon.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <utility>
@@ -11,12 +12,13 @@ namespace pao::geom {
 
 // These primitives run inside the DRC hot loop (checkVia extracts one
 // unionBoundary per via enclosure, shared by min-step and EOL), so all
-// internal scratch lives in the calling thread's arena, and every sweep is a
-// sorted flat vector rather than a node-based map: interval lists, sweep
-// events and the edge stitching table alike. unionBoundary touches no heap
-// at all: its rings go to caller storage in the same arena, and a lone
-// rectangle (every via enclosure checked on its own) gets its ring in
-// closed form, with no sweep. The other functions return heap containers.
+// internal scratch lives in the calling thread's arena. The slab sweep
+// (unionSlabs, unionArea, maxRects) keeps sorted flat interval lists, not a
+// node-based map. unionBoundary touches no heap at all: a lone rectangle
+// (every via enclosure checked on its own) gets its ring in closed form,
+// anything else is traced as rings over a coverage bitmap of the rects'
+// compressed grid, bit rows in the arena, and the rings go to caller
+// storage in the same arena. The other functions return heap containers.
 
 namespace {
 
@@ -45,6 +47,20 @@ std::vector<Rect> transpose(const std::vector<Rect>& rects) {
   return out;
 }
 
+/// Whether `r` takes part in a union: nonempty with nonzero area.
+bool inUnion(const Rect& r) { return !r.empty() && r.area() != 0; }
+
+void sortUnique(ArenaVector<Coord>& cs) {
+  std::sort(cs.begin(), cs.end());
+  cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
+}
+
+/// Index of `v` in the sorted distinct coordinates `cs`.
+std::size_t lineOf(const ArenaVector<Coord>& cs, Coord v) {
+  return static_cast<std::size_t>(
+      std::lower_bound(cs.begin(), cs.end(), v) - cs.begin());
+}
+
 /// A slab of the previous band that the next band may extend downward:
 /// its x-interval and its index in the output.
 struct OpenSlab {
@@ -62,7 +78,7 @@ void unionSlabsInto(std::span<const Rect> rects, OutVec& out) {
   ArenaVector<Rect> live;
   live.reserve(rects.size());
   for (const Rect& r : rects) {
-    if (!r.empty() && r.area() != 0) live.push_back(r);
+    if (inUnion(r)) live.push_back(r);
   }
   if (live.empty()) return;
 
@@ -72,8 +88,7 @@ void unionSlabsInto(std::span<const Rect> rects, OutVec& out) {
     ys.push_back(r.ylo);
     ys.push_back(r.yhi);
   }
-  std::sort(ys.begin(), ys.end());
-  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+  sortUnique(ys);
 
   // A band's merged intervals are disjoint and sorted, so the previous
   // band's open slabs are too, and one forward walk finds each interval's
@@ -162,88 +177,11 @@ std::vector<std::vector<Rect>> connectedComponents(
   return out;
 }
 
-namespace {
-
-struct RawEdge {
-  Point from;
-  Point to;
-};
-
-/// One end of a slab side on a scanline at `fixed`: the coverage along the
-/// line changes by `delta` at `pos`.
-struct SweepEvent {
-  Coord fixed;
-  Coord pos;
-  int delta;
-};
-
-/// Sweeps the scanlines of `events` (one per distinct `fixed`, ascending)
-/// and appends their net boundary edges in scanline then position order.
-/// Coverage +1 emits a forward edge and -1 a reversed one. Events at one
-/// position are summed, zero-sum positions included: an edge splits there,
-/// and the ring merge joins it again.
-void sweepLines(ArenaVector<SweepEvent>& events, bool horizontal,
-                ArenaVector<RawEdge>& out) {
-  // Events with equal (fixed, pos) are summed, so their relative order is
-  // immaterial and an unstable sort is enough.
-  std::sort(events.begin(), events.end(),
-            [](const SweepEvent& a, const SweepEvent& b) {
-              return a.fixed < b.fixed || (a.fixed == b.fixed && a.pos < b.pos);
-            });
-  std::size_t i = 0;
-  while (i < events.size()) {
-    const Coord fixed = events[i].fixed;
-    int cover = 0;
-    Coord start = 0;
-    int prevSign = 0;
-    while (i < events.size() && events[i].fixed == fixed) {
-      const Coord pos = events[i].pos;
-      int delta = 0;
-      for (; i < events.size() && events[i].fixed == fixed &&
-             events[i].pos == pos;
-           ++i) {
-        delta += events[i].delta;
-      }
-      if (prevSign != 0 && pos > start) {
-        const Point a = horizontal ? Point{start, fixed} : Point{fixed, start};
-        const Point b = horizontal ? Point{pos, fixed} : Point{fixed, pos};
-        if (prevSign > 0) {
-          out.push_back({a, b});  // bottom (+x) or left-swept equivalent
-        } else {
-          out.push_back({b, a});  // top (-x)
-        }
-      }
-      cover += delta;
-      start = pos;
-      prevSign = cover > 0 ? 1 : (cover < 0 ? -1 : 0);
-    }
-  }
-}
-
-/// Turn preference: sharpest left turn first, so rings that touch at a corner
-/// stay separate and interiors stay on the left.
-int turnScore(const Point& inDir, const Point& outDir) {
-  // cross > 0: left turn; cross == 0 && dot > 0: straight; cross < 0: right.
-  const Coord cross = inDir.x * outDir.y - inDir.y * outDir.x;
-  const Coord dot = inDir.x * outDir.x + inDir.y * outDir.y;
-  if (cross > 0) return 0;             // left
-  if (cross == 0 && dot > 0) return 1; // straight
-  if (cross < 0) return 2;             // right
-  return 3;                            // U-turn
-}
-
-Point dirOf(const RawEdge& e) {
-  return {e.to.x == e.from.x ? 0 : (e.to.x > e.from.x ? 1 : -1),
-          e.to.y == e.from.y ? 0 : (e.to.y > e.from.y ? 1 : -1)};
-}
-
-}  // namespace
-
 void unionBoundary(std::span<const Rect> rects, BoundaryRings& out) {
   out.edges.clear();
   out.ends.clear();
   if (rects.size() == 1 && rects[0].area() != 0) {
-    // The ring the sweep below emits for one rect: bottom, right, top, left.
+    // The ring the walk below emits for one rect: bottom, right, top, left.
     const Rect& r = rects[0];
     out.edges.push_back({{r.xlo, r.ylo}, {r.xhi, r.ylo}});
     out.edges.push_back({{r.xhi, r.ylo}, {r.xhi, r.yhi}});
@@ -252,92 +190,108 @@ void unionBoundary(std::span<const Rect> rects, BoundaryRings& out) {
     out.ends.push_back(4);
     return;
   }
-  ArenaVector<Rect> slabs;
-  unionSlabsInto(rects, slabs);
-  if (slabs.empty()) return;
-
-  ArenaVector<RawEdge> edges;
-  ArenaVector<SweepEvent> events;
-  events.reserve(slabs.size() * 4);
-  edges.reserve(slabs.size() * 8);
-  // Horizontal boundary edges: slab bottoms count +1 and tops -1 along x.
-  for (const Rect& s : slabs) {
-    events.push_back({s.ylo, s.xlo, 1});
-    events.push_back({s.ylo, s.xhi, -1});
-    events.push_back({s.yhi, s.xlo, -1});
-    events.push_back({s.yhi, s.xhi, 1});
+  ArenaVector<Coord> xs;
+  ArenaVector<Coord> ys;
+  xs.reserve(rects.size() * 2);
+  ys.reserve(rects.size() * 2);
+  for (const Rect& r : rects) {
+    if (!inUnion(r)) continue;
+    xs.push_back(r.xlo);
+    xs.push_back(r.xhi);
+    ys.push_back(r.ylo);
+    ys.push_back(r.yhi);
   }
-  sweepLines(events, /*horizontal=*/true, edges);
-  // Vertical boundary edges: rights count +1 (direction +y, interior left),
-  // lefts -1 (direction -y).
-  events.clear();
-  for (const Rect& s : slabs) {
-    events.push_back({s.xhi, s.ylo, 1});
-    events.push_back({s.xhi, s.yhi, -1});
-    events.push_back({s.xlo, s.ylo, -1});
-    events.push_back({s.xlo, s.yhi, 1});
-  }
-  sweepLines(events, /*horizontal=*/false, edges);
+  if (xs.empty()) return;
+  sortUnique(xs);
+  sortUnique(ys);
 
-  // Stitch directed edges into rings; interior is on the left of every edge.
-  // The outgoing edges of a point are a run of `byFrom`, which orders edge
-  // indices by (from, index), so a run lists them in index order.
-  ArenaVector<std::uint32_t> byFrom(edges.size());
-  std::iota(byFrom.begin(), byFrom.end(), 0u);
-  std::sort(byFrom.begin(), byFrom.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return edges[a].from < edges[b].from ||
-                     (edges[a].from == edges[b].from && a < b);
-            });
-  ArenaVector<char> used(edges.size(), 0);
-  // Merged rings never hold more edges than the raw ones they come from.
-  out.edges.reserve(edges.size());
-  // Whether `b` goes on from the end of `a` along the same line.
-  const auto continues = [](const BoundaryEdge& a, const BoundaryEdge& b) {
-    return a.to == b.from && a.horizontal() == b.horizontal() &&
-           (a.horizontal() ? a.from.y == b.from.y : a.from.x == b.from.x);
+  // The compressed grid: line i is xs[i] (line j is ys[j]), and cell (c, r)
+  // lies between lines c-1 and c and between lines r-1 and r, so cells 0
+  // and size() of each axis are a clear border and vertex (i, j) is the
+  // corner of cells (i..i+1, j..j+1). Both bitmaps are bit rows of `words`
+  // uint64_t: `cover` marks covered cells (rows 0..ny), `used` the
+  // horizontal unit edges a ring has taken (bit c of row j: the edge on
+  // line j between lines c-1 and c).
+  const std::size_t ny = ys.size();
+  const std::size_t words = xs.size() / 64 + 1;
+  ArenaVector<std::uint64_t> cover((ny + 1) * words, 0);
+  ArenaVector<std::uint64_t> used(ny * words, 0);
+  const auto mark = [words](ArenaVector<std::uint64_t>& bits, std::size_t c,
+                            std::size_t r) {
+    bits[r * words + (c >> 6)] |= std::uint64_t{1} << (c & 63);
   };
-  for (std::size_t seed = 0; seed < edges.size(); ++seed) {
-    if (used[seed]) continue;
-    // Collinear consecutive edges merge as the ring is walked.
-    const std::size_t first = out.edges.size();
-    std::size_t cur = seed;
-    while (!used[cur]) {
-      used[cur] = 1;
-      const BoundaryEdge e{edges[cur].from, edges[cur].to};
-      if (out.edges.size() > first && continues(out.edges.back(), e)) {
-        out.edges.back().to = e.to;
-      } else {
-        out.edges.push_back(e);
-      }
-      const Point at = edges[cur].to;
-      const auto next = std::lower_bound(
-          byFrom.begin(), byFrom.end(), at,
-          [&](std::uint32_t e, const Point& p) { return edges[e].from < p; });
-      const Point inDir = dirOf(edges[cur]);
-      std::size_t best = edges.size();
-      int bestScore = 4;
-      for (auto it = next; it != byFrom.end() && edges[*it].from == at; ++it) {
-        if (used[*it]) continue;
-        const int score = turnScore(inDir, dirOf(edges[*it]));
-        if (score < bestScore) {
-          bestScore = score;
-          best = *it;
+  for (const Rect& r : rects) {
+    if (!inUnion(r)) continue;
+    const std::size_t c0 = lineOf(xs, r.xlo) + 1;
+    const std::size_t c1 = lineOf(xs, r.xhi);
+    const std::size_t r1 = lineOf(ys, r.yhi);
+    for (std::size_t y = lineOf(ys, r.ylo) + 1; y <= r1; ++y) {
+      for (std::size_t c = c0; c <= c1; ++c) mark(cover, c, y);
+    }
+  }
+  const auto covered = [&cover, words](std::size_t c, std::size_t r) {
+    return unsigned(cover[r * words + (c >> 6)] >> (c & 63)) & 1;
+  };
+  // The cells around vertex (i, j), counter-clockwise from the upper right,
+  // as bits 0-3. The unit edge leaving the vertex in direction d (0 +x, 1
+  // +y, 2 -x, 3 -y) has cell d on its left and cell d-1 (mod 4) on its
+  // right, so it is a boundary edge, interior on the left, when the first
+  // is covered and the second clear.
+  const auto quad = [&](std::size_t i, std::size_t j) {
+    return covered(i + 1, j + 1) | covered(i, j + 1) << 1 |
+           covered(i, j) << 2 | covered(i + 1, j) << 3;
+  };
+  const auto leaves = [](unsigned q, int d) {
+    return ((q >> d) & 1) != 0 && ((q >> ((d + 3) & 3)) & 1) == 0;
+  };
+  constexpr int kDx[4] = {1, 0, -1, 0};
+  constexpr int kDy[4] = {0, 1, 0, -1};
+  // Each ring starts at its least unused horizontal unit edge by (y, x) and
+  // turns sharpest-left first (left, straight, right), so unions that touch
+  // at a corner stay separate rings and the interior stays on the left.
+  // Collinear unit edges merge as the ring is walked.
+  out.edges.reserve(2 * (xs.size() + ny));
+  for (std::size_t j = 0; j < ny; ++j) {
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t edges =
+          cover[j * words + w] ^ cover[(j + 1) * words + w];
+      for (std::uint64_t open; (open = edges & ~used[j * words + w]);) {
+        const std::size_t c = w * 64 + std::countr_zero(open);
+        // Covered above runs +x from line c-1, covered below -x from c.
+        const bool up = covered(c, j + 1);
+        const std::size_t si = up ? c - 1 : c;
+        const int sd = up ? 0 : 2;
+        const std::size_t first = out.edges.size();
+        std::size_t i = si;
+        std::size_t y = j;
+        int d = sd;
+        int lastDir = -1;
+        do {
+          if (d % 2 == 0) mark(used, d == 0 ? i + 1 : i, y);
+          const Point from{xs[i], ys[y]};
+          i += kDx[d];
+          y += kDy[d];
+          if (d == lastDir) {
+            out.edges.back().to = {xs[i], ys[y]};
+          } else {
+            out.edges.push_back({from, {xs[i], ys[y]}});
+          }
+          lastDir = d;
+          const unsigned q = quad(i, y);
+          if (leaves(q, (d + 1) & 3)) {
+            d = (d + 1) & 3;
+          } else if (!leaves(q, d)) {
+            d = (d + 3) & 3;
+          }
+        } while (i != si || y != j || d != sd);
+        // ...including across the wrap point.
+        if (lastDir == sd && out.edges.size() - first >= 2) {
+          out.edges[first].from = out.edges.back().from;
+          out.edges.pop_back();
         }
-      }
-      if (best == edges.size()) break;  // ring closed (or a dead end)
-      cur = best;
-    }
-    // ...including across the wrap point.
-    if (out.edges.size() - first >= 2) {
-      const BoundaryEdge last = out.edges.back();
-      BoundaryEdge& head = out.edges[first];
-      if (continues(last, head)) {
-        head.from = last.from;
-        out.edges.pop_back();
+        out.ends.push_back(static_cast<std::uint32_t>(out.edges.size()));
       }
     }
-    out.ends.push_back(static_cast<std::uint32_t>(out.edges.size()));
   }
 }
 

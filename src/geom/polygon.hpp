@@ -1,6 +1,6 @@
 // Rectilinear polygon operations built on rectangle unions: slab
-// decomposition, merged area, boundary extraction (ordered edge rings), and
-// maximal-rectangle decomposition.
+// decomposition, merged area, boundary extraction (edge rings traced on a
+// compressed grid), and maximal-rectangle decomposition.
 //
 // These are the geometry primitives behind two parts of the paper:
 //  - shape-center coordinates are defined on the *maximal rectangles* of a
@@ -60,9 +60,14 @@ struct BoundaryRings {
 };
 
 /// Writes all boundary rings (outer boundaries and holes) of the union of
-/// `rects` to `out`, replacing its contents. Collinear consecutive edges are
-/// merged. The caller must hold an ArenaScope: `out` and the sweep's
-/// scratch live in it, so the rings stay valid until the scope ends.
+/// `rects` to `out`, replacing its contents. Rects that are empty or have
+/// zero area are ignored. Collinear consecutive edges are merged, and
+/// unions that touch only at a corner are separate rings (each ring turns
+/// sharpest-left first). Order contract, which checkMinStep's scan relies
+/// on: each ring begins with its least horizontal edge by (y, min x), and
+/// the rings ascend strictly by that edge; a lone rect's ring is bottom,
+/// right, top, left. The caller must hold an ArenaScope: `out` and the
+/// walk's scratch live in it, so the rings stay valid until the scope ends.
 void unionBoundary(std::span<const Rect> rects, BoundaryRings& out);
 
 /// Maximal rectangles of the union of `rects`: every decomposition slab is

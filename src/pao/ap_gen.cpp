@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "obs/metrics.hpp"
-
 namespace pao::core {
 
 using db::Dir;
@@ -209,19 +207,7 @@ std::vector<std::vector<AccessPoint>> AccessPointGenerator::generateAll()
     const {
   std::vector<std::vector<AccessPoint>> out;
   out.reserve(ctx_->signalPins().size());
-  [[maybe_unused]] std::size_t aps = 0;
-  for (const int pinIdx : ctx_->signalPins()) {
-    out.push_back(generate(pinIdx));
-    aps += out.back().size();
-    PAO_HISTOGRAM_OBSERVE("pao.step1.aps_per_pin", out.back().size());
-  }
-  // Per-class tallies, published once: generateAll runs once per unique-
-  // instance class (schedule-independent), so these totals and the
-  // histogram are thread-count-invariant.
-  if (!out.empty()) {
-    PAO_COUNTER_ADD("pao.step1.pins_analyzed", out.size());
-    PAO_COUNTER_ADD("pao.step1.aps_generated", aps);
-  }
+  for (const int pinIdx : ctx_->signalPins()) out.push_back(generate(pinIdx));
   return out;
 }
 

@@ -23,13 +23,6 @@ geom::Coord beyond(const geom::Rect& r, const geom::Rect& box) {
                    r.xhi - box.xhi, r.yhi - box.yhi});
 }
 
-/// The bounding box of the three shapes of a chosen via.
-geom::Rect viaBox(const FailedPinContext::PlacedVia& pv) {
-  return pv.via->botEncAt(pv.loc)
-      .merge(pv.via->cutAt(pv.loc))
-      .merge(pv.via->topEncAt(pv.loc));
-}
-
 /// The dirty-AP tally of unique class `c`.
 DirtyApStats classDirtyAps(const db::Design& design, const OracleResult& result,
                            std::size_t c) {
@@ -138,6 +131,16 @@ FailedPinContext::FailedPinContext(const db::Design& design,
   // instance, so each pin can be checked against every *other* pin's via
   // without seeing its own.
   std::map<std::pair<const db::Master*, geom::Orient>, std::size_t> cells;
+  // Each signal pin's chosen access point under one (class, pattern), and
+  // how far its via reaches beyond the instance bbox (-1: no via). A
+  // class's members share master and orient, so this is worked out once
+  // per pair in use.
+  struct ChosenVia {
+    const AccessPoint* ap;
+    geom::Coord overhang;
+  };
+  std::vector<ChosenVia> chosenVias;
+  std::map<std::pair<int, int>, std::size_t> chosenOf;
   cellOf_.resize(design.instances.size());
   placedBase_.resize(design.instances.size() + 1);
   pins_.reserve(attached);
@@ -168,6 +171,26 @@ FailedPinContext::FailedPinContext(const db::Design& design,
     }
     cellOf_[i] = cell->second;
     placedBase_[i] = static_cast<int>(placed_.size());
+    const ChosenVia* chosen = nullptr;  // by signal-pin position
+    if (const int cls = result.unique.classOf[i]; cls >= 0) {
+      const int pattern = result.chosenPattern[i];
+      const auto [at, isNew] =
+          chosenOf.try_emplace({cls, pattern}, chosenVias.size());
+      for (int pos = 0; isNew && pos < static_cast<int>(master.pins.size());
+           ++pos) {
+        const auto ap = placeChosenAp(result.classes[cls], pattern, pos,
+                                      inst.origin);
+        const db::ViaDef* via = ap ? ap->ap->primaryVia(*design.tech) : nullptr;
+        const geom::Rect viaBox =
+            via ? via->botEncAt(ap->loc)
+                      .merge(via->cutAt(ap->loc))
+                      .merge(via->topEncAt(ap->loc))
+                : geom::Rect();
+        chosenVias.push_back(
+            {ap ? ap->ap : nullptr, via ? beyond(viaBox, inst.bbox()) : -1});
+      }
+      chosen = chosenVias.data() + at->second;
+    }
     int pos = -1;  // signal-pin position within the master
     for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
       if (master.pins[p].isSupply()) continue;
@@ -177,15 +200,13 @@ FailedPinContext::FailedPinContext(const db::Design& design,
       // Only count pins attached to real design nets.
       if (net >= numNets) continue;
       PinRef ref{i, pos, net, -1, false};
-      const auto chosen = result.chosenAp(design, i, pos);
-      const db::ViaDef* via =
-          chosen ? chosen->ap->primaryVia(*design.tech) : nullptr;
-      if (via != nullptr) {
+      const ChosenVia* cv = chosen != nullptr ? &chosen[pos] : nullptr;
+      if (cv != nullptr && cv->overhang >= 0) {
         ref.placedIdx = static_cast<int>(placed_.size());
-        placed_.push_back({i, pos, via, chosen->loc, net});
-        overhang_ =
-            std::max(overhang_, beyond(viaBox(placed_.back()), inst.bbox()));
-      } else if (chosen && chosen->ap->dirs != 0) {
+        placed_.push_back({i, pos, cv->ap->primaryVia(*design.tech),
+                           cv->ap->loc + inst.origin, net});
+        overhang_ = std::max(overhang_, cv->overhang);
+      } else if (cv != nullptr && cv->ap != nullptr && cv->ap->dirs != 0) {
         // Planar-only access (macro pins): counts as accessible; the stub
         // legality was validated at generation and re-checked by
         // countDirtyAps.

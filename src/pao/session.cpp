@@ -84,22 +84,23 @@ void OracleSession::requireMutable() const {
   }
 }
 
-OracleSession::ClassCpu OracleSession::analyzeClass(std::size_t c) {
+OracleSession::ClassTally OracleSession::analyzeClass(std::size_t c) {
   const db::UniqueInstance& ui = index_.classes().classes[c];
   if (ui.members.empty()) return {};  // nothing placed; stays un-analyzed
   ClassAccess& ca = classes_[c];
   classReady_[c] = 1;
   if (ui.master->signalPinIndices().empty()) return {};  // fillers etc.
 
+  ClassTally tally;
   if (cache_ != nullptr && !cfg_.legacyMode) {
     std::lock_guard<std::mutex> lock(cacheMu_);
     if (const ClassAccess* hit = cache_->find(ui)) {
       ca = *hit;  // stored origin-relative, same as the session convention
       ++stats_.cacheHits;
-      PAO_COUNTER_INC("pao.oracle.cache_hits");
-      return {};
+      tally.cacheHit = true;
+      return tally;
     }
-    PAO_COUNTER_INC("pao.oracle.cache_misses");
+    tally.cacheMiss = true;
   }
 
   const InstContext ctx(*design_, ui);
@@ -107,7 +108,6 @@ OracleSession::ClassCpu OracleSession::analyzeClass(std::size_t c) {
   // Step 1 is access point generation (the legacy generator, first-AP
   // pattern included, in legacyMode and on a keep-going fallback); step 2
   // is the pattern DP.
-  ClassCpu cpu;
   std::optional<DegradedEvent> event;
   try {
     // The fault point models "this class's Steps 1-2 analysis blew up";
@@ -116,19 +116,20 @@ OracleSession::ClassCpu OracleSession::analyzeClass(std::size_t c) {
     const CpuLap s1;
     if (cfg_.legacyMode) {
       legacyAccessInto(ca, ctx);
-      cpu.step1 = s1.seconds();
+      tally.step1 = s1.seconds();
     } else {
       ApGenConfig apCfg = cfg_.apGen;
       // Macro (block) pins admit planar access: via access is only
       // mandatory for standard cells (paper footnote 1).
       if (ui.master->cls == db::MasterClass::kBlock) apCfg.requireVia = false;
       ca.pinAps = AccessPointGenerator(ctx, apCfg).generateAll();
-      cpu.step1 = s1.seconds();
+      tally.step1 = s1.seconds();
       const CpuLap s2;
       PatternGenerator gen(ctx, ca.pinAps, cfg_.patternGen);
       ca.patterns = gen.run();
       ca.pinOrder = gen.pinOrder();
-      cpu.step2 = s2.seconds();
+      tally.step2 = s2.seconds();
+      tally.generatedAps = true;
     }
   } catch (const std::exception& e) {
     if (!cfg_.keepGoing || cfg_.legacyMode) throw;
@@ -137,7 +138,7 @@ OracleSession::ClassCpu OracleSession::analyzeClass(std::size_t c) {
     try {
       const CpuLap fallback;
       legacyAccessInto(ca, ctx);
-      cpu.step1 += fallback.seconds();
+      tally.step1 += fallback.seconds();
     } catch (const std::exception& e2) {
       // Even the fallback failed: the class keeps empty access (its pins
       // count as failed) but the run continues.
@@ -145,7 +146,7 @@ OracleSession::ClassCpu OracleSession::analyzeClass(std::size_t c) {
       event = DegradedEvent{"class_failed", e2.what(), static_cast<int>(c)};
     }
   }
-  PAO_COUNTER_INC("pao.oracle.class_builds");
+  tally.built = true;
 
   // Normalize to origin-relative so the entry is placement-independent.
   ca = AccessCache::translate(
@@ -157,7 +158,23 @@ OracleSession::ClassCpu OracleSession::analyzeClass(std::size_t c) {
   if (cache_ != nullptr && !cfg_.legacyMode && !event) cache_->store(ui, ca);
   if (event) degraded_.push_back(std::move(*event));
   ++stats_.classBuilds;
-  return cpu;
+  return tally;
+}
+
+void OracleSession::publishClassTally(std::size_t c,
+                                      const ClassTally& tally) const {
+  if (tally.cacheHit) PAO_COUNTER_INC("pao.oracle.cache_hits");
+  if (tally.cacheMiss) PAO_COUNTER_INC("pao.oracle.cache_misses");
+  if (tally.built) PAO_COUNTER_INC("pao.oracle.class_builds");
+  const std::vector<std::vector<AccessPoint>>& pinAps = classes_[c].pinAps;
+  if (!tally.generatedAps || pinAps.empty()) return;
+  [[maybe_unused]] std::size_t aps = 0;
+  for (const std::vector<AccessPoint>& pin : pinAps) {
+    aps += pin.size();
+    PAO_HISTOGRAM_OBSERVE("pao.step1.aps_per_pin", pin.size());
+  }
+  PAO_COUNTER_ADD("pao.step1.pins_analyzed", pinAps.size());
+  PAO_COUNTER_ADD("pao.step1.aps_generated", aps);
 }
 
 void OracleSession::buildAll() {
@@ -175,14 +192,14 @@ void OracleSession::buildAll() {
   // between the phases. Class nodes come first, in class order, so a
   // strict-mode failure rethrows the lowest class's exception. The legacy
   // baseline adds no cluster nodes and runs the trivial selection after the
-  // graph. Every node writes only its own slot (classCpu, tallies_); the
-  // slots are summed once the graph has run.
+  // graph. Every node writes only its own slot (classTally, tallies_);
+  // the slots are summed and published once the graph has run.
   util::JobGraph graph;
   std::vector<util::JobId> classNode(numClasses);
-  std::vector<ClassCpu> classCpu(numClasses);
+  std::vector<ClassTally> classTally(numClasses);
   for (std::size_t c = 0; c < numClasses; ++c) {
-    classNode[c] =
-        graph.addJob([this, c, &classCpu] { classCpu[c] = analyzeClass(c); });
+    classNode[c] = graph.addJob(
+        [this, c, &classTally] { classTally[c] = analyzeClass(c); });
   }
   // Step 3's clusters: each row's runs, with the end of each row's runs in
   // `clusters` (filed by row once the graph has run).
@@ -225,9 +242,10 @@ void OracleSession::buildAll() {
     stats_.lastClusterCount = clusters.size();
     step3CpuSeconds_ = finishSelectionPass();
   }
-  for (const ClassCpu& cpu : classCpu) {
-    step1CpuSeconds_ += cpu.step1;
-    step2CpuSeconds_ += cpu.step2;
+  for (std::size_t c = 0; c < numClasses; ++c) {
+    step1CpuSeconds_ += classTally[c].step1;
+    step2CpuSeconds_ += classTally[c].step2;
+    publishClassTally(c, classTally[c]);
   }
   wallSeconds_ = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
@@ -281,7 +299,8 @@ void OracleSession::ensureClassAccess(int cls) {
   }
   if (classReady_[cls]) return;
   try {
-    analyzeClass(static_cast<std::size_t>(cls));
+    publishClassTally(static_cast<std::size_t>(cls),
+                      analyzeClass(static_cast<std::size_t>(cls)));
   } catch (...) {
     // Leave the class to be analyzed again by the next mutation that needs
     // it.

@@ -156,19 +156,30 @@ class OracleSession {
 
  private:
   void buildAll();
-  /// Thread-CPU seconds of one class's Steps 1 and 2.
-  struct ClassCpu {
+  /// What one class's analysis did: the thread-CPU seconds of its Steps 1
+  /// and 2 and its cache and build counts. A class node writes it to its
+  /// own slot; publishClassTally sends it to the registry afterwards.
+  struct ClassTally {
     double step1 = 0;
     double step2 = 0;
+    bool cacheHit = false;
+    bool cacheMiss = false;
+    bool built = false;
+    /// classes_[c].pinAps are Step 1's own, so its tallies read them.
+    bool generatedAps = false;
   };
   /// Steps 1-2 of class `c`, into classes_[c] origin-relative: a cache
   /// lookup, else access point generation and the pattern DP (the legacy
   /// generator and first-AP pattern in legacyMode, or as the cfg.keepGoing
   /// fallback). One job-graph node per class in the initial build, and the
   /// mutation path's analysis of a new class. Thread-safe across distinct
-  /// classes. Returns its ClassCpu (zero for a cache hit or a class left
-  /// un-analyzed).
-  ClassCpu analyzeClass(std::size_t c);
+  /// classes; writes no registry metric. Returns its ClassTally (empty for
+  /// a class left un-analyzed).
+  ClassTally analyzeClass(std::size_t c);
+  /// Publishes class `c`'s tally from analyzeClass: the cache and build
+  /// counters, and for generated access points the Step-1 counters and
+  /// one pao.step1.aps_per_pin observation per pin.
+  void publishClassTally(std::size_t c, const ClassTally& tally) const;
   /// Grows per-class storage after the index created classes, then makes
   /// sure `cls` is analyzed.
   void ensureClassAccess(int cls);

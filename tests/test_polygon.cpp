@@ -271,5 +271,46 @@ TEST(UnionBoundaryDifferential, RingsMatchReferenceOnRandomRectSets) {
   EXPECT_TRUE(reference::unionBoundary({}).empty());
 }
 
+/// checkVia merges up to 64 touching same-net rects into one component, so
+/// the walker's whole domain is checked too: 9-64 random rects of 0-4
+/// steps a side on a coarse 17x17 lattice, dense enough that holes, corner
+/// pinches and disjoint parts are common.
+TEST(UnionBoundaryDifferential, RingsMatchReferenceOnLargeRectSets) {
+  std::mt19937 rng(25);
+  std::uniform_int_distribution<int> count(9, 64);
+  std::uniform_int_distribution<int> lattice(0, 16);
+  std::uniform_int_distribution<int> side(0, 4);
+  std::size_t multi = 0;
+  std::size_t holed = 0;
+  std::size_t pinched = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<Rect> rects(count(rng));
+    for (Rect& r : rects) {
+      const Coord x = 10 * lattice(rng);
+      const Coord y = 10 * lattice(rng);
+      r = Rect(x, y, x + 10 * side(rng), y + 10 * side(rng));
+    }
+    const std::vector<Ring> rings = ringsOf(rects);
+    ASSERT_EQ(rings, reference::unionBoundary(rects)) << "set " << i;
+    if (rings.size() > 1) ++multi;
+    // A hole's ring starts with its bottom, which runs -x; a corner pinch
+    // is a vertex two edges leave.
+    std::vector<Point> starts;
+    bool hole = false;
+    for (const Ring& ring : rings) {
+      hole = hole || ring[0].to.x < ring[0].from.x;
+      for (const BoundaryEdge& e : ring) starts.push_back(e.from);
+    }
+    std::sort(starts.begin(), starts.end());
+    if (hole) ++holed;
+    if (std::adjacent_find(starts.begin(), starts.end()) != starts.end()) {
+      ++pinched;
+    }
+  }
+  EXPECT_GT(multi, 10000u);
+  EXPECT_GT(holed, 2500u);
+  EXPECT_GT(pinched, 8000u);
+}
+
 }  // namespace
 }  // namespace pao::geom

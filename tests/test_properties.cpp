@@ -3,6 +3,7 @@
 // testcase preset.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -95,6 +96,53 @@ TEST_P(PolygonProperty, MaxRectsCoverTheUnionExactly) {
       if (!c.empty()) clipped.push_back(c);
     }
     EXPECT_EQ(geom::unionArea(clipped), r.area());
+  }
+}
+
+/// unionBoundary's order contract, on which checkMinStep's scan start
+/// depends: each ring begins with its least horizontal edge by (y, min x),
+/// and the rings ascend strictly by that key. Runs on the random sets
+/// above and on 1-64 small rects on a lattice, where holes and corner
+/// pinches are common.
+TEST(UnionBoundaryDifferential, RingsStartAtTheirLeastHorizontalEdge) {
+  using Key = std::pair<geom::Coord, geom::Coord>;
+  const auto keyOf = [](const geom::BoundaryEdge& e) {
+    return Key{e.from.y, std::min(e.from.x, e.to.x)};
+  };
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> count(1, 64);
+  std::uniform_int_distribution<geom::Coord> lattice(0, 12);
+  std::uniform_int_distribution<geom::Coord> side(0, 3);
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<geom::Rect> rects;
+    if (i < 20) {
+      rects = randomRects(i + 1, 8);
+    } else {
+      rects.resize(count(rng));
+      for (geom::Rect& r : rects) {
+        const geom::Coord x = 10 * lattice(rng);
+        const geom::Coord y = 10 * lattice(rng);
+        r = geom::Rect(x, y, x + 10 * side(rng), y + 10 * side(rng));
+      }
+    }
+    util::ArenaScope scratch(util::scratchArena());
+    geom::BoundaryRings rings;
+    geom::unionBoundary(rects, rings);
+    std::optional<Key> prev;
+    for (std::size_t r = 0; r < rings.size(); ++r) {
+      const std::span<const geom::BoundaryEdge> ring = rings[r];
+      ASSERT_TRUE(ring[0].horizontal()) << "set " << i << " ring " << r;
+      const Key key = keyOf(ring[0]);
+      for (const geom::BoundaryEdge& e : ring) {
+        if (e.horizontal()) {
+          ASSERT_LE(key, keyOf(e)) << "set " << i << " ring " << r;
+        }
+      }
+      if (prev) {
+        ASSERT_LT(*prev, key) << "set " << i << " ring " << r;
+      }
+      prev = key;
+    }
   }
 }
 

@@ -226,7 +226,8 @@ echo "== ThreadSanitizer job-graph soak =="
 # their fallbacks and stats under the session's lock from any worker. So do
 # the failed-pin view tests: every evaluation worker reads the one
 # placed-instance view (and the session's row index) at once. The ring
-# sweep's differential rides along too: every via-check worker writes its
+# walker's differentials (1-8 and 9-64 rects) and its ring-order property
+# ride along too: every via-check worker writes its coverage bitmap and
 # boundary rings into its own thread's arena. The unique-instance index
 # builds its classes on a job graph of instance shards. Every class and
 # cluster node writes its CPU time and tally into its own slot, merged
