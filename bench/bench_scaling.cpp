@@ -1,23 +1,28 @@
-// Thread-scaling bench for the oracle and the failed-pin evaluation
-// (ROADMAP items 1 and 3): builds the huge preset in memory at PAO_SCALE
-// (default 0.05, ~75k instances), then times the BCA oracle run (the
-// session build PinAccessOracle::run wraps) and countFailedPins on its
-// result, each at 1 and at 4 worker threads, best of 3 each.
-// BENCH_scaling.json records the pin count, the best wall times and the
-// speedups.
+// Thread-scaling bench for the DEF ingest, the oracle and the failed-pin
+// evaluation: times parseDefStream (default chunk size) on the huge
+// preset's DEF at h 0.1, then builds the preset in memory at PAO_SCALE
+// (default 0.05, ~75k instances) and times the BCA oracle run (the session
+// build PinAccessOracle::run wraps) and countFailedPins on its result, each
+// at 1 and at 4 worker threads, best of 3 each (of 5 for the ingest).
+// BENCH_scaling.json records the scales, the pin count, the best wall times
+// and the speedups.
 //
 // Self-check (exit 1 on failure):
+//   * the 4-thread ingest yields the design the 1-thread one does;
 //   * the 4-thread oracle chooses the same patterns and runs the same
 //     number of Step-3 pair checks as the 1-thread one;
 //   * the 4-thread failed-pin stats equal the 1-thread stats: counts and
 //     every detail, violations included;
-//   * at 4 threads the oracle is at least kMinOracleSpeedup and the
-//     evaluation at least kMinSpeedup times faster than at 1 thread.
+//   * at 4 threads the ingest and the oracle are at least
+//     kMinIngestSpeedup/kMinOracleSpeedup and the evaluation at least
+//     kMinSpeedup times faster than at 1 thread.
 // The speedup gates are skipped, with the reason logged, on hosts with fewer
 // than 4 hardware threads and in sanitizer builds, whose instrumentation
 // does not scale like the plain code. The equality checks always run.
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -26,6 +31,7 @@
 
 #include "bench_common.hpp"
 #include "benchgen/huge.hpp"
+#include "db/fingerprint.hpp"
 #include "lefdef/stream.hpp"
 #include "pao/evaluate.hpp"
 #include "pao/oracle.hpp"
@@ -37,8 +43,17 @@ namespace {
 
 constexpr double kMinSpeedup = 1.6;
 constexpr double kMinOracleSpeedup = 2.0;
+constexpr double kMinIngestSpeedup = 2.0;
 constexpr int kGateThreads = 4;
 constexpr int kReps = 3;
+// The ingest is timed on huge h 0.1 whatever PAO_SCALE says: its sections
+// split into 8 default-size chunks each, two per worker at 4 threads. At
+// h 0.05 each worker gets one, so a worker the host preempts doubles a
+// section's time (1.3-2.7x measured there on a busy 4-core host, against
+// 2.0-2.8x at h 0.1 in the same minutes).
+constexpr double kIngestScale = 0.1;
+// A run takes 0.1-0.3 s, so the ingest affords more samples than kReps.
+constexpr int kIngestReps = 5;
 
 // PAO_SANITIZED is set by bench/CMakeLists.txt from -DPAO_SANITIZE.
 constexpr bool kSanitized = PAO_SANITIZED;
@@ -56,6 +71,36 @@ bool sameStats(const core::FailedPinStats& a, const core::FailedPinStats& b) {
     }
   }
   return true;
+}
+
+struct IngestRun {
+  double seconds = std::numeric_limits<double>::infinity();
+  std::uint64_t fingerprint = 0;
+};
+
+/// Best wall times of kIngestReps parseDefStream runs of `def` into a fresh
+/// design at 1 and at kGateThreads workers, with each count's last design
+/// fingerprint. The counts alternate, so host noise hits both alike.
+std::array<IngestRun, 2> bestIngest(const std::string& def,
+                                    const benchgen::HugeTechLib& tl) {
+  std::array<IngestRun, 2> out;
+  for (int rep = 0; rep < kIngestReps; ++rep) {
+    for (IngestRun& run : out) {
+      db::Design design;
+      design.tech = tl.tech.get();
+      design.lib = tl.lib.get();
+      lefdef::StreamOptions opts;
+      opts.numThreads = &run == &out[0] ? 1 : kGateThreads;
+      const auto t0 = std::chrono::steady_clock::now();
+      lefdef::parseDefStream(def, design, opts);
+      run.seconds = std::min(run.seconds, std::chrono::duration<double>(
+                                              std::chrono::steady_clock::now() -
+                                              t0)
+                                              .count());
+      run.fingerprint = db::designFingerprint(design);
+    }
+  }
+  return out;
 }
 
 struct OracleRun {
@@ -115,6 +160,18 @@ int main() {
     benchgen::writeHugeDef(spec, scale, *tl.tech, *tl.lib, def);
     lefdef::parseDef(def.str(), design);
   }
+  std::array<IngestRun, 2> ingest;
+  {
+    std::ostringstream def;
+    benchgen::writeHugeDef(spec, kIngestScale, *tl.tech, *tl.lib, def);
+    ingest = bestIngest(def.str(), tl);
+  }
+  const IngestRun& ingestSerial = ingest[0];
+  const IngestRun& ingestParallel = ingest[1];
+  const double ingestSpeedup = ingestParallel.seconds > 0
+                                   ? ingestSerial.seconds /
+                                         ingestParallel.seconds
+                                   : 0;
 
   OracleRun oracleSerial = bestOracle(design, 1);
   const OracleRun oracleParallel = bestOracle(design, kGateThreads);
@@ -143,6 +200,11 @@ int main() {
   std::printf("%-34s | %12zu\n", "step-3 pair checks",
               oracleSerial.pairChecks);
   std::printf("%-34s | %12u\n", "hardware threads", hw);
+  std::printf("%-34s | %12.3f\n", "ingest best seconds, 1 thread",
+              ingestSerial.seconds);
+  std::printf("%-34s | %12.3f\n", "ingest best seconds, 4 threads",
+              ingestParallel.seconds);
+  std::printf("%-34s | %12.2f\n", "ingest speedup", ingestSpeedup);
   std::printf("%-34s | %12.3f\n", "oracle best seconds, 1 thread",
               oracleSerial.seconds);
   std::printf("%-34s | %12.3f\n", "oracle best seconds, 4 threads",
@@ -156,11 +218,16 @@ int main() {
   std::fflush(stdout);
 
   report.bench()
+      .set("scale", obs::Json(scale))
       .set("instances", obs::Json(design.instances.size()))
       .set("pins", obs::Json(serial.totalPins))
       .set("failedPins", obs::Json(serial.failedPins))
       .set("pairChecks", obs::Json(oracleSerial.pairChecks))
       .set("hardwareThreads", obs::Json(static_cast<long long>(hw)))
+      .set("ingestScale", obs::Json(kIngestScale))
+      .set("ingestSerialSeconds", obs::Json(ingestSerial.seconds))
+      .set("ingestParallelSeconds", obs::Json(ingestParallel.seconds))
+      .set("ingestSpeedup", obs::Json(ingestSpeedup))
       .set("oracleSerialSeconds", obs::Json(oracleSerial.seconds))
       .set("oracleParallelSeconds", obs::Json(oracleParallel.seconds))
       .set("oracleSpeedup", obs::Json(oracleSpeedup))
@@ -170,6 +237,13 @@ int main() {
   report.write();
 
   bool ok = true;
+  if (ingestParallel.fingerprint != ingestSerial.fingerprint) {
+    std::fprintf(stderr,
+                 "selfcheck FAILED: the ingest at %d threads differs from 1 "
+                 "thread\n",
+                 kGateThreads);
+    ok = false;
+  }
   if (oracleParallel.result.chosenPattern != result.chosenPattern ||
       oracleParallel.pairChecks != oracleSerial.pairChecks) {
     std::fprintf(stderr,
@@ -202,6 +276,7 @@ int main() {
                    what, got, kGateThreads, need);
       ok = false;
     };
+    gate("ingest", ingestSpeedup, kMinIngestSpeedup);
     gate("oracle", oracleSpeedup, kMinOracleSpeedup);
     gate("countFailedPins", speedup, kMinSpeedup);
   }

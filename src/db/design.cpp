@@ -23,8 +23,7 @@ std::vector<Coord> TrackPattern::coordsIn(Coord lo, Coord hi) const {
 }
 
 int Design::findInstance(std::string_view instName) const {
-  const auto it = instByName_.find(std::string(instName));
-  return it == instByName_.end() ? -1 : it->second;
+  return instByName_.find(instName, [this](int i) { return nameOf(i); });
 }
 
 std::vector<const TrackPattern*> Design::tracks(int layer, Dir axis) const {
@@ -46,9 +45,10 @@ std::size_t Design::numNetInstTerms() const {
 }
 
 void Design::buildInstanceIndex() {
-  instByName_.clear();
+  instByName_.reset(instances.size());
+  const auto names = [this](int i) { return nameOf(i); };
   for (int i = 0; i < static_cast<int>(instances.size()); ++i) {
-    instByName_[instances[i].name] = i;
+    instByName_.insert(instances[i].name, i, names);
   }
 }
 
@@ -64,8 +64,9 @@ void Design::setInstanceOrient(int idx, geom::Orient orient) {
 
 int Design::addInstance(Instance inst) {
   const int idx = static_cast<int>(instances.size());
-  instByName_[inst.name] = idx;
   instances.push_back(std::move(inst));
+  instByName_.insert(instances.back().name, idx,
+                     [this](int i) { return nameOf(i); });
   ++revision_;
   return idx;
 }

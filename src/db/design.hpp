@@ -6,12 +6,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "db/lib.hpp"
 #include "db/tech.hpp"
 #include "geom/orient.hpp"
+#include "util/name_index.hpp"
 
 namespace pao::db {
 
@@ -115,12 +115,17 @@ class Design {
   std::vector<TrackPattern> trackPatterns;
   std::vector<Row> rows;
 
+  /// Index of the instance named `instName` (the last one when names
+  /// repeat), or -1. Reads the name index, which the DEF parser,
+  /// buildInstanceIndex() and the mutation API keep current.
   int findInstance(std::string_view instName) const;
   /// Track patterns on `layer` whose axis matches `axis`.
   std::vector<const TrackPattern*> tracks(int layer, Dir axis) const;
   /// Total number of net-attached instance pin terms across all nets.
   std::size_t numNetInstTerms() const;
 
+  /// Re-indexes every instance name: for code that fills `instances`
+  /// directly.
   void buildInstanceIndex();
 
   // --- Mutation API (incremental sessions) ---------------------------------
@@ -144,7 +149,15 @@ class Design {
   void removeInstance(int idx);
 
  private:
-  std::unordered_map<std::string, int> instByName_;
+  /// Name of instance i for instByName_; "" past the end, so an index
+  /// left stale by direct writes to `instances` never reads out of bounds.
+  std::string_view nameOf(int i) const {
+    return i < static_cast<int>(instances.size())
+               ? std::string_view(instances[i].name)
+               : std::string_view();
+  }
+
+  util::NameIndex instByName_;
   std::uint64_t revision_ = 0;
 };
 

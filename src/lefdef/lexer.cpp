@@ -35,27 +35,31 @@ long long roundClamped(double v) {
   return std::llround(v);
 }
 
-LineIndex::LineIndex(std::string_view text) : text_(text) {
-  lineStart_.push_back(0);
-  for (std::size_t i = text.find('\n'); i != std::string_view::npos;
-       i = text.find('\n', i + 1)) {
-    lineStart_.push_back(i + 1);
-  }
+const std::vector<std::size_t>& LineIndex::lineStarts() const {
+  std::call_once(scanned_, [this] {
+    lineStart_.push_back(0);
+    for (std::size_t i = text_.find('\n'); i != std::string_view::npos;
+         i = text_.find('\n', i + 1)) {
+      lineStart_.push_back(i + 1);
+    }
+  });
+  return lineStart_;
 }
 
 std::size_t LineIndex::lineOf(std::size_t offset) const {
-  const auto it =
-      std::upper_bound(lineStart_.begin(), lineStart_.end(), offset);
-  return static_cast<std::size_t>(it - lineStart_.begin());
+  const std::vector<std::size_t>& starts = lineStarts();
+  const auto it = std::upper_bound(starts.begin(), starts.end(), offset);
+  return static_cast<std::size_t>(it - starts.begin());
 }
 
 std::size_t LineIndex::colOf(std::size_t offset) const {
-  return offset - lineStart_[lineOf(offset) - 1] + 1;
+  return offset - lineStarts()[lineOf(offset) - 1] + 1;
 }
 
 std::string LineIndex::lineText(std::size_t line) const {
-  if (line == 0 || line > lineStart_.size()) return std::string();
-  const std::size_t begin = lineStart_[line - 1];
+  const std::vector<std::size_t>& starts = lineStarts();
+  if (line == 0 || line > starts.size()) return std::string();
+  const std::size_t begin = starts[line - 1];
   std::size_t end = text_.find('\n', begin);
   if (end == std::string_view::npos) end = text_.size();
   return std::string(text_.substr(begin, end - begin));

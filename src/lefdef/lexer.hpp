@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -66,11 +67,12 @@ util::Diag tooManyErrors(const std::string& file);
 long long roundClamped(double v);
 
 /// Newline index over a source text: maps byte offsets to 1-based
-/// line/column and extracts excerpt lines. Built once per file, shared
-/// read-only by every lexer over that text.
+/// line/column and extracts excerpt lines. One per file, shared by every
+/// lexer over that text; the newline scan runs on the first lookup (from
+/// any thread), so a parse that reports nothing never pays for it.
 class LineIndex {
  public:
-  explicit LineIndex(std::string_view text);
+  explicit LineIndex(std::string_view text) : text_(text) {}
 
   std::size_t lineOf(std::size_t offset) const;
   std::size_t colOf(std::size_t offset) const;
@@ -78,8 +80,12 @@ class LineIndex {
   std::string lineText(std::size_t line) const;
 
  private:
+  /// Start offset of every line, scanned once.
+  const std::vector<std::size_t>& lineStarts() const;
+
   std::string_view text_;
-  std::vector<std::size_t> lineStart_;
+  mutable std::once_flag scanned_;
+  mutable std::vector<std::size_t> lineStart_;
 };
 
 class Lexer {
@@ -125,8 +131,11 @@ class Lexer {
   /// Count of tokens consumed — the recovery progress guard.
   std::size_t pos() const { return consumed_; }
   /// Byte offset where the current token starts, or the range end at end
-  /// of input. Drives the DEF section chunker.
+  /// of input.
   std::size_t byteOffset() const { return haveTok_ ? tokOff_ : end_; }
+  /// Byte offset where the most recently consumed token starts (0 before
+  /// any). The DEF parser checks a chunk's cut with it.
+  std::size_t lastOffset() const { return lastOff_; }
   /// Repositions the scan at byte `offset`. pos() is kept (it only guards
   /// recovery progress). The DEF driver uses it to run the serial section
   /// loop from the point where a chunk's result stops being usable.

@@ -1,6 +1,7 @@
 #include "lefdef/stream.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstring>
 #include <optional>
@@ -12,8 +13,8 @@
 #include "obs/metrics.hpp"
 #include "util/arena.hpp"
 #include "util/fault.hpp"
-#include "util/interner.hpp"
 #include "util/jobs.hpp"
+#include "util/name_index.hpp"
 
 namespace pao::lefdef {
 
@@ -98,36 +99,6 @@ class MasterCache {
   util::ArenaVector<Entry> seen_;
 };
 
-/// Component name -> instance index over the merged instances. The
-/// interned id is dense in first-appearance order, so idToInst_ is a flat
-/// array and each lookup is one hash probe with no std::string
-/// construction. Duplicate names keep the last index, the same last-wins
-/// rule as Design::buildInstanceIndex.
-class ComponentIndex {
- public:
-  explicit ComponentIndex(const std::vector<db::Instance>& instances) {
-    idToInst_.reserve(instances.size());
-    for (int i = 0; i < static_cast<int>(instances.size()); ++i) {
-      const std::uint32_t id = names_.intern(instances[i].name);
-      if (id == static_cast<std::uint32_t>(idToInst_.size())) {
-        idToInst_.push_back(i);
-      } else {
-        idToInst_[id] = i;
-      }
-    }
-  }
-
-  /// Instance index of `name`, or -1.
-  int find(std::string_view name) const {
-    const std::uint32_t id = names_.find(name);
-    return id == util::StringInterner::kNone ? -1 : idToInst_[id];
-  }
-
- private:
-  util::StringInterner names_;
-  std::vector<int> idToInst_;
-};
-
 /// One COMPONENTS entity (leading '-' consumed).
 db::Instance parseComponent(Lexer& lex, MasterCache& masters) {
   db::Instance inst;
@@ -192,11 +163,13 @@ db::IoPin parsePin(Lexer& lex, const db::Tech& tech) {
   return pin;
 }
 
-/// One NETS entity (leading '-' consumed). Instance pin and IO pin names
+/// One NETS entity (leading '-' consumed). Instance and IO pin names
 /// resolve against `design`, which already holds the COMPONENTS and PINS
-/// sections (the in-file-order parse guarantees this).
+/// sections (the in-file-order parse guarantees this), through its
+/// instance-name index and `ioPins`, the caller's first-match index over
+/// design.ioPins.
 db::Net parseNet(Lexer& lex, const Design& design,
-                 const ComponentIndex& components) {
+                 const util::NameIndex& ioPins) {
   db::Net net;
   net.name = std::string(lex.next());
   while (!lex.accept(";")) {
@@ -207,26 +180,25 @@ db::Net parseNet(Lexer& lex, const Design& design,
       break;
     }
     if (lex.accept("(")) {
-      const std::string a(lex.next());
+      const std::string_view a = lex.next();
       db::NetTerm term;
       if (a != "PIN") {
-        term.instIdx = components.find(a);
+        term.instIdx = design.findInstance(a);
         if (term.instIdx < 0) {
           throw ParseError(lex.diagPrev(
-              "DEF004", "net references unknown component '" + a + "'"));
+              "DEF004",
+              "net references unknown component '" + std::string(a) + "'"));
         }
       }
-      const std::string b(lex.next());
+      const std::string_view b = lex.next();
       if (a == "PIN") {
-        for (int i = 0; i < static_cast<int>(design.ioPins.size()); ++i) {
-          if (design.ioPins[i].name == b) {
-            term.ioPinIdx = i;
-            break;
-          }
-        }
+        term.ioPinIdx = ioPins.find(b, [&](int i) {
+          return std::string_view(design.ioPins[i].name);
+        });
         if (term.ioPinIdx < 0) {
           throw ParseError(lex.diagPrev(
-              "DEF003", "net references unknown IO pin '" + b + "'"));
+              "DEF003", "net references unknown IO pin '" + std::string(b) +
+                            "'"));
         }
       } else {
         const db::Master& m = *design.instances[term.instIdx].master;
@@ -238,8 +210,8 @@ db::Net parseNet(Lexer& lex, const Design& design,
         }
         if (term.pinIdx < 0) {
           throw ParseError(lex.diagPrev(
-              "DEF005",
-              "net references unknown pin '" + b + "' on '" + a + "'"));
+              "DEF005", "net references unknown pin '" + std::string(b) +
+                            "' on '" + std::string(a) + "'"));
         }
       }
       lex.expect(")");
@@ -295,24 +267,64 @@ bool parseSimpleStatement(Lexer& lex, Design& design, int& dbu) {
 
 // -------------------------------------------------------------- the driver
 
-/// Entity layout of one COMPONENTS/NETS section: byte offsets of every
-/// `-` entity start (positions where a serial section loop begins an
-/// iteration) plus the offset where the entity region ends (the END
-/// keyword, trailing junk, or end of input).
-struct SectionScan {
-  std::vector<std::size_t> starts;
-  std::size_t regionEnd = 0;
-};
+/// "Chunks cover the section" sentinel for ChunkOut::resumeAt, and the
+/// last chunk's ChunkRange::semi.
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-/// Byte range of one chunk plus the number of entities it holds.
+/// Byte range of one chunk: up to the cut '-' after the ';' at `semi`, or
+/// for the last chunk (semi == kNone) up to the END look-alike, though its
+/// lexer runs to the end of the text and stops at the section's real END.
 struct ChunkRange {
   std::size_t begin = 0;
   std::size_t end = 0;
-  std::size_t entities = 0;
+  std::size_t semi = kNone;
 };
 
-/// "Chunks cover the section" sentinel for ChunkOut::resumeAt.
-constexpr std::size_t kNoResume = static_cast<std::size_t>(-1);
+/// Cuts the section's entity bytes, from its first entity `begin`, into
+/// chunks that each end at their last cut (a ';', whitespace, a '-' token)
+/// within `target` bytes, or their first when the first entity is longer:
+/// on well-formed input, what an entity-by-entity packing picks. No cut
+/// lies at or past the first stand-alone END (the section's, or a
+/// look-alike, which only lengthens the last chunk).
+std::vector<ChunkRange> cutChunks(std::string_view text, std::size_t begin,
+                                  std::size_t target) {
+  const auto space = [&](std::size_t p) {
+    return p < text.size() && std::isspace(static_cast<unsigned char>(text[p]));
+  };
+  // The '-' ending the cut whose ';' is at `semi`, or kNone.
+  const auto dashAfter = [&](std::size_t semi) {
+    std::size_t p = semi + 1;
+    while (space(p)) ++p;
+    return p < text.size() && text[p] == '-' && space(p + 1) ? p : kNone;
+  };
+  std::size_t bound = text.find("END", begin);
+  while (bound != std::string_view::npos &&
+         !((space(bound - 1) || text[bound - 1] == ';') &&
+           (bound + 3 == text.size() || space(bound + 3)))) {
+    bound = text.find("END", bound + 1);
+  }
+  bound = std::min(bound, text.size());
+  target = std::max<std::size_t>(target, 1);
+  std::vector<ChunkRange> chunks;
+  while (bound - begin > target) {
+    std::size_t semi = text.rfind(';', begin + target - 1);
+    while (semi != std::string_view::npos && semi > begin &&
+           dashAfter(semi) > begin + target) {
+      semi = text.rfind(';', semi - 1);
+    }
+    if (semi == std::string_view::npos || semi <= begin) {
+      semi = text.find(';', begin);
+      while (semi < bound && dashAfter(semi) >= bound) {
+        semi = text.find(';', semi + 1);
+      }
+      if (semi >= bound) break;
+    }
+    chunks.push_back({begin, dashAfter(semi), semi});
+    begin = chunks.back().end;
+  }
+  chunks.push_back({begin, bound, kNone});
+  return chunks;
+}
 
 /// Per-chunk parse output. Instances/nets commit in chunk order, so the
 /// merged result is independent of the schedule.
@@ -330,12 +342,16 @@ struct ChunkOut {
   std::optional<util::Diag> failure;
   /// Byte offset where the serial section loop must take over, because
   /// from there on this chunk cannot know what a serial parse does: a
-  /// non-entity token its loop stopped at (junk after a successfully
-  /// parsed entity, where the serial loop ends), or the start of an entity
-  /// whose parse ran into the chunk's end (a malformed entity that a
-  /// serial parse would continue into the next chunk's bytes). The merge
-  /// discards every later chunk.
-  std::size_t resumeAt = kNoResume;
+  /// non-entity token its loop stopped at (the section's END in the last
+  /// chunk; junk after a successfully parsed entity, where the serial loop
+  /// ends), the start of an entity whose parse ran into the chunk's end (a
+  /// malformed entity that a serial parse would continue into the next
+  /// chunk's bytes), or the start of the last entity before a cut that
+  /// does not hold. The merge discards every later chunk.
+  std::size_t resumeAt = kNone;
+  /// Offset of the last token the chunk's lexer consumed: where lex_ is
+  /// left when no chunk hands over.
+  std::size_t lastOffset = 0;
 };
 
 class StreamDefParser {
@@ -368,10 +384,11 @@ class StreamDefParser {
       }
     } catch (const Bail&) {
       // maxErrors reached: res_ ends with GEN001 and local_ holds what was
-      // committed before the diagnostic that reached the limit.
+      // committed before the diagnostic that reached the limit, possibly
+      // part of a COMPONENTS section whose names are not indexed yet.
+      local_.buildInstanceIndex();
       if (stats_ != nullptr) stats_->legacyFallback = true;
     }
-    local_.buildInstanceIndex();
     const std::size_t instBefore = design_.instances.size();
     const std::size_t netsBefore = design_.nets.size();
     design_ = std::move(local_);
@@ -411,120 +428,13 @@ class StreamDefParser {
     }
   }
 
-  /// Tokenizes (without parsing) through a section's entity region,
-  /// recording entity-start offsets. Entities begin at a `-` in statement
-  /// position (= right after a consumed ';', where the section loop
-  /// tests), so `-` tokens inside an entity never start a chunk; an
-  /// entity's bytes run to the next statement position. Leaves lex_ at
-  /// the region end.
-  SectionScan scanEntities() {
-    SectionScan scan;
-    while (!lex_.done() && lex_.peek() == "-") {
-      scan.starts.push_back(lex_.byteOffset());
-      lex_.next();
-      while (!lex_.done() && lex_.next() != ";") {
-      }
-      // Junk tokens between this entity's ';' and the next '-'/END belong
-      // to this entity's byte range: the serial parse reaches them either
-      // inside a failed entity's resync (which skips ahead to '-'/END) or
-      // at the loop condition after a successful parse, where the section
-      // stops. The chunk runner reproduces both (see resumeAt).
-      while (!lex_.done() && lex_.peek() != "-" && lex_.peek() != "END") {
-        lex_.next();
-      }
-    }
-    scan.regionEnd = lex_.byteOffset();
-    return scan;
-  }
-
-  /// Groups scanned entities into byte-contiguous chunks of roughly
-  /// opts_.chunkBytes. Chunking granularity is schedule only — results
-  /// are committed per entity in file order regardless.
-  std::vector<ChunkRange> makeChunks(const SectionScan& scan) const {
-    std::vector<ChunkRange> chunks;
-    if (scan.starts.empty()) return chunks;
-    const std::size_t target = std::max<std::size_t>(1, opts_.chunkBytes);
-    ChunkRange cur{scan.starts[0], 0, 0};
-    for (std::size_t i = 0; i < scan.starts.size(); ++i) {
-      const std::size_t entityEnd =
-          i + 1 < scan.starts.size() ? scan.starts[i + 1] : scan.regionEnd;
-      if (cur.entities > 0 && entityEnd - cur.begin > target) {
-        cur.end = scan.starts[i];
-        chunks.push_back(cur);
-        cur = {scan.starts[i], 0, 0};
-      }
-      ++cur.entities;
-      cur.end = entityEnd;
-    }
-    chunks.push_back(cur);
-    return chunks;
-  }
-
-  /// Scans the current section's entity region, cuts it into chunks and
-  /// runs each chunk's entity loop — the serial section loop over a
-  /// bounded Lexer, with per-entity recovery (error counting is deferred
-  /// to the in-order merge). `makeParseOne` is invoked once per chunk on
-  /// the worker thread, inside the chunk's ArenaScope, and returns the
-  /// entity-parsing callable, so chunk-local state lives on the worker's
-  /// arena.
-  template <typename Entity, typename MakeParseOne>
-  std::vector<ChunkOut<Entity>> runChunks(MakeParseOne makeParseOne) {
-    const std::vector<ChunkRange> chunks = makeChunks(scanEntities());
-    std::vector<ChunkOut<Entity>> outs(chunks.size());
-    util::JobGraph graph;
-    graph.addJobRange(chunks.size(), [&](std::size_t ci) {
-      util::ArenaScope scope(util::scratchArena());
-      const ChunkRange& range = chunks[ci];
-      ChunkOut<Entity>& out = outs[ci];
-      out.parsed.reserve(range.entities);
-      Lexer cl(text_, range.begin, range.end, lines_, opts_.parse.file);
-      auto parseOne = makeParseOne();
-      for (;;) {
-        const std::size_t entityStart = cl.byteOffset();
-        if (!cl.accept("-")) break;
-        const std::size_t before = cl.pos();
-        try {
-          out.parsed.push_back(parseOne(cl));
-        } catch (const ParseError& e) {
-          if (cl.done()) {
-            // The entity ran into the chunk's end: only a serial parse
-            // knows how it continues.
-            out.resumeAt = entityStart;
-            return;
-          }
-          if (!opts_.parse.recover) {
-            // Strict mode: stop this chunk at its first error. Jobs never
-            // throw; the in-order merge rethrows the earliest chunk's
-            // failure, so a resumeAt in an earlier chunk still wins.
-            out.failure = e.diag;
-            return;
-          }
-          out.diags.push_back(e.diag);
-          out.parsedBefore.push_back(out.parsed.size());
-          if (cl.pos() == before && !cl.done()) cl.next();
-          cl.syncTo({"-", "END"});
-        }
-      }
-      // The loop exits mid-chunk only on junk that isn't an entity start
-      // (chunks end at entity boundaries, and a failed entity's resync
-      // already consumed its trailing junk). The serial section loop ends
-      // at this exact token.
-      if (!cl.done()) out.resumeAt = cl.byteOffset();
-    });
-    // Chunk jobs are independent and added in file order; strict-mode
-    // errors and serial take-overs are resolved by the in-order merge.
-    graph.run(opts_.numThreads);
-    if (stats_ != nullptr) stats_->chunks += chunks.size();
-    return outs;
-  }
-
   /// Merges chunk outputs in chunk (= file) order: entities append to
   /// `sink`, each diagnostic flows through record() right after the
   /// entities that precede it, so the maxErrors bail-out fires on the same
   /// diagnostic and with the same entities committed as a serial parse. A
   /// strict-mode failure rethrows here (earliest chunk = file-first
   /// error). Returns the first chunk's resumeAt offset — every later chunk
-  /// is discarded, entities and diagnostics alike — or kNoResume.
+  /// is discarded, entities and diagnostics alike — or kNone.
   template <typename Entity>
   std::size_t mergeChunks(std::vector<ChunkOut<Entity>>& outs,
                           std::vector<Entity>& sink) {
@@ -544,9 +454,9 @@ class StreamDefParser {
       }
       commitUpTo(out.parsed.size());
       if (out.failure) throw ParseError(std::move(*out.failure));
-      if (out.resumeAt != kNoResume) return out.resumeAt;
+      if (out.resumeAt != kNone) return out.resumeAt;
     }
-    return kNoResume;
+    return kNone;
   }
 
   /// The serial section loop, with per-entity recovery: a bad entity is
@@ -565,24 +475,123 @@ class StreamDefParser {
     }
   }
 
+  /// A COMPONENTS/NETS section's entities, appended to `sink`. The bytes
+  /// are cut into chunks and each chunk's entity loop runs as one job: the
+  /// serial section loop over a bounded lexer, with per-entity recovery
+  /// (error counting is deferred to the in-order merge). After the merge
+  /// the serial section loop runs from wherever the chunks stop being
+  /// usable; on well-formed input that is the section's END, where it
+  /// parses nothing. `makeParseOne` returns the entity-parsing callable:
+  /// it is invoked once per chunk on the worker, inside the chunk's
+  /// ArenaScope, so chunk-local state lives on the worker's arena, and
+  /// once more for the serial loop.
+  template <typename Entity, typename MakeParseOne>
+  void parseEntities(std::vector<Entity>& sink, MakeParseOne makeParseOne) {
+    if (lex_.peek() != "-") return;
+    const std::vector<ChunkRange> chunks =
+        cutChunks(text_, lex_.byteOffset(), opts_.chunkBytes);
+    std::vector<ChunkOut<Entity>> outs(chunks.size());
+    util::JobGraph graph;
+    graph.addJobRange(chunks.size(), [&](std::size_t ci) {
+      util::ArenaScope scope(util::scratchArena());
+      const ChunkRange& range = chunks[ci];
+      ChunkOut<Entity>& out = outs[ci];
+      // A well-formed entity holds one ';', so this is its count.
+      out.parsed.reserve(static_cast<std::size_t>(
+          std::count(text_.begin() + static_cast<std::ptrdiff_t>(range.begin),
+                     text_.begin() + static_cast<std::ptrdiff_t>(range.end),
+                     ';')));
+      Lexer cl(text_, range.begin,
+               range.semi == kNone ? text_.size() : range.end, lines_,
+               opts_.parse.file);
+      auto parseOne = makeParseOne();
+      // The last entity begun, and how much output precedes it.
+      std::size_t lastStart = 0;
+      std::size_t lastParsed = 0;
+      std::size_t lastDiags = 0;
+      for (;;) {
+        const std::size_t entityStart = cl.byteOffset();
+        if (!cl.accept("-")) {
+          // Junk, or the section's END in the last chunk: the serial
+          // section loop ends at this exact token.
+          if (!cl.done()) out.resumeAt = entityStart;
+          break;
+        }
+        lastStart = entityStart;
+        lastParsed = out.parsed.size();
+        lastDiags = out.diags.size();
+        const std::size_t before = cl.pos();
+        try {
+          out.parsed.push_back(parseOne(cl));
+        } catch (const ParseError& e) {
+          if (cl.done()) {
+            // The entity ran into the chunk's end: only a serial parse
+            // knows how it continues.
+            out.resumeAt = entityStart;
+            break;
+          }
+          if (!opts_.parse.recover) {
+            // Strict mode: stop this chunk at its first error. Jobs never
+            // throw; the in-order merge rethrows the earliest chunk's
+            // failure, so a resumeAt in an earlier chunk still wins.
+            out.failure = e.diag;
+            break;
+          }
+          out.diags.push_back(e.diag);
+          out.parsedBefore.push_back(out.parsed.size());
+          if (cl.pos() == before && !cl.done()) cl.next();
+          cl.syncTo({"-", "END"});
+        }
+      }
+      // The cut after the chunk holds only when the chunk's last consumed
+      // token is the cut's ';': the chunk then read the tokens a serial
+      // parse reads, and the serial loop would next see the following
+      // chunk's '-'. Otherwise the ';' sat in a comment or a quoted string
+      // (or an error stopped the chunk early): the chunk's last entity goes
+      // back to the serial loop, which starts at the entity, never inside.
+      out.lastOffset = cl.lastOffset();
+      if (range.semi != kNone && out.resumeAt == kNone &&
+          out.lastOffset != range.semi) {
+        out.parsed.erase(out.parsed.begin() +
+                             static_cast<std::ptrdiff_t>(lastParsed),
+                         out.parsed.end());
+        out.diags.resize(lastDiags);
+        out.parsedBefore.resize(lastDiags);
+        out.failure.reset();
+        out.resumeAt = lastStart;
+      }
+    });
+    // Chunk jobs are independent and added in file order; strict-mode
+    // errors and serial take-overs are resolved by the in-order merge.
+    graph.run(opts_.numThreads);
+    if (stats_ != nullptr) stats_->chunks += chunks.size();
+    const std::size_t resume = mergeChunks(outs, sink);
+    if (resume == kNone) {
+      // The last chunk's lexer ran to the end of the text. Leave lex_ on
+      // the token it consumed last: diagnostics at the end of truncated
+      // input point there.
+      lex_.seekTo(outs.back().lastOffset);
+      lex_.next();
+      return;
+    }
+    lex_.seekTo(resume);
+    util::ArenaScope scope(util::scratchArena());
+    auto parseOne = makeParseOne();
+    serialEntities([&] { sink.push_back(parseOne(lex_)); });
+    if (stats_ != nullptr) stats_->serialBytes += lex_.byteOffset() - resume;
+  }
+
   void parseComponents() {
     lex_.expect("COMPONENTS");
     lex_.nextInt();
     lex_.expect(";");
-    auto outs = runChunks<db::Instance>([this] {
-      return [masters = MasterCache(*local_.lib)](Lexer& cl) mutable {
-        return parseComponent(cl, masters);
+    parseEntities(local_.instances, [this] {
+      return [masters = MasterCache(*local_.lib)](Lexer& lex) mutable {
+        return parseComponent(lex, masters);
       };
     });
-    const std::size_t resume = mergeChunks(outs, local_.instances);
-    if (resume != kNoResume) {
-      lex_.seekTo(resume);
-      util::ArenaScope scope(util::scratchArena());
-      MasterCache masters(*local_.lib);
-      serialEntities([&] {
-        local_.instances.push_back(parseComponent(lex_, masters));
-      });
-    }
+    // The design's one name index: NETS resolves through it.
+    local_.buildInstanceIndex();
     lex_.expect("END");
     lex_.expect("COMPONENTS");
   }
@@ -601,19 +610,21 @@ class StreamDefParser {
     lex_.expect("NETS");
     lex_.nextInt();
     lex_.expect(";");
-    const ComponentIndex components(local_.instances);
-    auto outs = runChunks<db::Net>([this, &components] {
-      return [this, &components](Lexer& cl) {
-        return parseNet(cl, local_, components);
+    // IO pin names for `( PIN name )` terms. The first pin of a name wins:
+    // inserted back to front into the last-wins index.
+    util::NameIndex ioPins;
+    ioPins.reset(local_.ioPins.size());
+    const auto pinName = [this](int i) {
+      return std::string_view(local_.ioPins[i].name);
+    };
+    for (int i = static_cast<int>(local_.ioPins.size()) - 1; i >= 0; --i) {
+      ioPins.insert(pinName(i), i, pinName);
+    }
+    parseEntities(local_.nets, [this, &ioPins] {
+      return [this, &ioPins](Lexer& lex) {
+        return parseNet(lex, local_, ioPins);
       };
     });
-    const std::size_t resume = mergeChunks(outs, local_.nets);
-    if (resume != kNoResume) {
-      lex_.seekTo(resume);
-      serialEntities([&] {
-        local_.nets.push_back(parseNet(lex_, local_, components));
-      });
-    }
     lex_.expect("END");
     lex_.expect("NETS");
   }

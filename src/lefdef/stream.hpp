@@ -1,34 +1,27 @@
 // LEF/DEF ingest: the one DEF driver. parseDefStream() tokenizes lazily
 // over one immutable view of the input (mmap-backed via FileSource for the
-// *File forms), splits the COMPONENTS and NETS sections into entity-aligned
-// chunks, and parses the chunks in parallel on a util::JobGraph with
-// per-chunk util::Arena scratch. The result never depends on the thread
-// count or the chunk size:
+// *File forms), cuts the COMPONENTS and NETS sections into chunks with a
+// byte search, never tokenizing their entities itself, and parses the
+// chunks in parallel on a util::JobGraph with per-chunk util::Arena
+// scratch. The result never depends on the thread count or the chunk size
+// (DESIGN.md "Streaming ingest & scale"):
 //
-//   * Chunk boundaries are only ever cut at after-';' entity starts — the
-//     positions where a serial section loop begins an iteration — so
-//     recovery resyncs can never cross a boundary. A chunk's result is
-//     used only up to the first point where it cannot know what the serial
-//     parse does: junk after a successful entity (where the serial section
-//     loop stops) or a malformed entity that runs into the chunk's end
-//     (which the serial parse continues into the next chunk's bytes).
-//     There the merge discards every later chunk and the driver runs the
-//     serial section loop from that exact byte.
-//   * Strict mode: each chunk stops at its first entity error and the
-//     in-order merge rethrows the earliest chunk's error (unless an
-//     earlier chunk handed over to the serial loop), i.e. the file's first
-//     error. On a throw the target design is left untouched.
-//   * Recovery mode: chunk diagnostics merge in chunk order (= file
-//     order), each after the entities its chunk parsed before it. When the
-//     error count reaches ParseOptions::maxErrors the merge appends GEN001
-//     and stops, so the design holds exactly what a serial parse had
-//     committed when it gave up.
+//   * A cut is a ';' followed by whitespace and a '-' token. It holds only
+//     if the chunk before it ends on that ';' (the ';' was not in a
+//     comment or a string); otherwise the serial section loop takes over
+//     at that chunk's last entity. Likewise at junk after an entity, at an
+//     entity running into its chunk's end, and at the section's END (the
+//     last chunk's lexer runs to the end of the text). The merge discards
+//     every chunk after a take-over.
+//   * Strict mode: the in-order merge rethrows the earliest chunk's first
+//     error, i.e. the file's first error; the target design is untouched.
+//   * Recovery mode: chunk diagnostics merge in file order, each after the
+//     entities parsed before it, so a maxErrors bail-out (GEN001) leaves
+//     exactly what a serial parse had committed.
 //
-// The NETS section resolves component references through a
-// util::StringInterner built over the just-merged instances (one hash
-// probe per term, no per-lookup std::string), and parsed nets/instances
-// commit in chunk order so the result is byte-identical at any thread
-// count.
+// The design keeps the one instance-name index, built right after the
+// COMPONENTS merge; NETS resolves component names through it and IO pin
+// names through a first-match index over the pins parsed before NETS.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +40,9 @@ struct StreamOptions {
   /// Worker count for the chunk jobs (util::resolveThreads semantics:
   /// 0 = hardware concurrency). Results are byte-identical at any value.
   int numThreads = 0;
-  /// Target bytes per chunk; chunks never split an entity. Granularity
-  /// affects scheduling only, never results.
+  /// Target bytes per chunk; a chunk ends at the last cut within it (an
+  /// entity boundary on well-formed input). Granularity affects
+  /// scheduling only, never results.
   std::size_t chunkBytes = 1 << 20;
 };
 
@@ -59,6 +53,9 @@ struct IngestStats {
   std::size_t components = 0;  ///< instances appended
   std::size_t nets = 0;        ///< nets appended
   bool mapped = false;         ///< file came from mmap (vs read fallback)
+  /// Bytes of COMPONENTS/NETS entities the serial section loop parsed
+  /// after the chunks handed over: 0 on well-formed input. Not reported.
+  std::size_t serialBytes = 0;
   /// Recovery hit ParseOptions::maxErrors and gave up with GEN001. The
   /// name is kept because pao-report/2 `ingest` readers key on it.
   bool legacyFallback = false;

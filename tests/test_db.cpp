@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -122,6 +124,39 @@ TEST(UniqueInst, TrackOffsets) {
   // step 400: offset = (0 - 200) mod 400 = 200.
   ASSERT_EQ(offs.size(), 4u);
   for (const geom::Coord o : offs) EXPECT_EQ(o, 200);
+}
+
+TEST(Design, InstanceNameIndexKeepsLastWinsThroughCopiesAndEdits) {
+  auto td = test::makeTinyDesign({{0, geom::Rect{100, 100, 200, 500}}});
+  Design& d = *td.design;
+  const Master* m = td.lib->findMaster("CELL");
+  for (int i = 0; i < 40; ++i) {
+    d.instances.push_back({"v" + std::to_string(i), m, {0, 0}, {}});
+  }
+  d.instances.push_back({"v7", m, {0, 0}, {}});  // index 41
+  d.buildInstanceIndex();
+  EXPECT_EQ(d.findInstance("v7"), 41);
+  EXPECT_EQ(d.findInstance("v39"), 40);
+  // A view into a longer buffer: no terminator, no std::string.
+  const std::string buf = "v12345";
+  EXPECT_EQ(d.findInstance(std::string_view(buf).substr(0, 3)), 13);
+
+  // A copy answers from its own instances, and edits to it leave the
+  // original's index alone.
+  Design copy = d;
+  copy.instances[13].name = "renamed";
+  copy.buildInstanceIndex();
+  EXPECT_EQ(copy.findInstance("renamed"), 13);
+  EXPECT_EQ(copy.findInstance("v12"), -1);
+  EXPECT_EQ(d.findInstance("v12"), 13);
+
+  EXPECT_EQ(d.addInstance({"v3", m, {0, 0}, {}}), 42);
+  EXPECT_EQ(d.findInstance("v3"), 42);
+  d.removeInstance(0);  // "u1"; later indices shift down by one
+  EXPECT_EQ(d.findInstance("u1"), -1);
+  EXPECT_EQ(d.findInstance("v3"), 41);
+  EXPECT_EQ(d.findInstance("v7"), 40);
+  EXPECT_EQ(d.findInstance("v0"), 0);
 }
 
 TEST(Design, FindInstanceAndTracks) {

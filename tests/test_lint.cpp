@@ -113,8 +113,8 @@ TEST(LintPointerStability, FlagsAllKnownPositives) {
   EXPECT_NE(live[3]->message.find("intern"), std::string::npos);
 }
 
-// The interner accessors ship in the built-in annotation list (see
-// util/interner.hpp's storage contract), not just in test options.
+// The interner accessors ship in the built-in annotation list, not just in
+// test options.
 TEST(LintPointerStability, DefaultAccessorsCoverInterner) {
   const auto acc = pao::lint::defaultAccessors();
   const auto has = [&acc](const std::string& method) {

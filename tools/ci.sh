@@ -2,6 +2,8 @@
 # CI entry point: twelve legs over the same tree —
 #   1. Release        (the tier-1 gate: fast, optimizer-exposed UB surfaces;
 #                      ctest includes the pao_lint_tree static-analysis gate)
+#      plus a Release stream fuzz (pao_fuzz stream: 3x20000 cases of
+#      the chunked DEF parser against the single-pass reference parser)
 #   2. Perfbench build (compile only: the benchmark driver, a standalone
 #                      CMake project over src/, must build against the
 #                      current library API)
@@ -61,6 +63,15 @@ echo "== Release build =="
 cmake -B "$SRC/build-ci-release" -S "$SRC" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$SRC/build-ci-release" -j "$JOBS"
 ctest --test-dir "$SRC/build-ci-release" --output-on-failure -j "$JOBS"
+
+echo "== Stream fuzz (Release) =="
+# The chunked DEF parser against the frozen single-pass reference parser on
+# mutated inputs, optimizer on: 3x20000 stream cases, reproducible by
+# re-running pao_fuzz with the printed seed.
+for fuzzseed in 201 202 203; do
+  "$SRC/build-ci-release/tools/pao_fuzz" stream "$SRC/tests/fuzz_corpus" \
+    20000 "$fuzzseed"
+done
 
 echo "== Benchmark driver build (perfbench, compile only) =="
 # perfbench/ is its own CMake project compiling ../src; the benchmark

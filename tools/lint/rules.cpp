@@ -710,10 +710,9 @@ Options::Options() : accessors(defaultAccessors()) {}
 std::vector<AccessorAnnotation> defaultAccessors() {
   // Tech::addLayer / Tech::addViaDef once lived here but now return
   // references into deque storage, which never relocates. The remaining
-  // entries are util::StringInterner's accessors: viewOf() hands out a
+  // entries are a string interner's accessors: viewOf() hands out a
   // reference into the id->view vector and intern() can grow it, so a
-  // viewOf reference held across an intern() dangles (the interned BYTES
-  // are block-stable; the string_view slot is not).
+  // viewOf reference held across an intern() dangles.
   return {{"viewOf", "interner"}, {"intern", "interner"}};
 }
 

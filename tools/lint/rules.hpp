@@ -154,9 +154,9 @@ struct FileInput {
   std::string src;
 };
 
-/// The built-in annotation list. Currently util::StringInterner's viewOf /
-/// intern (group "interner"): viewOf returns a reference into a vector that
-/// intern can grow. (Tech::addLayer / Tech::addViaDef were the original
+/// The built-in annotation list. Currently the interner-style viewOf /
+/// intern pair (group "interner"): viewOf returns a reference into a vector
+/// that intern can grow. (Tech::addLayer / Tech::addViaDef were the original
 /// offenders and were moved to stable deque-backed storage.) Add entries
 /// here when introducing a new accessor that hands out references into a
 /// std::vector.

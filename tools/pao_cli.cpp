@@ -13,8 +13,11 @@
 //
 // analyze options:
 //   --mode bca|nobca|legacy    flow preset (default bca)
-//   --threads N                worker threads for the oracle and the
-//                              evaluation (default 1, 0=auto)
+//   --threads N                worker threads for the DEF ingest, the
+//                              oracle and the evaluation (default 1,
+//                              0=auto)
+//   --stream                   add the report's "ingest" section
+//                              (pao-report/2) and the stderr ingest line
 //   --report-failed N          print up to N failed-pin diagnostics
 //   --cache-in <file>          preload the access cache (exit 1 on a
 //                              fingerprint mismatch)
@@ -30,9 +33,10 @@
 //                              (PAO_OBS=ON builds only)
 // route options:
 //   --out <file.def>           write the routed design as DEF
-//   --threads N                worker threads for oracle, access planning
-//                              and batch DRC (default 1, 0=auto); routed
-//                              output is identical for any value
+//   --threads N                worker threads for the DEF ingest, oracle,
+//                              access planning and batch DRC (default 1,
+//                              0=auto); routed output is identical for
+//                              any value
 //   --cache-in / --cache-out   as for analyze
 //   --report-json / --trace-out  as for analyze
 // bench-incremental options:
@@ -120,7 +124,8 @@ int usage() {
 }
 
 /// Reads `path`, or throws (caught in main → exit 3). `faultPoint` names the
-/// injection point guarding this read: "lef.io", "def.io" or "cache.io".
+/// injection point guarding this read ("cache.io"; the LEF/DEF reads fire
+/// "lef.io"/"def.io" inside the lefdef *File forms).
 std::string slurp(const char* path, const char* faultPoint) {
   PAO_FAULT_INJECT(faultPoint);
   std::ifstream f(path);
@@ -363,40 +368,18 @@ void reportCache(const core::AccessCache& cache) {
                cache.size(), cache.hits(), cache.misses());
 }
 
-/// Parses the LEF/DEF pair. Diagnostics carry the real file names; in
-/// keep-going mode parse errors are printed, recorded as "parse_error"
-/// degradation events, and the parsers resync and continue — in strict mode
-/// the first error throws ParseError (caught in main → exit 3).
+/// Parses the LEF/DEF pair through the mmap-backed file forms
+/// (lefdef::parseLefFile/parseDefFile), the DEF's sections chunked over
+/// `numThreads` workers; the result is the same at any count. Diagnostics
+/// carry the real file names; in keep-going mode parse errors are printed,
+/// recorded as "parse_error" degradation events, and the parsers resync
+/// and continue — in strict mode the first error throws ParseError (caught
+/// in main → exit 3), as does an unreadable file or the "lef.io"/"def.io"
+/// fault point. With `ir` (analyze --stream) the ingest figures go there,
+/// for the report's "ingest" section, and to stderr.
 void load(LoadedDesign& ld, const char* lefPath, const char* defPath,
-          RobustOpts& rob) {
-  lefdef::ParseOptions lefOpts;
-  lefOpts.file = lefPath;
-  lefOpts.recover = rob.keepGoing;
-  reportDiags(
-      lefdef::parseLef(slurp(lefPath, "lef.io"), ld.tech, ld.lib, lefOpts),
-      rob);
-  ld.design.tech = &ld.tech;
-  ld.design.lib = &ld.lib;
-  lefdef::ParseOptions defOpts;
-  defOpts.file = defPath;
-  defOpts.recover = rob.keepGoing;
-  reportDiags(lefdef::parseDef(slurp(defPath, "def.io"), ld.design, defOpts),
-              rob);
-  std::fprintf(stderr,
-               "loaded '%s': %zu layers, %zu masters, %zu instances, %zu "
-               "nets\n",
-               ld.design.name.c_str(), ld.tech.layers().size(),
-               ld.lib.masters().size(), ld.design.instances.size(),
-               ld.design.nets.size());
-}
-
-/// Streamed variant of load(): mmap-backed single-pass ingest via
-/// lefdef::parseLefFile/parseDefFile (chunked parallel DEF sections). Same
-/// diagnostics/recovery contract and the same "lef.io"/"def.io" fault
-/// points (injected inside the *File forms before the file is opened).
-/// Fills `ir` for the report's "ingest" section.
-void loadStreamed(LoadedDesign& ld, const char* lefPath, const char* defPath,
-                  RobustOpts& rob, int numThreads, core::IngestReport& ir) {
+          RobustOpts& rob, int numThreads,
+          core::IngestReport* ir = nullptr) {
   lefdef::ParseOptions lefOpts;
   lefOpts.file = lefPath;
   lefOpts.recover = rob.keepGoing;
@@ -413,32 +396,33 @@ void loadStreamed(LoadedDesign& ld, const char* lefPath, const char* defPath,
   lefdef::IngestStats defStats;
   reportDiags(lefdef::parseDefFile(defPath, ld.design, defOpts, &defStats),
               rob);
-  ir.lefBytes = lefStats.bytes;
-  ir.defBytes = defStats.bytes;
-  ir.chunks = defStats.chunks;
-  ir.components = defStats.components;
-  ir.nets = defStats.nets;
-  ir.mapped = defStats.mapped;
-  ir.legacyFallback = defStats.legacyFallback;
-  ir.parseSeconds = defStats.parseSeconds;
-  ir.peakRssBytes = util::peakRssBytes();
-  const double secs = ir.parseSeconds > 0 ? ir.parseSeconds : 1e-9;
   std::fprintf(stderr,
                "loaded '%s': %zu layers, %zu masters, %zu instances, %zu "
                "nets\n",
                ld.design.name.c_str(), ld.tech.layers().size(),
                ld.lib.masters().size(), ld.design.instances.size(),
                ld.design.nets.size());
+  if (ir == nullptr) return;
+  ir->lefBytes = lefStats.bytes;
+  ir->defBytes = defStats.bytes;
+  ir->chunks = defStats.chunks;
+  ir->components = defStats.components;
+  ir->nets = defStats.nets;
+  ir->mapped = defStats.mapped;
+  ir->legacyFallback = defStats.legacyFallback;
+  ir->parseSeconds = defStats.parseSeconds;
+  ir->peakRssBytes = util::peakRssBytes();
+  const double secs = ir->parseSeconds > 0 ? ir->parseSeconds : 1e-9;
   std::fprintf(stderr,
                "  streamed ingest  : %.1f MB in %zu chunks, %.1f MB/s, "
                "%.0f insts/s, peak RSS %.1f MB%s%s\n",
-               static_cast<double>(ir.defBytes) / (1024.0 * 1024.0),
-               ir.chunks,
-               static_cast<double>(ir.defBytes) / (1024.0 * 1024.0) / secs,
-               static_cast<double>(ir.components) / secs,
-               static_cast<double>(ir.peakRssBytes) / (1024.0 * 1024.0),
-               ir.mapped ? "" : " (read fallback)",
-               ir.legacyFallback ? " (gave up: too many errors)" : "");
+               static_cast<double>(ir->defBytes) / (1024.0 * 1024.0),
+               ir->chunks,
+               static_cast<double>(ir->defBytes) / (1024.0 * 1024.0) / secs,
+               static_cast<double>(ir->components) / secs,
+               static_cast<double>(ir->peakRssBytes) / (1024.0 * 1024.0),
+               ir->mapped ? "" : " (read fallback)",
+               ir->legacyFallback ? " (gave up: too many errors)" : "");
 }
 
 int cmdList() {
@@ -558,11 +542,8 @@ int cmdAnalyze(int argc, char** argv) {
   outputs.startTracing();
   LoadedDesign ld;
   core::IngestReport ingest;
-  if (stream) {
-    loadStreamed(ld, argv[2], argv[3], rob, cfg.numThreads, ingest);
-  } else {
-    load(ld, argv[2], argv[3], rob);
-  }
+  load(ld, argv[2], argv[3], rob, cfg.numThreads,
+       stream ? &ingest : nullptr);
 
   core::AccessCache cache;
   if (cacheIn != nullptr || cacheOut != nullptr) cfg.cache = &cache;
@@ -681,7 +662,7 @@ int cmdRoute(int argc, char** argv) {
 
   outputs.startTracing();
   LoadedDesign ld;
-  load(ld, argv[2], argv[3], rob);
+  load(ld, argv[2], argv[3], rob, numThreads);
 
   core::OracleConfig oracleCfg = core::withBcaConfig();
   oracleCfg.numThreads = numThreads;
@@ -779,7 +760,7 @@ int cmdBenchIncremental(int argc, char** argv) {
   outputs.startTracing();
   LoadedDesign ld;
   RobustOpts rob;  // bench is always strict
-  load(ld, argv[2], argv[3], rob);
+  load(ld, argv[2], argv[3], rob, numThreads);
   if (ld.design.instances.empty()) {
     std::fprintf(stderr, "no instances to move\n");
     return 1;
