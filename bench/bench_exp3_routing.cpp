@@ -42,7 +42,7 @@ void runTestcase(const pao::benchgen::TestcaseSpec& spec, double scale,
                                        : core::withBcaConfig();
     core::PinAccessOracle oracle(*tc.design, cfg);
     const core::OracleResult res = oracle.run();
-    router::AccessSource access(*tc.design, res, row.mode);
+    router::AccessSource access(*tc.design, res.view(), row.mode);
     router::RouterConfig rc;
     rc.ripupPasses = ripupPasses;
     router::DetailedRouter rtr(*tc.design, access, rc);

@@ -203,7 +203,7 @@ ViaCheckMeasure measureCheckVia(const db::Design& design) {
   const core::OracleResult result =
       core::OracleSession(design, cfg).snapshot();
   const db::RowIndex rows(design);
-  const core::FailedPinContext ctx(design, result, rows);
+  const core::FailedPinContext ctx(design, result.view(), rows);
   ViaCheckMeasure m;
   for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
     const core::FailedPinContext::PlacedVia& pv = ctx.placed()[v];

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
                             const std::string& path) {
     core::PinAccessOracle oracle(*tc.design, core::withBcaConfig());
     const core::OracleResult res = oracle.run();
-    router::AccessSource access(*tc.design, res, mode);
+    router::AccessSource access(*tc.design, res.view(), mode);
     router::RouterConfig rc;
     rc.ripupPasses = mode == router::AccessMode::kPattern ? 5 : 0;
     router::DetailedRouter rtr(*tc.design, access, rc);

@@ -29,7 +29,7 @@ int main() {
   std::printf("pin access: %zu pins, %zu failed, %.3f s\n", failed.totalPins,
               failed.failedPins, access.wallSeconds);
 
-  router::AccessSource source(*tc.design, access,
+  router::AccessSource source(*tc.design, access.view(),
                               router::AccessMode::kPattern);
   router::DetailedRouter rtr(*tc.design, source);
   const router::RouteResult rr = rtr.run();

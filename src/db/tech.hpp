@@ -90,6 +90,10 @@ struct ViaDef {
   Rect botEncAt(geom::Point p) const { return botEnc.translate(p.x, p.y); }
   Rect cutAt(geom::Point p) const { return cut.translate(p.x, p.y); }
   Rect topEncAt(geom::Point p) const { return topEnc.translate(p.x, p.y); }
+  /// The bbox of all three rects of the via placed at `p`.
+  Rect boxAt(geom::Point p) const {
+    return botEncAt(p).merge(cutAt(p)).merge(topEncAt(p));
+  }
 };
 
 class Tech {

@@ -36,19 +36,6 @@ void splitRow(const db::Design& design, const db::RowIndex::Row& row,
   if (!cur.empty()) out.push_back(std::move(cur));
 }
 
-std::vector<std::vector<int>> buildClusters(const db::Design& design) {
-  // A multi-height instance is listed in every row its bbox covers and so
-  // joins the cluster of each (its pattern choice is then pinned after the
-  // first cluster that decides it — see clusterDeps()).
-  std::vector<std::vector<int>> clusters;
-  const db::RowIndex rows(design);
-  for (const db::RowIndex::Row& row : rows.rows()) {
-    splitRow(design, row, clusters);
-  }
-  PAO_COUNTER_ADD("pao.step3.clusters_built", clusters.size());
-  return clusters;
-}
-
 std::vector<std::vector<std::size_t>> clusterDeps(
     const std::vector<std::vector<int>>& clusters) {
   std::vector<std::vector<std::size_t>> deps(clusters.size());

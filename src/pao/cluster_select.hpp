@@ -58,13 +58,6 @@ struct ClassAccess {
 void splitRow(const db::Design& design, const db::RowIndex::Row& row,
               std::vector<std::vector<int>>& out);
 
-/// Maximal runs of row-abutting instances (instance indices, left to right)
-/// over every row of a db::RowIndex of `design`, bottom-up: splitRow of
-/// each row. A multi-height instance joins the cluster of every row its
-/// bbox covers. Instances at the same origin x keep index order, so the
-/// result is a function of the design alone.
-std::vector<std::vector<int>> buildClusters(const db::Design& design);
-
 /// Per-cluster scheduling dependencies for the job graph: deps[c] lists, in
 /// ascending order, the earlier clusters that must decide before cluster c
 /// may run — for each instance of c, the latest earlier cluster containing

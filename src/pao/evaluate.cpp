@@ -96,10 +96,9 @@ DirtyApStats countDirtyAps(const db::Design& design,
   return stats;
 }
 
-FailedPinContext::FailedPinContext(const db::Design& design,
-                                   const OracleResult& result,
+FailedPinContext::FailedPinContext(const db::Design& design, AccessView view,
                                    const db::RowIndex& rows)
-    : design_(&design), rows_(&rows), engine_(*design.tech) {
+    : design_(&design), view_(view), rows_(&rows), engine_(*design.tech) {
   PAO_TRACE_SCOPE("eval.failed_pins.context");
   const int numInsts = static_cast<int>(design.instances.size());
   const int numNets = static_cast<int>(design.nets.size());
@@ -172,22 +171,18 @@ FailedPinContext::FailedPinContext(const db::Design& design,
     cellOf_[i] = cell->second;
     placedBase_[i] = static_cast<int>(placed_.size());
     const ChosenVia* chosen = nullptr;  // by signal-pin position
-    if (const int cls = result.unique.classOf[i]; cls >= 0) {
-      const int pattern = result.chosenPattern[i];
+    if (const int cls = view.classOf(i); cls >= 0) {
+      const int pattern = view.pattern(i);
       const auto [at, isNew] =
           chosenOf.try_emplace({cls, pattern}, chosenVias.size());
       for (int pos = 0; isNew && pos < static_cast<int>(master.pins.size());
            ++pos) {
-        const auto ap = placeChosenAp(result.classes[cls], pattern, pos,
-                                      inst.origin);
+        const auto ap =
+            placeChosenAp(view.access(cls), pattern, pos, inst.origin);
         const db::ViaDef* via = ap ? ap->ap->primaryVia(*design.tech) : nullptr;
-        const geom::Rect viaBox =
-            via ? via->botEncAt(ap->loc)
-                      .merge(via->cutAt(ap->loc))
-                      .merge(via->topEncAt(ap->loc))
-                : geom::Rect();
         chosenVias.push_back(
-            {ap ? ap->ap : nullptr, via ? beyond(viaBox, inst.bbox()) : -1});
+            {ap ? ap->ap : nullptr,
+             via ? beyond(via->boxAt(ap->loc), inst.bbox()) : -1});
       }
       chosen = chosenVias.data() + at->second;
     }
@@ -231,26 +226,27 @@ namespace {
 
 /// The failed-pin loop of the batch and the incremental evaluation: checks
 /// pins pinAt(0), ..., pinAt(count - 1) (indices into ctx.pins()) in
-/// fixed-size chunks on result.numThreads workers. Each chunk keeps its own
+/// fixed-size chunks on ctx.view().numThreads workers. Each chunk keeps its own
 /// count and its first maxDetails details, merged in chunk order, which
 /// reproduces the serial stats exactly. With `verdicts`, also stores each
 /// checked pin's verdict and reach at verdicts[pin].
 template <typename PinAt>
-FailedPinStats checkPins(const FailedPinContext& ctx, const db::Design& design,
-                         const OracleResult& result, std::size_t count,
+FailedPinStats checkPins(const FailedPinContext& ctx, std::size_t count,
                          PinAt pinAt, std::size_t maxDetails,
                          FailedPinCriterion criterion,
                          std::span<PinVerdict> verdicts) {
+  const db::Design& design = ctx.design();
+  const AccessView& view = ctx.view();
   const drc::DrcEngine& engine = ctx.engine();
   const std::vector<FailedPinContext::PinRef>& pins = ctx.pins();
 
   // Lenient criterion: a pin passes when ANY of its generated access points
   // drops a clean via against the fixed context.
   const auto anyApClean = [&](const FailedPinContext::PinRef& ref) {
-    const int cls = result.unique.classOf[ref.inst];
-    if (cls < 0 || result.classes[cls].pinAps.empty()) return false;
+    const int cls = view.classOf(ref.inst);
+    if (cls < 0 || view.access(cls).pinAps.empty()) return false;
     const geom::Point origin = design.instances[ref.inst].origin;
-    for (const AccessPoint& ap : result.classes[cls].pinAps[ref.pinPos]) {
+    for (const AccessPoint& ap : view.access(cls).pinAps[ref.pinPos]) {
       const db::ViaDef* via = ap.primaryVia(*design.tech);
       if (via != nullptr &&
           engine.checkVia(ctx, *via, ap.loc + origin, ref.net).empty()) {
@@ -304,7 +300,7 @@ FailedPinStats checkPins(const FailedPinContext& ctx, const db::Design& design,
           }
         }
       },
-      result.numThreads);
+      view.numThreads);
 
   FailedPinStats stats;
   for (Chunk& chunk : chunks) {
@@ -326,19 +322,18 @@ FailedPinStats countFailedPins(const db::Design& design,
   PAO_TRACE_SCOPE("eval.failed_pins");
   // Declared inside the span, so their teardown is attributed to it too.
   const db::RowIndex rows(design);
-  const FailedPinContext ctx(design, result, rows);
+  const FailedPinContext ctx(design, result.view(), rows);
   FailedPinStats stats = checkPins(
-      ctx, design, result, ctx.pins().size(), [](std::size_t k) { return k; },
-      maxDetails, criterion, {});
+      ctx, ctx.pins().size(), [](std::size_t k) { return k; }, maxDetails,
+      criterion, {});
   stats.totalPins = ctx.pins().size();
   return stats;
 }
 
-void recheckFailedPins(const FailedPinContext& ctx, const db::Design& design,
-                       const OracleResult& result, std::span<const int> which,
+void recheckFailedPins(const FailedPinContext& ctx, std::span<const int> which,
                        std::span<PinVerdict> verdicts) {
   checkPins(
-      ctx, design, result, which.size(),
+      ctx, which.size(),
       [which](std::size_t k) { return static_cast<std::size_t>(which[k]); },
       0, FailedPinCriterion::kChosenAp, verdicts);
 }

@@ -54,7 +54,7 @@ enum class FailedPinCriterion {
 };
 
 /// What the failed-pin evaluation checks pins against, built once per
-/// design and result: every net-attached instance pin in evaluation order,
+/// design and AccessView: every net-attached instance pin in evaluation order,
 /// every chosen access via, and the fixed design context of
 /// DrcEngine::checkVia (every instance's pin shapes and obstructions, and
 /// the IO pins). That context is a view, not a copy: query() walks the
@@ -79,11 +79,15 @@ class FailedPinContext {
     bool planar;    ///< chosen access is planar-only (macro pins)
   };
 
-  /// `rows` must index `design` as it is now, and both must outlive the
-  /// context unchanged.
-  FailedPinContext(const db::Design& design, const OracleResult& result,
+  /// `rows` must index `design` as it is now; both, and the source of
+  /// `view`, must outlive the context unchanged.
+  FailedPinContext(const db::Design& design, AccessView view,
                    const db::RowIndex& rows);
 
+  const db::Design& design() const { return *design_; }
+  /// The analysis the pins are checked under; its numThreads is the
+  /// evaluation's worker budget.
+  const AccessView& view() const { return view_; }
   const drc::DrcEngine& engine() const { return engine_; }
   const std::vector<PinRef>& pins() const { return pins_; }
   /// In instance order.
@@ -167,6 +171,7 @@ class FailedPinContext {
   };
 
   const db::Design* design_;
+  AccessView view_;
   const db::RowIndex* rows_;
   drc::DrcEngine engine_;
   /// How far any shape or chosen via reaches beyond its instance's bbox.
@@ -207,11 +212,10 @@ struct PinVerdict {
 };
 
 /// The incremental form of countFailedPins: checks only pins `which`
-/// (indices into ctx.pins(), which `result` and `design` built) under the
-/// strict criterion, in the same chunked loop on result.numThreads
-/// workers, and stores each one's verdict at verdicts[pin].
-void recheckFailedPins(const FailedPinContext& ctx, const db::Design& design,
-                       const OracleResult& result, std::span<const int> which,
+/// (indices into ctx.pins()) under the strict criterion, in the same
+/// chunked loop on ctx.view().numThreads workers, and stores each one's
+/// verdict at verdicts[pin].
+void recheckFailedPins(const FailedPinContext& ctx, std::span<const int> which,
                        std::span<PinVerdict> verdicts);
 
 }  // namespace pao::core

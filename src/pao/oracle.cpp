@@ -32,9 +32,8 @@ std::size_t OracleResult::totalAps() const {
   return n;
 }
 
-std::optional<OracleResult::ChosenAp> placeChosenAp(const ClassAccess& ca,
-                                                    int pattern, int sigPinPos,
-                                                    geom::Point origin) {
+std::optional<ChosenAp> placeChosenAp(const ClassAccess& ca, int pattern,
+                                      int sigPinPos, geom::Point origin) {
   if (pattern < 0 || pattern >= static_cast<int>(ca.patterns.size())) {
     return std::nullopt;
   }
@@ -43,14 +42,15 @@ std::optional<OracleResult::ChosenAp> placeChosenAp(const ClassAccess& ca,
     return std::nullopt;
   }
   const AccessPoint& ap = ca.pinAps[sigPinPos][apIdx[sigPinPos]];
-  return OracleResult::ChosenAp{&ap, ap.loc + origin};
+  return ChosenAp{&ap, ap.loc + origin};
 }
 
-std::optional<OracleResult::ChosenAp> OracleResult::chosenAp(
-    const db::Design& design, int instIdx, int sigPinPos) const {
-  const int cls = unique.classOf[instIdx];
+std::optional<ChosenAp> AccessView::chosenAp(const db::Design& design,
+                                             int instIdx,
+                                             int sigPinPos) const {
+  const int cls = classOf(instIdx);
   if (cls < 0) return std::nullopt;
-  return placeChosenAp(classes[cls], chosenPattern[instIdx], sigPinPos,
+  return placeChosenAp(access(cls), pattern(instIdx), sigPinPos,
                        design.instances[instIdx].origin);
 }
 

@@ -72,6 +72,36 @@ OracleConfig withBcaConfig();
 /// TrRte v0.0.6.0-style baseline.
 OracleConfig legacyConfig();
 
+/// An access point chosen for one pin, placed at its instance: `ap` as
+/// stored (origin-relative) and `loc` = ap.loc + the instance origin.
+struct ChosenAp {
+  const AccessPoint* ap = nullptr;
+  geom::Point loc;
+};
+
+/// What the evaluators and the router read of one analysis, in place: the
+/// unique-instance classes (the class of each instance), each class's
+/// origin-relative access, the chosen pattern per instance, and the worker
+/// budget the evaluators run on. OracleResult::view() and
+/// OracleSession::view() provide one; it reads its source's containers, so
+/// a session's view follows the session's mutations.
+struct AccessView {
+  const db::UniqueInstances* unique = nullptr;
+  const std::vector<ClassAccess>* classes = nullptr;
+  const std::vector<int>* chosen = nullptr;
+  int numThreads = 1;
+
+  /// Class of instance `instIdx` (-1 when it has none).
+  int classOf(int instIdx) const { return unique->classOf[instIdx]; }
+  const ClassAccess& access(int cls) const { return (*classes)[cls]; }
+  int pattern(int instIdx) const { return (*chosen)[instIdx]; }
+  /// The access point chosen for (instance, signal-pin position), placed at
+  /// the instance (see placeChosenAp); nullopt when the pin has no chosen
+  /// access.
+  std::optional<ChosenAp> chosenAp(const db::Design& design, int instIdx,
+                                   int sigPinPos) const;
+};
+
 struct OracleResult {
   db::UniqueInstances unique;
   /// Per unique-instance class, parallel to unique.classes, relative to the
@@ -112,24 +142,22 @@ struct OracleResult {
   /// Total access points generated across all unique-instance pins
   /// (Table II "Total #APs").
   std::size_t totalAps() const;
-  /// The access point chosen for (instance, signal-pin position), placed at
-  /// the instance (see placeChosenAp); nullopt when the pin has no chosen
-  /// access.
-  struct ChosenAp {
-    const AccessPoint* ap;
-    geom::Point loc;
-  };
+  AccessView view() const {
+    return {&unique, &classes, &chosenPattern, numThreads};
+  }
+  /// view().chosenAp.
   std::optional<ChosenAp> chosenAp(const db::Design& design, int instIdx,
-                                   int sigPinPos) const;
+                                   int sigPinPos) const {
+    return view().chosenAp(design, instIdx, sigPinPos);
+  }
 };
 
 /// The one placement of a chosen access point: the AP that `pattern` of
 /// class access `ca` picks for signal-pin position `sigPinPos`, at
 /// ap.loc + `origin` (the member instance's origin); nullopt when the
 /// pattern or the pin has none.
-std::optional<OracleResult::ChosenAp> placeChosenAp(const ClassAccess& ca,
-                                                    int pattern, int sigPinPos,
-                                                    geom::Point origin);
+std::optional<ChosenAp> placeChosenAp(const ClassAccess& ca, int pattern,
+                                      int sigPinPos, geom::Point origin);
 
 /// The one-shot batch facade. Internally a thin wrapper over a read-only
 /// pao::core::OracleSession — use a session directly when the design will

@@ -7,6 +7,7 @@
 #include <queue>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -312,11 +313,6 @@ void OracleSession::ensureClassAccess(int cls) {
 
 template <typename Edit, typename Undo>
 void OracleSession::editGeometry(int instIdx, Edit&& edit, Undo&& undo) {
-  // Until the mutation completes, the stored failed-pin verdicts are not
-  // backed by a complete change record.
-  const bool track = verdictsValid_;
-  verdictsValid_ = false;
-  if (track) changedBoxes_.push_back(footprint(instIdx, chosen_[instIdx]));
   std::vector<geom::Coord> rowYs;
   rows_.erase(*design_, instIdx, rowYs);
   edit();
@@ -334,10 +330,7 @@ void OracleSession::editGeometry(int instIdx, Edit&& edit, Undo&& undo) {
     throw;
   }
   const int touched[] = {instIdx};
-  recomputeAfterMutation(touched, rowYs, track);
-  if (!track) return;
-  changedBoxes_.push_back(footprint(instIdx, chosen_[instIdx]));
-  verdictsValid_ = true;
+  recomputeAfterMutation(touched, rowYs);
 }
 
 void OracleSession::moveInstance(int instIdx, geom::Point newOrigin) {
@@ -358,9 +351,9 @@ void OracleSession::setOrient(int instIdx, geom::Orient orient) {
 
 int OracleSession::addInstance(db::Instance inst) {
   requireMutable();
-  // Instance indices of the evaluation's synthetic nets shift: the next
+  // Pin order and the evaluation's synthetic net ids shift: the next
   // failedPins() re-checks every pin.
-  verdictsValid_ = false;
+  evaluated_.clear();
   const int idx = mutableDesign_->addInstance(std::move(inst));
   std::vector<geom::Coord> rowYs;
   rows_.insert(*design_, idx, rowYs);
@@ -378,13 +371,13 @@ int OracleSession::addInstance(db::Instance inst) {
     throw;
   }
   const int touched[] = {idx};
-  recomputeAfterMutation(touched, rowYs, false);
+  recomputeAfterMutation(touched, rowYs);
   return idx;
 }
 
 void OracleSession::removeInstance(int instIdx) {
   requireMutable();
-  verdictsValid_ = false;
+  evaluated_.clear();  // as in addInstance
   std::vector<geom::Coord> rowYs;
   rows_.erase(*design_, instIdx, rowYs);
   index_.remove(instIdx);
@@ -406,7 +399,7 @@ void OracleSession::removeInstance(int instIdx) {
       }
     }
   }
-  recomputeAfterMutation({}, rowYs, false);
+  recomputeAfterMutation({}, rowYs);
 }
 
 std::size_t OracleSession::runOf(geom::Coord y, int inst) const {
@@ -420,8 +413,7 @@ std::size_t OracleSession::runOf(geom::Coord y, int inst) const {
 }
 
 void OracleSession::recomputeAfterMutation(std::span<const int> touched,
-                                           std::vector<geom::Coord>& rowYs,
-                                           bool track) {
+                                           std::vector<geom::Coord>& rowYs) {
   PAO_TRACE_SCOPE("session.mutation");
   ++stats_.mutations;
   PAO_COUNTER_INC("pao.session.mutations");
@@ -493,7 +485,6 @@ void OracleSession::recomputeAfterMutation(std::span<const int> touched,
   // unchanged) decision as a pin for the re-run.
   std::vector<std::vector<int>> dirtyClusters;
   dirtyClusters.reserve(dirty.size());
-  std::vector<std::pair<int, int>> before;  // (instance, old pattern)
   for (const auto& [y, k] : dirty) {
     const std::vector<int>& cluster = rowClusters_.at(y)[k];
     dirtyClusters.push_back(cluster);
@@ -505,12 +496,6 @@ void OracleSession::recomputeAfterMutation(std::span<const int> touched,
       };
       if (std::ranges::any_of(rows_.rowsIn(bbox.ylo, bbox.yhi), clean)) {
         continue;
-      }
-      // Its own row's cluster comes first in order: record the old pattern
-      // there, before any reset.
-      if (track && y == bbox.ylo &&
-          std::find(touched.begin(), touched.end(), inst) == touched.end()) {
-        before.push_back({inst, chosen_[inst]});
       }
       chosen_[inst] = -1;
     }
@@ -532,71 +517,75 @@ void OracleSession::recomputeAfterMutation(std::span<const int> touched,
   stats_.lastDirtyClusters = dirtyClusters.size();
   finishSelectionPass();
   PAO_COUNTER_ADD("pao.session.dirty_clusters", dirtyClusters.size());
-
-  // An instance whose pattern the re-run changed moved its vias.
-  for (const auto& [inst, pattern] : before) {
-    if (chosen_[inst] == pattern) continue;
-    changedBoxes_.push_back(footprint(inst, pattern));
-    changedBoxes_.push_back(footprint(inst, chosen_[inst]));
-  }
 }
 
-geom::Rect OracleSession::footprint(int inst, int pattern) const {
+OracleSession::InstState OracleSession::stateOf(int inst) const {
   const db::Instance& instance = design_->instances[inst];
-  geom::Rect box = instance.bbox();
-  db::forEachPlacedShape(instance, [&](const geom::Rect& r, int, int) {
+  return {instance.origin, instance.orient, index_.classOf(inst),
+          chosen_[inst]};
+}
+
+geom::Rect OracleSession::footprint(int inst, const InstState& s) const {
+  const db::Instance placed{"", design_->instances[inst].master, s.origin,
+                            s.orient};
+  geom::Rect box = placed.bbox();
+  db::forEachPlacedShape(placed, [&](const geom::Rect& r, int, int) {
     box = box.merge(r);
   });
-  const int cls = index_.classes().classOf[inst];
-  if (cls < 0 || static_cast<std::size_t>(cls) >= classes_.size()) return box;
-  const ClassAccess& ca = classes_[cls];
+  if (s.cls < 0) return box;
+  const ClassAccess& ca = classes_[s.cls];
   for (std::size_t p = 0; p < ca.pinAps.size(); ++p) {
-    const auto ap = placeChosenAp(ca, pattern, static_cast<int>(p),
-                                  instance.origin);
+    const auto ap =
+        placeChosenAp(ca, s.pattern, static_cast<int>(p), s.origin);
     const db::ViaDef* via = ap ? ap->ap->primaryVia(*design_->tech) : nullptr;
-    if (via == nullptr) continue;
-    box = box.merge(via->botEncAt(ap->loc))
-              .merge(via->cutAt(ap->loc))
-              .merge(via->topEncAt(ap->loc));
+    if (via != nullptr) box = box.merge(via->boxAt(ap->loc));
   }
   return box;
 }
 
 FailedPinStats OracleSession::failedPins() {
   PAO_TRACE_SCOPE("eval.failed_pins");
-  const bool incremental = verdictsValid_;
-  verdictsValid_ = false;  // an exception below leaves a full re-check due
-  const OracleResult res = snapshot();
-  const FailedPinContext ctx(*design_, res, rows_);
+  // Taken out: an exception below leaves a full re-check due.
+  const std::vector<InstState> last = std::exchange(evaluated_, {});
+  const FailedPinContext ctx(*design_, view(), rows_);
   const std::vector<FailedPinContext::PinRef>& pins = ctx.pins();
+  std::vector<InstState> now(design_->instances.size());
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    now[i] = stateOf(static_cast<int>(i));
+  }
   std::vector<int> recheck;
-  if (!incremental || verdicts_.size() != pins.size()) {
+  if (last.size() != now.size() || verdicts_.size() != pins.size()) {
     verdicts_.assign(pins.size(), PinVerdict{});
     recheck.resize(pins.size());
     std::iota(recheck.begin(), recheck.end(), 0);
   } else {
-    // A pin is re-checked when a changed footprint intersects the reach of
-    // its last check.
+    // An instance that differs from its record changed what a check can
+    // see within its old footprint and its new one; a pin is re-checked
+    // when either intersects the reach of its last check.
     std::vector<geom::GridIndex<char>::Entry> boxes;
-    boxes.reserve(changedBoxes_.size());
-    for (const geom::Rect& box : changedBoxes_) boxes.push_back({box, 0});
-    const geom::GridIndex<char> changed(std::move(boxes));
-    for (std::size_t i = 0; i < pins.size(); ++i) {
-      bool reached = false;
-      changed.queryIndices(verdicts_[i].reach,
-                           [&](std::size_t) { reached = true; });
-      if (reached) recheck.push_back(static_cast<int>(i));
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      if (now[i] == last[i]) continue;
+      boxes.push_back({footprint(static_cast<int>(i), last[i]), 0});
+      boxes.push_back({footprint(static_cast<int>(i), now[i]), 0});
+    }
+    if (!boxes.empty()) {
+      const geom::GridIndex<char> changed(std::move(boxes));
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        bool reached = false;
+        changed.queryIndices(verdicts_[i].reach,
+                             [&](std::size_t) { reached = true; });
+        if (reached) recheck.push_back(static_cast<int>(i));
+      }
     }
   }
-  recheckFailedPins(ctx, *design_, res, recheck, verdicts_);
-  changedBoxes_.clear();
+  recheckFailedPins(ctx, recheck, verdicts_);
   stats_.lastPinsRechecked = recheck.size();
   PAO_COUNTER_ADD("pao.eval.pins_rechecked", recheck.size());
 
   FailedPinStats stats;
   stats.totalPins = pins.size();
   for (const PinVerdict& v : verdicts_) stats.failedPins += v.failed ? 1 : 0;
-  verdictsValid_ = true;
+  evaluated_ = std::move(now);
   return stats;
 }
 
@@ -630,14 +619,6 @@ double OracleSession::finishSelectionPass() {
          -1});
   }
   return cpu;
-}
-
-std::optional<OracleResult::ChosenAp> OracleSession::chosenAp(
-    int instIdx, int sigPinPos) const {
-  const int cls = index_.classes().classOf[instIdx];
-  if (cls < 0) return std::nullopt;
-  return placeChosenAp(classes_[cls], chosen_[instIdx], sigPinPos,
-                       design_->instances[instIdx].origin);
 }
 
 OracleResult OracleSession::snapshot() const {

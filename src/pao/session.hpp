@@ -23,9 +23,13 @@
 //     clusters sharing a (multi-height) instance with an earlier dirty
 //     cluster, whose pinned input may have changed. Everything else keeps
 //     its chosen pattern.
-//   * failedPins() keeps every pin's verdict and the reach of its check
-//     between calls and re-checks only the pins whose reach a changed
-//     shape intersects (see DESIGN.md "Incremental oracle session").
+//   * failedPins() reads the session in place through its AccessView. It
+//     keeps every pin's verdict and the reach of its check between calls,
+//     and records each instance's placement, class and chosen pattern as it
+//     evaluated them. The next call diffs the instances against that record
+//     and re-checks only the pins whose reach the old or new footprint of a
+//     changed instance intersects; mutations log nothing for it (see
+//     DESIGN.md "Incremental oracle session").
 //
 // Invariant (enforced by tests): after any mutation sequence, chosenPattern()
 // equals a fresh PinAccessOracle::run() on the mutated design, and
@@ -96,20 +100,29 @@ class OracleSession {
   const std::vector<int>& chosenPattern() const { return chosen_; }
   /// The placement rows, current with the design.
   const db::RowIndex& rows() const { return rows_; }
-  /// The access point chosen for (instance, signal-pin position), placed at
-  /// the instance's current location.
-  std::optional<OracleResult::ChosenAp> chosenAp(int instIdx,
-                                                 int sigPinPos) const;
+  /// The session's classes, class access and chosen patterns, read in
+  /// place (it follows later mutations), with cfg.numThreads as the worker
+  /// budget. Unlike snapshot(), a class left without members keeps its
+  /// access; no instance refers to it.
+  AccessView view() const {
+    return {&index_.classes(), &classes_, &chosen_, cfg_.numThreads};
+  }
+  /// view().chosenAp at the instance's current location.
+  std::optional<ChosenAp> chosenAp(int instIdx, int sigPinPos) const {
+    return view().chosenAp(*design_, instIdx, sigPinPos);
+  }
   /// Batch-equivalent result, exactly what PinAccessOracle::run() returns:
   /// the classes are copied as held (origin-relative), with classes left
   /// without members empty. Timings describe the initial full analysis, not
   /// later mutations.
   OracleResult snapshot() const;
   /// countFailedPins(design(), snapshot()) under the strict criterion,
-  /// without details. Rebuilds the evaluation context, then re-checks only
-  /// the pins whose last check could have read a shape changed since the
-  /// previous call: every pin on the first call, after addInstance or
-  /// removeInstance, and after an exception in a mutation or in this call.
+  /// without details, evaluated through view() (no snapshot is taken).
+  /// Rebuilds the evaluation context, then re-checks only the pins whose
+  /// last check could have read a shape of an instance that differs from
+  /// the previous call's record (placement, class or chosen pattern): none
+  /// when no instance differs, and every pin on the first call, after
+  /// addInstance or removeInstance, and after an exception in this call.
   FailedPinStats failedPins();
 
   /// Graceful-degradation events accumulated so far (cfg.keepGoing class
@@ -191,15 +204,25 @@ class OracleSession {
   /// Re-splits the rows at `rowYs` (the rows the mutation's db::RowIndex
   /// edits touched), diffs each against its old runs, and re-runs the DP
   /// for dirty clusters only (`touched` = instances whose geometry or class
-  /// changed in this mutation). With `track`, records the footprints of
-  /// instances whose chosen pattern the re-run changed.
+  /// changed in this mutation).
   void recomputeAfterMutation(std::span<const int> touched,
-                              std::vector<geom::Coord>& rowYs, bool track);
+                              std::vector<geom::Coord>& rowYs);
   /// Index of the run of row `y` in rowClusters_ that holds `inst`.
   std::size_t runOf(geom::Coord y, int inst) const;
-  /// Everything of instance `inst` a failed-pin check can see under
-  /// pattern `pattern`: its bbox, placed master shapes and chosen vias.
-  geom::Rect footprint(int inst, int pattern) const;
+  /// What a failed-pin verdict reads of one instance besides its master
+  /// and nets, which no placement mutation changes.
+  struct InstState {
+    geom::Point origin;
+    geom::Orient orient = geom::Orient::R0;
+    int cls = -1;
+    int pattern = -1;
+    bool operator==(const InstState&) const = default;
+  };
+  InstState stateOf(int inst) const;
+  /// Everything of instance `inst` a failed-pin check can see in state `s`:
+  /// its bbox, placed master shapes and chosen vias. One function serves
+  /// the recorded and the current state.
+  geom::Rect footprint(int inst, const InstState& s) const;
   /// Registers the clusters' abutment keys with the selector, sizes
   /// tallies_ to one slot per cluster, then adds one Step-3 DP node per
   /// cluster to `graph`, chained by clusterDeps, each writing only its own
@@ -231,15 +254,13 @@ class OracleSession {
   db::RowIndex rows_;
   /// Cluster structure the current chosen_ was computed against: each
   /// row's runs, left to right, keyed by row y. Map order is the cluster
-  /// order of buildClusters.
+  /// order of the initial build.
   std::map<geom::Coord, std::vector<std::vector<int>>> rowClusters_;
   /// Per pin of the evaluation context, the last failedPins() verdict and
-  /// the reach of its check. Valid (verdictsValid_) only while every
-  /// change since is recorded in changedBoxes_ (footprints before and
-  /// after each change).
+  /// the reach of its check, and per instance the state it was evaluated
+  /// in. An empty evaluated_ makes the next call re-check every pin.
   std::vector<PinVerdict> verdicts_;
-  bool verdictsValid_ = false;
-  std::vector<geom::Rect> changedBoxes_;
+  std::vector<InstState> evaluated_;
   std::unique_ptr<ClusterSelector> selector_;
   /// One slot per cluster of the running selection pass; emptied by
   /// finishSelectionPass.

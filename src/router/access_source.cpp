@@ -5,25 +5,9 @@ namespace pao::router {
 using core::AccessPoint;
 using geom::Point;
 
-AccessSource::AccessSource(const db::Design& design,
-                           const core::OracleResult& result, AccessMode mode)
-    : AccessSource(design, result.unique, result.classes, result.chosenPattern,
-                   mode) {}
-
-AccessSource::AccessSource(const db::Design& design,
-                           const core::OracleSession& session, AccessMode mode)
-    : AccessSource(design, session.unique(), session.classAccesses(),
-                   session.chosenPattern(), mode) {}
-
-AccessSource::AccessSource(const db::Design& design,
-                           const db::UniqueInstances& unique,
-                           const std::vector<core::ClassAccess>& classes,
-                           const std::vector<int>& chosen, AccessMode mode)
-    : design_(&design),
-      unique_(&unique),
-      classes_(&classes),
-      chosen_(&chosen),
-      mode_(mode) {
+AccessSource::AccessSource(const db::Design& design, core::AccessView access,
+                           AccessMode mode)
+    : design_(&design), access_(access), mode_(mode) {
   buildCentroids();
 }
 
@@ -73,9 +57,9 @@ std::optional<PinContact> AccessSource::fromAp(int instIdx,
 
 std::optional<PinContact> AccessSource::contact(int instIdx,
                                                 int sigPinPos) const {
-  const int cls = unique_->classOf[instIdx];
+  const int cls = access_.classOf(instIdx);
   if (cls < 0) return std::nullopt;
-  const core::ClassAccess& ca = (*classes_)[cls];
+  const core::ClassAccess& ca = access_.access(cls);
   if (sigPinPos >= static_cast<int>(ca.pinAps.size()) ||
       ca.pinAps[sigPinPos].empty()) {
     return std::nullopt;
@@ -105,9 +89,7 @@ std::optional<PinContact> AccessSource::contact(int instIdx,
       return fromAp(instIdx, *best);
     }
     case AccessMode::kPattern: {
-      const auto chosen =
-          core::placeChosenAp(ca, (*chosen_)[instIdx], sigPinPos,
-                              design_->instances[instIdx].origin);
+      const auto chosen = access_.chosenAp(*design_, instIdx, sigPinPos);
       if (!chosen || chosen->ap->primaryVia(*design_->tech) == nullptr) {
         return std::nullopt;
       }

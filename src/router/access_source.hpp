@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "pao/oracle.hpp"
-#include "pao/session.hpp"
 
 namespace pao::router {
 
@@ -26,15 +25,11 @@ enum class AccessMode {
 
 class AccessSource {
  public:
-  /// `result` must come from a PinAccessOracle run on `design` (legacy
-  /// config for kFirstAp, full config for the others).
-  AccessSource(const db::Design& design, const core::OracleResult& result,
-               AccessMode mode);
-  /// Live view over an incremental session: contacts reflect the session's
-  /// current state, so the same source stays valid across session mutations
+  /// `access` must view an analysis of `design`: an OracleResult's view()
+  /// (legacy config for kFirstAp, full config for the others), or an
+  /// OracleSession's, whose contacts then follow the session's mutations
   /// (net centroids for kGreedyNearest are captured at construction).
-  /// `session.design()` must be `design`.
-  AccessSource(const db::Design& design, const core::OracleSession& session,
+  AccessSource(const db::Design& design, core::AccessView access,
                AccessMode mode);
 
   /// Contact for instance `instIdx`'s signal-pin position `sigPinPos`;
@@ -44,19 +39,12 @@ class AccessSource {
   AccessMode mode() const { return mode_; }
 
  private:
-  /// Both public constructors fill the same view: the classes, their
-  /// origin-relative access and the chosen patterns, read live.
-  AccessSource(const db::Design& design, const db::UniqueInstances& unique,
-               const std::vector<core::ClassAccess>& classes,
-               const std::vector<int>& chosen, AccessMode mode);
   void buildCentroids();
   std::optional<PinContact> fromAp(int instIdx, const core::AccessPoint& ap)
       const;
 
   const db::Design* design_;
-  const db::UniqueInstances* unique_;
-  const std::vector<core::ClassAccess>* classes_;
-  const std::vector<int>* chosen_;
+  core::AccessView access_;
   AccessMode mode_;
   /// Net centroid per (inst, sigPinPos) for the greedy mode.
   std::map<std::pair<int, int>, geom::Point> centroid_;

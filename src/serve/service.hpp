@@ -54,7 +54,8 @@
 namespace pao::serve {
 
 struct ServiceConfig {
-  /// Oracle worker threads per session (0 = auto, as OracleConfig).
+  /// Worker threads of a load's DEF ingest and of each session (0 = auto,
+  /// as OracleConfig).
   int numThreads = 1;
   /// Max in-flight (admitted, unanswered) requests per tenant; >= 1.
   int tenantBudget = 4;

@@ -67,6 +67,12 @@ core::FailedPinStats countFailedPins(const db::Design& design,
                                      std::size_t maxDetails,
                                      core::FailedPinCriterion criterion);
 
+/// The clusters Step 3 runs over, as the session's initial build makes
+/// them: core::splitRow of every row of a fresh db::RowIndex of `design`,
+/// bottom-up. A multi-height instance joins the cluster of every row its
+/// bbox covers.
+std::vector<std::vector<int>> buildClusters(const db::Design& design);
+
 /// Step 3 as it was before the pair-verdict table: ClusterSelector's
 /// std::map memo of (class, pattern, class, pattern, offset) verdicts,
 /// filled only for the pattern pairs the DP asks for, and the cluster DP run

@@ -234,6 +234,15 @@ void Selector::selectCluster(const std::vector<int>& cluster,
 
 }  // namespace
 
+std::vector<std::vector<int>> buildClusters(const db::Design& design) {
+  std::vector<std::vector<int>> clusters;
+  const db::RowIndex rows(design);
+  for (const db::RowIndex::Row& row : rows.rows()) {
+    core::splitRow(design, row, clusters);
+  }
+  return clusters;
+}
+
 ClusterSelection selectClusters(const db::Design& design,
                                 const db::UniqueInstances& unique,
                                 const std::vector<core::ClassAccess>& classes,
@@ -241,7 +250,7 @@ ClusterSelection selectClusters(const db::Design& design,
   Selector sel(design, unique, classes, cfg);
   ClusterSelection out;
   out.chosenPattern.assign(design.instances.size(), -1);
-  for (const std::vector<int>& cluster : core::buildClusters(design)) {
+  for (const std::vector<int>& cluster : buildClusters(design)) {
     sel.selectCluster(cluster, out.chosenPattern);
   }
   out.pairChecks = sel.numPairChecks();

@@ -48,7 +48,7 @@ benchgen::Testcase* AccessSourceFixture::tc_ = nullptr;
 core::OracleResult* AccessSourceFixture::oracle_ = nullptr;
 
 TEST_F(AccessSourceFixture, PatternModeMatchesOracleChoice) {
-  AccessSource src(*tc_->design, *oracle_, AccessMode::kPattern);
+  AccessSource src(*tc_->design, oracle_->view(), AccessMode::kPattern);
   const auto [inst, pin] = firstAttachedPin();
   ASSERT_GE(inst, 0);
   const auto contact = src.contact(inst, pin);
@@ -60,7 +60,7 @@ TEST_F(AccessSourceFixture, PatternModeMatchesOracleChoice) {
 }
 
 TEST_F(AccessSourceFixture, FirstApModeTakesTheFirstPoint) {
-  AccessSource src(*tc_->design, *oracle_, AccessMode::kFirstAp);
+  AccessSource src(*tc_->design, oracle_->view(), AccessMode::kFirstAp);
   const auto [inst, pin] = firstAttachedPin();
   const int cls = oracle_->unique.classOf[inst];
   const auto contact = src.contact(inst, pin);
@@ -71,7 +71,7 @@ TEST_F(AccessSourceFixture, FirstApModeTakesTheFirstPoint) {
 }
 
 TEST_F(AccessSourceFixture, GreedyPicksNearestToCentroid) {
-  AccessSource src(*tc_->design, *oracle_, AccessMode::kGreedyNearest);
+  AccessSource src(*tc_->design, oracle_->view(), AccessMode::kGreedyNearest);
   const auto [inst, pin] = firstAttachedPin();
   const auto contact = src.contact(inst, pin);
   ASSERT_TRUE(contact.has_value());
@@ -86,7 +86,7 @@ TEST_F(AccessSourceFixture, GreedyPicksNearestToCentroid) {
 }
 
 TEST_F(AccessSourceFixture, OutOfRangeQueriesReturnNothing) {
-  AccessSource src(*tc_->design, *oracle_, AccessMode::kPattern);
+  AccessSource src(*tc_->design, oracle_->view(), AccessMode::kPattern);
   EXPECT_FALSE(src.contact(0, 99).has_value());
 }
 
@@ -94,7 +94,7 @@ TEST_F(AccessSourceFixture, AllModesCoverAllAttachedPins) {
   for (const AccessMode mode :
        {AccessMode::kFirstAp, AccessMode::kGreedyNearest,
         AccessMode::kPattern}) {
-    AccessSource src(*tc_->design, *oracle_, mode);
+    AccessSource src(*tc_->design, oracle_->view(), mode);
     std::size_t covered = 0;
     std::size_t total = 0;
     for (const db::Net& net : tc_->design->nets) {

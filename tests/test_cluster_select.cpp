@@ -7,6 +7,7 @@
 #include "pao/oracle.hpp"
 #include "pao/pattern_gen.hpp"
 #include "pao/session.hpp"
+#include "reference.hpp"
 #include "test_util.hpp"
 
 namespace pao::core {
@@ -19,7 +20,8 @@ using geom::Rect;
 /// clusters, their abutment keys, then selectCluster over every cluster in
 /// order.
 std::vector<int> selectAll(ClusterSelector& sel, const db::Design& design) {
-  const std::vector<std::vector<int>> clusters = buildClusters(design);
+  const std::vector<std::vector<int>> clusters =
+      reference::buildClusters(design);
   sel.addPairKeys(clusters);
   std::vector<int> chosen(design.instances.size(), -1);
   for (const std::vector<int>& cluster : clusters) {
@@ -87,7 +89,8 @@ class ClusterFixture : public ::testing::Test {
 
 TEST_F(ClusterFixture, ClustersSplitAtGaps) {
   buildDesign({{0, 0}, {1200, 0}, {3600, 0}, {0, 1200}});
-  const std::vector<std::vector<int>> clusters = buildClusters(*td_.design);
+  const std::vector<std::vector<int>> clusters =
+      reference::buildClusters(*td_.design);
   ASSERT_EQ(clusters.size(), 3u);
   EXPECT_EQ(clusters[0], (std::vector<int>{0, 1}));
   EXPECT_EQ(clusters[1], (std::vector<int>{2}));
@@ -115,7 +118,7 @@ TEST(BuildClusters, MultiHeightCellJoinsEveryRowItCovers) {
   place("u2", cell, {2400, 0});     // 5
   d.buildInstanceIndex();
 
-  const std::vector<std::vector<int>> clusters = buildClusters(d);
+  const std::vector<std::vector<int>> clusters = reference::buildClusters(d);
   ASSERT_EQ(clusters.size(), 3u);
   EXPECT_EQ(clusters[0], (std::vector<int>{3, 1, 5}));
   EXPECT_EQ(clusters[1], (std::vector<int>{2, 1, 4}));
@@ -155,7 +158,7 @@ TEST(BuildClusters, CoincidentOriginsKeepIndexOrder) {
   OracleSession session(d, cfg);
   session.moveInstance(1, {0, 0});
 
-  const std::vector<std::vector<int>> clusters = buildClusters(d);
+  const std::vector<std::vector<int>> clusters = reference::buildClusters(d);
   ASSERT_EQ(clusters.size(), 3u);
   EXPECT_EQ(clusters[0], (std::vector<int>{0, 1}));
   EXPECT_EQ(clusters[1], (std::vector<int>{2, 3}));
@@ -307,7 +310,7 @@ TEST(ClusterSelectNets, PinsPastSixtyFourDoNotAliasTheNeighbour) {
   }
 
   ClusterSelector sel(d, unique, classes);
-  ASSERT_EQ(buildClusters(d).size(), 1u);
+  ASSERT_EQ(reference::buildClusters(d).size(), 1u);
   const std::vector<int> chosen = selectAll(sel, d);
   EXPECT_EQ(chosen[0], 0);
   EXPECT_EQ(chosen[1], 1) << "the conflicting boundary via was accepted";

@@ -114,7 +114,7 @@ class EvalDifferential
 TEST_P(EvalDifferential, CheckViaMatchesReferenceOnEveryChosenVia) {
   const core::OracleResult result = runOracle();
   const db::RowIndex rows(design());
-  const core::FailedPinContext ctx(design(), result, rows);
+  const core::FailedPinContext ctx(design(), result.view(), rows);
   drc::DrcEngine copy(*design().tech);
   copy.region() = reference::fixedContext(design());
   ASSERT_FALSE(ctx.placed().empty());
@@ -237,7 +237,7 @@ void expectViewMatchesCopy(const db::Design& design) {
   const core::OracleResult result =
       core::PinAccessOracle(design, core::withBcaConfig()).run();
   const db::RowIndex rows(design);
-  const core::FailedPinContext view(design, result, rows);
+  const core::FailedPinContext view(design, result.view(), rows);
   const drc::RegionQuery copy = reference::fixedContext(design);
   std::mt19937_64 rng(17);
   const auto pick = [&](geom::Coord lo, geom::Coord hi) {
@@ -351,7 +351,7 @@ TEST(FailedPinView, PinViewMatchesBruteForce) {
     const core::OracleResult result =
         core::PinAccessOracle(design, core::withBcaConfig()).run();
     const db::RowIndex rows(design);
-    const core::FailedPinContext ctx(design, result, rows);
+    const core::FailedPinContext ctx(design, result.view(), rows);
     const drc::RegionQuery copy = reference::fixedContext(design);
     const std::vector<core::FailedPinContext::PlacedVia>& placed =
         ctx.placed();
@@ -543,7 +543,8 @@ TEST(CheckAllDifferential, RoutedDesignMatchesReference) {
   // check meets min-step markers as well as spacing and shorts.
   core::PinAccessOracle oracle(design, core::legacyConfig());
   const core::OracleResult result = oracle.run();
-  router::AccessSource access(design, result, router::AccessMode::kFirstAp);
+  router::AccessSource access(design, result.view(),
+                              router::AccessMode::kFirstAp);
   router::RouterConfig rc;
   rc.countDrcs = false;  // no rip-up: keep the raw routing's violations
   const router::RouteResult routed =

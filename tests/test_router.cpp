@@ -82,7 +82,7 @@ class RouterFixture : public ::testing::Test {
                                  : core::withBcaConfig();
     core::PinAccessOracle oracle(*tc_->design, cfg);
     result_ = oracle.run();
-    AccessSource access(*tc_->design, result_, mode);
+    AccessSource access(*tc_->design, result_.view(), mode);
     DetailedRouter router(*tc_->design, access);
     return router.run();
   }
@@ -144,7 +144,7 @@ TEST_F(RouterFixture, StatsAreConsistent) {
 TEST_F(RouterFixture, RipupReducesViolations) {
   core::PinAccessOracle oracle(*tc_->design, core::withBcaConfig());
   const core::OracleResult res = oracle.run();
-  AccessSource access(*tc_->design, res, AccessMode::kPattern);
+  AccessSource access(*tc_->design, res.view(), AccessMode::kPattern);
 
   RouterConfig noRipup;
   noRipup.ripupPasses = 0;
@@ -170,7 +170,7 @@ TEST_F(RouterFixture, RoutedDefByteIdenticalAcrossThreads) {
   // (commits stay serial and in net order).
   core::PinAccessOracle oracle(*tc_->design, core::withBcaConfig());
   const core::OracleResult res = oracle.run();
-  AccessSource access(*tc_->design, res, AccessMode::kPattern);
+  AccessSource access(*tc_->design, res.view(), AccessMode::kPattern);
 
   const auto routedDefWith = [&](int threads) {
     RouterConfig cfg;
@@ -196,7 +196,7 @@ TEST_F(RouterFixture, RoutedDefByteIdenticalAcrossThreads) {
 TEST_F(RouterFixture, DisabledDrcCountSkipsViolations) {
   core::PinAccessOracle oracle(*tc_->design, core::withBcaConfig());
   const core::OracleResult res = oracle.run();
-  AccessSource access(*tc_->design, res, AccessMode::kPattern);
+  AccessSource access(*tc_->design, res.view(), AccessMode::kPattern);
   RouterConfig cfg;
   cfg.countDrcs = false;
   const RouteResult rr = DetailedRouter(*tc_->design, access, cfg).run();

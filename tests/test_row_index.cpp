@@ -16,6 +16,7 @@
 
 #include "benchgen/testcase.hpp"
 #include "pao/cluster_select.hpp"
+#include "reference.hpp"
 
 namespace pao::db {
 namespace {
@@ -64,7 +65,7 @@ void expectMatchesScan(const RowIndex& index, const Design& design) {
   for (const RowIndex::Row& row : index.rows()) {
     core::splitRow(design, row, clusters);
   }
-  EXPECT_EQ(clusters, core::buildClusters(design));
+  EXPECT_EQ(clusters, reference::buildClusters(design));
 }
 
 /// One random edit of `design`, applied through the index's erase/insert

@@ -42,6 +42,16 @@ struct Lcg {
   }
 };
 
+/// A random site of a random placement row.
+geom::Point randomSite(const db::Design& design, Lcg& rng) {
+  const db::Row& row = design.rows[rng.next() % design.rows.size()];
+  const std::uint64_t sites =
+      row.numSites > 0 ? static_cast<std::uint64_t>(row.numSites) : 1;
+  return {row.origin.x +
+              static_cast<geom::Coord>(rng.next() % sites) * row.siteWidth,
+          row.origin.y};
+}
+
 /// One random row-snapped move or orientation flip through the session.
 void randomMutation(OracleSession& session, db::Design& design, Lcg& rng) {
   const int inst = static_cast<int>(rng.next() % design.instances.size());
@@ -51,14 +61,7 @@ void randomMutation(OracleSession& session, db::Design& design, Lcg& rng) {
                                                     : geom::Orient::R0);
     return;
   }
-  const db::Row& row = design.rows[rng.next() % design.rows.size()];
-  const std::uint64_t sites =
-      row.numSites > 0 ? static_cast<std::uint64_t>(row.numSites) : 1;
-  session.moveInstance(
-      inst, geom::Point{row.origin.x + static_cast<geom::Coord>(
-                                           rng.next() % sites) *
-                                           row.siteWidth,
-                        row.origin.y});
+  session.moveInstance(inst, randomSite(design, rng));
 }
 
 /// chosenAp agreement for every (instance, signal pin) — class-order
@@ -151,7 +154,8 @@ FailedPinStats expectFailedPinsMatchBatch(OracleSession& session,
 // exactly what the batch evaluation of its state counts — the contract of
 // failedPins(), held apart from the oracle steps before it (chosen patterns
 // can drift from a fresh run once a class's representative sits where the
-// track patterns end; see ROADMAP "Class access at track-range ends").
+// track patterns end; see ROADMAP item 4, "One class builder, exact at
+// track ends").
 // Moves onto occupied sites make pins fail, so the counts are not trivially
 // zero; moves half a row off the rows make rows appear and empty.
 TEST_P(SessionEquivalence, IncrementalFailedPinsMatchBatch) {
@@ -211,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, SessionEquivalence,
 
 // A mutation whose new class fails to analyze is undone: the design and the
 // session are as before, so the chosen patterns and the next failed-pin
-// report (a full re-check after the exception) still equal a batch run.
+// report still equal a batch run, and that report re-checks no pin.
 TEST(OracleSession, FailedMutationIsUndoneAndReportStaysExact) {
   benchgen::Testcase tc = smallCase();
   db::Design& design = *tc.design;
@@ -222,12 +226,14 @@ TEST(OracleSession, FailedMutationIsUndoneAndReportStaysExact) {
   util::FaultRegistry& faults = util::FaultRegistry::instance();
   ASSERT_TRUE(faults.configure("oracle.class_access"));
   // Find an orientation that gives instance 2 a signature no class has yet;
-  // a flip onto an existing class needs no analysis and succeeds.
+  // a flip onto an existing class needs no analysis and succeeds. A report
+  // before each attempt makes the failing edit the only one since.
   bool threw = false;
   for (const geom::Orient o : {geom::Orient::MY, geom::Orient::R180,
                                geom::Orient::MX, geom::Orient::R0}) {
     const db::Instance before = design.instances[2];
     const std::size_t rowsBefore = session.rows().rows().size();
+    session.failedPins();
     try {
       session.setOrient(2, o);
     } catch (const util::FaultInjected&) {
@@ -241,13 +247,109 @@ TEST(OracleSession, FailedMutationIsUndoneAndReportStaysExact) {
   faults.reset();
   ASSERT_TRUE(threw);
   expectMatchesBatch(session, design, cfg);
-  const FailedPinStats after = expectFailedPinsMatchBatch(session, design, cfg);
-  EXPECT_EQ(session.stats().lastPinsRechecked, after.totalPins);
+  expectFailedPinsMatchBatch(session, design, cfg);
+  EXPECT_EQ(session.stats().lastPinsRechecked, 0u);
 
   // The class is analyzed on the next mutation that needs it.
   session.setOrient(2, geom::Orient::MY);
   expectMatchesBatch(session, design, cfg);
   expectFailedPinsMatchBatch(session, design, cfg);
+}
+
+// A report diffs the session against the state its previous report
+// evaluated, so edits that are reverted before the report, and a move onto
+// the instance's own origin, leave no pin to re-check; the report still
+// equals a batch run.
+TEST(SessionReport, RevertedEditsRecheckNothing) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    benchgen::Testcase tc = smallCase();
+    db::Design& design = *tc.design;
+    OracleConfig cfg = withBcaConfig();
+    cfg.numThreads = threads;
+    OracleSession session(design, cfg);
+    expectFailedPinsMatchBatch(session, design, cfg);
+
+    Lcg rng{17};
+    for (int k = 0; k < 10; ++k) {
+      const int inst = static_cast<int>(rng.next() % design.instances.size());
+      const db::Instance home = design.instances[inst];
+      session.moveInstance(inst, randomSite(design, rng));
+      session.setOrient(inst, home.orient == geom::Orient::R0
+                                  ? geom::Orient::MY
+                                  : geom::Orient::R0);
+      session.setOrient(inst, home.orient);
+      session.moveInstance(inst, home.origin);
+    }
+    {
+      SCOPED_TRACE("apply then revert");
+      expectFailedPinsMatchBatch(session, design, cfg);
+      EXPECT_EQ(session.stats().lastPinsRechecked, 0u);
+    }
+
+    session.moveInstance(3, design.instances[3].origin);
+    SCOPED_TRACE("same-origin move");
+    expectFailedPinsMatchBatch(session, design, cfg);
+    EXPECT_EQ(session.stats().lastPinsRechecked, 0u);
+  }
+}
+
+// A move that changes another instance's chosen pattern: that neighbour's
+// vias moved too, and the report still equals a batch run.
+TEST(SessionReport, NeighbourPatternChangeIsRechecked) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    benchgen::Testcase tc = smallCase();
+    db::Design& design = *tc.design;
+    OracleConfig cfg = withBcaConfig();
+    cfg.numThreads = threads;
+    OracleSession session(design, cfg);
+    expectFailedPinsMatchBatch(session, design, cfg);
+
+    Lcg rng{23};
+    bool found = false;
+    for (int trial = 0; trial < 400 && !found; ++trial) {
+      const int inst = static_cast<int>(rng.next() % design.instances.size());
+      const geom::Point home = design.instances[inst].origin;
+      const std::vector<int> before = session.chosenPattern();
+      session.moveInstance(inst, randomSite(design, rng));
+      std::vector<int> after = session.chosenPattern();
+      after[inst] = before[inst];  // the moved instance's own choice aside
+      found = after != before;
+      if (!found) session.moveInstance(inst, home);
+    }
+    ASSERT_TRUE(found);
+    expectFailedPinsMatchBatch(session, design, cfg);
+    EXPECT_GT(session.stats().lastPinsRechecked, 0u);
+  }
+}
+
+// A change of chosen pattern alone is a change too. The initial build runs
+// with every Step-3 pass expired, so each cluster commits its instances'
+// cheapest standalone patterns; a same-origin move then re-runs one
+// cluster's DP, which changes patterns without moving any instance. The
+// report re-checks the pins those patterns reach and equals the batch
+// evaluation of the session's state.
+TEST(SessionReport, PatternOnlyChangeIsRechecked) {
+  benchgen::Testcase tc = smallCase();
+  db::Design& design = *tc.design;
+  util::FaultRegistry& faults = util::FaultRegistry::instance();
+  ASSERT_TRUE(faults.configure("step3.deadline"));
+  OracleSession session(design, withBcaConfig());
+  faults.reset();
+  session.failedPins();
+
+  bool changed = false;
+  for (int i = 0; i < static_cast<int>(design.instances.size()) && !changed;
+       ++i) {
+    const std::vector<int> before = session.chosenPattern();
+    session.moveInstance(i, design.instances[i].origin);
+    changed = session.chosenPattern() != before;
+  }
+  ASSERT_TRUE(changed);
+  const FailedPinStats got = session.failedPins();
+  expectSameFailedPins(got, countFailedPins(design, session.snapshot()));
+  EXPECT_GT(session.stats().lastPinsRechecked, 0u);
 }
 
 /// The huge preset at h 0.01, parsed as pao_serve loads it.

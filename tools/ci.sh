@@ -243,8 +243,10 @@ echo "== ThreadSanitizer job-graph soak =="
 # builds its classes on a job graph of instance shards. Every class and
 # cluster node writes its CPU time and tally into its own slot, merged
 # after the join: the session-timing case and Step3PairChecks cover both.
+# The session's report reads its classes and patterns in place from every
+# evaluation worker: the SessionReport cases run it at 4 threads.
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
-  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:SessionTimings.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*'
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:SessionTimings.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*:SessionReport.*'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \

@@ -23,8 +23,13 @@
 // run is reproduced by re-running with the same arguments; the iteration
 // number of the first violation is printed.
 //
+// Each corpus DEF is read against the first corpus LEF that loads it
+// unmutated in strict mode (the first LEF when it fails the same way under
+// every LEF), caches against the first LEF.
+//
 // Exit codes: 0 all iterations clean, 1 contract violation, 2 usage/corpus
-// error.
+// error (including a corpus LEF that does not load, and a corpus DEF that no
+// corpus LEF loads and that fails differently under different LEFs).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +37,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -138,8 +144,11 @@ std::string slurp(const fs::path& p) {
   return buf.str();
 }
 
+/// The corpus files of one kind in name order; with `names`, also their
+/// file names.
 std::vector<std::string> corpusOf(const fs::path& dir,
-                                  std::string_view extension) {
+                                  std::string_view extension,
+                                  std::vector<std::string>* names = nullptr) {
   std::vector<fs::path> paths;
   for (const auto& e : fs::directory_iterator(dir)) {
     if (e.is_regular_file() && e.path().extension() == extension) {
@@ -148,8 +157,31 @@ std::vector<std::string> corpusOf(const fs::path& dir,
   }
   std::sort(paths.begin(), paths.end());  // determinism across filesystems
   std::vector<std::string> out;
-  for (const fs::path& p : paths) out.push_back(slurp(p));
+  for (const fs::path& p : paths) {
+    out.push_back(slurp(p));
+    if (names != nullptr) names->push_back(p.filename().string());
+  }
   return out;
+}
+
+/// A corpus LEF's technology and library, as loaded strictly.
+struct LefLibrary {
+  db::Tech tech;
+  db::Library lib;
+};
+
+/// The first error of a strict parse of `def` against `library`; empty
+/// when it loads.
+std::string strictDefError(const std::string& def, const LefLibrary& library) {
+  db::Design design;
+  design.tech = &library.tech;
+  design.lib = &library.lib;
+  try {
+    lefdef::parseDef(def, design);
+  } catch (const lefdef::ParseError& e) {
+    return e.diag.format();
+  }
+  return {};
 }
 
 struct Violation {
@@ -368,8 +400,10 @@ int main(int argc, char** argv) {
   const bool doDef = kind == "def" || all;
   const bool doCache = kind == "cache" || all;
   const bool doStream = kind == "stream" || all;
-  const std::vector<std::string> lefs = corpusOf(dir, ".lef");
-  const std::vector<std::string> defs = corpusOf(dir, ".def");
+  std::vector<std::string> lefNames;
+  const std::vector<std::string> lefs = corpusOf(dir, ".lef", &lefNames);
+  std::vector<std::string> defNames;
+  const std::vector<std::string> defs = corpusOf(dir, ".def", &defNames);
   const std::vector<std::string> caches = corpusOf(dir, ".cache");
   if ((doLef && lefs.empty()) || (doDef && (defs.empty() || lefs.empty())) ||
       (doCache && (caches.empty() || lefs.empty())) ||
@@ -380,11 +414,41 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // DEF and cache inputs are interpreted against a fixed tech/library: the
-  // first (unmutated) corpus LEF.
-  db::Tech tech;
-  db::Library lib;
-  lefdef::parseLef(lefs.front(), tech, lib);
+  // Each DEF's mutants are interpreted against the first corpus LEF that
+  // loads the unmutated DEF strictly, so a DEF placing masters that only a
+  // later LEF defines still reaches its later sections. A DEF malformed on
+  // its own stops at the same first error under every LEF and takes the
+  // first; one that stops at different errors and loads under none needs a
+  // library the corpus lacks. Cache inputs are read against the first LEF.
+  std::vector<std::unique_ptr<LefLibrary>> libraries;
+  for (std::size_t l = 0; l < lefs.size(); ++l) {
+    libraries.push_back(std::make_unique<LefLibrary>());
+    try {
+      lefdef::parseLef(lefs[l], libraries.back()->tech, libraries.back()->lib);
+    } catch (const lefdef::ParseError& e) {
+      std::fprintf(stderr, "pao_fuzz: corpus LEF %s does not load: %s\n",
+                   lefNames[l].c_str(), e.diag.format().c_str());
+      return 2;
+    }
+  }
+  std::vector<const LefLibrary*> libraryOf;  // per DEF
+  for (std::size_t d = 0; (doDef || doStream) && d < defs.size(); ++d) {
+    std::vector<std::string> errors;
+    for (const auto& library : libraries) {
+      errors.push_back(strictDefError(defs[d], *library));
+    }
+    const auto loads = std::find(errors.begin(), errors.end(), "");
+    if (loads != errors.end()) {
+      libraryOf.push_back(libraries[loads - errors.begin()].get());
+    } else if (std::equal(errors.begin() + 1, errors.end(), errors.begin())) {
+      libraryOf.push_back(libraries.front().get());
+    } else {
+      std::fprintf(stderr, "pao_fuzz: no corpus LEF loads %s\n",
+                   defNames[d].c_str());
+      return 2;
+    }
+  }
+  const LefLibrary& first = *libraries.front();
 
   Rng rng{seed * 0x9E3779B97F4A7C15ULL + 1};
   for (long i = 0; i < iterations; ++i) {
@@ -395,15 +459,16 @@ int main(int argc, char** argv) {
     if (target == "lef") {
       input = mutate(lefs[rng.below(lefs.size())], lefs, rng);
       v = fuzzLefOnce(input);
-    } else if (target == "def") {
-      input = mutate(defs[rng.below(defs.size())], defs, rng);
-      v = fuzzDefOnce(input, tech, lib);
-    } else if (target == "stream") {
-      input = mutate(defs[rng.below(defs.size())], defs, rng);
-      v = fuzzStreamOnce(input, tech, lib, rng);
+    } else if (target == "def" || target == "stream") {
+      const std::size_t d = rng.below(defs.size());
+      input = mutate(defs[d], defs, rng);
+      const LefLibrary& library = *libraryOf[d];
+      v = target == "def"
+              ? fuzzDefOnce(input, library.tech, library.lib)
+              : fuzzStreamOnce(input, library.tech, library.lib, rng);
     } else {
       input = mutate(caches[rng.below(caches.size())], caches, rng);
-      v = fuzzCacheOnce(input, tech, lib);
+      v = fuzzCacheOnce(input, first.tech, first.lib);
     }
     if (v.failed) {
       std::fprintf(stderr, "pao_fuzz: iteration %ld (seed %llu): %s\n", i,

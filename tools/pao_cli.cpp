@@ -672,7 +672,7 @@ int cmdRoute(int argc, char** argv) {
   if (cacheIn != nullptr) loadCacheFile(cache, cacheIn, ld, rob.keepGoing);
   core::PinAccessOracle oracle(ld.design, oracleCfg);
   const core::OracleResult access = oracle.run();
-  router::AccessSource source(ld.design, access,
+  router::AccessSource source(ld.design, access.view(),
                               router::AccessMode::kPattern);
   router::RouterConfig routerCfg;
   routerCfg.numThreads = numThreads;
