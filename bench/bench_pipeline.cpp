@@ -6,7 +6,9 @@
 //   - the heap allocation count of one serial analyze, with the scratch
 //     arena carrying the per-class and per-cluster scratch,
 //   - the DRC via check's cost in heap allocations per DrcEngine::checkVia
-//     call, over every chosen via of the failed-pin evaluation,
+//     call, over every chosen via of the failed-pin evaluation, through its
+//     per-pin view and through a reused FailedPinContext::PinWindow,
+//   - the windowed check's time over the per-pin view's on one context,
 //   - the failed-pin evaluation's memory: the peak live heap bytes above
 //     the starting level during one 1-thread countFailedPins, per instance,
 //   - the via check's boundary kernel: geom::unionBoundary's time on a pin
@@ -19,8 +21,11 @@
 // the serial analyze must stay within kMaxOracleHeapAllocs
 // heap allocations, checkVia within kMaxAllocsPerCheckVia per call, the
 // evaluation within kMaxEvalPeakBytesPerInst, and the boundary kernel
-// within kMaxBoundaryTimeRatio of the reference (skipped in sanitizer
-// builds, whose instrumentation skews the two unevenly).
+// within kMaxBoundaryTimeRatio of the reference. The windowed check must
+// stay within kMaxAllocsPerCheckVia per call, gather included, and within
+// kMaxWindowTimeRatio of the per-pin view's time. The time gates and the
+// windowed allocation gate are skipped in sanitizer builds, whose
+// instrumentation skews the two sides unevenly and allocates on its own.
 //
 // The binary overrides global operator new/delete to count allocations and
 // track live bytes (malloc_usable_size); keep it leaf (no other benches link
@@ -143,6 +148,16 @@ constexpr double kMaxBoundaryTimeRatio = 0.2;
 constexpr int kBoundaryRounds = 5;
 constexpr int kBoundaryCalls = 100000;
 
+// Ceiling of the windowed-check self-check: the strict criterion's check
+// of every chosen via, each through a PinWindow gathered for it, over the
+// same checks through its pinView, on one context (best of
+// kWindowRounds x kWindowPasses passes, interleaved). The window answers a
+// check from one row walk where the per-pin view walks the rows for each
+// of its 8-10 queries.
+constexpr double kMaxWindowTimeRatio = 0.8;
+constexpr int kWindowRounds = 5;
+constexpr int kWindowPasses = 10;
+
 // PAO_SANITIZED is set by bench/CMakeLists.txt from -DPAO_SANITIZE.
 constexpr bool kSanitized = PAO_SANITIZED;
 
@@ -186,17 +201,21 @@ std::size_t overlapJobs(const RunMeasure& m) {
 struct ViaCheckMeasure {
   std::uint64_t calls = 0;
   std::uint64_t heapAllocs = 0;
-  double perCall() const {
-    return calls > 0 ? static_cast<double>(heapAllocs) /
+  std::uint64_t windowedAllocs = 0;
+  static double per(std::uint64_t allocs, std::uint64_t calls) {
+    return calls > 0 ? static_cast<double>(allocs) /
                            static_cast<double>(calls)
                      : 0.0;
   }
+  double perCall() const { return per(heapAllocs, calls); }
+  double perWindowedCall() const { return per(windowedAllocs, calls); }
 };
 
 /// Heap allocations of checkVia over the failed-pin evaluation: every
 /// chosen via, checked through its per-pin view (the fixed design plus its
-/// neighbours' vias) as countFailedPins does, with only the checkVia call
-/// inside the counting window.
+/// neighbours' vias), with only the checkVia call inside the counting
+/// window; then checked as countFailedPins does, through one PinWindow
+/// reused for every via, its construction and each gather counted too.
 ViaCheckMeasure measureCheckVia(const db::Design& design) {
   core::OracleConfig cfg;
   cfg.numThreads = 1;
@@ -205,15 +224,76 @@ ViaCheckMeasure measureCheckVia(const db::Design& design) {
   const db::RowIndex rows(design);
   const core::FailedPinContext ctx(design, result.view(), rows);
   ViaCheckMeasure m;
+  const auto allocs = [] {
+    return gHeapAllocs.load(std::memory_order_relaxed);
+  };
   for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
     const core::FailedPinContext::PlacedVia& pv = ctx.placed()[v];
-    const std::uint64_t allocs0 = gHeapAllocs.load(std::memory_order_relaxed);
+    const std::uint64_t allocs0 = allocs();
     // The returned vector is part of the call's cost; it dies after the
     // window closes.
     const std::vector<drc::Violation> violations =
         ctx.engine().checkVia(ctx.pinView(v), *pv.via, pv.loc, pv.net);
-    m.heapAllocs += gHeapAllocs.load(std::memory_order_relaxed) - allocs0;
+    m.heapAllocs += allocs() - allocs0;
     ++m.calls;
+  }
+  const std::uint64_t windowed0 = allocs();
+  {
+    core::FailedPinContext::PinWindow window(ctx);
+    for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
+      const core::FailedPinContext::PlacedVia& pv = ctx.placed()[v];
+      window.gather(v);
+      const std::vector<drc::Violation> violations =
+          ctx.engine().checkVia(window, *pv.via, pv.loc, pv.net);
+    }
+  }
+  m.windowedAllocs = allocs() - windowed0;
+  return m;
+}
+
+struct WindowTimeMeasure {
+  double seconds = 0;          // best round, through a PinWindow
+  double pinViewSeconds = 0;   // best round, through pinView
+  double ratio() const {
+    return pinViewSeconds > 0 ? seconds / pinViewSeconds : 0.0;
+  }
+};
+
+/// Best-of-kWindowRounds time of kWindowPasses passes of the strict
+/// check over every chosen via of one context, each via checked through a
+/// PinWindow gathered for it (as countFailedPins does) and through its
+/// pinView, rounds interleaved so host noise hits both alike.
+WindowTimeMeasure measureWindowTime(const db::Design& design) {
+  core::OracleConfig cfg;
+  cfg.numThreads = 1;
+  const core::OracleResult result =
+      core::OracleSession(design, cfg).snapshot();
+  const db::RowIndex rows(design);
+  const core::FailedPinContext ctx(design, result.view(), rows);
+  core::FailedPinContext::PinWindow window(ctx);
+  const auto time = [&](bool windowed) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kWindowPasses; ++pass) {
+      for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
+        const core::FailedPinContext::PlacedVia& pv = ctx.placed()[v];
+        if (windowed) {
+          window.gather(v);
+          ctx.engine().checkVia(window, *pv.via, pv.loc, pv.net);
+        } else {
+          ctx.engine().checkVia(ctx.pinView(v), *pv.via, pv.loc, pv.net);
+        }
+      }
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  WindowTimeMeasure m;
+  for (int round = 0; round < kWindowRounds; ++round) {
+    const double windowed = time(true);
+    const double viewed = time(false);
+    if (round == 0 || windowed < m.seconds) m.seconds = windowed;
+    if (round == 0 || viewed < m.pinViewSeconds) m.pinViewSeconds = viewed;
   }
   return m;
 }
@@ -303,6 +383,7 @@ int main() {
   const ViaCheckMeasure viaCheck = measureCheckVia(*tc.design);
   const EvalMemoryMeasure evalMemory = measureEvalMemory(*tc.design);
   const BoundaryTimeMeasure boundary = measureBoundaryTime();
+  const WindowTimeMeasure windowTime = measureWindowTime(*tc.design);
 
   const std::size_t clusterJobs = serialRun.stats.lastClusterCount;
 
@@ -329,6 +410,10 @@ int main() {
               static_cast<unsigned long long>(viaCheck.calls));
   std::printf("%-34s | %10.2f\n", "heap allocs per checkVia",
               viaCheck.perCall());
+  std::printf("%-34s | %10.3f\n", "heap allocs per windowed check",
+              viaCheck.perWindowedCall());
+  std::printf("%-34s | %10.3f\n", "windowed / pinView check time",
+              windowTime.ratio());
   std::printf("%-34s | %10lld\n", "eval peak heap bytes",
               static_cast<long long>(evalMemory.peakBytes));
   std::printf("%-34s | %10.1f\n", "eval peak heap bytes per inst",
@@ -350,6 +435,9 @@ int main() {
       .set("heapAllocsArena", obs::Json(static_cast<double>(serialRun.heapAllocs)))
       .set("checkViaCalls", obs::Json(static_cast<double>(viaCheck.calls)))
       .set("heapAllocsPerCheckVia", obs::Json(viaCheck.perCall()))
+      .set("heapAllocsPerWindowedCheck",
+           obs::Json(viaCheck.perWindowedCall()))
+      .set("windowTimeRatio", obs::Json(windowTime.ratio()))
       .set("evalPeakBytes",
            obs::Json(static_cast<double>(evalMemory.peakBytes)))
       .set("evalPeakBytesPerInst", obs::Json(evalMemory.perInst()))
@@ -401,13 +489,30 @@ int main() {
   }
   if (kSanitized) {
     std::fprintf(stderr,
-                 "selfcheck: boundary time gate skipped: sanitizer build\n");
-  } else if (boundary.ratio() > kMaxBoundaryTimeRatio) {
-    std::fprintf(stderr,
-                 "selfcheck FAILED: unionBoundary takes %.3f of the "
-                 "reference's time on 2 rects (need <= %.2f)\n",
-                 boundary.ratio(), kMaxBoundaryTimeRatio);
-    ok = false;
+                 "selfcheck: boundary time, windowed allocation and window "
+                 "time gates skipped: sanitizer build\n");
+  } else {
+    if (boundary.ratio() > kMaxBoundaryTimeRatio) {
+      std::fprintf(stderr,
+                   "selfcheck FAILED: unionBoundary takes %.3f of the "
+                   "reference's time on 2 rects (need <= %.2f)\n",
+                   boundary.ratio(), kMaxBoundaryTimeRatio);
+      ok = false;
+    }
+    if (viaCheck.perWindowedCall() > kMaxAllocsPerCheckVia) {
+      std::fprintf(stderr,
+                   "selfcheck FAILED: %.3f heap allocations per windowed "
+                   "check (need <= %.2f)\n",
+                   viaCheck.perWindowedCall(), kMaxAllocsPerCheckVia);
+      ok = false;
+    }
+    if (windowTime.ratio() > kMaxWindowTimeRatio) {
+      std::fprintf(stderr,
+                   "selfcheck FAILED: the windowed check takes %.3f of the "
+                   "per-pin view's time (need <= %.2f)\n",
+                   windowTime.ratio(), kMaxWindowTimeRatio);
+      ok = false;
+    }
   }
   if (ok) std::fprintf(stderr, "selfcheck OK\n");
   return ok ? 0 : 1;

@@ -117,6 +117,7 @@ class Tech {
   const Layer* findLayer(std::string_view name) const;
 
   const std::deque<ViaDef>& viaDefs() const { return viaDefs_; }
+  std::deque<ViaDef>& viaDefs() { return viaDefs_; }
   const ViaDef& viaDef(int idx) const { return viaDefs_.at(idx); }
   const ViaDef* findViaDef(std::string_view name) const;
   /// All via defs whose bottom routing layer is `botLayer`, default-first.

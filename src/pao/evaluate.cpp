@@ -1,8 +1,8 @@
 #include "pao/evaluate.hpp"
 
 #include <algorithm>
-#include <map>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -129,63 +129,17 @@ FailedPinContext::FailedPinContext(const db::Design& design, AccessView view,
   // signal pin its evaluation entry and chosen via. Chosen vias are kept by
   // instance, so each pin can be checked against every *other* pin's via
   // without seeing its own.
-  std::map<std::pair<const db::Master*, geom::Orient>, std::size_t> cells;
-  // Each signal pin's chosen access point under one (class, pattern), and
-  // how far its via reaches beyond the instance bbox (-1: no via). A
-  // class's members share master and orient, so this is worked out once
-  // per pair in use.
-  struct ChosenVia {
-    const AccessPoint* ap;
-    geom::Coord overhang;
-  };
-  std::vector<ChosenVia> chosenVias;
-  std::map<std::pair<int, int>, std::size_t> chosenOf;
+  byClass_.resize(view.unique->classes.size());
   cellOf_.resize(design.instances.size());
   placedBase_.resize(design.instances.size() + 1);
   pins_.reserve(attached);
   placed_.reserve(attached);
   int synthetic = numNets;
   for (int i = 0; i < numInsts; ++i) {
-    const db::Instance& inst = design.instances[i];
-    const db::Master& master = *inst.master;
-    const auto [cell, fresh] =
-        cells.try_emplace({inst.master, inst.orient}, cellBase_.size());
-    if (fresh) {
-      // The master's shapes at this orient, placed at the origin, one layer
-      // after another. Supply pins are foreign metal; shapes a RegionQuery
-      // would skip are skipped.
-      const db::Instance atOrigin{"", inst.master, {0, 0}, inst.orient};
-      for (int l = 0; l <= numLayers; ++l) {
-        cellBase_.push_back(cellShapes_.size());
-        db::forEachPlacedShape(atOrigin, [&](const geom::Rect& r, int layer,
-                                             int p) {
-          if (layer != l || r.empty()) return;
-          const bool foreign = p < 0 || master.pins[p].isSupply();
-          cellShapes_.push_back(
-              {r, foreign ? -1 : p,
-               p < 0 ? drc::ShapeKind::kObstruction : drc::ShapeKind::kPin});
-          overhang_ = std::max(overhang_, beyond(r, atOrigin.bbox()));
-        });
-      }
-    }
-    cellOf_[i] = cell->second;
+    const db::Master& master = *design.instances[i].master;
+    cellOf_[i] = cellFor(i);
     placedBase_[i] = static_cast<int>(placed_.size());
-    const ChosenVia* chosen = nullptr;  // by signal-pin position
-    if (const int cls = view.classOf(i); cls >= 0) {
-      const int pattern = view.pattern(i);
-      const auto [at, isNew] =
-          chosenOf.try_emplace({cls, pattern}, chosenVias.size());
-      for (int pos = 0; isNew && pos < static_cast<int>(master.pins.size());
-           ++pos) {
-        const auto ap =
-            placeChosenAp(view.access(cls), pattern, pos, inst.origin);
-        const db::ViaDef* via = ap ? ap->ap->primaryVia(*design.tech) : nullptr;
-        chosenVias.push_back(
-            {ap ? ap->ap : nullptr,
-             via ? beyond(via->boxAt(ap->loc), inst.bbox()) : -1});
-      }
-      chosen = chosenVias.data() + at->second;
-    }
+    const AccessPoint* const* chosen = chosenFor(i);
     int pos = -1;  // signal-pin position within the master
     for (int p = 0; p < static_cast<int>(master.pins.size()); ++p) {
       if (master.pins[p].isSupply()) continue;
@@ -194,20 +148,9 @@ FailedPinContext::FailedPinContext(const db::Design& design, AccessView view,
       ++pos;
       // Only count pins attached to real design nets.
       if (net >= numNets) continue;
-      PinRef ref{i, pos, net, -1, false};
-      const ChosenVia* cv = chosen != nullptr ? &chosen[pos] : nullptr;
-      if (cv != nullptr && cv->overhang >= 0) {
-        ref.placedIdx = static_cast<int>(placed_.size());
-        placed_.push_back({i, pos, cv->ap->primaryVia(*design.tech),
-                           cv->ap->loc + inst.origin, net});
-        overhang_ = std::max(overhang_, cv->overhang);
-      } else if (cv != nullptr && cv->ap != nullptr && cv->ap->dirs != 0) {
-        // Planar-only access (macro pins): counts as accessible; the stub
-        // legality was validated at generation and re-checked by
-        // countDirtyAps.
-        ref.planar = true;
-      }
-      pins_.push_back(ref);
+      PinRef& ref = pins_.emplace_back(PinRef{i, pos, net, -1, false});
+      const int slot = static_cast<int>(placed_.size());
+      if (const auto pv = setAccess(ref, chosen, slot)) placed_.push_back(*pv);
     }
   }
   placedBase_[numInsts] = static_cast<int>(placed_.size());
@@ -220,6 +163,184 @@ FailedPinContext::FailedPinContext(const db::Design& design, AccessView view,
            drc::ShapeKind::kIoPin, true});
     }
   });
+}
+
+std::size_t FailedPinContext::cellFor(int inst) {
+  const db::Instance& instance = design_->instances[inst];
+  // A class's members share master and orient, so the class caches it.
+  const auto cls = static_cast<std::size_t>(view_.classOf(inst));
+  if (cls < byClass_.size() && byClass_[cls].cell != kNone) {
+    return byClass_[cls].cell;
+  }
+  std::size_t cell = kNone;
+  for (const CellKey& key : cellKeys_) {
+    if (key.master == instance.master && key.orient == instance.orient) {
+      cell = key.cell;
+      break;
+    }
+  }
+  if (cell == kNone) {
+    // The master's shapes at this orient, placed at the origin, one layer
+    // after another. Supply pins are foreign metal; shapes a RegionQuery
+    // would skip are skipped.
+    cell = cellBase_.size();
+    cellKeys_.push_back({instance.master, instance.orient, cell});
+    const db::Master& master = *instance.master;
+    const db::Instance atOrigin{"", &master, {0, 0}, instance.orient};
+    for (int l = 0; l <= engine_.region().numLayers(); ++l) {
+      cellBase_.push_back(cellShapes_.size());
+      db::forEachPlacedShape(atOrigin, [&](const geom::Rect& r, int layer,
+                                           int p) {
+        if (layer != l || r.empty()) return;
+        const bool foreign = p < 0 || master.pins[p].isSupply();
+        cellShapes_.push_back(
+            {r, foreign ? -1 : p,
+             p < 0 ? drc::ShapeKind::kObstruction : drc::ShapeKind::kPin});
+        overhang_ = std::max(overhang_, beyond(r, atOrigin.bbox()));
+      });
+    }
+  }
+  if (view_.classOf(inst) >= 0) {
+    if (cls >= byClass_.size()) byClass_.resize(cls + 1);
+    byClass_[cls].cell = cell;
+  }
+  return cell;
+}
+
+// A growing class vector moves each ClassAccess, which leaves its per-pin
+// access point lists, and the chosenAps_ pointers into them, in place.
+static_assert(std::is_nothrow_move_constructible_v<ClassAccess>);
+
+const AccessPoint* const* FailedPinContext::chosenFor(int inst) {
+  const int cls = view_.classOf(inst);
+  if (cls < 0) return nullptr;
+  const ClassAccess& ca = view_.access(cls);
+  const int pattern = view_.pattern(inst);
+  if (pattern < 0 || pattern >= static_cast<int>(ca.patterns.size())) {
+    return nullptr;
+  }
+  if (static_cast<std::size_t>(cls) >= byClass_.size()) {
+    byClass_.resize(cls + 1);
+  }
+  ClassEntry& entry = byClass_[cls];
+  if (entry.patterns == kNone) {
+    entry.patterns = chosenOf_.size();
+    chosenOf_.resize(chosenOf_.size() + ca.patterns.size(), kNone);
+  }
+  std::size_t& at = chosenOf_[entry.patterns + pattern];
+  if (at == kNone) {
+    // Each signal pin's chosen access point under the pattern. A class's
+    // members share master and orient, so how far their vias reach beyond
+    // the instance bbox is worked out here, once per pair in use.
+    at = chosenAps_.size();
+    const db::Instance& instance = design_->instances[inst];
+    const db::Instance atOrigin{"", instance.master, {0, 0}, instance.orient};
+    for (int pos = 0; pos < static_cast<int>(instance.master->pins.size());
+         ++pos) {
+      const auto ap = placeChosenAp(ca, pattern, pos, {0, 0});
+      chosenAps_.push_back(ap ? ap->ap : nullptr);
+      const db::ViaDef* via =
+          ap ? ap->ap->primaryVia(*design_->tech) : nullptr;
+      if (via != nullptr) {
+        overhang_ = std::max(overhang_,
+                             beyond(via->boxAt(ap->loc), atOrigin.bbox()));
+      }
+    }
+  }
+  return &chosenAps_[at];
+}
+
+std::optional<FailedPinContext::PlacedVia> FailedPinContext::setAccess(
+    PinRef& ref, const AccessPoint* const* chosen, int slot) const {
+  const AccessPoint* ap = chosen != nullptr ? chosen[ref.pinPos] : nullptr;
+  const db::ViaDef* via = ap ? ap->primaryVia(*design_->tech) : nullptr;
+  ref.placedIdx = via != nullptr ? slot : -1;
+  // Planar-only access (macro pins) counts as accessible; the stub legality
+  // was validated at generation and re-checked by countDirtyAps.
+  ref.planar = ap != nullptr && via == nullptr && ap->dirs != 0;
+  if (via == nullptr) return std::nullopt;
+  return PlacedVia{ref.inst, ref.pinPos, via,
+                   ap->loc + design_->instances[ref.inst].origin, ref.net};
+}
+
+bool FailedPinContext::update(int inst) {
+  cellOf_[inst] = cellFor(inst);
+  const AccessPoint* const* chosen = chosenFor(inst);
+  const auto refs = std::ranges::equal_range(pins_, inst, {}, &PinRef::inst);
+  int vias = 0;
+  for (const PinRef& ref : refs) {
+    const AccessPoint* ap = chosen != nullptr ? chosen[ref.pinPos] : nullptr;
+    vias += ap != nullptr && ap->primaryVia(*design_->tech) != nullptr;
+  }
+  if (vias != placedBase_[inst + 1] - placedBase_[inst]) return false;
+  int slot = placedBase_[inst];
+  for (PinRef& ref : refs) {
+    if (const auto pv = setAccess(ref, chosen, slot)) placed_[slot++] = *pv;
+  }
+  return true;
+}
+
+FailedPinContext::PinWindow::PinWindow(const FailedPinContext& ctx)
+    : ctx_(&ctx) {
+  // Room for a typical window, so a chunk of checks rarely regrows them.
+  for (std::vector<drc::Shape>& list : shapes_) list.reserve(32);
+  withVias_.reserve(16);
+}
+
+void FailedPinContext::PinWindow::gather(int self) {
+  const FailedPinContext& ctx = *ctx_;
+  const PlacedVia& pv = ctx.placed_[self];
+  const db::ViaDef& via = *pv.via;
+  const db::Tech& tech = *ctx.design_->tech;
+  self_ = self;
+  layers_ = {via.botLayer, via.cutLayer, via.topLayer};
+  geom::Coord halo = 0;
+  const auto metal = [&](const geom::Rect& enc, int layer) {
+    const db::Layer& l = tech.layer(layer);
+    const geom::Coord h = drc::maxSpacingHalo(l);
+    halo = std::max(halo, h);
+    return enc.bloat(h + (l.minStep ? l.minStep->minStepLength : 0));
+  };
+  geom::Rect window =
+      metal(via.botEncAt(pv.loc), via.botLayer)
+          .merge(metal(via.topEncAt(pv.loc), via.topLayer))
+          .merge(via.cutAt(pv.loc).bloat(tech.layer(via.cutLayer).cutSpacing));
+  const geom::Rect cell = ctx.design_->instances[pv.inst].bbox();
+  window = window.merge(
+      geom::Rect(window.xlo, cell.ylo - halo, window.xhi, cell.yhi + halo));
+
+  for (std::vector<drc::Shape>& list : shapes_) list.clear();
+  window_ = geom::Rect();
+  bool io = false;
+  for (const int layer : layers_) {
+    ctx.engine_.region().query(layer, window,
+                               [&](const drc::Shape&) { io = true; });
+  }
+  if (io) return;
+  window_ = window;
+
+  withVias_.clear();
+  ctx.rows_->forEachNear(*ctx.design_, window.bloat(ctx.overhang_),
+                         [&](int i) {
+                           for (int k = 0; k < 3; ++k) {
+                             ctx.forEachCellShape(
+                                 i, layers_[k], window,
+                                 [&](const drc::Shape& s) {
+                                   shapes_[k].push_back(s);
+                                 });
+                           }
+                           if (ctx.placedBase_[i] != ctx.placedBase_[i + 1]) {
+                             withVias_.push_back(i);
+                           }
+                         });
+  for (const int i : withVias_) {
+    for (int k = 0; k < 3; ++k) {
+      ctx.forEachOtherVia(i, self, layers_[k], window,
+                          [&](const drc::Shape& s) {
+                            shapes_[k].push_back(s);
+                          });
+    }
+  }
 }
 
 namespace {
@@ -265,6 +386,7 @@ FailedPinStats checkPins(const FailedPinContext& ctx, std::size_t count,
       chunks.size(),
       [&](std::size_t c) {
         Chunk& out = chunks[c];
+        FailedPinContext::PinWindow window(ctx);
         const std::size_t end = std::min(count, (c + 1) * kPinsPerChunk);
         for (std::size_t k = c * kPinsPerChunk; k < end; ++k) {
           const std::size_t i = pinAt(k);
@@ -287,8 +409,9 @@ FailedPinStats checkPins(const FailedPinContext& ctx, std::size_t count,
             const FailedPinContext::PlacedVia& pv =
                 ctx.placed()[ref.placedIdx];
             // Context: the fixed design and all other pins' chosen vias.
-            violations = engine.checkVia(ctx.pinView(ref.placedIdx), *pv.via,
-                                         pv.loc, pv.net, {}, reachOut);
+            window.gather(ref.placedIdx);
+            violations = engine.checkVia(window, *pv.via, pv.loc, pv.net, {},
+                                         reachOut);
             failed = !violations.empty();
           }
           if (!verdicts.empty()) verdicts[i] = {reach, failed};

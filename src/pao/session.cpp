@@ -352,7 +352,7 @@ void OracleSession::setOrient(int instIdx, geom::Orient orient) {
 int OracleSession::addInstance(db::Instance inst) {
   requireMutable();
   // Pin order and the evaluation's synthetic net ids shift: the next
-  // failedPins() re-checks every pin.
+  // failedPins() rebuilds its context and re-checks every pin.
   evaluated_.clear();
   const int idx = mutableDesign_->addInstance(std::move(inst));
   std::vector<geom::Coord> rowYs;
@@ -545,46 +545,62 @@ geom::Rect OracleSession::footprint(int inst, const InstState& s) const {
 
 FailedPinStats OracleSession::failedPins() {
   PAO_TRACE_SCOPE("eval.failed_pins");
-  // Taken out: an exception below leaves a full re-check due.
+  // Taken out: an exception below leaves a rebuild and a full re-check due.
   const std::vector<InstState> last = std::exchange(evaluated_, {});
-  const FailedPinContext ctx(*design_, view(), rows_);
-  const std::vector<FailedPinContext::PinRef>& pins = ctx.pins();
+  std::unique_ptr<FailedPinContext> ctx = std::move(context_);
   std::vector<InstState> now(design_->instances.size());
   for (std::size_t i = 0; i < now.size(); ++i) {
     now[i] = stateOf(static_cast<int>(i));
   }
+  // With a record for every instance, the context follows the instances
+  // that differ from theirs; otherwise it is built afresh.
+  const bool full = last.size() != now.size();
+  std::vector<int> changed;
+  for (std::size_t i = 0; !full && i < now.size(); ++i) {
+    if (now[i] != last[i]) changed.push_back(static_cast<int>(i));
+  }
+  if (ctx != nullptr && !full) {
+    ctx->setView(view());
+    for (const int i : changed) {
+      if (!ctx->update(i)) {
+        ctx.reset();
+        break;
+      }
+    }
+  }
+  if (ctx == nullptr || full) {
+    ctx = std::make_unique<FailedPinContext>(*design_, view(), rows_);
+  }
+  const std::vector<FailedPinContext::PinRef>& pins = ctx->pins();
   std::vector<int> recheck;
-  if (last.size() != now.size() || verdicts_.size() != pins.size()) {
+  if (full || verdicts_.size() != pins.size()) {
     verdicts_.assign(pins.size(), PinVerdict{});
     recheck.resize(pins.size());
     std::iota(recheck.begin(), recheck.end(), 0);
-  } else {
+  } else if (!changed.empty()) {
     // An instance that differs from its record changed what a check can
     // see within its old footprint and its new one; a pin is re-checked
     // when either intersects the reach of its last check.
     std::vector<geom::GridIndex<char>::Entry> boxes;
-    for (std::size_t i = 0; i < now.size(); ++i) {
-      if (now[i] == last[i]) continue;
-      boxes.push_back({footprint(static_cast<int>(i), last[i]), 0});
-      boxes.push_back({footprint(static_cast<int>(i), now[i]), 0});
+    for (const int i : changed) {
+      boxes.push_back({footprint(i, last[i]), 0});
+      boxes.push_back({footprint(i, now[i]), 0});
     }
-    if (!boxes.empty()) {
-      const geom::GridIndex<char> changed(std::move(boxes));
-      for (std::size_t i = 0; i < pins.size(); ++i) {
-        bool reached = false;
-        changed.queryIndices(verdicts_[i].reach,
-                             [&](std::size_t) { reached = true; });
-        if (reached) recheck.push_back(static_cast<int>(i));
-      }
+    const geom::GridIndex<char> reached(std::move(boxes));
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      bool hit = false;
+      reached.queryIndices(verdicts_[i].reach, [&](std::size_t) { hit = true; });
+      if (hit) recheck.push_back(static_cast<int>(i));
     }
   }
-  recheckFailedPins(ctx, recheck, verdicts_);
+  recheckFailedPins(*ctx, recheck, verdicts_);
   stats_.lastPinsRechecked = recheck.size();
   PAO_COUNTER_ADD("pao.eval.pins_rechecked", recheck.size());
 
   FailedPinStats stats;
   stats.totalPins = pins.size();
   for (const PinVerdict& v : verdicts_) stats.failedPins += v.failed ? 1 : 0;
+  context_ = std::move(ctx);
   evaluated_ = std::move(now);
   return stats;
 }

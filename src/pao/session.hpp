@@ -24,12 +24,13 @@
 //     cluster, whose pinned input may have changed. Everything else keeps
 //     its chosen pattern.
 //   * failedPins() reads the session in place through its AccessView. It
-//     keeps every pin's verdict and the reach of its check between calls,
-//     and records each instance's placement, class and chosen pattern as it
-//     evaluated them. The next call diffs the instances against that record
-//     and re-checks only the pins whose reach the old or new footprint of a
-//     changed instance intersects; mutations log nothing for it (see
-//     DESIGN.md "Incremental oracle session").
+//     keeps its evaluation context, every pin's verdict and the reach of
+//     its check between calls, and records each instance's placement,
+//     class and chosen pattern as it evaluated them. The next call diffs
+//     the instances against that record, updates the context for the
+//     changed ones only, and re-checks only the pins whose reach the old or
+//     new footprint of a changed instance intersects; mutations log nothing
+//     for it (see DESIGN.md "Incremental oracle session").
 //
 // Invariant (enforced by tests): after any mutation sequence, chosenPattern()
 // equals a fresh PinAccessOracle::run() on the mutated design, and
@@ -118,12 +119,17 @@ class OracleSession {
   OracleResult snapshot() const;
   /// countFailedPins(design(), snapshot()) under the strict criterion,
   /// without details, evaluated through view() (no snapshot is taken).
-  /// Rebuilds the evaluation context, then re-checks only the pins whose
-  /// last check could have read a shape of an instance that differs from
-  /// the previous call's record (placement, class or chosen pattern): none
-  /// when no instance differs, and every pin on the first call, after
-  /// addInstance or removeInstance, and after an exception in this call.
+  /// Updates the previous call's evaluation context for each instance that
+  /// differs from that call's record (placement, class or chosen pattern),
+  /// then re-checks only the pins whose last check could have read a shape
+  /// of such an instance: none when no instance differs. The first call,
+  /// and the first after addInstance, removeInstance, an exception in this
+  /// call, or a change in an instance's number of chosen vias, builds the
+  /// context afresh; all but the last also re-check every pin.
   FailedPinStats failedPins();
+  /// The context the last failedPins() checked pins in (null before the
+  /// first call and after one that threw). The next call updates it.
+  const FailedPinContext* failedPinContext() const { return context_.get(); }
 
   /// Graceful-degradation events accumulated so far (cfg.keepGoing class
   /// fallbacks, Step-3 budget expiries). Unsorted accumulation order;
@@ -258,9 +264,12 @@ class OracleSession {
   std::map<geom::Coord, std::vector<std::vector<int>>> rowClusters_;
   /// Per pin of the evaluation context, the last failedPins() verdict and
   /// the reach of its check, and per instance the state it was evaluated
-  /// in. An empty evaluated_ makes the next call re-check every pin.
+  /// in. An empty evaluated_ makes the next call rebuild the context and
+  /// re-check every pin.
   std::vector<PinVerdict> verdicts_;
   std::vector<InstState> evaluated_;
+  /// The evaluation context of the last failedPins(), as of evaluated_.
+  std::unique_ptr<FailedPinContext> context_;
   std::unique_ptr<ClusterSelector> selector_;
   /// One slot per cluster of the running selection pass; emptied by
   /// finishSelectionPass.

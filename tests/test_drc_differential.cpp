@@ -10,7 +10,8 @@
 // failed-pin evaluation's placed-instance view must also report exactly the
 // shapes of the reference's copied fixed context for any box, and its
 // per-pin view then the other chosen vias a scan of all of them finds, in
-// row-walk order.
+// row-walk order; the gathered window of each chosen via must answer every
+// box its check issues exactly as that per-pin view does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -434,6 +435,107 @@ TEST(FailedPinView, PinViewMatchesBruteForce) {
     }
     EXPECT_GT(viaHits, 100u);
   }
+}
+
+/// A checkVia context that requires, for every box the check issues, the
+/// same shapes in the same order from `window` as from pinView `view`, then
+/// answers from the window. Counts the boxes, and those inside the window.
+struct WindowAgainstPinView {
+  const core::FailedPinContext::PinWindow& window;
+  core::FailedPinContext::PinView view;
+  std::size_t& queries;
+  std::size_t& inside;
+
+  template <typename Fn>
+  void query(int layer, const geom::Rect& box, Fn&& fn) const {
+    ++queries;
+    inside += window.window().contains(box) ? 1 : 0;
+    EXPECT_EQ(reported(window, layer, box), reported(view, layer, box))
+        << "layer " << layer << " box " << box.xlo << "," << box.ylo << " "
+        << box.xhi << "," << box.yhi;
+    window.query(layer, box, fn);
+  }
+};
+
+struct WindowTally {
+  std::size_t queries = 0;
+  std::size_t inside = 0;
+  std::size_t dirty = 0;
+  std::size_t ioWindows = 0;  ///< windows an IO pin sent to pinView
+};
+
+/// For every chosen via of `ctx`, one reused PinWindow gathered for it
+/// against its pinView: every box checkVia issues gets the same shapes in
+/// the same order, and the check the same violations and reach.
+WindowTally expectWindowMatchesPinView(const core::FailedPinContext& ctx) {
+  WindowTally tally;
+  core::FailedPinContext::PinWindow window(ctx);
+  for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
+    const core::FailedPinContext::PlacedVia& pv = ctx.placed()[v];
+    window.gather(v);
+    tally.ioWindows += window.window().empty() ? 1 : 0;
+    const WindowAgainstPinView both{window, ctx.pinView(v), tally.queries,
+                                    tally.inside};
+    ctx.engine().checkVia(both, *pv.via, pv.loc, pv.net);
+    geom::Rect viewReach;
+    geom::Rect windowReach;
+    const std::vector<drc::Violation> want = ctx.engine().checkVia(
+        ctx.pinView(v), *pv.via, pv.loc, pv.net, {}, &viewReach);
+    EXPECT_EQ(ctx.engine().checkVia(window, *pv.via, pv.loc, pv.net, {},
+                                    &windowReach),
+              want);
+    EXPECT_EQ(windowReach, viewReach);
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "first mismatch at via " << v;
+      return tally;
+    }
+    tally.dirty += want.empty() ? 0 : 1;
+  }
+  return tally;
+}
+
+// The gathered window of every chosen via against its pinView, on every
+// preset and on both sides of checkVia (BCA leaves the vias clean, the
+// legacy baseline many dirty). Nearly every box a check issues lies inside
+// the window, or the window would save nothing.
+TEST_P(EvalDifferential, WindowMatchesPinViewOnEveryCheck) {
+  const core::OracleResult result = runOracle();
+  const db::RowIndex rows(design());
+  const core::FailedPinContext ctx(design(), result.view(), rows);
+  ASSERT_FALSE(ctx.placed().empty());
+  const WindowTally tally = expectWindowMatchesPinView(ctx);
+  EXPECT_GE(tally.inside * 10, tally.queries * 9)
+      << tally.inside << " of " << tally.queries << " boxes inside";
+  if (std::get<1>(GetParam())) {
+    EXPECT_GT(tally.dirty, 0u);
+  }
+}
+
+// An IO pin in a via's window sends that whole check to pinView: IO pins
+// beside every tenth chosen via of the mixed preset's legacy result, and
+// the window still answers exactly as pinView does.
+TEST(FailedPinView, WindowWithAnIoPinGoesToPinView) {
+  benchgen::Testcase tc = benchgen::generate(benchgen::mixedSpec(), 0.02);
+  db::Design& design = *tc.design;
+  const core::OracleResult result =
+      core::PinAccessOracle(design, core::legacyConfig()).run();
+  std::vector<db::IoPin> ioPins;
+  {
+    const db::RowIndex rows(design);
+    const core::FailedPinContext before(design, result.view(), rows);
+    for (std::size_t v = 0; v < before.placed().size(); v += 10) {
+      const core::FailedPinContext::PlacedVia& pv = before.placed()[v];
+      const geom::Rect top = pv.via->topEncAt(pv.loc);
+      ioPins.push_back({"io" + std::to_string(v), pv.via->topLayer,
+                        top.translate(top.width() + 50, 0)});
+    }
+  }
+  design.ioPins.insert(design.ioPins.end(), ioPins.begin(), ioPins.end());
+  const db::RowIndex rows(design);
+  const core::FailedPinContext ctx(design, result.view(), rows);
+  const WindowTally tally = expectWindowMatchesPinView(ctx);
+  EXPECT_GE(tally.ioWindows, ioPins.size());
+  EXPECT_GT(tally.dirty, 0u);
 }
 
 /// Preset x worker count: the session's Step 3 against the reference

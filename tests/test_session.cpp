@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "benchgen/huge.hpp"
 #include "benchgen/testcase.hpp"
@@ -20,6 +21,7 @@
 #include "pao/evaluate.hpp"
 #include "pao/oracle.hpp"
 #include "reference.hpp"
+#include "test_util.hpp"
 #include "util/fault.hpp"
 
 namespace pao::core {
@@ -350,6 +352,157 @@ TEST(SessionReport, PatternOnlyChangeIsRechecked) {
   const FailedPinStats got = session.failedPins();
   expectSameFailedPins(got, countFailedPins(design, session.snapshot()));
   EXPECT_GT(session.stats().lastPinsRechecked, 0u);
+}
+
+// A chosen via that overhangs its cell reaches pins its cell does not: two
+// one-pin cells stacked 400 apart (not abutting, and farther apart than any
+// check's halo) whose one via's M2 enclosure reaches 1900 above its cut, so
+// the lower cell's via shorts the upper cell's. Moving the lower cell away
+// clears the upper pin, whose check only the via's box reached.
+TEST(SessionReport, OverhangingViaReachesPinBeyondNeighbours) {
+  test::TinyDesign td =
+      test::makeTinyDesign({{0, geom::Rect{150, 300, 250, 1100}}});
+  td.tech->viaDefs().front().topEnc = {-60, -150, 60, 1900};
+  db::Design& design = *td.design;
+  db::Instance upper = design.instances[0];
+  upper.name = "u2";
+  upper.origin = {0, 1600};
+  design.instances.push_back(upper);
+  design.buildInstanceIndex();
+  design.nets.push_back({"n1", {{0, 0, -1}}});
+  design.nets.push_back({"n2", {{1, 0, -1}}});
+  const OracleConfig cfg = withBcaConfig();
+  OracleSession session(design, cfg);
+  const FailedPinStats before = expectFailedPinsMatchBatch(session, design, cfg);
+  ASSERT_EQ(before.totalPins, 2u);
+  ASSERT_EQ(before.failedPins, 2u);
+
+  session.moveInstance(0, {2400, 0});
+  const FailedPinStats after = expectFailedPinsMatchBatch(session, design, cfg);
+  EXPECT_EQ(after.failedPins, 0u);
+  EXPECT_EQ(session.stats().lastPinsRechecked, 2u);
+}
+
+// A remove and an add between two reports leave the instance count as it
+// was, and beside stacked copies of one instance every instance's state
+// can equal its predecessor's record. The pins and their nets still moved:
+// the report rebuilds the context and re-checks every pin. The copies sit
+// on the last instance, each on nets of its own; the first is removed, the
+// second shifts into its slot, and a copy without nets takes the second's.
+TEST(SessionReport, RemoveAndAddBesideDuplicatesRecheckEveryPin) {
+  benchgen::Testcase tc = smallCase();
+  db::Design& design = *tc.design;
+  const db::Instance last = design.instances.back();
+  for (int k = 0; k < 2; ++k) {
+    db::Instance copy = last;
+    copy.name = "stacked_" + std::to_string(k);
+    design.instances.push_back(copy);
+    const int idx = static_cast<int>(design.instances.size()) - 1;
+    for (int p = 0; p < static_cast<int>(last.master->pins.size()); ++p) {
+      if (last.master->pins[p].isSupply()) continue;
+      design.nets.push_back(
+          {copy.name + "_" + std::to_string(p), {{idx, p, -1}}});
+    }
+  }
+  design.buildInstanceIndex();
+  const OracleConfig cfg = withBcaConfig();
+  OracleSession session(design, cfg);
+  expectFailedPinsMatchBatch(session, design, cfg);
+
+  const int n = static_cast<int>(design.instances.size());
+  db::Instance bare = last;
+  bare.name = "stacked_bare";
+  session.removeInstance(n - 2);
+  session.addInstance(bare);
+  const FailedPinStats got = expectFailedPinsMatchBatch(session, design, cfg);
+  EXPECT_EQ(session.stats().lastPinsRechecked, got.totalPins);
+}
+
+/// The shapes pinView(v) reports for each chosen via v of `ctx` on its
+/// three layers, in its instance's bbox and near the via, in report order.
+std::vector<std::vector<std::tuple<geom::Rect, int, int, drc::ShapeKind, bool>>>
+pinViews(const FailedPinContext& ctx) {
+  std::vector<
+      std::vector<std::tuple<geom::Rect, int, int, drc::ShapeKind, bool>>>
+      out;
+  for (int v = 0; v < static_cast<int>(ctx.placed().size()); ++v) {
+    const FailedPinContext::PlacedVia& pv = ctx.placed()[v];
+    const geom::Rect boxes[] = {ctx.design().instances[pv.inst].bbox(),
+                                pv.via->boxAt(pv.loc).bloat(400)};
+    auto& shapes = out.emplace_back();
+    for (const int layer :
+         {pv.via->botLayer, pv.via->cutLayer, pv.via->topLayer}) {
+      for (const geom::Rect& box : boxes) {
+        ctx.pinView(v).query(layer, box, [&](const drc::Shape& s) {
+          shapes.emplace_back(s.rect, s.layer, s.net, s.kind, s.fixed);
+        });
+      }
+    }
+  }
+  return out;
+}
+
+/// `live` and `fresh` list the same pins and chosen vias in the same order,
+/// and every chosen via's pinView reports the same shapes in the same order.
+void expectSameContext(const FailedPinContext& live,
+                       const FailedPinContext& fresh) {
+  ASSERT_EQ(live.pins().size(), fresh.pins().size());
+  for (std::size_t i = 0; i < live.pins().size(); ++i) {
+    const FailedPinContext::PinRef& a = live.pins()[i];
+    const FailedPinContext::PinRef& b = fresh.pins()[i];
+    ASSERT_EQ(std::tie(a.inst, a.pinPos, a.net, a.placedIdx, a.planar),
+              std::tie(b.inst, b.pinPos, b.net, b.placedIdx, b.planar))
+        << "pin " << i;
+  }
+  ASSERT_EQ(live.placed().size(), fresh.placed().size());
+  for (std::size_t v = 0; v < live.placed().size(); ++v) {
+    const FailedPinContext::PlacedVia& a = live.placed()[v];
+    const FailedPinContext::PlacedVia& b = fresh.placed()[v];
+    ASSERT_EQ(std::tie(a.inst, a.pinPos, a.via, a.loc, a.net),
+              std::tie(b.inst, b.pinPos, b.via, b.loc, b.net))
+        << "via " << v;
+  }
+  EXPECT_EQ(pinViews(live), pinViews(fresh));
+}
+
+// The context a session keeps between reports against one built afresh,
+// after every step of seeded runs of moves, flips, adds and removes with a
+// report after each, at 4 workers: the updated context lists what the
+// fresh one lists and its every per-pin view reports the same shapes.
+TEST(SessionContext, LiveContextMatchesFreshContext) {
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed 0.02" : "small case");
+    benchgen::Testcase tc = mixed
+                                ? benchgen::generate(benchgen::mixedSpec(), 0.02)
+                                : smallCase();
+    db::Design& design = *tc.design;
+    OracleConfig cfg = withBcaConfig();
+    cfg.numThreads = 4;
+    OracleSession session(design, cfg);
+    Lcg rng{43};
+    int added = 0;
+    for (int step = 0; step < 40; ++step) {
+      const std::uint64_t kind = rng.next() % 12;
+      const int inst = static_cast<int>(rng.next() % design.instances.size());
+      if (kind == 0) {
+        db::Instance copy = design.instances[inst];
+        copy.name = "live_context_copy_" + std::to_string(added++);
+        copy.origin = randomSite(design, rng);
+        session.addInstance(copy);
+      } else if (kind == 1) {
+        session.removeInstance(inst);
+      } else {
+        randomMutation(session, design, rng);
+      }
+      SCOPED_TRACE("step " + std::to_string(step));
+      const FailedPinStats got = session.failedPins();
+      expectSameFailedPins(got, countFailedPins(design, session.snapshot()));
+      ASSERT_NE(session.failedPinContext(), nullptr);
+      const FailedPinContext fresh(design, session.view(), session.rows());
+      expectSameContext(*session.failedPinContext(), fresh);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 /// The huge preset at h 0.01, parsed as pao_serve loads it.

@@ -244,9 +244,12 @@ echo "== ThreadSanitizer job-graph soak =="
 # cluster node writes its CPU time and tally into its own slot, merged
 # after the join: the session-timing case and Step3PairChecks cover both.
 # The session's report reads its classes and patterns in place from every
-# evaluation worker: the SessionReport cases run it at 4 threads.
+# evaluation worker: the SessionReport cases run it at 4 threads, and
+# SessionContext re-checks on the context the session kept and updated.
+# Each evaluation worker gathers its own PinWindow: the window
+# differentials are in Presets/EvalDifferential and FailedPinView.
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
-  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:SessionTimings.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*:SessionReport.*'
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:SessionTimings.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*:SessionReport.*:SessionContext.*'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \
