@@ -139,6 +139,7 @@ class DrcEngine {
                        int net, std::span<const Shape> extra,
                        util::ArenaVector<geom::Rect>& comp,
                        geom::Rect* reach) const {
+    comp.reserve(16);  // a pin's component rarely outgrows it
     comp.assign(1, seed);
     const auto absorbed = [&](const geom::Rect& r) {
       return std::find(comp.begin(), comp.end(), r) != comp.end();
@@ -187,6 +188,7 @@ class DrcEngine {
     geom::Rect compBox;
     for (const geom::Rect& r : comp) compBox = compBox.merge(r);
     util::ArenaVector<geom::Rect> obstacles;
+    obstacles.reserve(16);
     queryWithExtra(
         fixed, layer.index, compBox.bloat(maxSpacingHalo(layer)), extra,
         [&](const Shape& s) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -62,6 +63,9 @@ ClusterSelector::ClusterSelector(const db::Design& design,
       classes_(&classes),
       cfg_(cfg),
       pairEngine_(*design.tech) {
+  if (cfg_.drcCost < 0) {
+    throw std::invalid_argument("ClusterSelectConfig::drcCost must be >= 0");
+  }
   for (const db::Layer& l : design.tech->layers()) {
     halo_ = std::max(halo_, drc::maxSpacingHalo(l) * 2);
   }
@@ -86,19 +90,13 @@ void ClusterSelector::addPairKeys(
   }
 }
 
-std::size_t ClusterSelector::numPairChecks() const {
-  std::size_t n = 0;
-  for (const PairSlot& slot : pairSlots_) n += slot.checks;
-  return n;
-}
-
-std::vector<ClusterSelector::PlacedAp> ClusterSelector::boundaryAps(
-    int inst, int pat, int side) const {
-  std::vector<PlacedAp> out;
+void ClusterSelector::boundaryAps(int inst, int pat, int side,
+                                  util::ArenaVector<PlacedAp>& out) const {
+  out.clear();
   const int cls = unique_->classOf[inst];
-  if (cls < 0) return out;
+  if (cls < 0) return;
   const ClassAccess& ca = (*classes_)[cls];
-  if (pat < 0 || pat >= static_cast<int>(ca.patterns.size())) return out;
+  if (pat < 0 || pat >= static_cast<int>(ca.patterns.size())) return;
   const std::vector<int>& sig = unique_->classes[cls].master->signalPinIndices();
   const geom::Point origin = design_->instances[inst].origin;
 
@@ -109,18 +107,16 @@ std::vector<ClusterSelector::PlacedAp> ClusterSelector::boundaryAps(
     out.push_back({&ap, ap.loc + origin, pairNet(side, sig[pinPos])});
   };
 
-  if (ca.pinOrder.empty()) return out;
+  if (ca.pinOrder.empty()) return;
   if (cfg_.boundaryPinsOnly) {
     add(side == 0 ? ca.pinOrder.back() : ca.pinOrder.front());
   } else {
     for (const int pinPos : ca.pinOrder) add(pinPos);
   }
-  return out;
 }
 
-std::vector<drc::Shape> ClusterSelector::edgeShapes(
-    int inst, int side, geom::Coord boundaryX) const {
-  std::vector<drc::Shape> out;
+void ClusterSelector::edgeShapes(int inst, int side, geom::Coord boundaryX,
+                                 util::ArenaVector<drc::Shape>& out) const {
   const db::Instance& instance = design_->instances[inst];
   const geom::Rect band{boundaryX - halo_, instance.bbox().ylo - halo_,
                         boundaryX + halo_, instance.bbox().yhi + halo_};
@@ -137,70 +133,50 @@ std::vector<drc::Shape> ClusterSelector::edgeShapes(
                             : pairNet(side, pin);
         out.push_back({r, layer, net, drc::ShapeKind::kPin, true});
       });
-  return out;
 }
 
-void ClusterSelector::fillSlot(PairSlot& slot, int instA, int instB) const {
+bool ClusterSelector::probePair(int instA, int instB, int p, int q,
+                                util::ArenaVector<drc::Shape>& extra,
+                                std::size_t& checks) const {
   // Only the up-vias of boundary access points participate (Sec. III-C);
-  // each one is checked against the facing via and the facing instance's
-  // fixed shapes near the shared cell edge.
-  const geom::Coord boundaryX = design_->instances[instB].origin.x;
-  const std::vector<drc::Shape> edgeA = edgeShapes(instA, 0, boundaryX);
-  const std::vector<drc::Shape> edgeB = edgeShapes(instB, 1, boundaryX);
+  // each one is checked against the facing via and the fixed shapes of both
+  // instances near the shared cell edge: its own cell's come along (its own
+  // pin bar shares the via's net id) so merged-component rules see the real
+  // pin geometry; conflicts against the own cell were cleared in Step 2.
+  util::ArenaVector<PlacedAp> left;
+  util::ArenaVector<PlacedAp> right;
+  boundaryAps(instA, p, 0, left);
+  boundaryAps(instB, q, 1, right);
   const db::Tech& tech = *design_->tech;
-  const auto viaClean = [&](const PlacedAp& ap,
-                            const std::vector<drc::Shape>& ownEdge,
-                            const std::vector<drc::Shape>& otherEdge,
-                            const PlacedAp* other) {
+  const std::size_t edges = extra.size();
+  const auto viaClean = [&](const PlacedAp& ap, const PlacedAp* other) {
     if (ap.ap->primaryVia(tech) == nullptr) return true;
-    // The via's own cell shapes come along (its own pin bar shares the via's
-    // net id) so merged-component rules see the real pin geometry; conflicts
-    // against the own cell were already cleared in Step 2.
-    std::vector<drc::Shape> extra = otherEdge;
-    extra.insert(extra.end(), ownEdge.begin(), ownEdge.end());
     if (other != nullptr && other->ap->primaryVia(tech) != nullptr) {
       for (const drc::Shape& s : pairEngine_.viaShapes(
                *other->ap->primaryVia(tech), other->loc, other->net)) {
         extra.push_back(s);
       }
     }
-    ++slot.checks;
-    return pairEngine_.isViaClean(*ap.ap->primaryVia(tech), ap.loc, ap.net,
-                                  extra);
+    ++checks;
+    const bool clean = pairEngine_.isViaClean(*ap.ap->primaryVia(tech),
+                                              ap.loc, ap.net, extra);
+    extra.resize(edges);
+    return clean;
   };
-  const auto pairClean = [&](const std::vector<PlacedAp>& left,
-                             const std::vector<PlacedAp>& right) {
-    for (const PlacedAp& a : left) {
-      for (const PlacedAp& b : right) {
-        if (!viaClean(a, edgeA, edgeB, &b) || !viaClean(b, edgeB, edgeA, &a)) {
-          return false;
-        }
-      }
-      // A boundary via may clip the neighbor's fixed shapes even when the
-      // neighbor has no via nearby.
-      if (right.empty() && !viaClean(a, edgeA, edgeB, nullptr)) return false;
+  for (const PlacedAp& a : left) {
+    for (const PlacedAp& b : right) {
+      if (!viaClean(a, &b) || !viaClean(b, &a)) return false;
     }
-    if (left.empty()) {
-      for (const PlacedAp& b : right) {
-        if (!viaClean(b, edgeB, edgeA, nullptr)) return false;
-      }
-    }
-    return true;
-  };
-  const auto numPatterns = [&](int inst) {
-    return (*classes_)[unique_->classOf[inst]].patterns.size();
-  };
-  std::vector<std::vector<PlacedAp>> right;
-  for (std::size_t q = 0; q < numPatterns(instB); ++q) {
-    right.push_back(boundaryAps(instB, static_cast<int>(q), 1));
+    // A boundary via may clip the neighbor's fixed shapes even when the
+    // neighbor has no via nearby.
+    if (right.empty() && !viaClean(a, nullptr)) return false;
   }
-  for (std::size_t p = 0; p < numPatterns(instA); ++p) {
-    const std::vector<PlacedAp> left =
-        boundaryAps(instA, static_cast<int>(p), 0);
-    for (const std::vector<PlacedAp>& r : right) {
-      slot.clean.push_back(pairClean(left, r) ? 1 : 0);
+  if (left.empty()) {
+    for (const PlacedAp& b : right) {
+      if (!viaClean(b, nullptr)) return false;
     }
   }
+  return true;
 }
 
 void ClusterSelector::armBudget() {
@@ -298,30 +274,79 @@ ClusterTally ClusterSelector::selectCluster(const std::vector<int>& cluster,
     cost[p] = patternCost(active[0], p);
   }
   for (int i = 1; i < an; ++i) {
-    const int instB = cluster[active[i]];
+    // Scratch of one boundary: the walk order and the probe context.
+    util::ArenaScope boundaryScratch(util::scratchArena());
     const int instA = cluster[active[i - 1]];
-    // Patterns only interact across a shared cell edge; when an inactive
-    // (pattern-less) instance separates them, the pair is compatible. Any
-    // pair with the abutment's key fills its slot the same way.
-    PairSlot* slot = nullptr;
-    if (active[i] == active[i - 1] + 1) {
-      slot = &pairSlots_[pairIndex_.at(pairKey(instA, instB))];
-      std::call_once(slot->filled, [&] { fillSlot(*slot, instA, instB); });
-    }
+    const int instB = cluster[active[i]];
     const int numQ = numPatterns(active[i]);
-    for (int q = 0; q < numQ; ++q) {
-      if (!allowed(active[i], q)) continue;
-      for (int p = 0; p < numPatterns(active[i - 1]); ++p) {
-        if (cost[off[i - 1] + p] >= kInf) continue;
-        long long ec = patternCost(active[i], q);
-        if (slot != nullptr && slot->clean[p * numQ + q] == 0) {
-          ec += cfg_.drcCost;
+    const long long* costA = &cost[off[i - 1]];
+    // The predecessor's reachable patterns, cheapest first, ties by index.
+    util::ArenaVector<int> order;
+    for (int p = 0; p < numPatterns(active[i - 1]); ++p) {
+      if (costA[p] < kInf) order.push_back(p);
+    }
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return std::pair(costA[a], a) < std::pair(costA[b], b);
+    });
+    // Patterns only interact across a shared cell edge; when an inactive
+    // (pattern-less) instance separates them, every pair is clean. Any
+    // pair with the abutment's key reads and fills its slot the same way.
+    std::atomic<std::uint8_t>* verdict = nullptr;
+    if (active[i] == active[i - 1] + 1) {
+      PairSlot& slot = pairSlots_[pairIndex_.at(pairKey(instA, instB))];
+      std::call_once(slot.sized, [&] {
+        slot.verdict = std::make_unique<std::atomic<std::uint8_t>[]>(
+            static_cast<std::size_t>(numPatterns(active[i - 1]) * numQ));
+      });
+      verdict = slot.verdict.get();
+    }
+    // Both instances' edge shapes, gathered on the first unknown entry.
+    util::ArenaVector<drc::Shape> extra;
+    bool edgesGathered = false;
+    const auto clean = [&](int p, int q) {
+      if (verdict == nullptr) return true;
+      std::atomic<std::uint8_t>& entry = verdict[p * numQ + q];
+      // The byte is the whole verdict, so no ordering is needed.
+      std::uint8_t seen = entry.load(std::memory_order_relaxed);
+      if (seen == kUnknown) {
+        if (!edgesGathered) {
+          const geom::Coord boundaryX = design_->instances[instB].origin.x;
+          edgeShapes(instA, 0, boundaryX, extra);
+          edgeShapes(instB, 1, boundaryX, extra);
+          edgesGathered = true;
         }
-        if (cost[off[i - 1] + p] + ec < cost[off[i] + q]) {
-          cost[off[i] + q] = cost[off[i - 1] + p] + ec;
-          prev[off[i] + q] = p;
+        std::size_t checks = 0;
+        const std::uint8_t mine =
+            probePair(instA, instB, p, q, extra, checks) ? kClean : kDirty;
+        // The DP that publishes the entry counts its probes; one that loses
+        // the race reads the same verdict from `seen`.
+        if (entry.compare_exchange_strong(seen, mine,
+                                          std::memory_order_relaxed)) {
+          tally.pairChecks += checks;
+          seen = mine;
         }
       }
+      return seen == kClean;
+    };
+    for (int q = 0; q < numQ; ++q) {
+      if (!allowed(active[i], q)) continue;
+      const long long costQ = patternCost(active[i], q);
+      // drcCost >= 0 makes costA[p] + costQ a lower bound on the value
+      // through p: once it passes the best value, or ties it at a higher
+      // index, no later pattern of `order` can win.
+      long long bestVal = kInf;
+      int bestP = -1;
+      for (const int p : order) {
+        const long long bound = costA[p] + costQ;
+        if (bound > bestVal || (bound == bestVal && p > bestP)) break;
+        const long long val = bound + (clean(p, q) ? 0 : cfg_.drcCost);
+        if (val < bestVal || (val == bestVal && p < bestP)) {
+          bestVal = val;
+          bestP = p;
+        }
+      }
+      cost[off[i] + q] = bestVal;
+      prev[off[i] + q] = bestP;
     }
   }
 

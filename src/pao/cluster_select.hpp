@@ -8,8 +8,9 @@
 // facing patterns (the rightmost pin of the left instance against the
 // leftmost pin of the right instance). The verdicts live in a table with
 // one slot per abutment key (class, class, relative offset): every cluster
-// with that abutment shares the slot's full pattern x pattern matrix, filled
-// once by the first DP that needs it and read-only from then on.
+// with that abutment shares the slot's pattern x pattern matrix, whose
+// entries are probed on first demand: the DP asks only for the verdicts
+// that can change its answer, so most entries are never probed.
 #pragma once
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>  // std::once_flag, std::call_once
 #include <vector>
 
@@ -25,10 +27,13 @@
 #include "db/unique_inst.hpp"
 #include "drc/engine.hpp"
 #include "pao/access_point.hpp"
+#include "util/arena.hpp"
 
 namespace pao::core {
 
 struct ClusterSelectConfig {
+  /// Edge-cost penalty of a dirty boundary pair; >= 0, as the DP's bound
+  /// needs (the ClusterSelector constructor throws std::invalid_argument).
   long long drcCost = 32768;
   /// Check every pin pair across the boundary instead of only the two facing
   /// boundary pins (ablation; the paper checks boundary pins only).
@@ -76,10 +81,14 @@ struct ClusterTally {
   double cpuSeconds = 0;       ///< thread-CPU time inside the DP
   bool ranDp = false;          ///< the DP ran (not skipped, no fallback)
   bool fellBack = false;       ///< budget expired: best-so-far committed
+  /// Via-clean probes behind the verdicts this DP published: each entry is
+  /// counted once, so a pass's sum is the same at any thread count.
+  std::size_t pairChecks = 0;
 };
 
 class ClusterSelector {
  public:
+  /// Throws std::invalid_argument when cfg.drcCost is negative.
   ClusterSelector(const db::Design& design, const db::UniqueInstances& unique,
                   const std::vector<ClassAccess>& classes,
                   ClusterSelectConfig cfg = {});
@@ -93,14 +102,10 @@ class ClusterSelector {
   /// Entries already >= 0 are pinned: the DP may only keep them. This is the
   /// unit OracleSession schedules for every cluster. The cluster's keys
   /// must have been added (std::out_of_range otherwise). Touches no shared
-  /// tally: what it did comes back as the ClusterTally.
+  /// tally: what it did comes back as the ClusterTally. Chooses exactly what
+  /// a DP over every verdict would (the minimum, ties to the lowest index).
   ClusterTally selectCluster(const std::vector<int>& cluster,
                              std::vector<int>& chosen);
-
-  /// Via-clean probes run by the filled verdict slots: each key's full
-  /// pattern x pattern matrix, counted once, so the total is the same at any
-  /// thread count. Read it between graph runs.
-  std::size_t numPairChecks() const;
 
   /// (Re)starts the cfg.budgetSeconds clock and clears the expired latch.
   /// OracleSession arms before the initial build and re-arms before each
@@ -129,35 +134,42 @@ class ClusterSelector {
     geom::Coord dx, dy;
     auto operator<=>(const PairKey&) const = default;
   };
-  /// DRC compatibility of every pattern pair of one abutment key, row-major
-  /// by the left pattern. Filled exactly once, under `filled`.
+  /// Verdicts of the pattern pairs of one abutment key, row-major by the
+  /// left pattern: each entry is unknown until a DP first needs it, then
+  /// probed once and published with one compare-and-swap. `sized` guards
+  /// only the allocation, which needs the classes' Step-2 patterns.
+  enum Verdict : std::uint8_t { kUnknown, kClean, kDirty };
   struct PairSlot {
-    std::once_flag filled;
-    std::vector<char> clean;
-    std::size_t checks = 0;  ///< via-clean probes the fill ran
+    std::once_flag sized;
+    std::unique_ptr<std::atomic<std::uint8_t>[]> verdict;
   };
   PairKey pairKey(int instA, int instB) const;
-  /// Fills `slot` from the abutting instances instA | instB: checks the
-  /// facing boundary access points' up-vias of every pattern pair against
+  /// True when patterns p | q of the abutting instances instA | instB are
+  /// compatible: checks the facing boundary access points' up-vias against
   /// each other AND against the neighbor instance's fixed shapes near the
   /// shared edge, so a pattern whose boundary via clears the neighbor's vias
-  /// but clips a neighbor pin bar is still rejected.
-  void fillSlot(PairSlot& slot, int instA, int instB) const;
+  /// but clips a neighbor pin bar is still rejected. `extra` holds both
+  /// instances' edgeShapes (restored on return); adds its probes to `checks`.
+  bool probePair(int instA, int instB, int p, int q,
+                 util::ArenaVector<drc::Shape>& extra,
+                 std::size_t& checks) const;
   /// Fixed shapes (pins/obstructions) of `inst` within halo_ of the
   /// vertical line x = `boundaryX`, with per-pin net ids (see pairNet).
   /// `side` is 0 for the instance left of the boundary, 1 for the right one.
-  std::vector<drc::Shape> edgeShapes(int inst, int side,
-                                     geom::Coord boundaryX) const;
+  /// Appended to `out`.
+  void edgeShapes(int inst, int side, geom::Coord boundaryX,
+                  util::ArenaVector<drc::Shape>& out) const;
   /// Boundary access points of `pattern` facing the boundary from `side`
   /// (0 = left instance, its last ordered pin; 1 = right instance, its
-  /// first), placed at the member instance; empty when the pattern lacks
-  /// one.
+  /// first), placed at the member instance, into `out` (cleared first);
+  /// empty when the pattern lacks one.
   struct PlacedAp {
     const AccessPoint* ap = nullptr;
     geom::Point loc;
     int net = 0;
   };
-  std::vector<PlacedAp> boundaryAps(int inst, int pat, int side) const;
+  void boundaryAps(int inst, int pat, int side,
+                   util::ArenaVector<PlacedAp>& out) const;
 
   const db::Design* design_;
   const db::UniqueInstances* unique_;
@@ -167,7 +179,7 @@ class ClusterSelector {
   geom::Coord halo_ = 0;  ///< reach of edgeShapes around the shared edge
   /// Verdict table: keys are added only between graph runs, so the index is
   /// read-only while DPs run; a deque never moves its elements, so slots
-  /// stay put, and numPairChecks() walks them without chasing map nodes.
+  /// stay put.
   std::map<PairKey, std::size_t> pairIndex_;
   std::deque<PairSlot> pairSlots_;
   /// Budget state. deadline_/budgetArmed_ are written by armBudget() before

@@ -606,11 +606,7 @@ FailedPinStats OracleSession::failedPins() {
 }
 
 double OracleSession::finishSelectionPass() {
-  const std::size_t pairChecks = selector_->numPairChecks();
-  if (pairChecks > stats_.pairChecks) {
-    PAO_COUNTER_ADD("pao.step3.pair_checks", pairChecks - stats_.pairChecks);
-  }
-  stats_.pairChecks = pairChecks;
+  std::size_t pairChecks = 0;
   std::size_t dpRuns = 0;
   std::size_t fallbacks = 0;
   double cpu = 0;
@@ -621,10 +617,13 @@ double OracleSession::finishSelectionPass() {
     }
     fallbacks += t.fellBack ? 1 : 0;
     cpu += t.cpuSeconds;
+    pairChecks += t.pairChecks;
   }
   tallies_ = {};  // one slot per cluster: not kept past its pass
   stats_.clusterDpRuns += dpRuns;
+  stats_.pairChecks += pairChecks;
   // A zero add would still register the metric: publish only what happened.
+  if (pairChecks > 0) PAO_COUNTER_ADD("pao.step3.pair_checks", pairChecks);
   if (dpRuns > 0) PAO_COUNTER_ADD("pao.step3.cluster_dp_runs", dpRuns);
   if (fallbacks > 0) PAO_COUNTER_ADD("pao.step3.budget_fallbacks", fallbacks);
   if (selector_->budgetExpired()) {

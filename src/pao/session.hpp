@@ -155,7 +155,8 @@ class OracleSession {
     std::size_t classBuilds = 0;
     /// Per-class analyses answered from the configured AccessCache.
     std::size_t cacheHits = 0;
-    /// Step-3 boundary pair checks (ClusterSelector::numPairChecks), the
+    /// Cumulative Step-3 boundary-via probes (the ClusterTally::pairChecks
+    /// of every DP; each verdict entry is probed once per session), the
     /// same at any thread count; reported, and published as the
     /// "pao.step3.pair_checks" delta once per selection pass.
     std::size_t pairChecks = 0;

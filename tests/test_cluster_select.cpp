@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "pao/access_cache.hpp"
 #include "pao/ap_gen.hpp"
 #include "pao/oracle.hpp"
@@ -9,6 +11,7 @@
 #include "pao/session.hpp"
 #include "reference.hpp"
 #include "test_util.hpp"
+#include "util/jobs.hpp"
 
 namespace pao::core {
 namespace {
@@ -18,14 +21,16 @@ using geom::Rect;
 
 /// Step 3 the way OracleSession schedules it, serially: the design's
 /// clusters, their abutment keys, then selectCluster over every cluster in
-/// order.
-std::vector<int> selectAll(ClusterSelector& sel, const db::Design& design) {
+/// order. Adds the DPs' pair checks to `pairChecks` when given.
+std::vector<int> selectAll(ClusterSelector& sel, const db::Design& design,
+                           std::size_t* pairChecks = nullptr) {
   const std::vector<std::vector<int>> clusters =
       reference::buildClusters(design);
   sel.addPairKeys(clusters);
   std::vector<int> chosen(design.instances.size(), -1);
   for (const std::vector<int>& cluster : clusters) {
-    sel.selectCluster(cluster, chosen);
+    const ClusterTally tally = sel.selectCluster(cluster, chosen);
+    if (pairChecks != nullptr) *pairChecks += tally.pairChecks;
   }
   return chosen;
 }
@@ -42,6 +47,44 @@ ClassAccess analyzeClass(const db::Design& d, const db::UniqueInstance& ui,
   ca.pinOrder = gen.pinOrder();
   return AccessCache::translate(
       ca, Point{0, 0} - d.instances[ui.representative].origin);
+}
+
+/// One pattern of handAccess: the index of pin A's and pin Z's access
+/// point, and the pattern's cost.
+struct HandPattern {
+  int a = 0;
+  int z = 0;
+  long long cost = 0;
+};
+
+/// Hand-placed access for a master whose signal pins are A (a bar at x
+/// 150-250) and Z (a bar at x 1010-1110), in that order: one up-via access
+/// point per listed y, and one pattern per HandPattern. Across a shared
+/// edge, a Z via and the right neighbour's A via conflict at the same y and
+/// are compatible 400 apart.
+ClassAccess handAccess(const std::vector<geom::Coord>& aYs,
+                       const std::vector<geom::Coord>& zYs,
+                       const std::vector<HandPattern>& patterns) {
+  const auto up = [](Point loc) {
+    AccessPoint ap;
+    ap.loc = loc;
+    ap.layer = 0;
+    ap.dirs = kUp;
+    ap.viaIdx.push_back(0);
+    return ap;
+  };
+  ClassAccess ca;
+  ca.pinAps.resize(2);
+  for (const geom::Coord y : aYs) ca.pinAps[0].push_back(up({200, y}));
+  for (const geom::Coord y : zYs) ca.pinAps[1].push_back(up({1060, y}));
+  ca.pinOrder = {0, 1};
+  for (const HandPattern& hp : patterns) {
+    AccessPattern pat;
+    pat.apIdx = {hp.a, hp.z};
+    pat.cost = hp.cost;
+    ca.patterns.push_back(pat);
+  }
+  return ca;
 }
 
 /// A cell whose boundary pins sit close enough to the edges that two
@@ -214,12 +257,12 @@ TEST_F(ClusterFixture, SinglePatternModeStillSelects) {
 
 TEST_F(ClusterFixture, PairChecksAreMemoizedAcrossRepeats) {
   // A 20-instance abutting row has 19 abutments but one abutment key (same
-  // class, same offset): its verdict slot is filled once, so the row costs
-  // exactly the pair checks of a lone abutting pair.
+  // class, same offset): each entry of its verdict slot is probed once, so
+  // the row costs exactly the pair checks of a lone abutting pair.
   buildDesign({{0, 0}, {1200, 0}});
   ClusterSelector pair(*td_.design, unique_, classes_);
-  selectAll(pair, *td_.design);
-  const std::size_t pairChecks = pair.numPairChecks();
+  std::size_t pairChecks = 0;
+  selectAll(pair, *td_.design, &pairChecks);
   EXPECT_GT(pairChecks, 0u);
   EXPECT_LE(pairChecks, 2u * 9u);  // 3x3 pattern combos, both directions
 
@@ -227,8 +270,9 @@ TEST_F(ClusterFixture, PairChecksAreMemoizedAcrossRepeats) {
   for (int i = 0; i < 20; ++i) origins.push_back({i * 1200, 0});
   buildDesign(origins);
   ClusterSelector row(*td_.design, unique_, classes_);
-  selectAll(row, *td_.design);
-  EXPECT_EQ(row.numPairChecks(), pairChecks);
+  std::size_t rowChecks = 0;
+  selectAll(row, *td_.design, &rowChecks);
+  EXPECT_EQ(rowChecks, pairChecks);
 }
 
 TEST_F(ClusterFixture, FillersAreTransparent) {
@@ -258,6 +302,127 @@ TEST_F(ClusterFixture, FillersAreTransparent) {
   EXPECT_GE(chosen[0], 0);
   EXPECT_GE(chosen[1], 0);
   EXPECT_EQ(chosen[2], -1);  // filler has no pattern
+}
+
+TEST_F(ClusterFixture, NegativeDrcCostIsRejected) {
+  // The DP's bound reads a pair's cost without the penalty as a lower
+  // bound, which a negative penalty would break.
+  buildDesign({{0, 0}, {1200, 0}});
+  ClusterSelectConfig cfg;
+  cfg.drcCost = -1;
+  EXPECT_THROW(ClusterSelector(*td_.design, unique_, classes_, cfg),
+               std::invalid_argument);
+  cfg.drcCost = 0;
+  EXPECT_NO_THROW(ClusterSelector(*td_.design, unique_, classes_, cfg));
+}
+
+TEST_F(ClusterFixture, BoundWalksPastADirtyCheapestPredecessor) {
+  // u0's cheapest pattern puts its Z via at y 500, level with u1's A via in
+  // every pattern: dirty against all of u1's patterns. The walk must go on
+  // to u0's dearer pattern 1 (Z at y 900), which is clean.
+  buildDesign({{0, 0}, {1200, 0}});
+  ASSERT_EQ(classes_.size(), 1u);
+  classes_[0] = handAccess({500}, {500, 900}, {{0, 0, 0}, {0, 1, 10}});
+  ClusterSelector sel(*td_.design, unique_, classes_);
+  const std::vector<int> chosen = selectAll(sel, *td_.design);
+  EXPECT_EQ(chosen, (std::vector<int>{1, 0}));
+  EXPECT_EQ(chosen,
+            reference::selectClusters(*td_.design, unique_, classes_)
+                .chosenPattern);
+}
+
+TEST_F(ClusterFixture, EqualValuesTakeTheLowestPredecessorIndex) {
+  // With drcCost 10, u0's dirty pattern 1 (cost 0) and its clean patterns
+  // 0 and 2 (cost 10 each) reach u1 at the same value. The walk meets
+  // pattern 1 first, yet the lowest index, 0, must win: a bound that
+  // ties the best value at a lower index is still probed, one at a higher
+  // index is not.
+  buildDesign({{0, 0}, {1200, 0}});
+  ASSERT_EQ(classes_.size(), 1u);
+  classes_[0] = handAccess({500}, {500, 900},
+                           {{0, 1, 10}, {0, 0, 0}, {0, 1, 10}});
+  ClusterSelectConfig cfg;
+  cfg.drcCost = 10;
+  ClusterSelector sel(*td_.design, unique_, classes_, cfg);
+  const std::vector<int> chosen = selectAll(sel, *td_.design);
+  EXPECT_EQ(chosen, (std::vector<int>{0, 1}));
+  EXPECT_EQ(chosen,
+            reference::selectClusters(*td_.design, unique_, classes_, cfg)
+                .chosenPattern);
+}
+
+TEST_F(ClusterFixture, PinnedMultiHeightPredecessorKeepsItsPattern) {
+  // t spans rows 0 and 1200. Row 0 ([u0, t]) pins t's pattern 0, whose Z
+  // via sits level with u1's cheap A via in row 1 ([t, u1]); the row-1 DP
+  // must keep t's pinned pattern and move u1 to its dearer pattern, though
+  // t's pattern 1 with u1's pattern 0 would cost less.
+  buildDesign({{0, 0}, {2400, 1200}});
+  db::Master& tall = td_.lib->addMaster("TALL");
+  tall.width = 1200;
+  tall.height = 2400;
+  for (const auto& [name, bar] :
+       {std::pair{"A", Rect{150, 300, 250, 1100}},
+        std::pair{"Z", Rect{1010, 1500, 1110, 2300}}}) {
+    db::Pin& pin = tall.pins.emplace_back();
+    pin.name = name;
+    pin.use = db::PinUse::kSignal;
+    pin.shapes.push_back({0, bar});
+  }
+  db::Design& d = *td_.design;
+  d.instances.push_back({"t", &tall, {1200, 0}, geom::Orient::R0});
+  d.buildInstanceIndex();
+  unique_ = db::UniqueInstanceIndex(d, 1).classes();
+  classes_.assign(unique_.classes.size(), {});
+  for (std::size_t c = 0; c < unique_.classes.size(); ++c) {
+    classes_[c] = unique_.classes[c].master == &tall
+                      ? handAccess({500, 900}, {1700, 2100},
+                                   {{1, 0, 0}, {0, 1, 5}})
+                      : handAccess({500, 900}, {500, 900},
+                                   {{0, 0, 0}, {1, 1, 10}});
+  }
+  const std::vector<std::vector<int>> clusters = reference::buildClusters(d);
+  ASSERT_EQ(clusters.size(), 2u);
+  EXPECT_EQ(clusters[1], (std::vector<int>{2, 1}));
+  ClusterSelector sel(d, unique_, classes_);
+  const std::vector<int> chosen = selectAll(sel, d);
+  EXPECT_EQ(chosen, (std::vector<int>{0, 1, 0}));
+  EXPECT_EQ(chosen,
+            reference::selectClusters(d, unique_, classes_).chosenPattern);
+}
+
+TEST_F(ClusterFixture, ConcurrentFirstProbesMatchSerial) {
+  // Sixteen instance-disjoint two-cell clusters share one abutment key, so
+  // DPs on four threads race to probe the same verdict entries. Each entry
+  // is published once, by one DP, which alone counts its probes: the
+  // choices and the summed pair checks equal a serial run's.
+  std::vector<Point> origins;
+  for (int row = 0; row < 8; ++row) {
+    for (const int x : {0, 1200, 3600, 4800}) origins.push_back({x, row * 1200});
+  }
+  buildDesign(origins);
+  const std::vector<std::vector<int>> clusters =
+      reference::buildClusters(*td_.design);
+  ASSERT_EQ(clusters.size(), 16u);
+  ClusterSelector serial(*td_.design, unique_, classes_);
+  std::size_t serialChecks = 0;
+  const std::vector<int> want = selectAll(serial, *td_.design, &serialChecks);
+  ASSERT_GT(serialChecks, 0u);
+  for (int round = 0; round < 4; ++round) {
+    ClusterSelector sel(*td_.design, unique_, classes_);
+    sel.addPairKeys(clusters);
+    std::vector<int> chosen(origins.size(), -1);
+    std::vector<ClusterTally> tallies(clusters.size());
+    util::parallelFor(
+        clusters.size(),
+        [&](std::size_t k) {
+          tallies[k] = sel.selectCluster(clusters[k], chosen);
+        },
+        4);
+    std::size_t checks = 0;
+    for (const ClusterTally& t : tallies) checks += t.pairChecks;
+    EXPECT_EQ(chosen, want);
+    EXPECT_EQ(checks, serialChecks);
+  }
 }
 
 TEST(ClusterSelectNets, PinsPastSixtyFourDoNotAliasTheNeighbour) {

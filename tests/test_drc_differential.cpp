@@ -553,15 +553,11 @@ TEST_P(Step3Differential, ChosenPatternsMatchReference) {
                                 session.classAccesses(), cfg.clusterSelect);
   EXPECT_EQ(session.chosenPattern(), want.chosenPattern);
   ASSERT_GT(want.pairChecks, 0u);
-  // A verdict slot checks every pattern pair of its abutment; the reference
-  // only checked the pairs its DP asked for. The two differ only where a
-  // multi-height cell's pinned pattern ruled pairs out, and the huge preset
-  // has no multi-height cells.
-  if (preset == "huge") {
-    EXPECT_EQ(session.stats().pairChecks, want.pairChecks);
-  } else {
-    EXPECT_GE(session.stats().pairChecks, want.pairChecks);
-  }
+  // Count gate: the reference probes every pattern pair its full DP reads;
+  // the bounded DP probes only the verdicts that can change its answer, at
+  // most once per session, and on these presets that is under half as many.
+  EXPECT_GT(session.stats().pairChecks, 0u);
+  EXPECT_LE(2 * session.stats().pairChecks, want.pairChecks);
 }
 
 INSTANTIATE_TEST_SUITE_P(

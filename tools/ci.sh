@@ -248,8 +248,11 @@ echo "== ThreadSanitizer job-graph soak =="
 # SessionContext re-checks on the context the session kept and updated.
 # Each evaluation worker gathers its own PinWindow: the window
 # differentials are in Presets/EvalDifferential and FailedPinView.
+# Step-3 verdict entries are probed on first demand and published by
+# compare-and-swap, so DPs race to probe one entry first: the ClusterFixture
+# cases run the bounded DP, four workers at once on one abutment key.
 "$SRC/build-ci-tsan/tests/pao_tests" --gtest_brief=1 --gtest_repeat=5 \
-  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:SessionTimings.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*:SessionReport.*:SessionContext.*'
+  --gtest_filter='Presets/Step3Differential.*:Step3PairChecks.*:ClusterFixture.*:SessionTimings.*:OracleFaultTest.ClassFault*:OracleFaultTest.SingleClassFault*:OracleSession.BuildGraphHasOneNodePerClassAndCluster:FailedPinView.*:UnionBoundaryDifferential.*:Presets/EvalDifferential.*:SessionGate.ServeEditShapeStaysLocal:ShardedUnique.*:UniqueInstanceIndex.*:SessionReport.*:SessionContext.*'
 
 echo "== UndefinedBehaviorSanitizer build =="
 cmake -B "$SRC/build-ci-ubsan" -S "$SRC" \
